@@ -292,7 +292,9 @@ class World:
                 agent.odom_position = agent.odom_position + agent.velocity * dt
                 self._clamp_category_point(agent, agent.odom_position)
             if agent.rover is not None:
-                truth = enu_to_geodetic(EnuCoord(*agent.position), self.base)
+                # the rover reads the truth only on a step that emits a fix
+                truth = (enu_to_geodetic(EnuCoord(*agent.position), self.base)
+                         if agent.rover.fix_due(now) else None)
                 fix = agent.rover.step(truth, corrections, now)
                 if fix is not None:
                     agent.fix_pub.publish(fix.stamp, encode_fix(fix))

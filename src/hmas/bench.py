@@ -16,10 +16,12 @@ import numpy as np
 
 from .bag import read_bag, record
 from .bus import Bus
-from .geo import (CorrectionLink, DisturbanceWindow, EnuCoord,
-                  GeodeticCoord, Rover, RoverConfig, RtkFix, WGS84_A, WGS84_E2,
-                  decode_fix, encode_fix, enu_to_geodetic, _enu_basis,
-                  geodetic_to_ecef)
+from .geo import (CorrectionLink, DisturbanceWindow, GeodeticCoord, Rover,
+                  RoverConfig, RtkFix, decode_fix, encode_fixes,
+                  enu_to_geodetic_array, geodetic_to_enu_array)
+# The per-fix scalar functions stay importable from this module, where the
+# span tracer in perfbench/ patches them.
+from .geo import encode_fix, enu_to_geodetic  # noqa: F401
 
 DEFAULT_BASE = GeodeticCoord(48.70, 6.15, 220.0)
 DEFAULT_SIDE_M = 0.90
@@ -59,8 +61,11 @@ PEAK_MIN_SAMPLES = 2
 
 @dataclass(frozen=True)
 class BoardPose:
+    """Board pose at one time, or at each of a vector of times (then the
+    center is (n, 3) and the yaw (n,))."""
+
     center: np.ndarray  # ENU, meters
-    yaw: float          # radians about up
+    yaw: float | np.ndarray  # radians about up
 
 
 @dataclass(frozen=True)
@@ -69,7 +74,7 @@ class BoardRig:
 
     side_m: float
     rover_ids: tuple[str, str, str, str]
-    trajectory: Callable[[float], BoardPose]
+    trajectory: Callable[[float | np.ndarray], BoardPose]
 
     def __post_init__(self) -> None:
         if self.side_m <= 0.0:
@@ -77,16 +82,19 @@ class BoardRig:
         if len(set(self.rover_ids)) != 4:
             raise ValueError("need four distinct rover ids")
 
-    def corner_positions(self, t: float) -> dict[str, np.ndarray]:
-        """rover id -> true ENU position at time t."""
+    def corner_positions(self, t: float | np.ndarray) -> dict[str, np.ndarray]:
+        """rover id -> true ENU position at time t: (3,) for a scalar t,
+        (n, 3) for a vector of n times."""
         pose = self.trajectory(t)
-        c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+        c, s = np.cos(pose.yaw), np.sin(pose.yaw)
+        zero = np.zeros_like(c)
         out = {}
         for corner, rover_id in zip(CORNERS, self.rover_ids):
             lx, ly = _CORNER_LOCAL[corner]
             lx *= self.side_m
             ly *= self.side_m
-            out[rover_id] = pose.center + np.array([c * lx - s * ly, s * lx + c * ly, 0.0])
+            offset = np.stack([c * lx - s * ly, s * lx + c * ly, zero], axis=-1)
+            out[rover_id] = pose.center + offset
         return out
 
 
@@ -241,13 +249,16 @@ def make_spec(kind: str, seed: int, **kwargs) -> ExperimentSpec:
     return _SPEC_BUILDERS[kind](seed, **kwargs)
 
 
-def build_trajectory(spec: ExperimentSpec) -> Callable[[float], BoardPose]:
+def build_trajectory(spec: ExperimentSpec) -> Callable[[float | np.ndarray], BoardPose]:
+    """The spec's board pose as a function of time; it takes a scalar time or
+    a vector of times."""
     cx, cy = spec.center_en
     if spec.kind in ("static", "static_disturbed"):
         center = np.array([cx, cy, 0.0])
 
-        def static_traj(t: float) -> BoardPose:
-            return BoardPose(center, 0.0)
+        def static_traj(t: float | np.ndarray) -> BoardPose:
+            shape = np.shape(t)
+            return BoardPose(np.broadcast_to(center, shape + (3,)), np.zeros(shape))
 
         return static_traj
 
@@ -259,10 +270,10 @@ def build_trajectory(spec: ExperimentSpec) -> Callable[[float], BoardPose]:
                r.ccw_end_s + 1.0, spec.duration_s]
         z_knots = [0.0, 0.0, r.lift_height_m, r.lift_height_m, 0.0, 0.0]
 
-        def rotation_traj(t: float) -> BoardPose:
-            yaw = float(np.interp(t, knots_t, yaw_knots))
-            z = float(np.interp(t, z_t, z_knots))
-            return BoardPose(np.array([cx, cy, z]), yaw)
+        def rotation_traj(t: float | np.ndarray) -> BoardPose:
+            yaw = np.interp(t, knots_t, yaw_knots)
+            z = np.interp(t, z_t, z_knots)
+            return BoardPose(np.stack(np.broadcast_arrays(cx, cy, z), axis=-1), yaw)
 
         return rotation_traj
 
@@ -278,10 +289,11 @@ def build_trajectory(spec: ExperimentSpec) -> Callable[[float], BoardPose]:
     xs = [0.0, ln, ln, ln, ln - side, ln - side, ln + legs.overshoot_m]
     ys = [0.0, 0.0, 0.0, side, side, 0.0, 0.0]
 
-    def translation_traj(t: float) -> BoardPose:
-        x = cx + float(np.interp(t, times, xs))
-        y = cy + float(np.interp(t, times, ys))
-        return BoardPose(np.array([x, y, 1.0]), 0.0)
+    def translation_traj(t: float | np.ndarray) -> BoardPose:
+        x = cx + np.interp(t, times, xs)
+        y = cy + np.interp(t, times, ys)
+        return BoardPose(np.stack(np.broadcast_arrays(x, y, 1.0), axis=-1),
+                         np.zeros(np.shape(t)))
 
     return translation_traj
 
@@ -311,11 +323,8 @@ def _draw_biases(spec: ExperimentSpec,
     return biases
 
 
-def run_experiment(spec: ExperimentSpec, out) -> Path:
-    """Drive the rig through the spec's trajectory, step four rovers at the
-    fix rate, and record every ``/*/gps/fix`` topic into the sink bag."""
-    trajectory = build_trajectory(spec)
-    rig = BoardRig(spec.side_m, CORNERS, trajectory)
+def board_rovers(spec: ExperimentSpec) -> tuple[CorrectionLink, dict[str, Rover]]:
+    """The spec's seeded correction link and one seeded rover per corner."""
     root = np.random.SeedSequence(spec.seed)
     bias_ss, link_ss, *rover_ss = root.spawn(2 + len(CORNERS))
     biases = _draw_biases(spec, bias_ss)
@@ -326,30 +335,46 @@ def run_experiment(spec: ExperimentSpec, out) -> Path:
             ox, oy = w.offset_en()
             windows[w.rover_id].append(DisturbanceWindow(w.start_s, w.end_s, (ox, oy, 0.0)))
 
-    bus = Bus()
-    pubs = {}
-    for corner in CORNERS:
-        node = bus.create_node(corner, "gps")
-        pubs[corner] = bus.advertise(node, "gps/fix")
-    recorder = record(bus, ["/*/gps/fix"], out)
-
     link = CorrectionLink(spec.base, seed=link_ss)
     rovers = {}
     for corner, ss in zip(CORNERS, rover_ss):
         config = (RoverConfig.noiseless(fix_rate_hz=spec.fix_rate_hz) if spec.noiseless
                   else RoverConfig(fix_rate_hz=spec.fix_rate_hz, bias_en=biases[corner]))
         rovers[corner] = Rover(corner, config, seed=ss, disturbances=windows[corner])
+    return link, rovers
 
+
+# Fix steps simulated per batch: bounds the arrays a long run holds at once.
+_BATCH_STEPS = 4096
+
+
+def run_experiment(spec: ExperimentSpec, out) -> Path:
+    """Drive the rig through the spec's trajectory, step four rovers at the
+    fix rate, and record every ``/*/gps/fix`` topic into the sink bag.
+
+    Rovers run in batches of fix steps over arrays; every fix is still
+    published on the bus in step order, corners in ``CORNERS`` order, so the
+    bag holds the same bytes a per-fix ``Rover.step`` loop records.
+    """
+    rig = BoardRig(spec.side_m, CORNERS, build_trajectory(spec))
+    link, rovers = board_rovers(spec)
+    bus = Bus()
+    pubs = [bus.advertise(bus.create_node(corner, "gps"), "gps/fix") for corner in CORNERS]
+    recorder = record(bus, ["/*/gps/fix"], out)
     steps = round(spec.duration_s * spec.fix_rate_hz)
-    for i in range(1, steps + 1):
-        t = i / spec.fix_rate_hz
-        corrections = link.poll(t)
+    for first in range(1, steps + 1, _BATCH_STEPS):
+        t = np.arange(first, min(first + _BATCH_STEPS, steps + 1)) / spec.fix_rate_hz
+        stamps = t.tolist()
+        corrections = [link.poll(stamp) for stamp in stamps]
         positions = rig.corner_positions(t)
+        payloads = []
         for corner in CORNERS:
-            truth = enu_to_geodetic(EnuCoord(*positions[corner]), spec.base)
-            fix = rovers[corner].step(truth, corrections, t)
-            if fix is not None:
-                pubs[corner].publish(fix.stamp, encode_fix(fix))
+            truth = enu_to_geodetic_array(positions[corner], spec.base)
+            measured, codes = rovers[corner].step_batch(truth, t, corrections)
+            payloads.append(encode_fixes(corner, t, measured, codes))
+        for stamp, row in zip(stamps, zip(*payloads)):
+            for pub, payload in zip(pubs, row):
+                pub.publish(stamp, payload)
     return recorder.stop()
 
 
@@ -381,20 +406,6 @@ class DistanceSeries:
                 raise ValueError(f"side {name!r} has negative distances")
 
 
-def _geodetic_to_enu_array(lats, lons, alts, base: GeodeticCoord) -> np.ndarray:
-    """Vectorized geodetic -> ENU (Nx3) about ``base``."""
-    lat = np.radians(np.asarray(lats, dtype=float))
-    lon = np.radians(np.asarray(lons, dtype=float))
-    alt = np.asarray(alts, dtype=float)
-    s, c = np.sin(lat), np.cos(lat)
-    n = WGS84_A / np.sqrt(1.0 - WGS84_E2 * s * s)
-    ecef = np.stack([(n + alt) * c * np.cos(lon),
-                     (n + alt) * c * np.sin(lon),
-                     (n * (1.0 - WGS84_E2) + alt) * s], axis=1)
-    origin = geodetic_to_ecef(base)
-    return (ecef - np.array([origin.x, origin.y, origin.z])) @ _enu_basis(base).T
-
-
 def side_distances(fixes: Mapping[str, Sequence[RtkFix]], base: GeodeticCoord,
                    corners: Mapping[str, str] | None = None,
                    pair_tolerance_s: float | None = None) -> DistanceSeries:
@@ -414,7 +425,7 @@ def side_distances(fixes: Mapping[str, Sequence[RtkFix]], base: GeodeticCoord,
         stamps = np.array([f.stamp for f in series])
         order = np.argsort(stamps, kind="stable")
         stamps = stamps[order]
-        enu = _geodetic_to_enu_array(
+        enu = geodetic_to_enu_array(
             [series[i].position.lat for i in order],
             [series[i].position.lon for i in order],
             [series[i].position.alt for i in order], base)

@@ -7,6 +7,7 @@ the inverse is Bowring's start refined by a short fixed-point iteration.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -165,6 +166,123 @@ def enu_to_geodetic(e: EnuCoord, base: GeodeticCoord) -> GeodeticCoord:
     return ecef_to_geodetic(enu_to_ecef(e, base))
 
 
+# -- array conversions ---------------------------------------------------
+#
+# The same closed forms over (N, 3) arrays, one point per row; latitude,
+# longitude and altitude sit in columns 0-2 of a geodetic array. Each result
+# equals the scalar function above bit for bit, so the scalar functions serve
+# as the reference. That needs the scalar operation order, and atan2, hypot
+# and cubes taken from ``math``: numpy's kernels for those can differ from
+# libm in the last bit. The scalar functions stay the per-point path, as
+# numpy's per-call cost dwarfs one conversion.
+
+
+def _math_map(fn, *columns: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, *(c.tolist() for c in columns)), float, len(columns[0]))
+
+
+def _cube(v: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(pow, v.tolist(), itertools.repeat(3)), float, len(v))
+
+
+def _check_geodetic(lla: np.ndarray) -> None:
+    """GeodeticCoord's range checks, over the rows of ``lla``."""
+    lat, lon, alt = lla.T
+    if not np.all((lat >= -90.0) & (lat <= 90.0)):
+        raise ValueError("latitude outside [-90, 90]")
+    if not np.all((lon > -180.0) & (lon <= 180.0)):
+        raise ValueError("longitude outside (-180, 180]")
+    if not np.all(np.isfinite(alt)):
+        raise ValueError("altitude is not finite")
+
+
+def _as_points(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise ValueError(f"expected an (N, 3) array, got shape {a.shape}")
+    return a
+
+
+def geodetic_to_ecef_array(lla) -> np.ndarray:
+    """``geodetic_to_ecef`` over the rows of ``lla``."""
+    lla = _as_points(lla)
+    _check_geodetic(lla)
+    lat = np.radians(lla[:, 0])
+    lon = np.radians(lla[:, 1])
+    alt = lla[:, 2]
+    s, c = np.sin(lat), np.cos(lat)
+    n = WGS84_A / np.sqrt(1.0 - WGS84_E2 * s * s)
+    return np.stack([(n + alt) * c * np.cos(lon),
+                     (n + alt) * c * np.sin(lon),
+                     (n * (1.0 - WGS84_E2) + alt) * s], axis=1)
+
+
+def ecef_to_geodetic_array(xyz) -> np.ndarray:
+    """``ecef_to_geodetic`` over the rows of ``xyz``; each row leaves the
+    fixed-point loop once it converges, as the scalar ``break`` does."""
+    xyz = _as_points(xyz)
+    if not np.all(np.isfinite(xyz)):
+        raise ValueError("ECEF coordinates must be finite")
+    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
+    rho = _math_map(math.hypot, x, y)
+    if np.any((rho < 1e-12) & (np.abs(z) < 1e-12)):
+        raise ValueError("ECEF point at Earth center has no geodetic image")
+    lon = _math_map(math.atan2, y, x)
+    polar = rho < 1e-9
+    beta = _math_map(math.atan2, WGS84_A * z, WGS84_B * rho)
+    lat = _math_map(math.atan2, z + _EP2 * WGS84_B * _cube(np.sin(beta)),
+                    rho - WGS84_E2 * WGS84_A * _cube(np.cos(beta)))
+    live = np.flatnonzero(~polar)
+    for _ in range(5):
+        if not live.size:
+            break
+        s = np.sin(lat[live])
+        n = WGS84_A / np.sqrt(1.0 - WGS84_E2 * s * s)
+        new_lat = _math_map(math.atan2, z[live] + WGS84_E2 * n * s, rho[live])
+        converged = np.abs(new_lat - lat[live]) < 1e-14
+        lat[live] = new_lat
+        live = live[~converged]
+    s, c = np.sin(lat), np.cos(lat)
+    alt = rho * c + z * s - WGS84_A * np.sqrt(1.0 - WGS84_E2 * s * s)
+    lon_deg = np.degrees(lon)
+    lon_deg[~polar & (lon_deg <= -180.0)] += 360.0
+    lat[polar] = np.copysign(math.pi / 2.0, z[polar])
+    alt[polar] = np.abs(z[polar]) - WGS84_B
+    out = np.stack([np.degrees(lat), lon_deg, alt], axis=1)
+    _check_geodetic(out)
+    return out
+
+
+def enu_to_geodetic_array(enu, base: GeodeticCoord | np.ndarray) -> np.ndarray:
+    """``enu_to_geodetic`` over the rows of ``enu``. ``base`` is one origin
+    for every row, or an (N, 3) geodetic array holding one origin per row."""
+    enu = _as_points(enu)
+    base = (np.array([[base.lat, base.lon, base.alt]]) if isinstance(base, GeodeticCoord)
+            else _as_points(base))
+    origin = geodetic_to_ecef_array(base)
+    lat = np.radians(base[:, 0])
+    lon = np.radians(base[:, 1])
+    sp, cp = np.sin(lat), np.cos(lat)
+    sl, cl = np.sin(lon), np.cos(lon)
+    zero = np.zeros_like(sp)
+    basis = np.stack([np.stack([-sl, cl, zero], axis=1),
+                      np.stack([-sp * cl, -sp * sl, cp], axis=1),
+                      np.stack([cp * cl, cp * sl, sp], axis=1)], axis=1)
+    # one matrix-vector product per row, the same product the scalar
+    # ``_enu_basis(base).T @ e`` makes
+    d = (basis.transpose(0, 2, 1) @ enu[:, :, None])[:, :, 0]
+    return ecef_to_geodetic_array(origin + d)
+
+
+def geodetic_to_enu_array(lats, lons, alts, base: GeodeticCoord) -> np.ndarray:
+    """Geodetic columns -> ENU (N, 3) about ``base``."""
+    ecef = geodetic_to_ecef_array(np.stack([np.asarray(lats, dtype=float),
+                                            np.asarray(lons, dtype=float),
+                                            np.asarray(alts, dtype=float)], axis=1))
+    origin = geodetic_to_ecef(base)
+    return (ecef - np.array([origin.x, origin.y, origin.z])) @ _enu_basis(base).T
+
+
 # -- fix wire/file formats ----------------------------------------------
 
 _FIX_HEAD = struct.Struct("<ddddB")
@@ -173,11 +291,26 @@ _QUALITY_CODE = {q: i for i, q in enumerate(_QUALITY_ORDER)}
 FIX_CSV_HEADER = ["stamp_s", "rover_id", "lat_deg", "lon_deg", "alt_m", "quality"]
 
 
+def _fix_tail(rover_id: str) -> bytes:
+    rid = rover_id.encode()
+    return struct.pack("<I", len(rid)) + rid
+
+
 def encode_fix(fix: RtkFix) -> bytes:
-    rid = fix.rover_id.encode()
     head = _FIX_HEAD.pack(fix.stamp, fix.position.lat, fix.position.lon,
                           fix.position.alt, _QUALITY_CODE[fix.quality])
-    return head + struct.pack("<I", len(rid)) + rid
+    return head + _fix_tail(fix.rover_id)
+
+
+def encode_fixes(rover_id: str, stamps: np.ndarray, positions: np.ndarray,
+                 codes: np.ndarray) -> list[bytes]:
+    """``encode_fix`` for each of one rover's fixes, given as stamps, (n, 3)
+    geodetic positions and quality codes (as ``Rover.step_batch`` returns)."""
+    tail = _fix_tail(rover_id)
+    pack = _FIX_HEAD.pack
+    return [pack(stamp, lat, lon, alt, code) + tail
+            for stamp, (lat, lon, alt), code in zip(np.asarray(stamps).tolist(),
+                                                    positions.tolist(), codes.tolist())]
 
 
 def decode_fix(payload: bytes) -> RtkFix:
@@ -346,7 +479,7 @@ class Rover:
                                    magnitude * math.sin(angle), 0.0])
         else:
             self._bias = np.array([*self.config.bias_en, 0.0])
-        self._disturbances = list(disturbances)
+        self._disturbances = tuple(disturbances)
         self._quality = FixQuality.SINGLE
         self._last_corr_stamp: float | None = None
         self._last_epoch = 0
@@ -361,9 +494,6 @@ class Rover:
     def bias_en(self) -> tuple[float, float]:
         return float(self._bias[0]), float(self._bias[1])
 
-    def add_disturbance(self, window: DisturbanceWindow) -> None:
-        self._disturbances.append(window)
-
     def receive_correction(self, msg: CorrectionMsg) -> None:
         if msg.epoch <= self._last_epoch:
             raise ValueError(
@@ -372,21 +502,28 @@ class Rover:
         if self._last_corr_stamp is None or msg.stamp > self._last_corr_stamp:
             self._last_corr_stamp = msg.stamp
 
-    def step(self, true_position: GeodeticCoord, corrections: Iterable[CorrectionMsg],
-             now: float) -> RtkFix | None:
+    def fix_due(self, now: float) -> bool:
+        """Whether ``step(..., now)`` would emit a fix."""
+        return self._next_fix_index / self.config.fix_rate_hz <= now + 1e-9
+
+    def step(self, true_position: GeodeticCoord | None,
+             corrections: Iterable[CorrectionMsg], now: float) -> RtkFix | None:
         """Ingest corrections and emit the fix due by ``now``, if any.
 
         ``now`` must be monotone. Stepping slower than the fix period emits
-        only the latest due epoch.
+        only the latest due epoch. ``true_position`` is read only when a fix
+        is due (see ``fix_due``), and may be None otherwise.
         """
         if self._last_now is not None and now < self._last_now:
             raise ValueError(f"time went backwards: {now} < {self._last_now}")
+        if true_position is None and self.fix_due(now):
+            raise ValueError(f"a fix is due at {now} but no true position was given")
         self._last_now = now
         for msg in corrections:
             self.receive_correction(msg)
         rate = self.config.fix_rate_hz
         stamp = None
-        while self._next_fix_index / rate <= now + 1e-9:
+        while self.fix_due(now):
             stamp = self._next_fix_index / rate
             self._next_fix_index += 1
         if stamp is None:
@@ -398,6 +535,50 @@ class Rover:
         else:
             measured = true_position
         return RtkFix(self.rover_id, measured, self._quality, stamp)
+
+    def step_batch(self, true_positions: np.ndarray, stamps: np.ndarray,
+                   corrections: Sequence[Iterable[CorrectionMsg]]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """The next n fixes at once, equal to n ``step`` calls at ``stamps``.
+
+        ``stamps`` must be the rover's next n fix stamps, ``true_positions``
+        the (n, 3) geodetic truth at them, and ``corrections[k]`` the
+        corrections polled at ``stamps[k]``. Returns the measured (n, 3)
+        geodetic positions and the quality codes (indexes into single, float,
+        fixed), and leaves the rover in the state those n steps would.
+        """
+        stamps = np.asarray(stamps, dtype=float)
+        n = len(stamps)
+        truth = _as_points(true_positions)
+        if len(truth) != n or len(corrections) != n:
+            raise ValueError(f"{n} stamps need {n} true positions and {n} correction lists")
+        due = (self._next_fix_index + np.arange(n)) / self.config.fix_rate_hz
+        if not np.array_equal(stamps, due):
+            raise ValueError("stamps must be the rover's next fix stamps")
+        if n == 0:
+            return truth.copy(), np.zeros(0, dtype=np.uint8)
+        stamp_list = stamps.tolist()
+        ladder = []
+        for stamp, msgs in zip(stamp_list, corrections):
+            for msg in msgs:
+                self.receive_correction(msg)
+            self._update_quality(stamp)
+            ladder.append(_QUALITY_ORDER.index(self._quality))
+        codes = np.array(ladder, dtype=np.uint8)
+        self._next_fix_index += n
+        self._last_now = stamp_list[-1]
+
+        sigmas = np.array([[h, h, v] for h, v in map(self.config.sigmas, _QUALITY_ORDER)])
+        error = self._bias + self._rng.standard_normal((n, 3)) * sigmas[codes]
+        for window in self._disturbances:
+            k = np.fromiter(map(window.envelope, stamp_list), float, n)
+            hit = k > 0.0
+            error[hit] = error[hit] + k[hit, None] * np.array(window.offset_enu)
+        measured = truth.copy()
+        moved = np.any(error, axis=1)
+        if np.any(moved):
+            measured[moved] = enu_to_geodetic_array(error[moved], truth[moved])
+        return measured, codes
 
     def _update_quality(self, now: float) -> None:
         timeout = self.config.correction_timeout_s

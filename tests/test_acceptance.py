@@ -223,7 +223,7 @@ def test_criterion_8_translation_run(tmp_path):
     centroid = None
     for corner in bench.CORNERS:
         series = fixes[corner]
-        pts = bench._geodetic_to_enu_array([f.position.lat for f in series],
+        pts = geo.geodetic_to_enu_array([f.position.lat for f in series],
                                            [f.position.lon for f in series],
                                            [f.position.alt for f in series],
                                            noiseless.base)

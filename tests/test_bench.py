@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from hmas import bag, bench, geo
-from hmas.bench import (CORNERS, SIDES, BoardPose, BoardRig, DistanceSeries,
-                        ExperimentSpec, RoverWindow, corner_displacement_for_peaks,
+from hmas.bench import (CORNERS, EXPERIMENT_KINDS, SIDES, BoardPose, BoardRig,
+                        DistanceSeries, ExperimentSpec, RotationTimeline, RoverWindow,
+                        TranslationLegs, corner_displacement_for_peaks,
                         disturbed_spec, emit_csv, load_bag_fixes, make_spec,
                         rotation_spec, run_experiment, side_distances,
                         side_windows, static_spec, summarize, translation_spec)
+from hmas.bus import Bus
 from hmas.geo import FixQuality, RtkFix
 
 
@@ -139,6 +141,58 @@ class TestRunExperiment:
         assert end[0] == pytest.approx(
             spec.center_en[0] + spec.legs.line_length_m + spec.legs.overshoot_m, abs=0.05)
         assert end[1] == pytest.approx(spec.center_en[1], abs=0.05)
+
+
+def _scalar_loop_bag(spec, path):
+    """Reference for ``run_experiment``: the per-fix loop, one scalar truth
+    conversion and one ``Rover.step`` per rover and step."""
+    rig = BoardRig(spec.side_m, CORNERS, bench.build_trajectory(spec))
+    link, rovers = bench.board_rovers(spec)
+    live = Bus()
+    pubs = {c: live.advertise(live.create_node(c, "gps"), "gps/fix") for c in CORNERS}
+    recorder = bag.record(live, ["/*/gps/fix"], path)
+    for i in range(1, round(spec.duration_s * spec.fix_rate_hz) + 1):
+        t = i / spec.fix_rate_hz
+        corrections = link.poll(t)
+        positions = rig.corner_positions(t)
+        for corner in CORNERS:
+            truth = geo.enu_to_geodetic(geo.EnuCoord(*positions[corner]), spec.base)
+            fix = rovers[corner].step(truth, corrections, t)
+            pubs[corner].publish(fix.stamp, geo.encode_fix(fix))
+    return recorder.stop()
+
+
+SHORT_LEGS = TranslationLegs(line_length_m=3.0, line_duration_s=4.5, hold_s=1.0,
+                             square_side_m=2.5, overshoot_m=0.5, walk_speed_mps=3.0 / 4.5)
+SHORT_SPECS = {
+    "static": lambda seed, **kw: static_spec(seed, duration_s=20.0, **kw),
+    "static_disturbed": lambda seed, **kw: ExperimentSpec(
+        "static_disturbed", 20.0, seed,
+        disturbances=(RoverWindow("top_right", 3.0, 4.5, 0.10),
+                      RoverWindow("top_right", 4.0, 6.0, 0.05, (0.0, 1.0)),
+                      RoverWindow("top_left", 8.0, 20.0, 0.12)), **kw),
+    "rotation": lambda seed, **kw: rotation_spec(
+        seed, duration_s=20.0, obstruction_window_s=(15.0, 17.0),
+        rotation=RotationTimeline(4.0, 8.0, 10.0, 13.0, 1.0), **kw),
+    "translation_square": lambda seed, **kw: translation_spec(seed, legs=SHORT_LEGS, **kw),
+}
+
+
+class TestBatchedRun:
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_bag_equals_scalar_step_loop(self, tmp_path, kind, seed):
+        spec = SHORT_SPECS[kind](seed)
+        batched = run_experiment(spec, tmp_path / "batched.bag")
+        assert batched.read_bytes() == _scalar_loop_bag(spec, tmp_path / "loop.bag").read_bytes()
+
+    @pytest.mark.parametrize("noiseless", [False, True])
+    def test_bag_equals_scalar_step_loop_across_batches(self, tmp_path, monkeypatch,
+                                                        noiseless):
+        monkeypatch.setattr(bench, "_BATCH_STEPS", 37)
+        spec = SHORT_SPECS["static_disturbed"](5, noiseless=noiseless)
+        batched = run_experiment(spec, tmp_path / "batched.bag")
+        assert batched.read_bytes() == _scalar_loop_bag(spec, tmp_path / "loop.bag").read_bytes()
 
 
 def _enu(fix, base):

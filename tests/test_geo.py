@@ -1,6 +1,7 @@
 """Geodetic/ECEF/ENU conversion tests against independent oracles."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,6 +160,55 @@ class TestEnu:
             chord = math.dist((p1.x, p1.y, p1.z), (p2.x, p2.y, p2.z))
             enu_d = math.dist((e1.east, e1.north, e1.up), (e2.east, e2.north, e2.up))
             assert abs(enu_d - chord) <= 1e-9 * max(chord, 1.0)
+
+
+def _rows(coords):
+    return np.array([[c.lat, c.lon, c.alt] for c in coords])
+
+
+class TestArrayConversions:
+    """The array conversions against the scalar ones, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.floats(-89.0, 89.0),
+                              st.floats(-180.0, 180.0, exclude_min=True),
+                              st.floats(-400.0, 9000.0),
+                              st.tuples(*[st.floats(-50.0, 50.0)] * 3)),
+                    min_size=1, max_size=8))
+    def test_enu_to_geodetic_matches_scalar_bitwise(self, rows):
+        bases = [GeodeticCoord(lat, lon, alt) for lat, lon, alt, _ in rows]
+        offsets = np.array([offset for *_, offset in rows])
+        per_row = geo.enu_to_geodetic_array(offsets, _rows(bases))
+        expected = _rows(geo.enu_to_geodetic(EnuCoord(*e), b) for e, b in zip(offsets, bases))
+        assert per_row.tobytes() == expected.tobytes()
+        one_base = geo.enu_to_geodetic_array(offsets, bases[0])
+        expected = _rows(geo.enu_to_geodetic(EnuCoord(*e), bases[0]) for e in offsets)
+        assert one_base.tobytes() == expected.tobytes()
+
+    def test_special_points_match_scalar(self):
+        points = [EcefCoord(0.0, 0.0, SEMI_MINOR_B + 5.0),    # north pole
+                  EcefCoord(0.0, 0.0, -SEMI_MINOR_B - 5.0),   # south pole
+                  EcefCoord(-6378137.0, -0.0, 0.0),           # longitude -180 wraps
+                  EcefCoord(6378137.0, 0.0, 0.0),
+                  EcefCoord(*ECEF_NANCY)]
+        got = geo.ecef_to_geodetic_array([[p.x, p.y, p.z] for p in points])
+        assert got.tobytes() == _rows(map(ecef_to_geodetic, points)).tobytes()
+        assert got[2, 1] == 180.0
+        back = geo.geodetic_to_ecef_array(got)
+        expected = [geodetic_to_ecef(GeodeticCoord(*row)) for row in got.tolist()]
+        assert back.tolist() == [[p.x, p.y, p.z] for p in expected]
+
+    def test_invalid_input_rejected_like_scalar(self):
+        with pytest.raises(ValueError, match="Earth center"):
+            geo.ecef_to_geodetic_array([[1e6, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            geo.ecef_to_geodetic_array([[np.inf, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="latitude"):
+            geo.geodetic_to_ecef_array([[91.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="longitude"):
+            geo.enu_to_geodetic_array([[0.0, 0.0, 0.0]], np.array([[0.0, -180.0, 0.0]]))
+        with pytest.raises(ValueError, match=r"\(N, 3\)"):
+            geo.enu_to_geodetic_array([0.0, 0.0, 0.0], NANCY)
 
 
 class TestFixCodec:

@@ -10,6 +10,7 @@ from hmas.geo import (CorrectionLink, CorrectionMsg, DisturbanceWindow,
 
 BASE = GeodeticCoord(48.70, 6.15, 220.0)
 FRESH = [CorrectionMsg(BASE, 1, 0.0)]
+QUALITIES = tuple(FixQuality)  # the order quality codes index
 
 
 def corrections_at(epoch, stamp):
@@ -202,3 +203,67 @@ class TestDisturbance:
         for i in range(22, 100):
             fix = rover.step(BASE, (), i / 14.0)
         assert fix.position == BASE
+
+
+class TestStepBatch:
+    WINDOWS = (DisturbanceWindow(2.0, 3.0, (0.4, -0.2, 0.1)),
+               DisturbanceWindow(2.5, 2.6, (0.0, 0.3, 0.0), decay_s=0.5),
+               DisturbanceWindow(8.0, 9.0, (-0.3, 0.0, 0.2)))
+
+    @staticmethod
+    def truth_at(stamps):
+        return np.array([[48.70 + 1e-6 * s, 6.15 - 2e-6 * s, 220.0 + 0.01 * s]
+                         for s in stamps])
+
+    @staticmethod
+    def fields(fix):
+        return (fix.stamp, fix.position.lat, fix.position.lon, fix.position.alt,
+                fix.quality)
+
+    def test_batch_then_steps_equals_scalar_steps(self):
+        # corrections stop after 2 s: the ladder climbs to fixed, is at float
+        # when the batch ends at 8.6 s, and drops to single in the scalar
+        # steps; the last window spans the boundary
+        n, k = 120, 200
+        stamps = np.arange(1, n + k + 1) / 14.0
+        link = CorrectionLink(BASE, interval_s=0.5, drop_prob=0.3, seed=4)
+        polled = [link.poll(s) if s <= 2.0 else [] for s in stamps.tolist()]
+        truth = self.truth_at(stamps.tolist())
+
+        def rover():
+            return Rover("r", RoverConfig(), seed=8, disturbances=self.WINDOWS)
+
+        scalar = rover()
+        expected = [self.fields(scalar.step(GeodeticCoord(*truth[i]), polled[i], s))
+                    for i, s in enumerate(stamps.tolist())]
+
+        batched = rover()
+        measured, codes = batched.step_batch(truth[:n], stamps[:n], polled[:n])
+        got = [(s, *p, QUALITIES[c])
+               for s, p, c in zip(stamps[:n].tolist(), measured.tolist(), codes.tolist())]
+        got += [self.fields(batched.step(GeodeticCoord(*truth[i]), polled[i], s))
+                for i, s in zip(range(n, n + k), stamps[n:].tolist())]
+        assert got == expected
+        assert set(codes.tolist()) == {0, 1, 2}
+        assert batched.quality is scalar.quality is FixQuality.SINGLE
+
+    def test_stamps_must_be_the_next_fix_stamps(self):
+        rover = Rover("r", RoverConfig(), seed=1)
+        rover.step(BASE, (), 1 / 14.0)
+        stamps = np.arange(3, 6) / 14.0  # skips fix 2
+        with pytest.raises(ValueError, match="next fix stamps"):
+            rover.step_batch(self.truth_at(stamps), stamps, [()] * 3)
+        stamps = np.arange(2, 5) / 14.0
+        with pytest.raises(ValueError, match="3 stamps"):
+            rover.step_batch(self.truth_at(stamps), stamps, [()] * 2)
+
+    def test_truth_needed_only_when_a_fix_is_due(self):
+        rover = Rover("r", RoverConfig.noiseless(), seed=1)
+        assert not rover.fix_due(0.05)
+        assert rover.step(None, FRESH, 0.05) is None  # corrections still ingested
+        assert rover.fix_due(1 / 14.0)
+        with pytest.raises(ValueError, match="no true position"):
+            rover.step(None, (), 1 / 14.0)
+        fix = rover.step(BASE, (), 1 / 14.0)
+        assert fix.position == BASE and fix.quality is FixQuality.FLOAT
+
