@@ -8,7 +8,7 @@ from .tf import Transform, TransformTree, compose, invert
 from .geo import (CorrectionLink, CorrectionMsg, EcefCoord, EnuCoord,
                   FixQuality, GeodeticCoord, Rover, RoverConfig, RtkFix,
                   ecef_to_enu, ecef_to_geodetic, enu_to_ecef, enu_to_geodetic,
-                  fix_rate, geodetic_to_ecef, geodetic_to_enu)
+                  geodetic_to_ecef, geodetic_to_enu)
 from .agents import AgentSpec, FollowCommand, SensorSpec, World
 from .bag import BagRecord, Recorder, bag_info, read_bag, record, replay
 from .bench import (BoardRig, DistanceSeries, ExperimentSpec, Report,

@@ -74,12 +74,6 @@ class AgentSpec:
                 raise ValueError("aerial agents need altitude_range = (min, max), min < max")
         object.__setattr__(self, "sensors", tuple(self.sensors))
 
-    def gnss_sensor(self) -> SensorSpec | None:
-        for s in self.sensors:
-            if s.kind == "gnss":
-                return s
-        return None
-
 
 @dataclass(frozen=True)
 class FollowCommand:
@@ -287,7 +281,7 @@ class World:
         for agent in self._agents.values():
             agent.velocity = _clamp_speed(agent.velocity, agent.spec.max_speed)
             agent.position = agent.position + agent.velocity * dt
-            self._clamp_category(agent)
+            self._clamp_category_point(agent, agent.position)
             if agent.odom_position is not None:
                 agent.odom_position = agent.odom_position + agent.velocity * dt
                 self._clamp_category_point(agent, agent.odom_position)
@@ -306,9 +300,6 @@ class World:
                     self._set_pose_edges(agent, est_pos, fix.stamp)
         self._drain_fixes()
         self._time = now
-
-    def _clamp_category(self, agent: Agent) -> None:
-        self._clamp_category_point(agent, agent.position)
 
     def _clamp_category_point(self, agent: Agent, point: np.ndarray) -> None:
         if agent.spec.category == "aerial":

@@ -3,6 +3,10 @@
 File layout (little-endian): magic ``HBAG``, u16 format version, then per
 record u32 topic length, topic bytes, f64 stamp, u32 payload length, payload.
 Records are stored sorted by stamp, ties broken by write order.
+
+A ``Recorder`` is not a bus node: the bus calls it with each message as it is
+published, so recording is lossless by construction. The run is held once, in
+the ``BagWriter``, until ``Recorder.stop()`` writes the sorted bag.
 """
 from __future__ import annotations
 
@@ -13,16 +17,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .bus import (Bus, DuplicateNodeError, PublisherHandle, QosProfile,
-                  QualifiedName, Reliability, SubscriptionHandle)
+from .bus import (Bus, DuplicateNodeError, Message, PublisherHandle, QosProfile,
+                  QualifiedName, Reliability)
 
 MAGIC = b"HBAG"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sH")
 _U32 = struct.Struct("<I")
 _F64 = struct.Struct("<d")
-
-RECORDER_QOS = QosProfile(reliability=Reliability.RELIABLE, history_depth=1_000_000)
 
 
 class BagError(Exception):
@@ -141,12 +143,14 @@ def bag_info(path) -> BagInfo:
 
 
 class Recorder:
-    """Subscribes losslessly to every topic matching the filter patterns and
-    appends matching messages to the sink bag.
+    """Writes every message published on a topic that matches the filter
+    patterns into the sink bag.
 
-    Recording uses its own reliable, deep-queue QoS so the bag reproduces the
-    run regardless of the live profiles. Topics advertised after start are
-    picked up automatically.
+    The recorder is not a bus node and holds no subscription: the bus hands it
+    each message as it is published, before fault injection and delivery, so
+    recording is lossless by construction, at any message count and whatever
+    the live QoS profiles. Topics advertised after start are recorded too. The
+    run is held once, in the bag writer, until ``stop()`` writes it out.
     """
 
     def __init__(self, bus: Bus, patterns: Sequence[str], sink) -> None:
@@ -154,24 +158,9 @@ class Recorder:
             raise ValueError("recorder needs at least one topic filter pattern")
         self._bus = bus
         self._patterns = list(patterns)
+        self._matched: dict[str, bool] = {}  # topic -> matches a pattern
         self._writer = BagWriter(sink)
-        self._node = bus.create_node("hmas_bag", self._unique_local_name(bus))
-        self._subs: dict[str, SubscriptionHandle] = {}
-        self._pending: list[tuple[int, BagRecord]] = []
-        self._stopped = False
-        for topic in bus.discover().publishers:
-            self._maybe_subscribe(topic)
-        bus.add_advertise_hook(self._on_advertise)
-
-    @staticmethod
-    def _unique_local_name(bus: Bus) -> str:
-        nodes = bus.discover().nodes
-        i = 0
-        while True:
-            local = "recorder" if i == 0 else f"recorder_{i}"
-            if f"/hmas_bag/{local}" not in nodes:
-                return local
-            i += 1
+        bus.add_publish_hook(self._on_publish)
 
     @property
     def path(self) -> Path:
@@ -180,38 +169,17 @@ class Recorder:
     def matches(self, topic: str) -> bool:
         return any(fnmatch.fnmatchcase(topic, pat) for pat in self._patterns)
 
-    def _on_advertise(self, pub: PublisherHandle) -> None:
-        self._maybe_subscribe(pub.topic.full)
-
-    def _maybe_subscribe(self, topic: str) -> None:
-        if self._stopped or topic in self._subs or not self.matches(topic):
-            return
-        self._subs[topic] = self._bus.subscribe(self._node, topic, RECORDER_QOS)
-
-    def drain(self) -> int:
-        """Move queued messages into the writer; returns how many."""
-        n = 0
-        for sub in self._subs.values():
-            while True:
-                item = self._bus.take_with_seq(sub)
-                if item is None:
-                    break
-                seq, msg = item
-                self._pending.append((seq, BagRecord(msg.topic.full, msg.stamp, msg.payload)))
-                n += 1
-        return n
+    def _on_publish(self, msg: Message) -> None:
+        topic = msg.topic.full
+        matched = self._matched.get(topic)
+        if matched is None:
+            matched = self._matched[topic] = self.matches(topic)
+        if matched:
+            self._writer.write(BagRecord(topic, msg.stamp, msg.payload))
 
     def stop(self) -> Path:
-        """Drain, write the bag, and detach from the bus."""
-        if self._stopped:
-            return self._writer.path
-        self.drain()
-        self._bus.remove_advertise_hook(self._on_advertise)
-        self._node.close()
-        self._stopped = True
-        self._pending.sort(key=lambda item: item[0])  # bus enqueue order
-        for _, record in self._pending:
-            self._writer.write(record)
+        """Detach from the bus and write the bag; later calls only return its path."""
+        self._bus.remove_publish_hook(self._on_publish)
         self._writer.close()
         return self._writer.path
 

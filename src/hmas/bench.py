@@ -8,7 +8,7 @@ byte-identical bag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -170,6 +170,10 @@ class ExperimentSpec:
             raise ValueError("duration must be positive")
         if self.fix_rate_hz <= 0.0:
             raise ValueError("fix rate must be positive")
+        min_rotation_s = self.rotation.ccw_end_s + 1.0  # the board is back down
+        if self.kind == "rotation" and self.duration_s < min_rotation_s:
+            raise ValueError(f"a rotation run needs at least {min_rotation_s:g} s, "
+                             f"got {self.duration_s:g} s")
         for w in self.disturbances:
             if w.rover_id not in CORNERS:
                 raise ValueError(f"disturbance names unknown rover {w.rover_id!r}")
@@ -194,6 +198,12 @@ def corner_displacement_for_peaks(side_m: float, corner: str,
     return (alpha * u1[0] + beta * u2[0], alpha * u1[1] + beta * u2[1])
 
 
+def _fit_windows(windows: Sequence[RoverWindow], duration_s: float) -> tuple[RoverWindow, ...]:
+    """The windows that start before the end of the run, ends clipped to it."""
+    return tuple(replace(w, end_s=min(w.end_s, duration_s))
+                 for w in windows if w.start_s < duration_s)
+
+
 def static_spec(seed: int, duration_s: float = 300.0, noiseless: bool = False,
                 **overrides) -> ExperimentSpec:
     return ExperimentSpec("static", duration_s, seed, noiseless=noiseless, **overrides)
@@ -203,12 +213,14 @@ def disturbed_spec(seed: int, duration_s: float = 300.0, noiseless: bool = False
                    twist_magnitude_m: float = 0.10,
                    obstruction_magnitude_m: float = 0.12, **overrides) -> ExperimentSpec:
     """Board on the ground: three corner twists plus two longer hand-over-antenna
-    windows (timings follow the narrated run)."""
-    windows = tuple(
+    windows (timings follow the narrated run). A shorter run keeps the windows
+    that start before its end."""
+    windows = _fit_windows(
         [RoverWindow("top_right", t0, t0 + 1.5, twist_magnitude_m)
          for t0 in (140.0, 160.0, 230.0)]
         + [RoverWindow("top_left", 170.0, 220.0, obstruction_magnitude_m),
-           RoverWindow("top_left", 235.0, duration_s, obstruction_magnitude_m)])
+           RoverWindow("top_left", 235.0, duration_s, obstruction_magnitude_m)],
+        duration_s)
     return ExperimentSpec("static_disturbed", duration_s, seed, noiseless=noiseless,
                           disturbances=windows, **overrides)
 
@@ -219,13 +231,14 @@ def rotation_spec(seed: int, duration_s: float = 60.0, noiseless: bool = False,
                   obstruction_window_s: tuple[float, float] = (51.0, 54.0),
                   side_m: float = DEFAULT_SIDE_M, **overrides) -> ExperimentSpec:
     """Lift, full turn each way, then a short receiver obstruction whose
-    displacement is solved so the two adjacent sides peak at the target pair."""
+    displacement is solved so the two adjacent sides peak at the target pair.
+    A run that ends before the obstruction starts has none."""
     dx, dy = corner_displacement_for_peaks(side_m, obstructed_corner, obstruction_peaks_m)
     magnitude = math.hypot(dx, dy)
     window = RoverWindow(obstructed_corner, *obstruction_window_s, magnitude,
                          (dx / magnitude, dy / magnitude))
-    return ExperimentSpec("rotation", duration_s, seed, side_m=side_m,
-                          noiseless=noiseless, disturbances=(window,), **overrides)
+    return ExperimentSpec("rotation", duration_s, seed, side_m=side_m, noiseless=noiseless,
+                          disturbances=_fit_windows([window], duration_s), **overrides)
 
 
 def translation_spec(seed: int, noiseless: bool = False,

@@ -82,14 +82,9 @@ class Reliability(Enum):
     RELIABLE = "reliable"
 
 
-class Durability(Enum):
-    VOLATILE = "volatile"
-
-
 @dataclass(frozen=True)
 class QosProfile:
     reliability: Reliability = Reliability.BEST_EFFORT
-    durability: Durability = Durability.VOLATILE
     history_depth: int = 1
 
     def __post_init__(self) -> None:
@@ -214,7 +209,7 @@ class Bus:
         self._subscriptions: dict[str, list[SubscriptionHandle]] = {}
         self._fault_injector = fault_injector
         self._seq = 0
-        self._advertise_hooks: list[Callable[[PublisherHandle], None]] = []
+        self._publish_hooks: tuple[Callable[[Message], None], ...] = ()
 
     def set_fault_injector(self, injector: FaultInjector | None) -> None:
         with self._lock:
@@ -244,9 +239,6 @@ class Bus:
             pub = PublisherHandle(self, node, resolved, qos)
             self._publishers.setdefault(resolved.full, []).append(pub)
             node._endpoints.append(pub)
-            hooks = list(self._advertise_hooks)
-        for hook in hooks:
-            hook(pub)
         return pub
 
     def subscribe(self, node: NodeHandle, topic: str, qos: QosProfile = DEFAULT_QOS) -> SubscriptionHandle:
@@ -261,15 +253,15 @@ class Bus:
             node._endpoints.append(sub)
         return sub
 
-    def add_advertise_hook(self, hook: Callable[[PublisherHandle], None]) -> None:
-        """Invoke hook for every future advertise; used by recorders."""
+    def add_publish_hook(self, hook: Callable[[Message], None]) -> None:
+        """Invoke hook with every future message, in publish order, before
+        fault injection and delivery; used by recorders."""
         with self._lock:
-            self._advertise_hooks.append(hook)
+            self._publish_hooks += (hook,)
 
-    def remove_advertise_hook(self, hook: Callable[[PublisherHandle], None]) -> None:
+    def remove_publish_hook(self, hook: Callable[[Message], None]) -> None:
         with self._lock:
-            if hook in self._advertise_hooks:
-                self._advertise_hooks.remove(hook)
+            self._publish_hooks = tuple(h for h in self._publish_hooks if h != hook)
 
     # -- data path ----------------------------------------------------
 
@@ -284,13 +276,15 @@ class Bus:
                     f"stamp {stamp} precedes {pub._last_stamp} on {pub.topic.full}")
             pub._last_stamp = stamp
             msg = Message(pub.topic, stamp, bytes(payload))
+            for hook in self._publish_hooks:
+                hook(msg)
             subs = self._subscriptions.get(pub.topic.full, [])
             matched = len(subs)
             enqueued = 0
             best_effort_pub = pub.qos.reliability is Reliability.BEST_EFFORT
             for sub in subs:
                 # Drops only affect deliveries where both sides accept loss;
-                # a reliable subscription (e.g. a recorder) is never starved.
+                # a reliable subscription is never starved.
                 droppable = best_effort_pub and sub.qos.reliability is Reliability.BEST_EFFORT
                 if droppable and self._fault_injector is not None \
                         and self._fault_injector.should_drop(pub.topic):
@@ -374,7 +368,3 @@ class Bus:
             if sub in sub.node._endpoints:
                 sub.node._endpoints.remove(sub)
             sub._closed = True
-
-    def topics(self) -> list[str]:
-        with self._lock:
-            return sorted(set(self._publishers) | set(self._subscriptions))

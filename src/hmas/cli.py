@@ -1,7 +1,8 @@
 """Command line front end: experiment runs, bag tooling, scenario demos.
 
-``hmas bench analyze`` exits nonzero when the 20 cm relative-accuracy verdict
-fails, so runs can gate CI-style checks.
+Exit codes: 0 on success, 1 when ``hmas bench analyze`` finds that the 20 cm
+relative-accuracy verdict fails, and 2 on bad input or an error, which prints
+one ``hmas: error: ...`` line on stderr.
 """
 from __future__ import annotations
 
@@ -89,21 +90,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bench_run(args) -> int:
+    kind = _CLI_KINDS[args.kind]
     kwargs = {"noiseless": args.noiseless}
     if args.duration is not None:
+        if kind == "translation_square":
+            raise ValueError("--duration does not apply to --kind square: "
+                             "its legs fix the run's duration")
         kwargs["duration_s"] = args.duration
-    spec = bench.make_spec(_CLI_KINDS[args.kind], args.seed, **kwargs)
+    spec = bench.make_spec(kind, args.seed, **kwargs)
+    dropped = len(bench.make_spec(kind, args.seed).disturbances) - len(spec.disturbances)
+    if dropped:
+        print(f"dropped {dropped} disturbance window(s) that start at or after "
+              f"the end of the {spec.duration_s:g} s run")
     path = bench.run_experiment(spec, args.out)
     info = bag.bag_info(path)
-    print(f"wrote {path}: {info.record_count} records on {len(info.topics)} topics, "
-          f"span [{info.start_stamp:.3f}, {info.end_stamp:.3f}] s")
+    span = (f", span [{info.start_stamp:.3f}, {info.end_stamp:.3f}] s"
+            if info.record_count else "")
+    print(f"wrote {path}: {info.record_count} records on {len(info.topics)} topics{span}")
     return 0
 
 
 def _cmd_bench_analyze(args) -> int:
     if bool(args.bagfile) == bool(args.fixes):
-        print("analyze needs exactly one of: a bag file or --fixes CSV", file=sys.stderr)
-        return 2
+        raise ValueError("analyze needs exactly one of: a bag file or --fixes CSV")
     windows = None
     convergence = args.convergence_s
     if args.kind is not None:
@@ -189,6 +198,14 @@ def _cmd_scenario_run(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except Exception as exc:  # bad input or a crash: exit 2, not a failed verdict
+        print(f"hmas: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args) -> int:
     if args.command == "bench":
         if args.bench_command == "run":
             return _cmd_bench_run(args)

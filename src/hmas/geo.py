@@ -395,11 +395,6 @@ class RoverConfig:
         return cls(**params)
 
 
-def fix_rate(config: RoverConfig | None = None) -> float:
-    """Configured rover report frequency in hertz (default 14)."""
-    return (config if config is not None else RoverConfig()).fix_rate_hz
-
-
 @dataclass(frozen=True)
 class DisturbanceWindow:
     """Additive position-error pulse: full offset inside [start, end], then a

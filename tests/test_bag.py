@@ -1,11 +1,14 @@
 """Bag format, lossless recording, and replay timing."""
+import fnmatch
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmas.bag import (BagFormatError, BagRecord, BagWriter, Recorder, bag_info,
                       read_bag, record, replay)
-from hmas.bus import Bus, QosProfile, Reliability
+from hmas.bus import Bus, QosProfile, QualifiedName, Reliability, SeededDropInjector
 
 DEEP = QosProfile(reliability=Reliability.RELIABLE, history_depth=100_000)
 
@@ -159,6 +162,33 @@ class TestRecorder:
         with pytest.raises(ValueError):
             Recorder(Bus(), [], tmp_path / "x.bag")
 
+    def test_more_than_a_million_publishes_lose_none(self, tmp_path):
+        # more than the 1,000,000-deep queue recorders once drained at stop()
+        n = 1_000_001
+        bus = Bus()
+        pub = make_agent(bus, "spot")
+        path = tmp_path / "big.bag"
+        with record(bus, ["/spot/gps/fix"], path):
+            for i in range(n):
+                pub.publish(float(i), b"")
+        record_size = 4 + len("/spot/gps/fix") + 8 + 4
+        data = path.read_bytes()
+        assert len(data) == 6 + n * record_size
+        tail = tmp_path / "tail.bag"  # the header and the last record
+        tail.write_bytes(data[:6] + data[-record_size:])
+        assert read_bag(tail) == [BagRecord("/spot/gps/fix", float(n - 1), b"")]
+
+    def test_recorder_is_not_a_bus_node(self, tmp_path):
+        bus = Bus()
+        pub = make_agent(bus, "spot")
+        recorder = record(bus, ["/*"], tmp_path / "r.bag")
+        assert bus.discover().nodes == frozenset({"/spot/driver"})
+        assert (pub.publish(0.0, b"x").matched, pub.publish(1.0, b"y").enqueued) == (0, 0)
+        recorder.stop()
+        assert recorder.stop() == tmp_path / "r.bag"  # idempotent
+        pub.publish(2.0, b"after stop")
+        assert [r.payload for r in read_bag(tmp_path / "r.bag")] == [b"x", b"y"]
+
 
 class TestReplay:
     def record_sequence(self, tmp_path, stamps=(0.0, 1.0, 3.0)):
@@ -240,3 +270,60 @@ class TestReplay:
         bad.write_bytes(data[: len(data) - 1])
         with pytest.raises(BagFormatError):
             replay(bad, Bus(), fast=True)
+
+
+ORACLE_TOPICS = ("/aa/gps/fix", "/bb/gps/fix", "/aa/cam", "/cc/cam", "/cc/gps/fix")
+ORACLE_PATTERNS = (["/*/gps/fix"], ["/aa/*", "/cc/cam"])
+oracle_ops = st.lists(st.one_of(
+    st.tuples(st.just("advertise"), st.integers(0, len(ORACLE_TOPICS) - 1)),
+    st.tuples(st.just("publish"), st.integers(0, 7), st.sampled_from([0.0, 0.0, 0.5, 1.0])),
+    st.tuples(st.just("close"), st.integers(0, 7)),
+), max_size=60)
+
+
+@given(early=st.lists(st.integers(0, len(ORACLE_TOPICS) - 1), max_size=3), ops=oracle_ops,
+       drop_rate=st.sampled_from([0.0, 0.4, 1.0]), seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_recorded_bags_equal_writer_fed_in_publish_order(tmp_path_factory, early, ops,
+                                                         drop_rate, seed):
+    """Oracle: each recorder's bag equals a BagWriter fed the matching
+    messages in publish order, whatever the drops, ties and late topics."""
+    tmp = tmp_path_factory.mktemp("oracle")
+    bus = Bus(fault_injector=SeededDropInjector(drop_rate, seed))
+    pubs, last_stamps, published = [], [], []
+
+    def advertise(topic_index):
+        name = QualifiedName.parse(ORACLE_TOPICS[topic_index])
+        node = bus.create_node(name.namespace, f"driver_{len(pubs)}")
+        bus.subscribe(node, name.full)  # best-effort: consults the injector
+        pubs.append(bus.advertise(node, name.local))
+        last_stamps.append(0.0)
+
+    for topic_index in early:
+        advertise(topic_index)
+        pubs[-1].publish(0.0, b"before record")  # never recorded
+    recorders = [record(bus, patterns, tmp / f"rec{i}.bag")
+                 for i, patterns in enumerate(ORACLE_PATTERNS)]
+    for op in ops:
+        if op[0] == "advertise":
+            advertise(op[1])
+            continue
+        if not pubs:
+            continue
+        slot = op[1] % len(pubs)
+        pub = pubs[slot]
+        if op[0] == "close":
+            pub.close()
+        elif not pub.closed:
+            stamp = last_stamps[slot] = last_stamps[slot] + op[2]
+            payload = b"%d" % len(published)
+            pub.publish(stamp, payload)
+            published.append((pub.topic.full, stamp, payload))
+    for recorder, patterns in zip(recorders, ORACLE_PATTERNS):
+        path = recorder.stop()
+        oracle = tmp / f"oracle_{path.name}"
+        with BagWriter(oracle) as writer:
+            for topic, stamp, payload in published:
+                if any(fnmatch.fnmatchcase(topic, pat) for pat in patterns):
+                    writer.append(topic, stamp, payload)
+        assert path.read_bytes() == oracle.read_bytes()

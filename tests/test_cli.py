@@ -81,6 +81,59 @@ class TestBenchCli:
                        "--convergence-s", "5")
         assert code == 0
 
+    @pytest.mark.parametrize("kind, duration, records, dropped", [
+        ("static", "2", 112, 0),
+        ("disturbed", "100", 5600, 5),
+        ("disturbed", "141", 7896, 4),  # one twist clipped to the run's end
+        ("rotation", "51", 2856, 1),
+        ("square", None, 11564, 0),  # its legs fix the duration
+    ])
+    def test_every_kind_runs_at_a_short_duration(self, tmp_path, capsys, kind, duration,
+                                                 records, dropped):
+        out = tmp_path / "short.bag"
+        extra = () if duration is None else ("--duration", duration)
+        assert run_cli("bench", "run", "--kind", kind, "--out", out, *extra) == 0
+        text = capsys.readouterr().out
+        assert f": {records} records on 4 topics" in text
+        assert ("dropped" in text) == bool(dropped)
+        if dropped:
+            assert f"dropped {dropped} disturbance window(s)" in text
+        assert bag.bag_info(out).record_count == records
+
+
+class TestExitCodes:
+    @pytest.fixture
+    def bad_input(self, tmp_path):
+        from hmas.geo import FixQuality, GeodeticCoord, RtkFix, write_fix_csv
+        corrupt = tmp_path / "corrupt.bag"
+        corrupt.write_bytes(b"HBAG\x01\x00\x05\x00")
+        fixes = tmp_path / "ids.csv"
+        write_fix_csv(fixes, [RtkFix(f"rover{i}", GeodeticCoord(48.7, 6.15, 220.0),
+                                     FixQuality.FIXED, 1.0) for i in range(4)])
+        return {"missing": tmp_path / "missing.bag", "corrupt": corrupt, "ids": fixes,
+                "out": tmp_path / "out.bag"}
+
+    @pytest.mark.parametrize("argv", [
+        ("bag", "info", "{missing}"),
+        ("bench", "analyze", "{missing}"),
+        ("bag", "info", "{corrupt}"),
+        ("bench", "analyze", "{corrupt}"),
+        ("bag", "replay", "{corrupt}", "--fast"),
+        ("bench", "analyze", "--fixes", "{ids}"),
+        ("bench", "run", "--kind", "rotation", "--duration", "30", "--out", "{out}"),
+        ("bench", "run", "--kind", "square", "--duration", "60", "--out", "{out}"),
+        ("bench", "run", "--kind", "static", "--duration", "-1", "--out", "{out}"),
+    ], ids=["info-missing", "analyze-missing", "info-corrupt", "analyze-corrupt",
+            "replay-corrupt", "fixes-not-corners", "rotation-30s", "square-duration",
+            "negative-duration"])
+    def test_bad_input_exits_2_with_one_line(self, bad_input, capsys, argv):
+        code = run_cli(*(a.format(**bad_input) for a in argv))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("hmas: error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestBagCli:
     def make_bag(self, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from hmas.geo import (CorrectionLink, CorrectionMsg, DisturbanceWindow,
                       FixQuality, GeodeticCoord, Rover, RoverConfig,
-                      fix_rate, geodetic_to_enu)
+                      geodetic_to_enu)
 
 BASE = GeodeticCoord(48.70, 6.15, 220.0)
 FRESH = [CorrectionMsg(BASE, 1, 0.0)]
@@ -15,14 +15,6 @@ QUALITIES = tuple(FixQuality)  # the order quality codes index
 
 def corrections_at(epoch, stamp):
     return [CorrectionMsg(BASE, epoch, stamp)]
-
-
-def test_fix_rate_default_is_14():
-    assert fix_rate() == 14.0
-
-
-def test_fix_rate_override():
-    assert fix_rate(RoverConfig(fix_rate_hz=5.0)) == 5.0
 
 
 def test_fix_rate_zero_rejected():
