@@ -10,15 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .bag import read_bag, record
 from .bus import Bus
-from .geo import (CorrectionLink, DisturbanceWindow, GeodeticCoord, Rover,
-                  RoverConfig, RtkFix, decode_fix, encode_fixes,
-                  enu_to_geodetic_array, geodetic_to_enu_array)
+from .geo import (DISTURBANCE_DECAY_S, CorrectionLink, DisturbanceWindow,
+                  GeodeticCoord, Rover, RoverConfig, RtkFix, decode_fix,
+                  encode_fixes, enu_to_geodetic_array, geodetic_to_enu_array)
 # The per-fix scalar functions stay importable from this module, where the
 # span tracer in perfbench/ patches them.
 from .geo import encode_fix, enu_to_geodetic  # noqa: F401
@@ -391,13 +391,17 @@ def run_experiment(spec: ExperimentSpec, out) -> Path:
     return recorder.stop()
 
 
+def group_fixes(fixes: Iterable[RtkFix]) -> dict[str, list[RtkFix]]:
+    """Fixes grouped by rover id, each group in input order."""
+    out: dict[str, list[RtkFix]] = {}
+    for fix in fixes:
+        out.setdefault(fix.rover_id, []).append(fix)
+    return out
+
+
 def load_bag_fixes(path) -> dict[str, list[RtkFix]]:
     """All fixes in a bag, grouped by rover id (bag order, i.e. stamp order)."""
-    fixes: dict[str, list[RtkFix]] = {}
-    for rec in read_bag(path):
-        fix = decode_fix(rec.payload)
-        fixes.setdefault(fix.rover_id, []).append(fix)
-    return fixes
+    return group_fixes(decode_fix(rec.payload) for rec in read_bag(path))
 
 
 # -- analysis ----------------------------------------------------------------
@@ -419,11 +423,23 @@ class DistanceSeries:
                 raise ValueError(f"side {name!r} has negative distances")
 
 
+def _nearest(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each stamp in ``a``, the index of the nearest stamp in ``b`` (both
+    sorted, ``b`` not empty) and whether it lies within ``tol`` seconds. A
+    stamp exactly midway between two stamps of ``b`` pairs with the later one.
+    """
+    idx = np.clip(np.searchsorted(b, a), 0, len(b) - 1)
+    prev = np.maximum(idx - 1, 0)
+    nearest = np.where(np.abs(b[prev] - a) < np.abs(b[idx] - a), prev, idx)
+    return nearest, np.abs(b[nearest] - a) <= tol
+
+
 def side_distances(fixes: Mapping[str, Sequence[RtkFix]], base: GeodeticCoord,
-                   corners: Mapping[str, str] | None = None,
-                   pair_tolerance_s: float | None = None) -> DistanceSeries:
-    """Per-side 3D rover distances about ``base``, pairing the two rovers of a
-    side by nearest stamp within half a fix period (or ``pair_tolerance_s``).
+                   corners: Mapping[str, str] | None = None) -> DistanceSeries:
+    """Per-side 3D rover distances about ``base``. Each fix of a side's first
+    rover pairs with the second rover's nearest-stamp fix (a tie goes to the
+    later stamp) when that lies within half the first rover's median fix
+    period; unpaired fixes are left out.
 
     ``corners`` maps corner names (top_left, ...) to rover ids when logs use
     different naming; by default the ids are the corner names themselves.
@@ -449,15 +465,8 @@ def side_distances(fixes: Mapping[str, Sequence[RtkFix]], base: GeodeticCoord,
         ca, cb = SIDE_PAIRS[side]
         sa, ea = tracks[ca]
         sb, eb = tracks[cb]
-        if pair_tolerance_s is None:
-            tol = 0.5 * float(np.median(np.diff(sa))) if len(sa) > 1 else math.inf
-        else:
-            tol = pair_tolerance_s
-        idx = np.clip(np.searchsorted(sb, sa), 0, len(sb) - 1)
-        prev = np.maximum(idx - 1, 0)
-        use_prev = np.abs(sb[prev] - sa) < np.abs(sb[idx] - sa)
-        nearest = np.where(use_prev, prev, idx)
-        ok = np.abs(sb[nearest] - sa) <= tol
+        tol = 0.5 * float(np.median(np.diff(sa))) if len(sa) > 1 else math.inf
+        nearest, ok = _nearest(sa, sb, tol)
         # collapse duplicate stamps defensively (strictly increasing output)
         if np.any(ok):
             keep = np.ones(int(np.count_nonzero(ok)), dtype=bool)
@@ -570,13 +579,14 @@ def _find_peaks(stamps: np.ndarray, dists: np.ndarray, mu: float,
     return tuple(peaks)
 
 
-def side_windows(spec: ExperimentSpec,
-                 decay_s: float = 3.0) -> dict[str, list[tuple[float, float]]]:
-    """Disturbance exclusion intervals per affected side, decay tail included."""
+def side_windows(spec: ExperimentSpec) -> dict[str, list[tuple[float, float]]]:
+    """Disturbance exclusion intervals per affected side: each window of the
+    spec on both sides of its corner, extended by the rovers' decay tail
+    (``DISTURBANCE_DECAY_S``)."""
     out: dict[str, list[tuple[float, float]]] = {}
     for w in spec.disturbances:
         for side, _ in _CORNER_SIDES[w.rover_id]:
-            out.setdefault(side, []).append((w.start_s, w.end_s + decay_s))
+            out.setdefault(side, []).append((w.start_s, w.end_s + DISTURBANCE_DECAY_S))
     return out
 
 
@@ -604,25 +614,18 @@ def emit_csv(obj, out) -> None:
 
 
 def _series_csv(series: DistanceSeries) -> str:
-    all_stamps = sorted(set().union(*(map(float, s) for s, _ in series.sides.values())))
-    lookups = {}
-    for side, (stamps, dists) in series.sides.items():
+    """One row per stamp of any side; each side's cell is its sample nearest
+    that stamp (see ``_nearest``) within half its median period, else empty."""
+    all_stamps = np.unique(np.concatenate([s for s, _ in series.sides.values()]))
+    columns = [[f"{t:.6f}" for t in all_stamps.tolist()]]
+    for side in SIDES:
+        stamps, dists = series.sides[side]
         tol = 0.5 * float(np.median(np.diff(stamps))) if len(stamps) > 1 else 0.0
-        lookups[side] = (stamps, dists, tol)
-    lines = ["stamp_s,d_top,d_right,d_bottom,d_left"]
-    for stamp in all_stamps:
-        cells = [f"{stamp:.6f}"]
-        for side in SIDES:
-            stamps, dists, tol = lookups[side]
-            i = int(np.searchsorted(stamps, stamp))
-            best = None
-            for j in (i - 1, i):
-                if 0 <= j < len(stamps) and abs(stamps[j] - stamp) <= tol:
-                    if best is None or abs(stamps[j] - stamp) < abs(stamps[best] - stamp):
-                        best = j
-            cells.append(f"{dists[best]:.6f}" if best is not None else "")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        nearest, ok = _nearest(all_stamps, stamps, tol)
+        columns.append([f"{d:.6f}" if hit else ""
+                        for d, hit in zip(dists[nearest].tolist(), ok.tolist())])
+    rows = (",".join(cells) for cells in zip(*columns))
+    return "\n".join(["stamp_s,d_top,d_right,d_bottom,d_left", *rows]) + "\n"
 
 
 def _report_csv(report: Report) -> str:

@@ -55,9 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--expected-side", type=float, default=bench.DEFAULT_SIDE_M)
     p_an.add_argument("--convergence-s", type=float, default=bench.CONVERGENCE_S)
     p_an.add_argument("--kind", choices=sorted(_CLI_KINDS),
-                      help="experiment kind, to exclude its disturbance windows")
-    p_an.add_argument("--seed", type=int, default=1,
-                      help="seed of the generating run (with --kind)")
+                      help="experiment kind, to exclude its disturbance windows "
+                           "over the span of the input's fixes")
     p_an.add_argument("--csv", help="write the distance series CSV here")
     p_an.add_argument("--report", help="write the summary report CSV here")
 
@@ -113,20 +112,14 @@ def _cmd_bench_run(args) -> int:
 def _cmd_bench_analyze(args) -> int:
     if bool(args.bagfile) == bool(args.fixes):
         raise ValueError("analyze needs exactly one of: a bag file or --fixes CSV")
+    fixes = (bench.group_fixes(read_fix_csv(args.fixes)) if args.fixes
+             else bench.load_bag_fixes(args.bagfile))
+    series = bench.side_distances(fixes, args.base)
     windows = None
-    convergence = args.convergence_s
-    if args.kind is not None:
-        spec = bench.make_spec(_CLI_KINDS[args.kind], args.seed)
-        windows = bench.side_windows(spec)
-    if args.fixes:
-        fixes_by_rover = {}
-        for fix in read_fix_csv(args.fixes):
-            fixes_by_rover.setdefault(fix.rover_id, []).append(fix)
-        series = bench.side_distances(fixes_by_rover, args.base)
-        report = bench.summarize(series, args.expected_side, windows, convergence)
-    else:
-        series, report = bench.analyze_bag(args.bagfile, args.base, args.expected_side,
-                                           windows, convergence)
+    if args.kind not in (None, "square"):  # square runs have no disturbance windows
+        end = max(fix.stamp for group in fixes.values() for fix in group)
+        windows = bench.side_windows(bench.make_spec(_CLI_KINDS[args.kind], 0, duration_s=end))
+    report = bench.summarize(series, args.expected_side, windows, args.convergence_s)
     if args.csv:
         bench.emit_csv(series, args.csv)
     if args.report:

@@ -474,6 +474,8 @@ class Rover:
                                    magnitude * math.sin(angle), 0.0])
         else:
             self._bias = np.array([*self.config.bias_en, 0.0])
+        # (east, north, up) noise sigmas per quality code
+        self._sigmas = np.array([[h, h, v] for h, v in map(self.config.sigmas, _QUALITY_ORDER)])
         self._disturbances = tuple(disturbances)
         self._quality = FixQuality.SINGLE
         self._last_corr_stamp: float | None = None
@@ -524,7 +526,7 @@ class Rover:
         if stamp is None:
             return None
         self._update_quality(stamp)
-        error = self._error_vector(stamp)
+        error = self._errors([stamp], np.array([_QUALITY_ORDER.index(self._quality)]))[0]
         if np.any(error):
             measured = enu_to_geodetic(EnuCoord(*error), true_position)
         else:
@@ -563,12 +565,7 @@ class Rover:
         self._next_fix_index += n
         self._last_now = stamp_list[-1]
 
-        sigmas = np.array([[h, h, v] for h, v in map(self.config.sigmas, _QUALITY_ORDER)])
-        error = self._bias + self._rng.standard_normal((n, 3)) * sigmas[codes]
-        for window in self._disturbances:
-            k = np.fromiter(map(window.envelope, stamp_list), float, n)
-            hit = k > 0.0
-            error[hit] = error[hit] + k[hit, None] * np.array(window.offset_enu)
+        error = self._errors(stamp_list, codes)
         measured = truth.copy()
         moved = np.any(error, axis=1)
         if np.any(moved):
@@ -594,12 +591,13 @@ class Rover:
         elif tgt < cur:
             self._quality = _QUALITY_ORDER[cur - 1]
 
-    def _error_vector(self, stamp: float) -> np.ndarray:
-        sigma_h, sigma_v = self.config.sigmas(self._quality)
-        draws = self._rng.standard_normal(3)
-        error = self._bias + draws * np.array([sigma_h, sigma_h, sigma_v])
+    def _errors(self, stamps: list[float], codes: np.ndarray) -> np.ndarray:
+        """(n, 3) ENU errors of n fixes at ``stamps`` with quality ``codes``:
+        bias, per-grade Gaussian noise (one ``(n, 3)`` draw) and disturbances."""
+        n = len(stamps)
+        error = self._bias + self._rng.standard_normal((n, 3)) * self._sigmas[codes]
         for window in self._disturbances:
-            k = window.envelope(stamp)
-            if k > 0.0:
-                error = error + k * np.array(window.offset_enu)
+            k = np.fromiter(map(window.envelope, stamps), float, n)
+            hit = k > 0.0
+            error[hit] = error[hit] + k[hit, None] * np.array(window.offset_enu)
         return error

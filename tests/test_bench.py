@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hmas import bag, bench, geo
 from hmas.bench import (CORNERS, EXPERIMENT_KINDS, SIDES, BoardPose, BoardRig,
@@ -79,7 +81,9 @@ class TestSpecs:
         spec = rotation_spec(seed=1)
         windows = side_windows(spec)
         assert set(windows) == {"top", "right"}
-        assert windows["top"] == [(51.0, 57.0)]
+        (window,) = spec.disturbances
+        expected = [(window.start_s, window.end_s + geo.DISTURBANCE_DECAY_S)]
+        assert windows["top"] == windows["right"] == expected == [(51.0, 57.0)]
 
 
 class TestRunExperiment:
@@ -365,3 +369,83 @@ class TestEmitCsv:
     def test_unknown_type_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             emit_csv(42, tmp_path / "x.csv")
+
+
+# -- one pairing rule ----------------------------------------------------------
+
+# stamps on a coarse grid of exact binary fractions, so exact midpoints occur
+stamp_sets = st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True).map(
+    lambda ks: [k * 0.25 for k in sorted(ks)])
+
+
+def _oracle_pair(stamp, stamps, tol):
+    """Index of the nearest of ``stamps`` (ties to the later one), or None
+    when it lies farther than ``tol``."""
+    best = None
+    for j, s in enumerate(stamps):
+        if abs(s - stamp) <= tol and (best is None or abs(s - stamp) <= abs(stamps[best] - stamp)):
+            best = j
+    return best
+
+
+def _half_median_period(stamps, single):
+    return 0.5 * float(np.median(np.diff(stamps))) if len(stamps) > 1 else single
+
+
+# each side pairs a corner placed along east with one placed along north
+_CORNER_AXIS = {"top_left": 0, "top_right": 1, "bottom_right": 0, "bottom_left": 1}
+
+
+@given(sets=st.fixed_dictionaries({c: stamp_sets for c in CORNERS}))
+@example(sets={"top_left": [1.0, 2.0], "top_right": [0.5, 1.5, 2.5],
+               "bottom_right": [1.0, 2.0], "bottom_left": [0.5, 1.5, 2.5]})
+@settings(max_examples=150, deadline=None)
+def test_side_distances_pair_nearest_stamp_ties_to_later(sets):
+    base = bench.DEFAULT_BASE
+    fixes = {}
+    for corner, stamps in sets.items():
+        fixes[corner] = []
+        for i, stamp in enumerate(stamps):
+            enu = [0.0, 0.0, 0.0]
+            enu[_CORNER_AXIS[corner]] = 0.25 * (i + 1)  # the distance names the pair
+            g = geo.enu_to_geodetic(geo.EnuCoord(*enu), base)
+            fixes[corner].append(RtkFix(corner, g, FixQuality.FIXED, stamp))
+
+    expected = {}
+    for side, (ca, cb) in bench.SIDE_PAIRS.items():
+        sa, sb = sets[ca], sets[cb]
+        tol = _half_median_period(sa, math.inf)
+        pairs = [(stamp, i, _oracle_pair(stamp, sb, tol)) for i, stamp in enumerate(sa)]
+        expected[side] = [(stamp, math.hypot(0.25 * (i + 1), 0.25 * (j + 1)))
+                          for stamp, i, j in pairs if j is not None]
+    if not all(expected.values()):
+        with pytest.raises(ValueError, match="overlapping"):
+            side_distances(fixes, base)
+        return
+    series = side_distances(fixes, base)
+    for side in SIDES:
+        stamps, dists = series.sides[side]
+        assert stamps.tolist() == [stamp for stamp, _ in expected[side]]
+        assert np.allclose(dists, [d for _, d in expected[side]], rtol=0.0, atol=1e-6)
+
+
+@given(sets=st.fixed_dictionaries({s: stamp_sets for s in SIDES}))
+@example(sets={"top": [0.0, 1.0], "right": [0.5], "bottom": [0.0, 2.0, 4.0],
+               "left": [1.0, 3.0]})
+@settings(max_examples=150, deadline=None)
+def test_series_csv_cells_pair_nearest_stamp_ties_to_later(sets, tmp_path_factory):
+    # side index and sample index in every value, so a cell names its sample
+    series = DistanceSeries({side: (np.array(stamps), 1.0 + k + 0.001 * np.arange(len(stamps)))
+                             for k, (side, stamps) in enumerate(sets.items())})
+    out = tmp_path_factory.mktemp("series") / "d.csv"
+    emit_csv(series, out)
+
+    lines = ["stamp_s,d_top,d_right,d_bottom,d_left"]
+    for stamp in sorted(set().union(*sets.values())):
+        cells = [f"{stamp:.6f}"]
+        for side in SIDES:
+            stamps, dists = series.sides[side]
+            j = _oracle_pair(stamp, sets[side], _half_median_period(stamps, 0.0))
+            cells.append("" if j is None else f"{dists[j]:.6f}")
+        lines.append(",".join(cells))
+    assert out.read_text() == "\n".join(lines) + "\n"

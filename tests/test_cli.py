@@ -77,9 +77,50 @@ class TestBenchCli:
     def test_rotation_kind_excludes_its_windows(self, tmp_path, capsys):
         out = tmp_path / "rot.bag"
         run_cli("bench", "run", "--kind", "rotation", "--seed", "1", "--out", out)
-        code = run_cli("bench", "analyze", out, "--kind", "rotation", "--seed", "1",
+        code = run_cli("bench", "analyze", out, "--kind", "rotation",
                        "--convergence-s", "5")
         assert code == 0
+
+    def test_kind_windows_follow_the_run_duration(self, tmp_path, capsys):
+        """A 400 s disturbed run keeps obstructing top_left until 400 s; its
+        windows come from the input's last fix, not the default 300 s run."""
+        out = tmp_path / "long.bag"
+        run_cli("bench", "run", "--kind", "disturbed", "--duration", "400", "--seed", "1",
+                "--out", out)
+        report_out = tmp_path / "r.csv"
+        run_cli("bench", "analyze", out, "--kind", "disturbed", "--report", report_out)
+
+        fixes = bench.load_bag_fixes(out)
+        windows = bench.side_windows(bench.disturbed_spec(1, duration_s=400.0))
+        report = bench.summarize(bench.side_distances(fixes, bench.DEFAULT_BASE),
+                                 bench.DEFAULT_SIDE_M, windows)
+        expected = tmp_path / "expected.csv"
+        bench.emit_csv(report, expected)
+        assert report_out.read_text() == expected.read_text()
+        assert report.sides["top"].stable and report.sides["left"].stable
+
+        # a fix CSV of the same run (rounded coordinates) gets the same verdicts
+        from hmas.geo import write_fix_csv
+        csv_in = tmp_path / "fixes.csv"
+        write_fix_csv(csv_in, [f for group in fixes.values() for f in group])
+        csv_report = tmp_path / "r_csv.csv"
+        run_cli("bench", "analyze", "--fixes", csv_in, "--kind", "disturbed",
+                "--report", csv_report)
+
+        def verdicts(path):
+            return [ln for ln in path.read_text().splitlines()
+                    if ln.split(",")[0].endswith(("stable", "within_20cm"))]
+        assert verdicts(csv_report) == verdicts(expected)
+
+    def test_square_kind_has_no_windows(self, tmp_path):
+        out = tmp_path / "sq.bag"
+        run_cli("bench", "run", "--kind", "square", "--seed", "2", "--out", out)
+        with_kind, without = tmp_path / "k.csv", tmp_path / "n.csv"
+        assert run_cli("bench", "analyze", out, "--kind", "square", "--convergence-s", "5",
+                       "--report", with_kind) == 0
+        assert run_cli("bench", "analyze", out, "--convergence-s", "5",
+                       "--report", without) == 0
+        assert with_kind.read_bytes() == without.read_bytes()
 
     @pytest.mark.parametrize("kind, duration, records, dropped", [
         ("static", "2", 112, 0),
