@@ -235,7 +235,7 @@ class World:
             0.0,
         ])
         error = t_pos + offset - f_pos
-        if np.linalg.norm(error) < DEAD_BAND_M:
+        if quat.norm(error) < DEAD_BAND_M:
             velocity = np.zeros(3)
         else:
             velocity = _clamp_speed(FOLLOW_GAIN * error, follower.spec.max_speed)
@@ -250,7 +250,7 @@ class World:
             for stamp, pos in hist:
                 if latest_stamp - stamp >= HEADING_BASELINE_S:
                     move = (latest - pos)[:2]
-                    norm = np.linalg.norm(move)
+                    norm = quat.norm(move)
                     if norm >= HEADING_MIN_MOVE_M:
                         return move / norm
                     break
@@ -260,11 +260,11 @@ class World:
     def _enforce_standoff(velocity: np.ndarray, f_pos: np.ndarray,
                           t_pos: np.ndarray, standoff: float, dt: float) -> np.ndarray:
         sep = f_pos - t_pos
-        dist = np.linalg.norm(sep)
+        dist = quat.norm(sep)
         if dist < 1e-9:
             return velocity
         radial = sep / dist
-        approach = -float(np.dot(velocity, radial))
+        approach = -float(velocity.dot(radial))
         max_approach = (dist - standoff) / dt
         if approach > max_approach:
             velocity = velocity + (approach - max_approach) * radial
@@ -307,7 +307,9 @@ class World:
             point[2] = min(max(point[2], lo), hi)
         else:
             point[2] = 0.0
-        np.clip(point[:2], -self.bounds_m, self.bounds_m, out=point[:2])
+        bound = self.bounds_m
+        point[0] = min(max(point[0], -bound), bound)
+        point[1] = min(max(point[1], -bound), bound)
 
     def _drain_fixes(self) -> None:
         for name, sub in self._fix_subs.items():
@@ -334,7 +336,7 @@ def _as_enu_array(value) -> np.ndarray:
 
 
 def _clamp_speed(velocity: np.ndarray, max_speed: float) -> np.ndarray:
-    speed = np.linalg.norm(velocity)
+    speed = quat.norm(velocity)
     if speed > max_speed:
         return velocity * (max_speed / speed)
     return velocity
@@ -426,7 +428,7 @@ class _WaypointScript:
     def velocity(self, position: np.ndarray, dt: float) -> np.ndarray:
         while self._index < len(self._waypoints):
             to_goal = self._waypoints[self._index] - position
-            dist = np.linalg.norm(to_goal)
+            dist = quat.norm(to_goal)
             if dist > self._speed * dt:
                 return to_goal * (self._speed / dist)
             self._index += 1

@@ -434,12 +434,19 @@ def _nearest(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.n
     return nearest, np.abs(b[nearest] - a) <= tol
 
 
+def _pair_tolerance(stamps: np.ndarray) -> float:
+    """Pairing tolerance of a sorted stamp series: half its median period, 0
+    for a single stamp (which pairs only with an equal stamp)."""
+    return 0.5 * float(np.median(np.diff(stamps))) if len(stamps) > 1 else 0.0
+
+
 def side_distances(fixes: Mapping[str, Sequence[RtkFix]], base: GeodeticCoord,
                    corners: Mapping[str, str] | None = None) -> DistanceSeries:
     """Per-side 3D rover distances about ``base``. Each fix of a side's first
     rover pairs with the second rover's nearest-stamp fix (a tie goes to the
     later stamp) when that lies within half the first rover's median fix
-    period; unpaired fixes are left out.
+    period, or at the same stamp when the first rover has a single fix;
+    unpaired fixes are left out.
 
     ``corners`` maps corner names (top_left, ...) to rover ids when logs use
     different naming; by default the ids are the corner names themselves.
@@ -465,7 +472,7 @@ def side_distances(fixes: Mapping[str, Sequence[RtkFix]], base: GeodeticCoord,
         ca, cb = SIDE_PAIRS[side]
         sa, ea = tracks[ca]
         sb, eb = tracks[cb]
-        tol = 0.5 * float(np.median(np.diff(sa))) if len(sa) > 1 else math.inf
+        tol = _pair_tolerance(sa)
         nearest, ok = _nearest(sa, sb, tol)
         # collapse duplicate stamps defensively (strictly increasing output)
         if np.any(ok):
@@ -620,7 +627,7 @@ def _series_csv(series: DistanceSeries) -> str:
     columns = [[f"{t:.6f}" for t in all_stamps.tolist()]]
     for side in SIDES:
         stamps, dists = series.sides[side]
-        tol = 0.5 * float(np.median(np.diff(stamps))) if len(stamps) > 1 else 0.0
+        tol = _pair_tolerance(stamps)
         nearest, ok = _nearest(all_stamps, stamps, tol)
         columns.append([f"{d:.6f}" if hit else ""
                         for d, hit in zip(dists[nearest].tolist(), ok.tolist())])

@@ -58,7 +58,7 @@ class Transform:
             raise UnknownFrameError("frame names must be non-empty")
         t = np.asarray(self.translation, dtype=float).reshape(3)
         q = np.asarray(self.rotation, dtype=float).reshape(4)
-        if abs(np.linalg.norm(q) - 1.0) > QUAT_NORM_TOL:
+        if abs(quat.norm(q) - 1.0) > QUAT_NORM_TOL:
             raise ValueError(f"rotation is not a unit quaternion: {q}")
         object.__setattr__(self, "translation", t)
         object.__setattr__(self, "rotation", q)
@@ -92,10 +92,14 @@ def invert(a: Transform) -> Transform:
 
 @dataclass
 class _Edge:
+    """Samples of one edge, sorted by stamp, as copies the tree owns: float
+    tuples, plus each rotation as an array for slerp's ``ndarray.dot``."""
+
     parent: str
     stamps: list[float] = field(default_factory=list)
-    translations: list[np.ndarray] = field(default_factory=list)
-    rotations: list[np.ndarray] = field(default_factory=list)
+    translations: list[quat.Vec3] = field(default_factory=list)
+    rotations: list[quat.Quat] = field(default_factory=list)
+    rotation_arrays: list[np.ndarray] = field(default_factory=list)
 
 
 class TransformTree:
@@ -110,6 +114,7 @@ class TransformTree:
             raise ValueError("horizon must be positive")
         self._horizon = horizon_s
         self._edges: dict[str, _Edge] = {}  # child -> edge history
+        self._parents: set[str] = set()
         self._lock = threading.RLock()
 
     # -- writing ------------------------------------------------------
@@ -126,23 +131,27 @@ class TransformTree:
             if edge is None:
                 edge = _Edge(t.parent)
                 self._edges[t.child] = edge
-            if edge.stamps and t.stamp < edge.stamps[-1] - self._horizon:
+                self._parents.add(t.parent)
+            stamps = edge.stamps
+            if stamps and t.stamp < stamps[-1] - self._horizon:
                 raise TimeBoundsError(
                     f"stamp {t.stamp} is older than the {self._horizon}s buffer horizon")
-            rotation = quat.canonicalize(t.rotation)
-            i = bisect_left(edge.stamps, t.stamp)
-            if i < len(edge.stamps) and edge.stamps[i] == t.stamp:
-                edge.translations[i] = t.translation
+            translation = tuple(t.translation.tolist())
+            rotation = quat._canonicalize(tuple(t.rotation.tolist()))
+            i = bisect_left(stamps, t.stamp)
+            if i < len(stamps) and stamps[i] == t.stamp:
+                edge.translations[i] = translation
                 edge.rotations[i] = rotation
+                edge.rotation_arrays[i] = np.array(rotation)
             else:
-                edge.stamps.insert(i, t.stamp)
-                edge.translations.insert(i, t.translation)
+                stamps.insert(i, t.stamp)
+                edge.translations.insert(i, translation)
                 edge.rotations.insert(i, rotation)
-            cutoff = edge.stamps[-1] - self._horizon
-            while edge.stamps[0] < cutoff:
-                edge.stamps.pop(0)
-                edge.translations.pop(0)
-                edge.rotations.pop(0)
+                edge.rotation_arrays.insert(i, np.array(rotation))
+            k = bisect_left(stamps, stamps[-1] - self._horizon)
+            if k:
+                for samples in (stamps, edge.translations, edge.rotations, edge.rotation_arrays):
+                    del samples[:k]
 
     def _would_cycle(self, parent: str, child: str) -> bool:
         node = parent
@@ -156,16 +165,13 @@ class TransformTree:
 
     def frames(self) -> set[str]:
         with self._lock:
-            out = set(self._edges)
-            out.update(e.parent for e in self._edges.values())
-            return out
+            return self._parents.union(self._edges)
 
     def lookup(self, target: str, source: str, at: float) -> Transform:
         """Transform mapping source-frame coordinates into the target frame at time ``at``."""
         with self._lock:
-            known = self.frames()
             for f in (target, source):
-                if f not in known:
+                if f not in self._edges and f not in self._parents:
                     raise UnknownFrameError(f"unknown frame {f!r}")
             if target == source:
                 return Transform.identity(target, source, at)
@@ -178,10 +184,11 @@ class TransformTree:
                     f"frames {target!r} and {source!r} live in different trees")
             q_t, p_t = self._to_ancestor(target, ancestor, at)
             q_s, p_s = self._to_ancestor(source, ancestor, at)
-            q_ti = quat.conjugate(q_t)
-            rotation = quat.canonicalize(quat.mul(q_ti, q_s))
-            translation = quat.rotate(q_ti, p_s - p_t)
-            return Transform(target, source, translation, rotation, at)
+            q_ti = quat._conjugate(q_t)
+            rotation = quat._canonicalize(quat._mul(q_ti, q_s))
+            translation = quat._rotate(
+                q_ti, (p_s[0] - p_t[0], p_s[1] - p_t[1], p_s[2] - p_t[2]))
+            return Transform(target, source, np.array(translation), np.array(rotation), at)
 
     def _chain_to_root(self, frame: str) -> list[str]:
         chain = [frame]
@@ -190,20 +197,21 @@ class TransformTree:
             chain.append(frame)
         return chain
 
-    def _to_ancestor(self, frame: str, ancestor: str, at: float) -> tuple[np.ndarray, np.ndarray]:
+    def _to_ancestor(self, frame: str, ancestor: str, at: float) -> tuple[quat.Quat, quat.Vec3]:
         """Accumulated (rotation, translation) mapping ``frame`` coords into ``ancestor``."""
-        q_acc = quat.IDENTITY
-        p_acc = np.zeros(3)
+        q_acc = (1.0, 0.0, 0.0, 0.0)
+        p_acc = (0.0, 0.0, 0.0)
         node = frame
         while node != ancestor:
             edge = self._edges[node]
             eq, ep = self._sample(edge, node, at)
-            q_acc = quat.mul(eq, q_acc)
-            p_acc = ep + quat.rotate(eq, p_acc)
+            q_acc = quat._mul(eq, q_acc)
+            r = quat._rotate(eq, p_acc)
+            p_acc = (ep[0] + r[0], ep[1] + r[1], ep[2] + r[2])
             node = edge.parent
         return q_acc, p_acc
 
-    def _sample(self, edge: _Edge, child: str, at: float) -> tuple[np.ndarray, np.ndarray]:
+    def _sample(self, edge: _Edge, child: str, at: float) -> tuple[quat.Quat, quat.Vec3]:
         stamps = edge.stamps
         if not stamps or at < stamps[0] or at > stamps[-1]:
             span = f"[{stamps[0]}, {stamps[-1]}]" if stamps else "(empty)"
@@ -214,8 +222,11 @@ class TransformTree:
             return edge.rotations[i], edge.translations[i]
         lo, hi = i - 1, i
         alpha = (at - stamps[lo]) / (stamps[hi] - stamps[lo])
-        translation = (1.0 - alpha) * edge.translations[lo] + alpha * edge.translations[hi]
-        rotation = quat.slerp(edge.rotations[lo], edge.rotations[hi], alpha)
+        beta = 1.0 - alpha
+        (x0, y0, z0), (x1, y1, z1) = edge.translations[lo], edge.translations[hi]
+        translation = (beta * x0 + alpha * x1, beta * y0 + alpha * y1, beta * z0 + alpha * z1)
+        dot = float(edge.rotation_arrays[lo].dot(edge.rotation_arrays[hi]))
+        rotation = quat._slerp(edge.rotations[lo], edge.rotations[hi], dot, alpha)
         return rotation, translation
 
     # -- export ---------------------------------------------------------

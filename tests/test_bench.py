@@ -388,8 +388,8 @@ def _oracle_pair(stamp, stamps, tol):
     return best
 
 
-def _half_median_period(stamps, single):
-    return 0.5 * float(np.median(np.diff(stamps))) if len(stamps) > 1 else single
+def _half_median_period(stamps):
+    return 0.5 * float(np.median(np.diff(stamps))) if len(stamps) > 1 else 0.0
 
 
 # each side pairs a corner placed along east with one placed along north
@@ -414,7 +414,7 @@ def test_side_distances_pair_nearest_stamp_ties_to_later(sets):
     expected = {}
     for side, (ca, cb) in bench.SIDE_PAIRS.items():
         sa, sb = sets[ca], sets[cb]
-        tol = _half_median_period(sa, math.inf)
+        tol = _half_median_period(sa)
         pairs = [(stamp, i, _oracle_pair(stamp, sb, tol)) for i, stamp in enumerate(sa)]
         expected[side] = [(stamp, math.hypot(0.25 * (i + 1), 0.25 * (j + 1)))
                           for stamp, i, j in pairs if j is not None]
@@ -445,7 +445,28 @@ def test_series_csv_cells_pair_nearest_stamp_ties_to_later(sets, tmp_path_factor
         cells = [f"{stamp:.6f}"]
         for side in SIDES:
             stamps, dists = series.sides[side]
-            j = _oracle_pair(stamp, sets[side], _half_median_period(stamps, 0.0))
+            j = _oracle_pair(stamp, sets[side], _half_median_period(stamps))
             cells.append("" if j is None else f"{dists[j]:.6f}")
         lines.append(",".join(cells))
     assert out.read_text() == "\n".join(lines) + "\n"
+
+
+def _one_fix_per_corner(stamps):
+    corners = {"top_left": (-0.45, 0.45, 0.0), "top_right": (0.45, 0.45, 0.0),
+               "bottom_right": (0.45, -0.45, 0.0), "bottom_left": (-0.45, -0.45, 0.0)}
+    return {c: fixes_at(c, [corners[c]], t0=stamps[c]) for c in CORNERS}
+
+
+def test_single_fix_pairs_only_with_an_equal_stamp():
+    # one fix per corner, 100 s apart across every side: nothing may pair
+    far = _one_fix_per_corner({"top_left": 0.0, "top_right": 100.0,
+                               "bottom_right": 0.0, "bottom_left": 100.0})
+    with pytest.raises(ValueError, match="overlapping fixes within 0.0 s"):
+        side_distances(far, bench.DEFAULT_BASE)
+
+    same = _one_fix_per_corner({c: 5.0 for c in CORNERS})
+    series = side_distances(same, bench.DEFAULT_BASE)
+    for side in SIDES:
+        stamps, dists = series.sides[side]
+        assert stamps.tolist() == [5.0]
+        assert dists[0] == pytest.approx(0.9, abs=1e-6)

@@ -1,12 +1,15 @@
 """Transform tree: composition laws, interpolation, lookup over random forests."""
 import math
 import threading
+from bisect import bisect_left
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmas import quat
-from hmas.tf import (CycleError, DisconnectedFramesError, TimeBoundsError,
+from hmas.tf import (CycleError, DisconnectedFramesError, TfError, TimeBoundsError,
                      Transform, TransformTree, UnknownFrameError, compose,
                      invert)
 
@@ -290,3 +293,217 @@ def test_one_writer_many_readers():
     for r in readers:
         r.join()
     assert errors == []
+
+
+# -- float kernels against numpy arithmetic ------------------------------------
+
+finite = st.floats(-1e150, 1e150, allow_nan=False)
+
+
+@given(st.lists(finite, min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_norm_is_bit_identical_to_numpy(values):
+    v = np.array(values)
+    assert np.float64(quat.norm(v)).tobytes() == np.linalg.norm(v).tobytes()
+
+
+@pytest.mark.parametrize("field", ["translation", "rotation"])
+def test_tree_keeps_its_own_copy_of_each_sample(field):
+    tree = TransformTree()
+    p, q = np.array([1.0, 2.0, 3.0]), quat.from_yaw(0.3)
+    tree.set_transform(Transform("world", "a", p, q, 0.0))
+    if field == "translation":
+        p[0] = 99.0
+    else:
+        q[:] = quat.from_yaw(1.2)
+    out = tree.lookup("world", "a", 0.0)
+    np.testing.assert_array_equal(out.translation, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(out.rotation, quat.from_yaw(0.3))
+
+
+def _numpy_slerp(q1, q2, t):
+    dot = float(np.dot(q1, q2))
+    if dot < 0.0:
+        q2 = -q2
+        dot = -dot
+    if dot > 0.9995:
+        q = q1 + t * (q2 - q1)
+        return q / np.linalg.norm(q)
+    theta0 = math.acos(min(dot, 1.0))
+    theta = theta0 * t
+    s2 = math.sin(theta) / math.sin(theta0)
+    s1 = math.cos(theta) - dot * s2
+    return s1 * q1 + s2 * q2
+
+
+class _ReferenceTree:
+    """The tree's buffering and lookup as numpy arithmetic on arrays: a
+    ``pop(0)`` trim, a frame set rebuilt per lookup, and vector slerp."""
+
+    def __init__(self, horizon_s):
+        self.horizon = horizon_s
+        self.edges = {}  # child -> (parent, stamps, translations, rotations)
+
+    def set_transform(self, parent, child, translation, rotation, stamp):
+        _, stamps, ts, qs = self.edges.setdefault(child, (parent, [], [], []))
+        if stamps and stamp < stamps[-1] - self.horizon:
+            raise TimeBoundsError("too old")
+        translation, rotation = translation.copy(), quat.canonicalize(rotation)
+        i = bisect_left(stamps, stamp)
+        if i < len(stamps) and stamps[i] == stamp:
+            ts[i], qs[i] = translation, rotation
+        else:
+            stamps.insert(i, stamp)
+            ts.insert(i, translation)
+            qs.insert(i, rotation)
+        while stamps[0] < stamps[-1] - self.horizon:
+            stamps.pop(0)
+            ts.pop(0)
+            qs.pop(0)
+
+    def _chain(self, frame):
+        chain = [frame]
+        while frame in self.edges:
+            frame = self.edges[frame][0]
+            chain.append(frame)
+        return chain
+
+    def _sample(self, child, at):
+        _, stamps, ts, qs = self.edges[child]
+        if at < stamps[0] or at > stamps[-1]:
+            raise TimeBoundsError("outside span")
+        i = bisect_left(stamps, at)
+        if stamps[i] == at:
+            return qs[i], ts[i]
+        alpha = (at - stamps[i - 1]) / (stamps[i] - stamps[i - 1])
+        return (_numpy_slerp(qs[i - 1], qs[i], alpha),
+                (1.0 - alpha) * ts[i - 1] + alpha * ts[i])
+
+    def _to_ancestor(self, frame, ancestor, at):
+        q_acc, p_acc = quat.IDENTITY, np.zeros(3)
+        while frame != ancestor:
+            eq, ep = self._sample(frame, at)
+            q_acc = quat.mul(eq, q_acc)
+            p_acc = ep + quat.rotate(eq, p_acc)
+            frame = self.edges[frame][0]
+        return q_acc, p_acc
+
+    def lookup(self, target, source, at):
+        known = set(self.edges) | {parent for parent, *_ in self.edges.values()}
+        if target not in known or source not in known:
+            raise UnknownFrameError("unknown")
+        if target == source:
+            return np.zeros(3), quat.IDENTITY.copy()
+        t_chain = set(self._chain(target))
+        ancestor = next((f for f in self._chain(source) if f in t_chain), None)
+        if ancestor is None:
+            raise DisconnectedFramesError("disconnected")
+        q_t, p_t = self._to_ancestor(target, ancestor, at)
+        q_s, p_s = self._to_ancestor(source, ancestor, at)
+        q_ti = quat.conjugate(q_t)
+        return quat.rotate(q_ti, p_s - p_t), quat.canonicalize(quat.mul(q_ti, q_s))
+
+
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+forests = st.fixed_dictionaries({
+    "horizon": st.sampled_from([1.0, 2.0, 100.0]),
+    # edge i maps frame f{i+1} into an earlier frame, or into the second root
+    # "g"; its first sample has its base rotation, which "near" samples stay
+    # close to
+    "edges": st.lists(st.tuples(st.integers(-1, 4), st.tuples(*[unit] * 4), st.integers(0, 12)),
+                      min_size=1, max_size=5),
+    "inserts": st.lists(st.tuples(
+        st.integers(0, 4),                          # edge
+        st.integers(0, 12),                         # stamp in quarter seconds
+        st.tuples(*[st.floats(-50.0, 50.0)] * 3),  # translation
+        st.tuples(*[unit] * 4),                     # rotation components
+        st.sampled_from(["random", "near", "near", "near_flipped", "flipped"]),
+    ), min_size=1, max_size=40),
+    # frame 0 is unknown, the others index the known frames; times run past
+    # both ends of the stamp grid
+    "lookups": st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(-4, 52)),
+                        min_size=1, max_size=30),
+})
+
+
+def _unit(components):
+    q = np.array(components)
+    n = np.linalg.norm(q)
+    return q / n if n > 0.1 else quat.IDENTITY.copy()
+
+
+@given(forests)
+@settings(max_examples=300, deadline=None)
+def test_lookup_is_bit_identical_to_numpy_reference(forest):
+    tree, ref = TransformTree(forest["horizon"]), _ReferenceTree(forest["horizon"])
+    edges = [(f"f{i + 1}", "g" if p < 0 else f"f{min(p, i)}", _unit(base))
+             for i, (p, base, _) in enumerate(forest["edges"])]
+    firsts = [(e, k, (float(e), 0.0, 0.0), (0.0,) * 4, "near")
+              for e, (_, _, k) in enumerate(forest["edges"])]
+    for e, k, translation, components, kind in firsts + forest["inserts"]:
+        child, parent, base = edges[e % len(edges)]
+        if kind.startswith("near"):
+            q = _unit(base + 1e-3 * np.array(components))  # slerp's lerp branch
+        else:
+            q = _unit(components)
+        if kind.endswith("flipped"):
+            q = -q
+        args = (parent, child, np.array(translation), q, 0.25 * k)
+        try:
+            ref.set_transform(*args)
+        except TimeBoundsError:
+            with pytest.raises(TimeBoundsError):
+                tree.set_transform(Transform(*args))
+            continue
+        tree.set_transform(Transform(*args))
+    known = sorted(tree.frames())
+    for a, b, k in forest["lookups"]:
+        target, source = (known[i % len(known)] if i else "ghost" for i in (a, b))
+        at = 0.0625 * k
+        try:
+            want = ref.lookup(target, source, at)
+        except TfError as exc:
+            with pytest.raises(type(exc)):
+                tree.lookup(target, source, at)
+            continue
+        got = tree.lookup(target, source, at)
+        assert got.translation.tobytes() == want[0].tobytes()
+        assert got.rotation.tobytes() == want[1].tobytes()
+
+
+@given(st.sampled_from([0.5, 2.0, 7.0]),
+       st.lists(st.integers(0, 60), min_size=1, max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_pruning_keeps_exactly_the_horizon(horizon, ks):
+    tree = TransformTree(horizon)
+    accepted = []
+    for k in ks:
+        stamp = 0.25 * k
+        if accepted and stamp < max(accepted) - horizon:
+            with pytest.raises(TimeBoundsError):
+                tree.set_transform(Transform.identity("world", "a", stamp))
+            continue
+        tree.set_transform(Transform.identity("world", "a", stamp))
+        accepted.append(stamp)
+    newest = max(accepted)
+    kept = sorted({s for s in accepted if s >= newest - horizon})
+    edge = tree._edges["a"]
+    assert edge.stamps == kept
+    assert len(edge.translations) == len(edge.rotations) == len(edge.rotation_arrays) == len(kept)
+    tree.lookup("world", "a", kept[0])
+    with pytest.raises(TimeBoundsError):
+        tree.lookup("world", "a", kept[0] - 0.125)
+
+
+def test_parent_only_and_unknown_frames():
+    tree = TransformTree()
+    tree.set_transform(Transform("world", "a", np.array([1.0, 0.0, 0.0]),
+                                 quat.IDENTITY.copy(), 0.0))
+    assert tree.frames() == {"world", "a"}
+    out = tree.lookup("world", "world", 5.0)  # a parent-only frame is known
+    np.testing.assert_array_equal(out.translation, np.zeros(3))
+    np.testing.assert_array_equal(out.rotation, quat.IDENTITY)
+    np.testing.assert_array_equal(tree.lookup("a", "world", 0.0).translation, [-1.0, 0.0, 0.0])
+    for target, source in (("ghost", "world"), ("world", "ghost"), ("ghost", "ghost")):
+        with pytest.raises(UnknownFrameError, match="ghost"):
+            tree.lookup(target, source, 0.0)
