@@ -7,6 +7,7 @@ consumer can never block a publisher.
 """
 from __future__ import annotations
 
+import functools
 import random
 import re
 import threading
@@ -60,7 +61,7 @@ class QualifiedName:
             raise InvalidNameError(f"namespace must be a single segment: {self.namespace!r}")
         _check_segments(self.local, "local name")
 
-    @property
+    @functools.cached_property
     def full(self) -> str:
         return f"/{self.namespace}/{self.local}"
 
@@ -106,6 +107,12 @@ class Message:
 class DeliveryReport:
     matched: int
     enqueued: int
+
+
+@functools.cache
+def _delivery_report(matched: int, enqueued: int) -> DeliveryReport:
+    """One shared (immutable) report per outcome, so a publish allocates none."""
+    return DeliveryReport(matched, enqueued)
 
 
 class FaultInjector(Protocol):
@@ -278,7 +285,7 @@ class Bus:
             msg = Message(pub.topic, stamp, bytes(payload))
             for hook in self._publish_hooks:
                 hook(msg)
-            subs = self._subscriptions.get(pub.topic.full, [])
+            subs = self._subscriptions.get(pub.topic.full, ())
             matched = len(subs)
             enqueued = 0
             best_effort_pub = pub.qos.reliability is Reliability.BEST_EFFORT
@@ -292,7 +299,7 @@ class Bus:
                 self._seq += 1
                 sub._queue.append((self._seq, msg))
                 enqueued += 1
-            return DeliveryReport(matched, enqueued)
+            return _delivery_report(matched, enqueued)
 
     def take(self, sub: SubscriptionHandle) -> Message | None:
         with self._lock:

@@ -56,8 +56,8 @@ class Transform:
     def __post_init__(self) -> None:
         if not self.parent or not self.child:
             raise UnknownFrameError("frame names must be non-empty")
-        t = np.asarray(self.translation, dtype=float).reshape(3)
-        q = np.asarray(self.rotation, dtype=float).reshape(4)
+        t = np.array(self.translation, dtype=float).reshape(3)  # copies: owns its arrays
+        q = np.array(self.rotation, dtype=float).reshape(4)
         if abs(quat.norm(q) - 1.0) > QUAT_NORM_TOL:
             raise ValueError(f"rotation is not a unit quaternion: {q}")
         object.__setattr__(self, "translation", t)
@@ -70,7 +70,7 @@ class Transform:
     @classmethod
     def identity(cls, parent: str, child: str | None = None, stamp: float = 0.0) -> "Transform":
         return cls(parent, child if child is not None else parent,
-                   np.zeros(3), quat.IDENTITY.copy(), stamp)
+                   np.zeros(3), quat.IDENTITY, stamp)
 
 
 def compose(a: Transform, b: Transform) -> Transform:
@@ -188,7 +188,7 @@ class TransformTree:
             rotation = quat._canonicalize(quat._mul(q_ti, q_s))
             translation = quat._rotate(
                 q_ti, (p_s[0] - p_t[0], p_s[1] - p_t[1], p_s[2] - p_t[2]))
-            return Transform(target, source, np.array(translation), np.array(rotation), at)
+            return Transform(target, source, translation, rotation, at)
 
     def _chain_to_root(self, frame: str) -> list[str]:
         chain = [frame]

@@ -1,12 +1,21 @@
 """Bag format, lossless recording, and replay timing."""
 import fnmatch
+import os
+import resource
+import struct
+import subprocess
+import sys
 import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmas.bag import (BagFormatError, BagRecord, BagWriter, Recorder, bag_info,
+import hmas
+from hmas import bag as bag_module
+from hmas.bag import (BagError, BagFormatError, BagRecord, BagWriter, Recorder, bag_info,
                       read_bag, record, replay)
 from hmas.bus import Bus, QosProfile, QualifiedName, Reliability, SeededDropInjector
 
@@ -73,6 +82,51 @@ class TestFormat:
             read_bag(cut)
         assert err.value.offset == 6  # first record begins after the header
         assert "byte offset" in str(err.value)
+
+    def test_every_truncation_reports_the_record_start(self, tmp_path):
+        path = tmp_path / "t.bag"
+        with BagWriter(path) as writer:
+            writer.append("/a/t", 1.0, b"first")
+            writer.append("/b/long_topic", 2.0, b"")
+            writer.append("/a/t", 3.0, b"third payload")
+        data = path.read_bytes()
+        starts = [6]  # record boundaries, after the 6-byte header
+        for r in read_bag(path):
+            starts.append(starts[-1] + 4 + len(r.topic) + 12 + len(r.payload))
+        assert starts[-1] == len(data)
+        cut = tmp_path / "cut.bag"
+        for length in range(len(data)):
+            cut.write_bytes(data[:length])
+            if length in starts:  # a whole number of records is a valid bag
+                assert len(read_bag(cut)) == starts.index(length)
+                continue
+            with pytest.raises(BagFormatError) as err:
+                read_bag(cut)
+            expected = 0 if length < 6 else max(s for s in starts if s < length)
+            assert err.value.offset == expected, length
+
+    def test_invalid_utf8_topic_reports_the_topic_offset(self, tmp_path):
+        path = tmp_path / "utf8.bag"
+        good = struct.pack("<I", 4) + b"/a/t" + struct.pack("<dI", 1.0, 0)
+        bad = struct.pack("<I", 2) + b"\xff\xfe" + struct.pack("<dI", 2.0, 1) + b"x"
+        path.write_bytes(b"HBAG\x01\x00" + good + bad)
+        with pytest.raises(BagFormatError) as err:
+            read_bag(path)
+        assert err.value.offset == 6 + len(good) + 4
+
+    def test_closed_writer_rejects_records_and_closes_once(self, tmp_path):
+        path = tmp_path / "t.bag"
+        writer = BagWriter(path)
+        writer.append("/a/t", 1.0, b"x")
+        writer.close()
+        data = path.read_bytes()
+        with pytest.raises(BagError):
+            writer.write(BagRecord("/a/t", 2.0, b"y"))
+        with pytest.raises(BagError):
+            writer.append("/a/t", 2.0, b"y")
+        writer.close()  # a no-op
+        assert path.read_bytes() == data
+        assert read_bag(path) == [BagRecord("/a/t", 1.0, b"x")]
 
     def test_unwritable_sink_fails_fast(self, tmp_path):
         with pytest.raises(OSError):
@@ -177,6 +231,36 @@ class TestRecorder:
         tail = tmp_path / "tail.bag"  # the header and the last record
         tail.write_bytes(data[:6] + data[-record_size:])
         assert read_bag(tail) == [BagRecord("/spot/gps/fix", float(n - 1), b"")]
+
+    def test_a_million_publishes_record_in_bounded_memory(self, tmp_path):
+        """The million-publish recording in a child process, whose peak RSS
+        must stay under 180 MB (244 MB when each record was a BagRecord)."""
+        n = 1_000_001
+        path = tmp_path / "big.bag"
+        child = (
+            "import sys\n"
+            "from hmas.bag import record\n"
+            "from hmas.bus import Bus\n"
+            "bus = Bus()\n"
+            "pub = bus.advertise(bus.create_node('spot', 'driver'), 'gps/fix')\n"
+            "with record(bus, ['/spot/gps/fix'], sys.argv[2]):\n"
+            "    for i in range(int(sys.argv[1])):\n"
+            "        pub.publish(float(i), b'')\n"
+        )
+        src = str(Path(hmas.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        subprocess.run([sys.executable, "-c", child, str(n), str(path)],
+                       env=env, check=True, timeout=300)
+        # the largest child this test process has waited for; Tier-1 starts no other
+        peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+        record_size = 4 + len("/spot/gps/fix") + 8 + 4
+        data = path.read_bytes()
+        assert len(data) == 6 + n * record_size
+        tail = tmp_path / "tail.bag"  # the header and the last record
+        tail.write_bytes(data[:6] + data[-record_size:])
+        assert read_bag(tail) == [BagRecord("/spot/gps/fix", float(n - 1), b"")]
+        assert peak_mb <= 180.0, f"peak RSS {peak_mb:.1f} MB"
 
     def test_recorder_is_not_a_bus_node(self, tmp_path):
         bus = Bus()
@@ -327,3 +411,41 @@ def test_recorded_bags_equal_writer_fed_in_publish_order(tmp_path_factory, early
                 if any(fnmatch.fnmatchcase(topic, pat) for pat in patterns):
                     writer.append(topic, stamp, payload)
         assert path.read_bytes() == oracle.read_bytes()
+
+
+def _v1_bag(records) -> bytes:
+    """Reference encoder for format v1: header, then the records sorted by
+    stamp (stable) as u32 topic length, topic, f64 stamp, u32 payload length,
+    payload."""
+    out = [b"HBAG", struct.pack("<H", 1)]
+    for topic, stamp, payload in sorted(records, key=lambda r: r[1]):
+        encoded = topic.encode("utf-8")
+        out += [struct.pack("<I", len(encoded)), encoded, struct.pack("<d", stamp),
+                struct.pack("<I", len(payload)), payload]
+    return b"".join(out)
+
+
+writer_records = st.lists(st.tuples(
+    st.sampled_from(["/a/gps/fix", "/b/gps/fix", "/ä/ß", "/日本/話題", "/r/ü"]),
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.0]),
+              st.floats(-1e9, 1e9, allow_nan=False)),
+    st.one_of(st.just(b""), st.binary(max_size=24)),
+    st.booleans(),  # written as a BagRecord, else appended
+), max_size=40)
+
+
+@given(records=writer_records, chunk=st.sampled_from([1, 2, 3, 4096]))
+@settings(max_examples=200, deadline=None)
+def test_writer_bytes_equal_v1_encoder(tmp_path_factory, records, chunk):
+    """Oracle: the writer's bytes equal a plain v1 encoder's, with stamp ties
+    across topics, empty payloads, non-ASCII topics, and chunk boundaries
+    that fall inside tie runs."""
+    path = tmp_path_factory.mktemp("v1") / "w.bag"
+    with mock.patch.object(bag_module, "_CHUNK_RECORDS", chunk):
+        with BagWriter(path) as writer:
+            for topic, stamp, payload, as_record in records:
+                if as_record:
+                    writer.write(BagRecord(topic, stamp, payload))
+                else:
+                    writer.append(topic, stamp, payload)
+    assert path.read_bytes() == _v1_bag([r[:3] for r in records])

@@ -321,6 +321,22 @@ def test_tree_keeps_its_own_copy_of_each_sample(field):
     np.testing.assert_array_equal(out.rotation, quat.from_yaw(0.3))
 
 
+@pytest.mark.parametrize("field", ["translation", "rotation"])
+def test_transform_keeps_its_own_copy_of_its_arrays(field):
+    p, q = np.array([1.0, 2.0, 3.0]), quat.from_yaw(0.3)
+    t = Transform("w", "a", p, q)
+    u = Transform("a", "b", np.array([0.5, -1.0, 2.0]), quat.from_yaw(-0.7))
+    before = [t, compose(t, u), invert(t)]
+    expected = [(x.translation.copy(), x.rotation.copy()) for x in before]
+    if field == "translation":
+        p[0] = 99.0
+    else:
+        q[:] = quat.from_yaw(1.2)
+    for x, (tr, rot) in zip([t, compose(t, u), invert(t)], expected):
+        np.testing.assert_array_equal(x.translation, tr)
+        np.testing.assert_array_equal(x.rotation, rot)
+
+
 def _numpy_slerp(q1, q2, t):
     dot = float(np.dot(q1, q2))
     if dot < 0.0:
