@@ -99,7 +99,6 @@ class Agent:
         self.velocity = np.zeros(3)
         self.rover: Rover | None = None
         self.fix_pub = None
-        self.nodes = []
         # controller-side state: last fix dead-reckoned with own commands,
         # never touched by simulator ground truth
         self.odom_position: np.ndarray | None = None
@@ -115,19 +114,14 @@ class World:
 
     def __init__(self, base: GeodeticCoord, seed: int = 0,
                  bounds_m: float = 10_000.0,
-                 rover_config: RoverConfig | None = None,
-                 correction_interval_s: float = 1.0,
-                 correction_latency_s: float = 0.0,
-                 correction_drop_prob: float = 0.0) -> None:
+                 rover_config: RoverConfig | None = None) -> None:
         self.base = base
         self.bus = Bus()
         self.tree = TransformTree()
         self.bounds_m = bounds_m
         self.rover_config = rover_config if rover_config is not None else RoverConfig()
         self._seed_root = np.random.SeedSequence(seed)
-        self._link = CorrectionLink(base, correction_interval_s,
-                                    correction_latency_s, correction_drop_prob,
-                                    seed=self._seed_root.spawn(1)[0])
+        self._link = CorrectionLink(base, seed=self._seed_root.spawn(1)[0])
         self._agents: dict[str, Agent] = {}
         self._display = self.bus.create_node("hmas", "display")
         self._fix_subs: dict[str, object] = {}
@@ -162,10 +156,9 @@ class World:
         else:
             position[2] = 0.0  # flat terrain
         agent = Agent(spec, position)
-        agent.nodes.append(self.bus.create_node(spec.name, "driver"))
+        self.bus.create_node(spec.name, "driver")
         for sensor in spec.sensors:
             node = self.bus.create_node(spec.name, sensor.name)
-            agent.nodes.append(node)
             if sensor.kind == "gnss":
                 if agent.rover is None:
                     agent.rover = Rover(spec.name, self.rover_config,

@@ -78,6 +78,8 @@ class BagWriter:
     def append(self, topic: str, stamp: float, payload: bytes) -> None:
         if self._closed:
             raise BagError(f"bag writer for {self.path} is closed")
+        if stamp != stamp:  # only NaN; it would break the stable stamp sort
+            raise BagError(f"NaN stamp on {topic}")
         self._records.append((stamp, topic, bytes(payload)))
 
     def close(self) -> None:

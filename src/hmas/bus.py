@@ -3,11 +3,13 @@
 Every node lives in the namespace of the agent that owns it; topics are
 advertised with relative names and resolve to ``/<namespace>/<topic>``.
 Delivery is pull-based (``take``) with keep-last history queues, so a slow
-consumer can never block a publisher.
+consumer can never block a publisher. Each publisher's stamps must be finite,
+non-negative and non-decreasing.
 """
 from __future__ import annotations
 
 import functools
+import math
 import random
 import re
 import threading
@@ -34,7 +36,7 @@ class ClosedHandleError(BusError):
 
 
 class StampOrderError(BusError):
-    """Stamps on one topic from one publisher must be non-decreasing."""
+    """Stamps from one publisher must be finite, non-negative and non-decreasing."""
 
 
 _SEGMENT_RE = re.compile(r"^[a-z][a-z0-9_]*$")
@@ -149,7 +151,7 @@ class NodeHandle:
         self.name = name
         self.parameters = parameters
         self._closed = False
-        self._endpoints: list[object] = []
+        self._endpoints: list[_Endpoint] = []
 
     @property
     def closed(self) -> bool:
@@ -162,44 +164,43 @@ class NodeHandle:
         return f"NodeHandle({self.name.full})"
 
 
-class PublisherHandle:
-    def __init__(self, bus: "Bus", node: NodeHandle, topic: QualifiedName, qos: QosProfile) -> None:
+class _Endpoint:
+    """What publishers and subscriptions share: their node, topic, QoS, and
+    the bus registry (full topic -> endpoints) they join and leave."""
+
+    def __init__(self, bus: "Bus", node: NodeHandle, topic: QualifiedName, qos: QosProfile,
+                 registry: dict[str, list]) -> None:
         self._bus = bus
         self.node = node
         self.topic = topic
         self.qos = qos
+        self._registry = registry
         self._closed = False
-        self._last_stamp = -1.0
 
     @property
     def closed(self) -> bool:
         return self._closed
+
+    def close(self) -> None:
+        self._bus._close_endpoint(self)
+
+
+class PublisherHandle(_Endpoint):
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._last_stamp = -1.0
 
     def publish(self, stamp: float, payload: bytes) -> DeliveryReport:
         return self._bus.publish(self, stamp, payload)
 
-    def close(self) -> None:
-        self._bus._close_publisher(self)
 
-
-class SubscriptionHandle:
-    def __init__(self, bus: "Bus", node: NodeHandle, topic: QualifiedName, qos: QosProfile) -> None:
-        self._bus = bus
-        self.node = node
-        self.topic = topic
-        self.qos = qos
-        self._closed = False
-        self._queue: deque[tuple[int, Message]] = deque(maxlen=qos.history_depth)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
+class SubscriptionHandle(_Endpoint):
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._queue: deque[tuple[int, Message]] = deque(maxlen=self.qos.history_depth)
 
     def take(self) -> Message | None:
         return self._bus.take(self)
-
-    def close(self) -> None:
-        self._bus._close_subscription(self)
 
 
 class Bus:
@@ -241,24 +242,23 @@ class Bus:
             raise InvalidNameError(
                 f"publishers use relative topic names, got absolute {topic!r}")
         resolved = QualifiedName(node.name.namespace, topic)
-        with self._lock:
-            self._check_node_live(node)
-            pub = PublisherHandle(self, node, resolved, qos)
-            self._publishers.setdefault(resolved.full, []).append(pub)
-            node._endpoints.append(pub)
-        return pub
+        return self._attach(PublisherHandle, node, resolved, qos, self._publishers)
 
     def subscribe(self, node: NodeHandle, topic: str, qos: QosProfile = DEFAULT_QOS) -> SubscriptionHandle:
         if topic.startswith("/"):
             resolved = QualifiedName.parse(topic)
         else:
             resolved = QualifiedName(node.name.namespace, topic)
+        return self._attach(SubscriptionHandle, node, resolved, qos, self._subscriptions)
+
+    def _attach(self, handle_cls, node: NodeHandle, topic: QualifiedName,
+                qos: QosProfile, registry: dict[str, list]) -> _Endpoint:
         with self._lock:
             self._check_node_live(node)
-            sub = SubscriptionHandle(self, node, resolved, qos)
-            self._subscriptions.setdefault(resolved.full, []).append(sub)
-            node._endpoints.append(sub)
-        return sub
+            endpoint = handle_cls(self, node, topic, qos, registry)
+            registry.setdefault(topic.full, []).append(endpoint)
+            node._endpoints.append(endpoint)
+        return endpoint
 
     def add_publish_hook(self, hook: Callable[[Message], None]) -> None:
         """Invoke hook with every future message, in publish order, before
@@ -276,8 +276,8 @@ class Bus:
         with self._lock:
             if pub._closed:
                 raise ClosedHandleError(f"publisher on {pub.topic.full} is closed")
-            if stamp < 0.0:
-                raise StampOrderError(f"negative stamp {stamp}")
+            if not 0.0 <= stamp < math.inf:
+                raise StampOrderError(f"stamp {stamp} is not finite and non-negative")
             if stamp < pub._last_stamp:
                 raise StampOrderError(
                     f"stamp {stamp} precedes {pub._last_stamp} on {pub.topic.full}")
@@ -343,35 +343,17 @@ class Bus:
             if node._closed:
                 return
             for endpoint in list(node._endpoints):
-                if isinstance(endpoint, PublisherHandle):
-                    self._close_publisher(endpoint)
-                else:
-                    self._close_subscription(endpoint)
+                self._close_endpoint(endpoint)
             self._nodes.pop(node.name.full, None)
             node._closed = True
 
-    def _close_publisher(self, pub: PublisherHandle) -> None:
+    def _close_endpoint(self, endpoint: _Endpoint) -> None:
         with self._lock:
-            if pub._closed:
+            if endpoint._closed:
                 return
-            pubs = self._publishers.get(pub.topic.full, [])
-            if pub in pubs:
-                pubs.remove(pub)
-            if not pubs:
-                self._publishers.pop(pub.topic.full, None)
-            if pub in pub.node._endpoints:
-                pub.node._endpoints.remove(pub)
-            pub._closed = True
-
-    def _close_subscription(self, sub: SubscriptionHandle) -> None:
-        with self._lock:
-            if sub._closed:
-                return
-            subs = self._subscriptions.get(sub.topic.full, [])
-            if sub in subs:
-                subs.remove(sub)
-            if not subs:
-                self._subscriptions.pop(sub.topic.full, None)
-            if sub in sub.node._endpoints:
-                sub.node._endpoints.remove(sub)
-            sub._closed = True
+            peers = endpoint._registry[endpoint.topic.full]
+            peers.remove(endpoint)
+            if not peers:
+                del endpoint._registry[endpoint.topic.full]
+            endpoint.node._endpoints.remove(endpoint)
+            endpoint._closed = True

@@ -46,6 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--duration", type=float, default=None,
                        help="override run duration in seconds")
     p_run.add_argument("--noiseless", action="store_true")
+    p_run.set_defaults(handler=_cmd_bench_run)
 
     p_an = bench_sub.add_parser("analyze", help="per-side distances and verdicts")
     p_an.add_argument("bagfile", nargs="?", help="bag recorded by 'bench run'")
@@ -59,6 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "over the span of the input's fixes")
     p_an.add_argument("--csv", help="write the distance series CSV here")
     p_an.add_argument("--report", help="write the summary report CSV here")
+    p_an.set_defaults(handler=_cmd_bench_analyze)
 
     p_bag = sub.add_parser("bag", help="record/replay/inspect bags")
     bag_sub = p_bag.add_subparsers(dest="bag_command", required=True)
@@ -70,20 +72,24 @@ def build_parser() -> argparse.ArgumentParser:
     src = p_rec.add_mutually_exclusive_group(required=True)
     src.add_argument("--source", help="bag to replay as the traffic source")
     src.add_argument("--scenario", help="scenario JSON to run as the traffic source")
+    p_rec.set_defaults(handler=_cmd_bag_record)
 
     p_rep = bag_sub.add_parser("replay", help="republish a bag onto a fresh bus")
     p_rep.add_argument("bagfile")
     speed = p_rep.add_mutually_exclusive_group()
     speed.add_argument("--rate", type=float, help="realtime factor r > 0")
     speed.add_argument("--fast", action="store_true", help="as fast as possible")
+    p_rep.set_defaults(handler=_cmd_bag_replay)
 
     p_info = bag_sub.add_parser("info", help="record count, topics, time span")
     p_info.add_argument("bagfile")
+    p_info.set_defaults(handler=_cmd_bag_info)
 
     p_scn = sub.add_parser("scenario", help="agent demos")
     scn_sub = p_scn.add_subparsers(dest="scenario_command", required=True)
     p_scn_run = scn_sub.add_parser("run", help="run a scenario JSON")
     p_scn_run.add_argument("scenario")
+    p_scn_run.set_defaults(handler=_cmd_scenario_run)
 
     return parser
 
@@ -192,24 +198,10 @@ def _cmd_scenario_run(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except Exception as exc:  # bad input or a crash: exit 2, not a failed verdict
         print(f"hmas: error: {exc}", file=sys.stderr)
         return 2
-
-
-def _dispatch(args) -> int:
-    if args.command == "bench":
-        if args.bench_command == "run":
-            return _cmd_bench_run(args)
-        return _cmd_bench_analyze(args)
-    if args.command == "bag":
-        if args.bag_command == "record":
-            return _cmd_bag_record(args)
-        if args.bag_command == "replay":
-            return _cmd_bag_replay(args)
-        return _cmd_bag_info(args)
-    return _cmd_scenario_run(args)
 
 
 if __name__ == "__main__":

@@ -477,7 +477,7 @@ class Rover:
         # (east, north, up) noise sigmas per quality code
         self._sigmas = np.array([[h, h, v] for h, v in map(self.config.sigmas, _QUALITY_ORDER)])
         self._disturbances = tuple(disturbances)
-        self._quality = FixQuality.SINGLE
+        self._code = 0  # fix quality, as an index into _QUALITY_ORDER
         self._last_corr_stamp: float | None = None
         self._last_epoch = 0
         self._next_fix_index = 1
@@ -485,7 +485,7 @@ class Rover:
 
     @property
     def quality(self) -> FixQuality:
-        return self._quality
+        return _QUALITY_ORDER[self._code]
 
     @property
     def bias_en(self) -> tuple[float, float]:
@@ -526,12 +526,12 @@ class Rover:
         if stamp is None:
             return None
         self._update_quality(stamp)
-        error = self._errors([stamp], np.array([_QUALITY_ORDER.index(self._quality)]))[0]
+        error = self._errors([stamp], np.array([self._code]))[0]
         if np.any(error):
             measured = enu_to_geodetic(EnuCoord(*error), true_position)
         else:
             measured = true_position
-        return RtkFix(self.rover_id, measured, self._quality, stamp)
+        return RtkFix(self.rover_id, measured, self.quality, stamp)
 
     def step_batch(self, true_positions: np.ndarray, stamps: np.ndarray,
                    corrections: Sequence[Iterable[CorrectionMsg]]
@@ -560,7 +560,7 @@ class Rover:
             for msg in msgs:
                 self.receive_correction(msg)
             self._update_quality(stamp)
-            ladder.append(_QUALITY_ORDER.index(self._quality))
+            ladder.append(self._code)
         codes = np.array(ladder, dtype=np.uint8)
         self._next_fix_index += n
         self._last_now = stamp_list[-1]
@@ -575,21 +575,19 @@ class Rover:
     def _update_quality(self, now: float) -> None:
         timeout = self.config.correction_timeout_s
         if self._last_corr_stamp is None:
-            target = FixQuality.SINGLE
+            target = 0  # single
         else:
             staleness = now - self._last_corr_stamp
             if staleness <= timeout:
-                target = FixQuality.FIXED
+                target = 2  # fixed
             elif staleness <= 2.0 * timeout:
-                target = FixQuality.FLOAT
+                target = 1  # float
             else:
-                target = FixQuality.SINGLE
-        cur = _QUALITY_ORDER.index(self._quality)
-        tgt = _QUALITY_ORDER.index(target)
-        if tgt > cur:
-            self._quality = _QUALITY_ORDER[cur + 1]
-        elif tgt < cur:
-            self._quality = _QUALITY_ORDER[cur - 1]
+                target = 0
+        if target > self._code:
+            self._code += 1
+        elif target < self._code:
+            self._code -= 1
 
     def _errors(self, stamps: list[float], codes: np.ndarray) -> np.ndarray:
         """(n, 3) ENU errors of n fixes at ``stamps`` with quality ``codes``:

@@ -6,6 +6,7 @@ frame is conventionally the RTK base anchor.
 """
 from __future__ import annotations
 
+import math
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -58,7 +59,7 @@ class Transform:
             raise UnknownFrameError("frame names must be non-empty")
         t = np.array(self.translation, dtype=float).reshape(3)  # copies: owns its arrays
         q = np.array(self.rotation, dtype=float).reshape(4)
-        if abs(quat.norm(q) - 1.0) > QUAT_NORM_TOL:
+        if not abs(quat.norm(q) - 1.0) <= QUAT_NORM_TOL:  # NaN fails too
             raise ValueError(f"rotation is not a unit quaternion: {q}")
         object.__setattr__(self, "translation", t)
         object.__setattr__(self, "rotation", q)
@@ -92,14 +93,17 @@ def invert(a: Transform) -> Transform:
 
 @dataclass
 class _Edge:
-    """Samples of one edge, sorted by stamp, as copies the tree owns: float
-    tuples, plus each rotation as an array for slerp's ``ndarray.dot``."""
+    """Samples of one edge, sorted by stamp, as copies the tree owns.
+
+    ``stamps`` is kept apart for ``bisect``; ``samples[i]`` is the sample at
+    ``stamps[i]``: a (translation, rotation, rotation array) triple, the first
+    two as float tuples, the third the rotation again as an array for slerp's
+    ``ndarray.dot``.
+    """
 
     parent: str
     stamps: list[float] = field(default_factory=list)
-    translations: list[quat.Vec3] = field(default_factory=list)
-    rotations: list[quat.Quat] = field(default_factory=list)
-    rotation_arrays: list[np.ndarray] = field(default_factory=list)
+    samples: list[tuple[quat.Vec3, quat.Quat, np.ndarray]] = field(default_factory=list)
 
 
 class TransformTree:
@@ -120,6 +124,9 @@ class TransformTree:
     # -- writing ------------------------------------------------------
 
     def set_transform(self, t: Transform) -> None:
+        translation = tuple(t.translation.tolist())
+        if not all(map(math.isfinite, (t.stamp, *translation))):
+            raise ValueError(f"non-finite stamp {t.stamp} or translation {translation}")
         with self._lock:
             edge = self._edges.get(t.child)
             if edge is not None and edge.parent != t.parent:
@@ -136,22 +143,17 @@ class TransformTree:
             if stamps and t.stamp < stamps[-1] - self._horizon:
                 raise TimeBoundsError(
                     f"stamp {t.stamp} is older than the {self._horizon}s buffer horizon")
-            translation = tuple(t.translation.tolist())
             rotation = quat._canonicalize(tuple(t.rotation.tolist()))
+            sample = (translation, rotation, np.array(rotation))
             i = bisect_left(stamps, t.stamp)
             if i < len(stamps) and stamps[i] == t.stamp:
-                edge.translations[i] = translation
-                edge.rotations[i] = rotation
-                edge.rotation_arrays[i] = np.array(rotation)
+                edge.samples[i] = sample
             else:
                 stamps.insert(i, t.stamp)
-                edge.translations.insert(i, translation)
-                edge.rotations.insert(i, rotation)
-                edge.rotation_arrays.insert(i, np.array(rotation))
+                edge.samples.insert(i, sample)
             k = bisect_left(stamps, stamps[-1] - self._horizon)
             if k:
-                for samples in (stamps, edge.translations, edge.rotations, edge.rotation_arrays):
-                    del samples[:k]
+                del stamps[:k], edge.samples[:k]
 
     def _would_cycle(self, parent: str, child: str) -> bool:
         node = parent
@@ -213,21 +215,20 @@ class TransformTree:
 
     def _sample(self, edge: _Edge, child: str, at: float) -> tuple[quat.Quat, quat.Vec3]:
         stamps = edge.stamps
-        if not stamps or at < stamps[0] or at > stamps[-1]:
+        if not stamps or not stamps[0] <= at <= stamps[-1]:  # NaN is out of bounds
             span = f"[{stamps[0]}, {stamps[-1]}]" if stamps else "(empty)"
             raise TimeBoundsError(
                 f"time {at} outside buffer span {span} of edge {edge.parent}->{child}")
         i = bisect_left(stamps, at)
-        if i < len(stamps) and stamps[i] == at:
-            return edge.rotations[i], edge.translations[i]
-        lo, hi = i - 1, i
-        alpha = (at - stamps[lo]) / (stamps[hi] - stamps[lo])
+        if stamps[i] == at:
+            translation, rotation, _ = edge.samples[i]
+            return rotation, translation
+        (x0, y0, z0), q0, a0 = edge.samples[i - 1]
+        (x1, y1, z1), q1, a1 = edge.samples[i]
+        alpha = (at - stamps[i - 1]) / (stamps[i] - stamps[i - 1])
         beta = 1.0 - alpha
-        (x0, y0, z0), (x1, y1, z1) = edge.translations[lo], edge.translations[hi]
         translation = (beta * x0 + alpha * x1, beta * y0 + alpha * y1, beta * z0 + alpha * z1)
-        dot = float(edge.rotation_arrays[lo].dot(edge.rotation_arrays[hi]))
-        rotation = quat._slerp(edge.rotations[lo], edge.rotations[hi], dot, alpha)
-        return rotation, translation
+        return quat._slerp(q0, q1, float(a0.dot(a1)), alpha), translation
 
     # -- export ---------------------------------------------------------
 

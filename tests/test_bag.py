@@ -1,5 +1,6 @@
 """Bag format, lossless recording, and replay timing."""
 import fnmatch
+import math
 import os
 import resource
 import struct
@@ -127,6 +128,17 @@ class TestFormat:
         writer.close()  # a no-op
         assert path.read_bytes() == data
         assert read_bag(path) == [BagRecord("/a/t", 1.0, b"x")]
+
+    def test_nan_stamp_rejected_but_other_stamps_legal(self, tmp_path):
+        path = tmp_path / "t.bag"
+        with BagWriter(path) as writer:
+            with pytest.raises(BagError):
+                writer.append("/a/t", math.nan, b"x")
+            with pytest.raises(BagError):
+                writer.write(BagRecord("/a/t", math.nan, b"x"))
+            for stamp in (math.inf, -1e9, -math.inf):
+                writer.append("/a/t", stamp, b"")
+        assert [r.stamp for r in read_bag(path)] == [-math.inf, -1e9, math.inf]
 
     def test_unwritable_sink_fails_fast(self, tmp_path):
         with pytest.raises(OSError):

@@ -1,10 +1,13 @@
 """Bus semantics: naming, QoS history, isolation, discovery, fault injection."""
+import math
 import random
 import threading
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from hmas.bus import (Bus, ClosedHandleError, DuplicateNodeError,
                       InvalidNameError, QosProfile, QualifiedName, Reliability,
@@ -192,10 +195,11 @@ class TestPublish:
         pub = bus.advertise(node, "t")
         pub.publish(5.0, b"x")
         pub.publish(5.0, b"y")  # equal is fine
+        for bad in (4.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(StampOrderError):
+                pub.publish(bad, b"z")
         with pytest.raises(StampOrderError):
-            pub.publish(4.0, b"z")
-        with pytest.raises(StampOrderError):
-            pub.publish(-1.0, b"w")
+            pub.publish(4.0, b"z")  # a rejected stamp leaves the last stamp at 5.0
 
     def test_publish_to_never_taking_subscriber_completes(self):
         bus = Bus()
@@ -298,3 +302,107 @@ def test_concurrent_publish_and_take():
         t.join()
     consumer.join(timeout=30)
     assert len(taken) == 4 * per_thread
+
+
+class BusLifecycleMachine(RuleBasedStateMachine):
+    """Nodes and endpoints created and closed in any order, on three
+    namespaces, against a plain-dict model of what ``discover`` must show.
+
+    Handles, closed ones included, are kept in lists and picked by index, so
+    every rule is valid in every state and hypothesis filters out no steps.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.bus = Bus()
+        self.live_nodes: dict[str, object] = {}  # full name -> live node handle
+        self.nodes: list[object] = []  # every node ever created
+        self.handles: dict[str, list[object]] = {"pub": [], "sub": []}  # ever attached
+        self.open: dict[int, tuple[str, str, str]] = {}  # id -> (kind, topic, node)
+        self.stamp = 0.0
+
+    @rule(namespace=st.sampled_from(["spot", "anafi", "hmas"]),
+          local=st.sampled_from(["driver", "gps"]))
+    def create_node(self, namespace, local):
+        full = f"/{namespace}/{local}"
+        if full in self.live_nodes:
+            with pytest.raises(DuplicateNodeError):
+                self.bus.create_node(namespace, local)
+        else:
+            self.live_nodes[full] = self.bus.create_node(namespace, local)
+            self.nodes.append(self.live_nodes[full])
+
+    def _attach(self, kind, attach, i, topic):
+        if not self.nodes:
+            return
+        node = self.nodes[i % len(self.nodes)]
+        if self.live_nodes.get(node.name.full) is not node:
+            with pytest.raises(ClosedHandleError):
+                attach(node, topic)
+            return
+        endpoint = attach(node, topic)
+        full = topic if topic.startswith("/") else f"/{node.name.namespace}/{topic}"
+        self.handles[kind].append(endpoint)
+        self.open[id(endpoint)] = (kind, full, node.name.full)
+
+    @rule(i=st.integers(0, 50), topic=st.sampled_from(["fix", "cmd"]))
+    def advertise(self, i, topic):
+        self._attach("pub", self.bus.advertise, i, topic)
+
+    @rule(i=st.integers(0, 50), topic=st.sampled_from(["fix", "cmd", "/spot/fix", "/anafi/cmd"]))
+    def subscribe(self, i, topic):
+        self._attach("sub", self.bus.subscribe, i, topic)
+
+    @rule(i=st.integers(0, 50))
+    def close_node(self, i):
+        if not self.nodes:
+            return
+        node = self.nodes[i % len(self.nodes)]
+        node.close()  # a second close is a no-op
+        if self.live_nodes.get(node.name.full) is node:
+            del self.live_nodes[node.name.full]
+            for handle in self.handles["pub"] + self.handles["sub"]:
+                if handle.node is node:
+                    self.open.pop(id(handle), None)
+
+    @rule(kind=st.sampled_from(["pub", "sub"]), i=st.integers(0, 50))
+    def close_endpoint(self, kind, i):
+        if self.handles[kind]:
+            endpoint = self.handles[kind][i % len(self.handles[kind])]
+            endpoint.close()
+            self.open.pop(id(endpoint), None)
+
+    @rule(kind=st.sampled_from(["pub", "sub"]), i=st.integers(0, 50))
+    def publish_or_take(self, kind, i):
+        if not self.handles[kind]:
+            return
+        endpoint = self.handles[kind][i % len(self.handles[kind])]
+        self.stamp += 1.0
+        use = partial(endpoint.publish, self.stamp, b"x") if kind == "pub" else endpoint.take
+        if id(endpoint) in self.open:
+            use()
+        else:
+            with pytest.raises(ClosedHandleError):
+                use()
+
+    @invariant()
+    def discovery_matches_model(self):
+        model: dict[str, dict[str, set[str]]] = {"pub": {}, "sub": {}}
+        for kind, topic, node in self.open.values():
+            model[kind].setdefault(topic, set()).add(node)
+        graph = self.bus.discover()
+        assert graph.nodes == set(self.live_nodes)
+        assert graph.publishers == model["pub"]
+        assert graph.subscribers == model["sub"]
+
+    @invariant()
+    def closed_flags_match_model(self):
+        for handle in self.handles["pub"] + self.handles["sub"]:
+            assert handle.closed == (id(handle) not in self.open)
+            if handle.node.closed:
+                assert handle.closed
+
+
+BusLifecycleMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=40,
+                                                 deadline=None)
+TestBusLifecycle = BusLifecycleMachine.TestCase

@@ -62,6 +62,8 @@ class TestTransform:
         Transform("a", "b", np.zeros(3), np.array([0.5, 0.5, 0.5, 0.5]))
         with pytest.raises(ValueError):
             Transform("a", "b", np.zeros(3), np.array([1.0, 1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError):
+            Transform("a", "b", np.zeros(3), np.array([math.nan, 0.0, 0.0, 0.0]))
 
     def test_compose_with_identity(self, rng):
         t = random_transform(rng)
@@ -188,6 +190,8 @@ class TestTimeBuffer:
             tree.lookup("world", "a", -0.1)
         with pytest.raises(TimeBoundsError):
             tree.lookup("world", "a", 10.1)
+        with pytest.raises(TimeBoundsError):
+            tree.lookup("world", "a", math.nan)
 
     def test_stale_insert_beyond_horizon_errors(self):
         tree = TransformTree(horizon_s=10.0)
@@ -505,10 +509,28 @@ def test_pruning_keeps_exactly_the_horizon(horizon, ks):
     kept = sorted({s for s in accepted if s >= newest - horizon})
     edge = tree._edges["a"]
     assert edge.stamps == kept
-    assert len(edge.translations) == len(edge.rotations) == len(edge.rotation_arrays) == len(kept)
+    assert len(edge.samples) == len(kept)
     tree.lookup("world", "a", kept[0])
     with pytest.raises(TimeBoundsError):
         tree.lookup("world", "a", kept[0] - 0.125)
+
+
+@pytest.mark.parametrize("translation, stamp", [
+    ([math.nan, 0.0, 0.0], 1.0),
+    ([0.0, math.inf, 0.0], 1.0),
+    ([0.0, 0.0, -math.inf], 1.0),
+    ([0.0, 0.0, 0.0], math.nan),
+    ([0.0, 0.0, 0.0], math.inf),
+])
+def test_set_transform_rejects_non_finite_samples(translation, stamp):
+    tree = TransformTree()
+    with pytest.raises(ValueError):
+        tree.set_transform(Transform("world", "a", translation, quat.IDENTITY, stamp))
+    assert tree.frames() == set()
+    tree.set_transform(Transform.identity("world", "a", 1.0))
+    with pytest.raises(ValueError):
+        tree.set_transform(Transform("world", "a", translation, quat.IDENTITY, stamp))
+    assert tree._edges["a"].stamps == [1.0]
 
 
 def test_parent_only_and_unknown_frames():
