@@ -4,10 +4,20 @@ transform tree and the RTK rover model.
 
 Control is estimation-only: follow commands act on the latest published
 fixes, never on simulator ground truth.
+
+The step path runs on Python floats: ``World.step`` moves each agent and its
+odometry from one ``tolist()`` of each vector, in numpy's operation order,
+and stores fresh arrays back, so ``Agent.position``, ``velocity`` and
+``odom_position`` stay assignable arrays. Norms (``quat.norm``) and the
+standoff dot product stay on ``ndarray.dot``, so every result is bit for bit
+what whole-array arithmetic gives. A rover is stepped only when a fix is due
+or corrections arrived; on any other step ``Rover.step`` would do nothing but
+check its clock.
 """
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +28,7 @@ import numpy as np
 from .bus import Bus, QosProfile, QualifiedName
 from .geo import (CorrectionLink, EnuCoord, GeodeticCoord, Rover, RoverConfig,
                   encode_fix, decode_fix, geodetic_to_enu, enu_to_geodetic)
-from .tf import Transform, TransformTree
+from .tf import TransformTree, _transform
 from . import quat
 
 CATEGORIES = ("aerial", "ground", "human")
@@ -51,6 +61,16 @@ class SensorSpec:
     name: str
     kind: str = "generic"
     mount: tuple[float, float, float] = (0.0, 0.0, 0.0)
+
+    def __post_init__(self) -> None:
+        try:
+            mount = tuple(map(float, self.mount))
+        except (TypeError, ValueError):
+            mount = ()
+        if len(mount) != 3 or not all(map(math.isfinite, mount)):
+            raise ValueError(f"sensor {self.name!r} mount must be 3 finite numbers, "
+                             f"got {self.mount!r}")
+        object.__setattr__(self, "mount", mount)
 
 
 @dataclass(frozen=True)
@@ -125,7 +145,7 @@ class World:
         self._agents: dict[str, Agent] = {}
         self._display = self.bus.create_node("hmas", "display")
         self._fix_subs: dict[str, object] = {}
-        self._estimates: dict[str, deque] = {}  # name -> deque[(stamp, enu np3)]
+        self._estimates: dict[str, deque] = {}  # name -> deque[(stamp, (e, n, u))]
         self.fix_counts: dict[str, int] = {}
         self._time = 0.0
 
@@ -173,28 +193,28 @@ class World:
         self.fix_counts[spec.name] = 0
         return agent
 
-    def _set_pose_edges(self, agent: Agent, position: np.ndarray, stamp: float) -> None:
+    def _set_pose_edges(self, agent: Agent, position, stamp: float) -> None:
         base_frame = f"{agent.name}/base"
-        self.tree.set_transform(Transform("world", base_frame, position,
-                                          quat.IDENTITY.copy(), stamp))
+        self.tree.set_transform(_transform("world", base_frame, position, _IDENTITY, stamp))
         for sensor in agent.spec.sensors:
-            self.tree.set_transform(Transform(base_frame, f"{agent.name}/{sensor.name}",
-                                              np.array(sensor.mount, dtype=float),
-                                              quat.IDENTITY.copy(), stamp))
+            self.tree.set_transform(_transform(base_frame, f"{agent.name}/{sensor.name}",
+                                               sensor.mount, _IDENTITY, stamp))
 
     # -- control --------------------------------------------------------
 
     def set_velocity(self, name: str, velocity) -> None:
         agent = self._require(name)
-        agent.velocity = _clamp_speed(np.asarray(velocity, dtype=float).reshape(3),
+        agent.velocity = _clamp_speed(np.array(velocity, dtype=float).reshape(3),
                                       agent.spec.max_speed)
 
     def estimated_state(self, name: str) -> tuple[float, np.ndarray] | None:
-        """Latest published-fix position (stamp, ENU) for an agent, if any."""
+        """Latest published-fix position (stamp, ENU array) for an agent, if
+        any; the array is a fresh copy."""
         hist = self._estimates.get(name)
         if not hist:
             return None
-        return hist[-1]
+        stamp, position = hist[-1]
+        return stamp, np.array(position)
 
     def follow_step(self, cmd: FollowCommand, dt: float) -> np.ndarray:
         """Velocity command steering the follower toward the offset goal.
@@ -210,49 +230,49 @@ class World:
         if (follower.odom_position is None
                 or self._time - follower.odom_stamp > stale_after):
             return np.zeros(3)
-        f_pos = follower.odom_position
+        fx, fy, fz = follower.odom_position.tolist()
         if isinstance(cmd.target, str):
             self._require(cmd.target)
-            t_state = self.estimated_state(cmd.target)
-            if t_state is None or self._time - t_state[0] > stale_after:
+            hist = self._estimates[cmd.target]
+            if not hist or self._time - hist[-1][0] > stale_after:
                 return np.zeros(3)
-            t_pos = t_state[1]
-            heading = self._target_heading(cmd.target)
+            tx, ty, tz = hist[-1][1]
+            hx, hy = self._target_heading(cmd.target)
         else:
-            t_pos = _as_enu_array(cmd.target)
-            heading = np.array([1.0, 0.0])
+            tx, ty, tz = _as_enu_array(cmd.target).tolist()
+            hx, hy = 1.0, 0.0
         forward, left = cmd.offset
-        offset = np.array([
-            forward * heading[0] - left * heading[1],
-            forward * heading[1] + left * heading[0],
-            0.0,
-        ])
-        error = t_pos + offset - f_pos
+        # t_pos + offset - f_pos, with the offset's up component 0.0
+        error = np.array((tx + (forward * hx - left * hy) - fx,
+                          ty + (forward * hy + left * hx) - fy,
+                          tz + 0.0 - fz))
         if quat.norm(error) < DEAD_BAND_M:
             velocity = np.zeros(3)
         else:
             velocity = _clamp_speed(FOLLOW_GAIN * error, follower.spec.max_speed)
-        velocity = self._enforce_standoff(velocity, f_pos, t_pos, cmd.standoff, dt)
+        sep = np.array((fx - tx, fy - ty, fz - tz))
+        velocity = self._enforce_standoff(velocity, sep, cmd.standoff, dt)
         return _clamp_speed(velocity, follower.spec.max_speed)
 
-    def _target_heading(self, name: str) -> np.ndarray:
+    def _target_heading(self, name: str) -> tuple[float, float]:
         """Unit horizontal heading from the target's fix history (east default)."""
         hist = self._estimates[name]
         if len(hist) >= 2:
-            latest_stamp, latest = hist[-1]
-            for stamp, pos in hist:
+            latest_stamp, (lx, ly, _) = hist[-1]
+            for stamp, (px, py, _) in hist:
                 if latest_stamp - stamp >= HEADING_BASELINE_S:
-                    move = (latest - pos)[:2]
-                    norm = quat.norm(move)
+                    mx, my = lx - px, ly - py
+                    norm = quat.norm(np.array((mx, my)))
                     if norm >= HEADING_MIN_MOVE_M:
-                        return move / norm
+                        return mx / norm, my / norm
                     break
-        return np.array([1.0, 0.0])
+        return 1.0, 0.0
 
     @staticmethod
-    def _enforce_standoff(velocity: np.ndarray, f_pos: np.ndarray,
-                          t_pos: np.ndarray, standoff: float, dt: float) -> np.ndarray:
-        sep = f_pos - t_pos
+    def _enforce_standoff(velocity: np.ndarray, sep: np.ndarray,
+                          standoff: float, dt: float) -> np.ndarray:
+        """``velocity`` with its approach along ``sep`` (follower minus
+        target) cut so the next ``dt`` ends no closer than ``standoff``."""
         dist = quat.norm(sep)
         if dist < 1e-9:
             return velocity
@@ -272,37 +292,53 @@ class World:
         now = self._time + dt
         corrections = self._link.poll(now)
         for agent in self._agents.values():
-            agent.velocity = _clamp_speed(agent.velocity, agent.spec.max_speed)
-            agent.position = agent.position + agent.velocity * dt
-            self._clamp_category_point(agent, agent.position)
+            velocity = agent.velocity = _clamp_speed(agent.velocity, agent.spec.max_speed)
+            vx, vy, vz = velocity.tolist()
+            dx, dy, dz = vx * dt, vy * dt, vz * dt
+            px, py, pz = agent.position.tolist()
+            px, py, pz = self._clamp_point(agent, px + dx, py + dy, pz + dz)
+            agent.position = np.array((px, py, pz))
             if agent.odom_position is not None:
-                agent.odom_position = agent.odom_position + agent.velocity * dt
-                self._clamp_category_point(agent, agent.odom_position)
-            if agent.rover is not None:
+                ox, oy, oz = agent.odom_position.tolist()
+                agent.odom_position = np.array(self._clamp_point(agent, ox + dx, oy + dy, oz + dz))
+            rover = agent.rover
+            if rover is None:
+                continue
+            if rover.fix_due(now):
                 # the rover reads the truth only on a step that emits a fix
-                truth = (enu_to_geodetic(EnuCoord(*agent.position), self.base)
-                         if agent.rover.fix_due(now) else None)
-                fix = agent.rover.step(truth, corrections, now)
-                if fix is not None:
-                    agent.fix_pub.publish(fix.stamp, encode_fix(fix))
-                    self.fix_counts[agent.name] += 1
-                    est = geodetic_to_enu(fix.position, self.base)
-                    est_pos = np.array([est.east, est.north, est.up])
-                    agent.odom_position = est_pos.copy()
-                    agent.odom_stamp = fix.stamp
-                    self._set_pose_edges(agent, est_pos, fix.stamp)
+                truth = enu_to_geodetic(EnuCoord(px, py, pz), self.base)
+                fix = rover.step(truth, corrections, now)
+                agent.fix_pub.publish(fix.stamp, encode_fix(fix))
+                self.fix_counts[agent.name] += 1
+                est = geodetic_to_enu(fix.position, self.base)
+                est_pos = (est.east, est.north, est.up)
+                agent.odom_position = np.array(est_pos)
+                agent.odom_stamp = fix.stamp
+                self._set_pose_edges(agent, est_pos, fix.stamp)
+            elif corrections:
+                rover.step(None, corrections, now)  # ingests them; no fix is due
         self._drain_fixes()
         self._time = now
 
-    def _clamp_category_point(self, agent: Agent, point: np.ndarray) -> None:
+    def _clamp_point(self, agent: Agent, x: float, y: float, z: float
+                     ) -> tuple[float, float, float]:
+        """(x, y, z) held inside the world bounds and the category's altitude.
+
+        ``min(max(v, lo), hi)`` returns ``v`` itself when ``lo <= v <= hi``,
+        so it runs only for a coordinate outside its range (or NaN).
+        """
         if agent.spec.category == "aerial":
             lo, hi = agent.spec.altitude_range
-            point[2] = min(max(point[2], lo), hi)
+            if not lo <= z <= hi:
+                z = min(max(z, lo), hi)
         else:
-            point[2] = 0.0
+            z = 0.0
         bound = self.bounds_m
-        point[0] = min(max(point[0], -bound), bound)
-        point[1] = min(max(point[1], -bound), bound)
+        if not -bound <= x <= bound:
+            x = min(max(x, -bound), bound)
+        if not -bound <= y <= bound:
+            y = min(max(y, -bound), bound)
+        return x, y, z
 
     def _drain_fixes(self) -> None:
         for name, sub in self._fix_subs.items():
@@ -312,8 +348,7 @@ class World:
                     break
                 fix = decode_fix(msg.payload)
                 est = geodetic_to_enu(fix.position, self.base)
-                self._estimates[name].append(
-                    (fix.stamp, np.array([est.east, est.north, est.up])))
+                self._estimates[name].append((fix.stamp, (est.east, est.north, est.up)))
 
     def _require(self, name: str) -> Agent:
         try:
@@ -326,6 +361,9 @@ def _as_enu_array(value) -> np.ndarray:
     if isinstance(value, EnuCoord):
         return np.array([value.east, value.north, value.up])
     return np.asarray(value, dtype=float).reshape(3).copy()
+
+
+_IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
 def _clamp_speed(velocity: np.ndarray, max_speed: float) -> np.ndarray:
@@ -362,7 +400,7 @@ def load_scenario(path) -> Scenario:
     agents = []
     for entry in raw["agents"]:
         sensors = tuple(SensorSpec(s["name"], s.get("kind", "generic"),
-                                   tuple(s.get("mount", (0.0, 0.0, 0.0))))
+                                   s.get("mount", (0.0, 0.0, 0.0)))
                         for s in entry.get("sensors", ()))
         spec = AgentSpec(entry["name"], entry["category"], entry["max_speed"],
                          tuple(entry["altitude_range"]) if "altitude_range" in entry else None,

@@ -2,7 +2,10 @@
 RTK base, a simulated correction link, and a stochastic rover fix model.
 
 Conversions use the WGS84 closed forms (a = 6378137 m, f = 1/298.257223563);
-the inverse is Bowring's start refined by a short fixed-point iteration.
+the inverse is Bowring's start refined by a short fixed-point iteration. The
+origin ECEF and ENU basis of a base are computed once and kept in a small
+bounded cache keyed by the exact bits of the base's (lat, lon, alt), so a
+world converting about one base pays for its frame once.
 """
 from __future__ import annotations
 
@@ -52,7 +55,7 @@ class EcefCoord:
     z: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
             raise ValueError("ECEF coordinates must be finite")
 
 
@@ -144,18 +147,42 @@ def _enu_basis(base: GeodeticCoord) -> np.ndarray:
     ])
 
 
+_BASE_KEY = struct.Struct("<3d")
+_BASE_FRAMES = 16  # bases whose frame is kept; a full cache starts over
+_base_frames: dict[bytes, tuple[tuple[float, float, float], np.ndarray]] = {}
+
+
+def _base_frame(base: GeodeticCoord) -> tuple[tuple[float, float, float], np.ndarray]:
+    """The origin ECEF (x, y, z) and the read-only ENU basis of ``base``.
+
+    Keyed by the bits of (lat, lon, alt), so 0.0 and -0.0 get their own
+    entries: the sign of a zero reaches the basis through ``sin``. Each dict
+    operation is atomic, so threads sharing the cache at worst compute a
+    frame twice, and every computation of a frame gives the same bits.
+    """
+    key = _BASE_KEY.pack(base.lat, base.lon, base.alt)
+    frame = _base_frames.get(key)
+    if frame is None:
+        origin = geodetic_to_ecef(base)
+        basis = _enu_basis(base)
+        basis.flags.writeable = False
+        frame = (origin.x, origin.y, origin.z), basis
+        if len(_base_frames) >= _BASE_FRAMES:
+            _base_frames.clear()
+        _base_frames[key] = frame
+    return frame
+
+
 def ecef_to_enu(p: EcefCoord, base: GeodeticCoord) -> EnuCoord:
-    origin = geodetic_to_ecef(base)
-    d = np.array([p.x - origin.x, p.y - origin.y, p.z - origin.z])
-    e = _enu_basis(base) @ d
+    (ox, oy, oz), basis = _base_frame(base)
+    e = basis @ np.array([p.x - ox, p.y - oy, p.z - oz])
     return EnuCoord(float(e[0]), float(e[1]), float(e[2]))
 
 
 def enu_to_ecef(e: EnuCoord, base: GeodeticCoord) -> EcefCoord:
-    origin = geodetic_to_ecef(base)
-    d = _enu_basis(base).T @ np.array([e.east, e.north, e.up])
-    return EcefCoord(float(origin.x + d[0]), float(origin.y + d[1]),
-                     float(origin.z + d[2]))
+    (ox, oy, oz), basis = _base_frame(base)
+    d = basis.T @ np.array([e.east, e.north, e.up])
+    return EcefCoord(float(ox + d[0]), float(oy + d[1]), float(oz + d[2]))
 
 
 def geodetic_to_enu(g: GeodeticCoord, base: GeodeticCoord) -> EnuCoord:
@@ -279,8 +306,8 @@ def geodetic_to_enu_array(lats, lons, alts, base: GeodeticCoord) -> np.ndarray:
     ecef = geodetic_to_ecef_array(np.stack([np.asarray(lats, dtype=float),
                                             np.asarray(lons, dtype=float),
                                             np.asarray(alts, dtype=float)], axis=1))
-    origin = geodetic_to_ecef(base)
-    return (ecef - np.array([origin.x, origin.y, origin.z])) @ _enu_basis(base).T
+    origin, basis = _base_frame(base)
+    return (ecef - np.array(origin)) @ basis.T
 
 
 # -- fix wire/file formats ----------------------------------------------
@@ -527,7 +554,7 @@ class Rover:
             return None
         self._update_quality(stamp)
         error = self._errors([stamp], np.array([self._code]))[0]
-        if np.any(error):
+        if error.any():
             measured = enu_to_geodetic(EnuCoord(*error), true_position)
         else:
             measured = true_position

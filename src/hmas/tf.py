@@ -3,6 +3,13 @@
 Frames form a forest; each edge keeps a sliding time buffer of samples and
 lookups compose interpolated edges along the unique tree path. The "world"
 frame is conventionally the RTK base anchor.
+
+``Transform(...)`` checks what it is given: a finite translation and stamp
+and a unit rotation. Transforms whose values the package has just computed
+as floats (a lookup's result, an agent's pose edges) are built by
+``_transform``, which makes owned float64 arrays and skips those checks;
+``TransformTree.set_transform`` still rejects a non-finite stamp or
+translation, whichever way a transform was built.
 """
 from __future__ import annotations
 
@@ -59,6 +66,8 @@ class Transform:
             raise UnknownFrameError("frame names must be non-empty")
         t = np.array(self.translation, dtype=float).reshape(3)  # copies: owns its arrays
         q = np.array(self.rotation, dtype=float).reshape(4)
+        if not (math.isfinite(self.stamp) and all(map(math.isfinite, t.tolist()))):
+            raise ValueError(f"non-finite stamp {self.stamp} or translation {t}")
         if not abs(quat.norm(q) - 1.0) <= QUAT_NORM_TOL:  # NaN fails too
             raise ValueError(f"rotation is not a unit quaternion: {q}")
         object.__setattr__(self, "translation", t)
@@ -72,6 +81,16 @@ class Transform:
     def identity(cls, parent: str, child: str | None = None, stamp: float = 0.0) -> "Transform":
         return cls(parent, child if child is not None else parent,
                    np.zeros(3), quat.IDENTITY, stamp)
+
+
+def _transform(parent: str, child: str, translation, rotation, stamp: float) -> Transform:
+    """A ``Transform`` of values the package has just computed (3 and 4 finite
+    floats, the rotation unit-norm): owned float64 arrays, no checks."""
+    t = object.__new__(Transform)
+    t.__dict__.update(parent=parent, child=child,
+                      translation=np.array(translation, dtype=float),
+                      rotation=np.array(rotation, dtype=float), stamp=stamp)
+    return t
 
 
 def compose(a: Transform, b: Transform) -> Transform:
@@ -176,6 +195,8 @@ class TransformTree:
                 if f not in self._edges and f not in self._parents:
                     raise UnknownFrameError(f"unknown frame {f!r}")
             if target == source:
+                if not math.isfinite(at):
+                    raise TimeBoundsError(f"time {at} is not finite")
                 return Transform.identity(target, source, at)
             t_chain = self._chain_to_root(target)
             s_chain = self._chain_to_root(source)
@@ -190,7 +211,7 @@ class TransformTree:
             rotation = quat._canonicalize(quat._mul(q_ti, q_s))
             translation = quat._rotate(
                 q_ti, (p_s[0] - p_t[0], p_s[1] - p_t[1], p_s[2] - p_t[2]))
-            return Transform(target, source, translation, rotation, at)
+            return _transform(target, source, translation, rotation, at)
 
     def _chain_to_root(self, frame: str) -> list[str]:
         chain = [frame]

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hmas.agents import (AgentSpec, DuplicateAgentError, FollowCommand,
+from hmas import quat
+from hmas.agents import (DEAD_BAND_M, FOLLOW_GAIN, HEADING_BASELINE_S, HEADING_MIN_MOVE_M,
+                         AgentSpec, DuplicateAgentError, FollowCommand,
                          Scenario, ScenarioAgent, SensorSpec, SpawnError,
                          UnknownAgentError, World, load_scenario, run_scenario)
-from hmas.geo import GeodeticCoord, RoverConfig, decode_fix
+from hmas.geo import FixQuality, GeodeticCoord, RoverConfig, decode_fix
 
 BASE = GeodeticCoord(48.70, 6.15, 220.0)
 GPS = (SensorSpec("gps", "gnss"),)
@@ -35,6 +39,19 @@ class TestSpec:
             AgentSpec("spot", "ground", 0.0)
         with pytest.raises(ValueError):
             AgentSpec("spot", "submarine", 1.0)
+
+    def test_sensor_mount_is_three_floats(self):
+        spec = SensorSpec("cam", mount=[1, 0, -2])
+        assert spec.mount == (1.0, 0.0, -2.0)
+        assert all(type(v) is float for v in spec.mount)
+        assert SensorSpec("gps").mount == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("mount", [(0.0, 0.3), (0.0, 0.0, 0.3, 1.0), (),
+                                       (math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                                       (0.0, 0.0, -math.inf), ("up", 0.0, 0.0), 0.3, None])
+    def test_sensor_mount_rejected(self, mount):
+        with pytest.raises(ValueError, match="mount"):
+            SensorSpec("gps", "gnss", mount)
 
     def test_follow_command_validation(self):
         with pytest.raises(ValueError):
@@ -276,3 +293,230 @@ class TestScenarioIO:
         assert world.time == pytest.approx(2.0, abs=1e-6)
         assert world.fix_counts["operator"] == 28
         assert world.agents["operator"].position[0] == pytest.approx(2.0, abs=1e-6)
+
+
+# -- float step path against the numpy arithmetic it replaced -------------------
+#
+# The references below are the whole-array kinematics and follow behaviour
+# that the float step path replaced; every result must match them bit for
+# bit (compared by bytes, so 0.0 and -0.0 differ).
+
+
+def _ref_clamp_speed(velocity, max_speed):
+    speed = quat.norm(velocity)
+    if speed > max_speed:
+        return velocity * (max_speed / speed)
+    return velocity
+
+
+def _ref_clamp_point(spec, bounds, point):
+    if spec.category == "aerial":
+        lo, hi = spec.altitude_range
+        point[2] = min(max(point[2], lo), hi)
+    else:
+        point[2] = 0.0
+    point[0] = min(max(point[0], -bounds), bounds)
+    point[1] = min(max(point[1], -bounds), bounds)
+
+
+def _ref_kinematics(spec, bounds, position, odom, velocity, dt):
+    velocity = _ref_clamp_speed(velocity, spec.max_speed)
+    position = position + velocity * dt
+    _ref_clamp_point(spec, bounds, position)
+    if odom is not None:
+        odom = odom + velocity * dt
+        _ref_clamp_point(spec, bounds, odom)
+    return velocity, position, odom
+
+
+def _ref_heading(hist):
+    if len(hist) >= 2:
+        latest_stamp, latest = hist[-1]
+        for stamp, pos in hist:
+            if latest_stamp - stamp >= HEADING_BASELINE_S:
+                move = (latest - pos)[:2]
+                norm = quat.norm(move)
+                if norm >= HEADING_MIN_MOVE_M:
+                    return move / norm
+                break
+    return np.array([1.0, 0.0])
+
+
+def _ref_standoff(velocity, f_pos, t_pos, standoff, dt):
+    sep = f_pos - t_pos
+    dist = quat.norm(sep)
+    if dist < 1e-9:
+        return velocity
+    radial = sep / dist
+    approach = -float(velocity.dot(radial))
+    max_approach = (dist - standoff) / dt
+    if approach > max_approach:
+        velocity = velocity + (approach - max_approach) * radial
+    return velocity
+
+
+def _ref_follow(f_pos, t_pos, heading, cmd, dt, max_speed):
+    forward, left = cmd.offset
+    offset = np.array([
+        forward * heading[0] - left * heading[1],
+        forward * heading[1] + left * heading[0],
+        0.0,
+    ])
+    error = t_pos + offset - f_pos
+    if quat.norm(error) < DEAD_BAND_M:
+        velocity = np.zeros(3)
+    else:
+        velocity = _ref_clamp_speed(FOLLOW_GAIN * error, max_speed)
+    velocity = _ref_standoff(velocity, f_pos, t_pos, cmd.standoff, dt)
+    return _ref_clamp_speed(velocity, max_speed)
+
+
+def _bits(*arrays):
+    return [None if a is None else np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+signed_zero = st.sampled_from([0.0, -0.0])
+coord = st.one_of(signed_zero, st.floats(-150.0, 150.0, allow_nan=False))
+vec3 = st.tuples(coord, coord, coord)
+
+
+@st.composite
+def moving_agents(draw):
+    category = draw(st.sampled_from(["aerial", "ground", "human"]))
+    max_speed = draw(st.floats(0.1, 20.0))
+    altitude = None
+    if category == "aerial":
+        lo = draw(st.one_of(signed_zero, st.floats(-20.0, 40.0)))
+        altitude = (lo, lo + draw(st.floats(0.5, 60.0)))
+    spec = AgentSpec("mover", category, max_speed, altitude_range=altitude)
+    velocity = draw(st.tuples(*[st.one_of(signed_zero, st.floats(-4.0, 4.0).map(
+        lambda v: v * max_speed))] * 3))  # up to 4x the maximum per component
+    odom = draw(st.one_of(st.none(), vec3))
+    return spec, draw(vec3), odom, velocity
+
+
+@given(moving_agents(), st.sampled_from([5.0, 100.0, 10_000.0]),
+       st.floats(1e-3, 1.0), st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_world_step_kinematics_match_numpy_reference(agent, bounds, dt, steps):
+    spec, position, odom, velocity = agent
+    world = World(BASE, bounds_m=bounds)
+    start = (0.0, 0.0, spec.altitude_range[0] if spec.altitude_range else 0.0)
+    moved = world.spawn_agent(spec, start)
+    moved.position = np.array(position)
+    moved.velocity = np.array(velocity)
+    moved.odom_position = None if odom is None else np.array(odom)
+    ref = (np.array(velocity), np.array(position), None if odom is None else np.array(odom))
+    for _ in range(steps):
+        world.step(dt)
+        v, p, o = ref
+        ref = _ref_kinematics(spec, bounds, p, o, v, dt)
+        assert _bits(moved.velocity, moved.position, moved.odom_position) == _bits(*ref)
+        assert moved.position.dtype == np.float64 and moved.position.flags.writeable
+
+
+@st.composite
+def follow_cases(draw):
+    """A follower's odometry, the target's fix history (oldest first, the
+    latest stamp within the staleness limit of time 0), and a command."""
+    f_pos = draw(vec3)
+    n = draw(st.integers(1, 8))
+    latest = -draw(st.floats(0.0, 0.3))
+    gaps = draw(st.lists(st.floats(0.01, 0.3), min_size=n - 1, max_size=n - 1))
+    stamps = [latest]
+    for gap in gaps:
+        stamps.insert(0, stamps[0] - gap)
+    # small moves too, so both sides of HEADING_MIN_MOVE_M are drawn
+    scale = draw(st.sampled_from([0.01, 1.0, 50.0]))
+    positions = draw(st.lists(st.tuples(*[st.one_of(signed_zero, st.floats(-1.0, 1.0).map(
+        lambda v: v * scale))] * 3), min_size=n, max_size=n))
+    target = draw(st.one_of(st.just("operator"), vec3))
+    offset = draw(st.tuples(st.one_of(signed_zero, st.integers(-3, 3), st.floats(-3.0, 3.0)),
+                            st.one_of(signed_zero, st.integers(-3, 3), st.floats(-3.0, 3.0))))
+    cmd = FollowCommand("spot", target, offset, draw(st.floats(0.05, 3.0)))
+    return f_pos, list(zip(stamps, positions)), cmd, draw(st.floats(1e-3, 1.0))
+
+
+@given(follow_cases(), st.sampled_from(["ground", "aerial"]), st.floats(0.1, 6.0))
+@settings(max_examples=200, deadline=None)
+def test_follow_step_matches_numpy_reference(case, category, max_speed):
+    f_pos, hist, cmd, dt = case
+    world = World(BASE)
+    altitude = (0.0, 50.0) if category == "aerial" else None
+    follower = world.spawn_agent(AgentSpec("spot", category, max_speed,
+                                           altitude_range=altitude), (0.0, 0.0, 0.0))
+    world.spawn_agent(AgentSpec("operator", "human", 1.5), (0.0, 0.0, 0.0))
+    follower.odom_position = np.array(f_pos)
+    follower.odom_stamp = 0.0
+    world._estimates["operator"].extend(hist)  # entries: (stamp, (e, n, u))
+    if isinstance(cmd.target, str):
+        ref_hist = [(stamp, np.array(pos)) for stamp, pos in hist]
+        t_pos, heading = ref_hist[-1][1], _ref_heading(ref_hist)
+    else:
+        t_pos, heading = np.array(cmd.target, dtype=float), np.array([1.0, 0.0])
+    expected = _ref_follow(np.array(f_pos), t_pos, heading, cmd, dt, max_speed)
+    assert _bits(world.follow_step(cmd, dt)) == _bits(expected)
+
+
+@given(st.tuples(coord, coord, coord).map(lambda v: [10.0 * c for c in v]),
+       st.floats(0.1, 20.0))
+@settings(max_examples=200, deadline=None)
+def test_set_velocity_matches_numpy_reference(velocity, max_speed):
+    world = World(BASE)
+    world.spawn_agent(AgentSpec("spot", "ground", max_speed), (0.0, 0.0, 0.0))
+    world.set_velocity("spot", velocity)
+    expected = _ref_clamp_speed(np.asarray(velocity, dtype=float).reshape(3), max_speed)
+    assert _bits(world.agents["spot"].velocity) == _bits(expected)
+
+
+def test_set_velocity_keeps_its_own_copy():
+    world = World(BASE)
+    world.spawn_agent(ground("spot"), (0.0, 0.0, 0.0))
+    v = np.array([1.0, 0.0, 0.0])
+    world.set_velocity("spot", v)
+    v[0] = 99.0
+    np.testing.assert_array_equal(world.agents["spot"].velocity, [1.0, 0.0, 0.0])
+
+
+def test_estimated_state_is_a_copy():
+    world = noiseless_world()
+    world.spawn_agent(ground("spot"), (3.0, -2.0, 0.0))
+    for _ in range(2):
+        world.step(0.05)
+    stamp, est = world.estimated_state("spot")
+    est[0] = 99.0
+    assert world.estimated_state("spot")[1][0] != 99.0
+
+
+def _fleet(seed):
+    world = World(BASE, seed=seed)
+    world.spawn_agent(AgentSpec("operator", "human", 1.5, sensors=GPS), (0.0, 0.0, 0.0))
+    world.spawn_agent(AgentSpec("anafi", "aerial", 4.0, altitude_range=(2.0, 30.0),
+                                sensors=GPS), (-2.0, 1.0, 10.0))
+    fixes = []
+    world.bus.add_publish_hook(lambda msg: fixes.append((msg.topic, msg.stamp, msg.payload)))
+    return world, fixes
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0 / 140.0, 0.01, 0.05, 0.3]))
+@settings(max_examples=12, deadline=None)
+def test_skipping_idle_rover_steps_changes_no_fix(seed, dt):
+    """World steps a rover only when a fix is due or corrections arrived. A
+    world whose rovers are also stepped on every other step, as they once
+    were, publishes the same fixes and leaves the rovers in the same grade."""
+    lean, lean_fixes = _fleet(seed)
+    every, every_fixes = _fleet(seed)
+    for k in range(round(12.0 / dt)):
+        velocity = (math.cos(0.01 * k), math.sin(0.01 * k), 0.5 * math.sin(0.02 * k))
+        for world in (lean, every):
+            world.set_velocity("operator", velocity)
+            world.set_velocity("anafi", velocity)
+            world.step(dt)
+        for agent in every.agents.values():
+            assert agent.rover.step(None, (), every.time) is None
+    assert lean_fixes and lean_fixes == every_fixes
+    for name in lean.agents:
+        # corrections arrived: both climbed the ladder to fixed
+        assert lean.agents[name].rover.quality is FixQuality.FIXED
+        assert every.agents[name].rover.quality is FixQuality.FIXED
+        assert _bits(lean.agents[name].position) == _bits(every.agents[name].position)

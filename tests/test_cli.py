@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hmas import bag, bench
+from hmas import agents, bag, bench
 from hmas.cli import main
 
 SCENARIO = {
@@ -219,3 +219,23 @@ class TestScenarioCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["agents"]["operator"]["fixes"] == 28
         assert summary["agents"]["operator"]["position_enu"][0] == pytest.approx(2.0, abs=0.01)
+
+    @pytest.mark.parametrize("mount", [[0.0, 0.3], [0.0, 0.0, 0.3, 1.0], [0.0, "up", 0.3]])
+    def test_bad_sensor_mount_exits_2_with_one_line(self, tmp_path, capsys, mount):
+        scenario = json.loads(json.dumps(SCENARIO))
+        scenario["agents"][1]["sensors"][0]["mount"] = mount
+        path = tmp_path / "bad_mount.json"
+        path.write_text(json.dumps(scenario))
+        assert run_cli("scenario", "run", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hmas: error: ") and "mount" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_integer_mount_reaches_the_sensor_frame(self, tmp_path):
+        scenario = json.loads(json.dumps(SCENARIO))
+        scenario["agents"][1]["sensors"][0]["mount"] = [0, 0, 1]
+        path = tmp_path / "mount.json"
+        path.write_text(json.dumps(scenario))
+        world = agents.run_scenario(agents.load_scenario(path))
+        out = world.tree.lookup("spot/base", "spot/gps", world.agents["spot"].odom_stamp)
+        assert out.translation.tolist() == [0.0, 0.0, 1.0]

@@ -239,3 +239,62 @@ class TestFixCodec:
         bad.write_text("stamp_s,rover_id\n0.0,x\n")
         with pytest.raises(ValueError, match="missing columns"):
             geo.read_fix_csv(bad)
+
+
+# -- the base-frame cache against the uncached conversions ----------------------
+
+
+def _ref_ecef_to_enu(p, base):
+    origin = geo.geodetic_to_ecef(base)
+    d = np.array([p.x - origin.x, p.y - origin.y, p.z - origin.z])
+    e = geo._enu_basis(base) @ d
+    return EnuCoord(float(e[0]), float(e[1]), float(e[2]))
+
+
+def _ref_enu_to_ecef(e, base):
+    origin = geo.geodetic_to_ecef(base)
+    d = geo._enu_basis(base).T @ np.array([e.east, e.north, e.up])
+    return EcefCoord(float(origin.x + d[0]), float(origin.y + d[1]),
+                     float(origin.z + d[2]))
+
+
+def _coord_bits(c):
+    return np.array([getattr(c, f) for f in c.__dataclass_fields__]).tobytes()
+
+
+signed_zero = st.sampled_from([0.0, -0.0])
+bases = st.builds(GeodeticCoord,
+                  st.one_of(signed_zero, st.floats(-90.0, 90.0)),
+                  st.one_of(signed_zero, st.floats(-179.999, 180.0)),
+                  st.one_of(signed_zero, st.floats(-500.0, 9000.0)))
+enu_points = st.builds(EnuCoord, *[st.one_of(signed_zero, st.floats(-5e4, 5e4))] * 3)
+
+
+@given(st.lists(st.tuples(bases, enu_points), min_size=geo._BASE_FRAMES + 1,
+                max_size=3 * geo._BASE_FRAMES))
+@settings(max_examples=30, deadline=None)
+def test_scalar_conversions_match_uncached_reference(cases):
+    """More bases than the cache holds, each converted twice (the second
+    pass after evictions), with 0.0 and -0.0 latitudes and longitudes."""
+    for _ in range(2):
+        for base, e in cases:
+            ecef = geo.enu_to_ecef(e, base)
+            assert _coord_bits(ecef) == _coord_bits(_ref_enu_to_ecef(e, base))
+            assert (_coord_bits(geo.ecef_to_enu(ecef, base))
+                    == _coord_bits(_ref_ecef_to_enu(ecef, base)))
+    assert len(geo._base_frames) <= geo._BASE_FRAMES
+
+
+def test_signed_zero_bases_get_their_own_frames():
+    plus, minus = GeodeticCoord(0.0, 0.0, 0.0), GeodeticCoord(-0.0, -0.0, 0.0)
+    (_, basis_plus), (_, basis_minus) = geo._base_frame(plus), geo._base_frame(minus)
+    assert basis_plus.tobytes() != basis_minus.tobytes()  # equal values, other zero signs
+    assert basis_minus.tobytes() == geo._enu_basis(minus).tobytes()
+    assert geo._base_frame(plus)[1].tobytes() == geo._enu_basis(plus).tobytes()
+
+
+def test_cached_basis_is_read_only():
+    _, basis = geo._base_frame(NANCY)
+    with pytest.raises(ValueError):
+        basis[0, 0] = 1.0
+    assert geo._base_frame(NANCY)[1].tobytes() == geo._enu_basis(NANCY).tobytes()

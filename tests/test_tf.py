@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hmas import quat
 from hmas.tf import (CycleError, DisconnectedFramesError, TfError, TimeBoundsError,
-                     Transform, TransformTree, UnknownFrameError, compose,
+                     Transform, TransformTree, UnknownFrameError, _transform, compose,
                      invert)
 
 
@@ -65,6 +65,15 @@ class TestTransform:
         with pytest.raises(ValueError):
             Transform("a", "b", np.zeros(3), np.array([math.nan, 0.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("translation, stamp", [
+        ([math.nan, 0.0, 0.0], 0.0), ([0.0, math.inf, 0.0], 0.0),
+        ([0.0, 0.0, -math.inf], 0.0), ([0.0, 0.0, 0.0], math.nan),
+        ([0.0, 0.0, 0.0], math.inf), ([0.0, 0.0, 0.0], -math.inf),
+    ])
+    def test_non_finite_translation_or_stamp_rejected(self, translation, stamp):
+        with pytest.raises(ValueError, match="non-finite"):
+            Transform("w", "a", translation, quat.IDENTITY, stamp)
+
     def test_compose_with_identity(self, rng):
         t = random_transform(rng)
         out = compose(t, Transform.identity("b", "b"))
@@ -109,6 +118,14 @@ class TestTreeBasics:
         out = tree.lookup("world", "spot/base", 0.0)
         np.testing.assert_array_equal(out.translation, [1.0, 2.0, 0.0])
         np.testing.assert_array_equal(out.rotation, quat.IDENTITY)
+
+    @pytest.mark.parametrize("at", [math.nan, math.inf, -math.inf])
+    def test_same_frame_lookup_rejects_non_finite_time(self, at):
+        tree = TransformTree()
+        tree.set_transform(Transform.identity("world", "f", 0.0))
+        for frame in ("f", "world"):
+            with pytest.raises(TimeBoundsError):
+                tree.lookup(frame, frame, at)
 
     def test_identity_lookup_same_frame(self):
         tree = TransformTree()
@@ -545,3 +562,36 @@ def test_parent_only_and_unknown_frames():
     for target, source in (("ghost", "world"), ("world", "ghost"), ("ghost", "ghost")):
         with pytest.raises(UnknownFrameError, match="ghost"):
             tree.lookup(target, source, 0.0)
+
+
+# -- the private constructor -----------------------------------------------------
+
+
+def test_private_constructor_equals_checked_one():
+    translation, rotation = (1.5, -0.0, 2.25), tuple(quat.from_yaw(0.7).tolist())
+    fast = _transform("w", "a", translation, rotation, 0.5)
+    checked = Transform("w", "a", translation, rotation, 0.5)
+    assert type(fast) is Transform
+    for field in ("parent", "child", "stamp"):
+        assert getattr(fast, field) == getattr(checked, field)
+    for field in ("translation", "rotation"):
+        got, want = getattr(fast, field), getattr(checked, field)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+def test_private_constructor_owns_its_arrays():
+    p = np.array([1.0, 2.0, 3.0])
+    t = _transform("w", "a", p, quat.IDENTITY, 0.0)
+    p[0] = 99.0
+    np.testing.assert_array_equal(t.translation, [1.0, 2.0, 3.0])
+    assert t.rotation is not quat.IDENTITY
+
+
+@pytest.mark.parametrize("translation, stamp", [
+    ((math.nan, 0.0, 0.0), 1.0), ((0.0, -math.inf, 0.0), 1.0), ((0.0, 0.0, 0.0), math.nan),
+])
+def test_set_transform_checks_unchecked_transforms(translation, stamp):
+    tree = TransformTree()
+    with pytest.raises(ValueError):
+        tree.set_transform(_transform("world", "a", translation, quat.IDENTITY, stamp))
+    assert tree.frames() == set()
