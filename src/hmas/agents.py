@@ -8,11 +8,10 @@ fixes, never on simulator ground truth.
 The step path runs on Python floats: ``World.step`` moves each agent and its
 odometry from one ``tolist()`` of each vector, in numpy's operation order,
 and stores fresh arrays back, so ``Agent.position``, ``velocity`` and
-``odom_position`` stay assignable arrays. Norms (``quat.norm``) and the
-standoff dot product stay on ``ndarray.dot``, so every result is bit for bit
-what whole-array arithmetic gives. A rover is stepped only when a fix is due
-or corrections arrived; on any other step ``Rover.step`` would do nothing but
-check its clock.
+``odom_position`` stay assignable arrays. Norms and the standoff dot product
+are fixed-order float sums (``quat.norm``, ``quat.inner``), the package's one
+rule for reductions. A rover is stepped only when a fix is due or corrections
+arrived; on any other step ``Rover.step`` would do nothing but check its clock.
 """
 from __future__ import annotations
 
@@ -166,6 +165,8 @@ class World:
         if spec.name in self._agents:
             raise DuplicateAgentError(f"agent {spec.name!r} already exists")
         position = _as_enu_array(start)
+        if not all(map(math.isfinite, position.tolist())):
+            raise SpawnError(f"start {position} is not finite")
         if np.max(np.abs(position[:2])) > self.bounds_m:
             raise SpawnError(f"start {position} outside the {self.bounds_m} m world bounds")
         if spec.category == "aerial":
@@ -243,14 +244,14 @@ class World:
             hx, hy = 1.0, 0.0
         forward, left = cmd.offset
         # t_pos + offset - f_pos, with the offset's up component 0.0
-        error = np.array((tx + (forward * hx - left * hy) - fx,
-                          ty + (forward * hy + left * hx) - fy,
-                          tz + 0.0 - fz))
+        error = (tx + (forward * hx - left * hy) - fx,
+                 ty + (forward * hy + left * hx) - fy,
+                 tz + 0.0 - fz)
         if quat.norm(error) < DEAD_BAND_M:
             velocity = np.zeros(3)
         else:
-            velocity = _clamp_speed(FOLLOW_GAIN * error, follower.spec.max_speed)
-        sep = np.array((fx - tx, fy - ty, fz - tz))
+            velocity = _clamp_speed(FOLLOW_GAIN * np.array(error), follower.spec.max_speed)
+        sep = (fx - tx, fy - ty, fz - tz)
         velocity = self._enforce_standoff(velocity, sep, cmd.standoff, dt)
         return _clamp_speed(velocity, follower.spec.max_speed)
 
@@ -262,22 +263,22 @@ class World:
             for stamp, (px, py, _) in hist:
                 if latest_stamp - stamp >= HEADING_BASELINE_S:
                     mx, my = lx - px, ly - py
-                    norm = quat.norm(np.array((mx, my)))
+                    norm = quat.norm((mx, my))
                     if norm >= HEADING_MIN_MOVE_M:
                         return mx / norm, my / norm
                     break
         return 1.0, 0.0
 
     @staticmethod
-    def _enforce_standoff(velocity: np.ndarray, sep: np.ndarray,
+    def _enforce_standoff(velocity: np.ndarray, sep: quat.Vec3,
                           standoff: float, dt: float) -> np.ndarray:
         """``velocity`` with its approach along ``sep`` (follower minus
         target) cut so the next ``dt`` ends no closer than ``standoff``."""
         dist = quat.norm(sep)
         if dist < 1e-9:
             return velocity
-        radial = sep / dist
-        approach = -float(velocity.dot(radial))
+        radial = np.array(sep) / dist
+        approach = -quat.inner(velocity.tolist(), radial.tolist())
         max_approach = (dist - standoff) / dt
         if approach > max_approach:
             velocity = velocity + (approach - max_approach) * radial
@@ -367,7 +368,7 @@ _IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
 def _clamp_speed(velocity: np.ndarray, max_speed: float) -> np.ndarray:
-    speed = quat.norm(velocity)
+    speed = quat.norm(velocity.tolist())
     if speed > max_speed:
         return velocity * (max_speed / speed)
     return velocity
@@ -459,7 +460,7 @@ class _WaypointScript:
     def velocity(self, position: np.ndarray, dt: float) -> np.ndarray:
         while self._index < len(self._waypoints):
             to_goal = self._waypoints[self._index] - position
-            dist = quat.norm(to_goal)
+            dist = quat.norm(to_goal.tolist())
             if dist > self._speed * dt:
                 return to_goal * (self._speed / dist)
             self._index += 1

@@ -14,6 +14,7 @@ the ``BagWriter``, as ``(stamp, topic, payload)`` tuples, until
 from __future__ import annotations
 
 import fnmatch
+import math
 import struct
 import time
 from dataclasses import dataclass
@@ -218,15 +219,15 @@ class ReplayStats:
 def replay(path, bus: Bus, rate: float | None = None, fast: bool = False) -> ReplayStats:
     """Republish a bag onto ``bus`` on the original topics.
 
-    With ``rate`` r > 0 the inter-record gaps are scaled by 1/r against the
+    With a finite ``rate`` r > 0 the inter-record gaps are scaled by 1/r against the
     wall clock; with ``fast`` (or an empty rate) gaps collapse and only order
     is preserved. Publishers are created under each original namespace as
     ``/<ns>/replay`` so the relative-advertise rule stays intact.
     """
     if fast and rate is not None:
         raise ValueError("pass either a realtime rate or fast, not both")
-    if rate is not None and rate <= 0.0:
-        raise ValueError(f"realtime rate must be positive, got {rate}")
+    if rate is not None and not 0.0 < rate < math.inf:
+        raise ValueError(f"realtime rate must be positive and finite, got {rate}")
     if rate is None:
         fast = True
     records = read_bag(path)

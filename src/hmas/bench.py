@@ -479,7 +479,7 @@ def side_distances(fixes: Mapping[str, Sequence[RtkFix]], base: GeodeticCoord,
             keep = np.ones(int(np.count_nonzero(ok)), dtype=bool)
             stamps_ok = sa[ok]
             keep[1:] = np.diff(stamps_ok) > 0.0
-            d = np.linalg.norm(ea[ok][keep] - eb[nearest[ok]][keep], axis=1)
+            d = np.sqrt(np.square(ea[ok][keep] - eb[nearest[ok]][keep]).sum(axis=1))
             sides[side] = (stamps_ok[keep], d)
         else:
             raise ValueError(
@@ -523,6 +523,8 @@ def summarize(series: DistanceSeries, expected_side_m: float,
     verdicts; peaks are excursions beyond twice the quiet standard deviation
     around the quiet mean, lasting at least two samples.
     """
+    if not 0.0 <= convergence_s < math.inf:
+        raise ValueError(f"convergence window must be finite and >= 0, got {convergence_s}")
     windows = windows or {}
     summaries: dict[str, SideSummary] = {}
     for side, (stamps, dists) in series.sides.items():
@@ -559,10 +561,10 @@ def _fit_slope(stamps: np.ndarray, values: np.ndarray) -> float:
     if len(stamps) < 2:
         return 0.0
     t = stamps - stamps.mean()
-    denom = float(np.dot(t, t))
+    denom = float((t * t).sum())
     if denom == 0.0:
         return 0.0
-    return float(np.dot(t, values - values.mean()) / denom)
+    return float((t * (values - values.mean())).sum() / denom)
 
 
 def _find_peaks(stamps: np.ndarray, dists: np.ndarray, mu: float,

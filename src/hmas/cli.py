@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import agents, bag, bench
@@ -25,15 +26,29 @@ _CLI_KINDS = {
 def _parse_base(text: str) -> GeodeticCoord:
     try:
         lat, lon, alt = (float(v) for v in text.split(","))
-    except ValueError:
+        return GeodeticCoord(lat, lon, alt)
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"base must be 'lat,lon,alt', got {text!r}") from None
-    return GeodeticCoord(lat, lon, alt)
+            f"base must be 'lat,lon,alt', got {text!r} ({exc})") from None
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of lengths, rates and durations: a finite number above 0."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number above 0")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, which ``main`` reports as one line and exit 2."""
+
+    def error(self, message: str):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hmas",
-                                     description="HMAS middleware kit tools")
+    parser = _Parser(prog="hmas", description="HMAS middleware kit tools")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bench = sub.add_parser("bench", help="RTK accuracy experiments")
@@ -43,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--kind", choices=sorted(_CLI_KINDS), required=True)
     p_run.add_argument("--seed", type=int, default=1)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--duration", type=float, default=None,
+    p_run.add_argument("--duration", type=_positive_float, default=None,
                        help="override run duration in seconds")
     p_run.add_argument("--noiseless", action="store_true")
     p_run.set_defaults(handler=_cmd_bench_run)
@@ -53,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--fixes", help="rover fix CSV instead of a bag")
     p_an.add_argument("--base", type=_parse_base, default=bench.DEFAULT_BASE,
                       help="ENU anchor as lat,lon,alt (default: the bench base)")
-    p_an.add_argument("--expected-side", type=float, default=bench.DEFAULT_SIDE_M)
+    p_an.add_argument("--expected-side", type=_positive_float, default=bench.DEFAULT_SIDE_M)
     p_an.add_argument("--convergence-s", type=float, default=bench.CONVERGENCE_S)
     p_an.add_argument("--kind", choices=sorted(_CLI_KINDS),
                       help="experiment kind, to exclude its disturbance windows "
@@ -77,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = bag_sub.add_parser("replay", help="republish a bag onto a fresh bus")
     p_rep.add_argument("bagfile")
     speed = p_rep.add_mutually_exclusive_group()
-    speed.add_argument("--rate", type=float, help="realtime factor r > 0")
+    speed.add_argument("--rate", type=_positive_float, help="realtime factor r > 0")
     speed.add_argument("--fast", action="store_true", help="as fast as possible")
     p_rep.set_defaults(handler=_cmd_bag_replay)
 
@@ -159,9 +174,7 @@ def _cmd_bag_record(args) -> int:
 
 
 def _cmd_bag_replay(args) -> int:
-    bus = Bus()
-    stats = bag.replay(args.bagfile, bus, rate=args.rate,
-                       fast=args.fast or args.rate is None)
+    stats = bag.replay(args.bagfile, Bus(), rate=args.rate, fast=args.fast)
     for topic in sorted(stats.topics):
         print(f"{topic}: {stats.topics[topic]} message(s)")
     print(f"replayed {stats.records} record(s)")
@@ -196,8 +209,8 @@ def _cmd_scenario_run(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except Exception as exc:  # bad input or a crash: exit 2, not a failed verdict
         print(f"hmas: error: {exc}", file=sys.stderr)

@@ -3,9 +3,8 @@ RTK base, a simulated correction link, and a stochastic rover fix model.
 
 Conversions use the WGS84 closed forms (a = 6378137 m, f = 1/298.257223563);
 the inverse is Bowring's start refined by a short fixed-point iteration. The
-origin ECEF and ENU basis of a base are computed once and kept in a small
-bounded cache keyed by the exact bits of the base's (lat, lon, alt), so a
-world converting about one base pays for its frame once.
+ENU rotations are written once, as fixed-order float sums that take floats
+(per-point functions) or numpy columns (array functions).
 """
 from __future__ import annotations
 
@@ -134,55 +133,40 @@ def ecef_to_geodetic(p: EcefCoord) -> GeodeticCoord:
     return GeodeticCoord(math.degrees(lat), lon_deg, alt)
 
 
-def _enu_basis(base: GeodeticCoord) -> np.ndarray:
-    """Rows are the east/north/up unit vectors at ``base`` in ECEF."""
-    lat = math.radians(base.lat)
-    lon = math.radians(base.lon)
-    sp, cp = math.sin(lat), math.cos(lat)
-    sl, cl = math.sin(lon), math.cos(lon)
-    return np.array([
-        [-sl, cl, 0.0],
-        [-sp * cl, -sp * sl, cp],
-        [cp * cl, cp * sl, sp],
-    ])
+def _enu_rows(sp, cp, sl, cl):
+    """ENU basis rows (east, north, up unit vectors in ECEF) from the sines and
+    cosines of a base's latitude and longitude: floats, or numpy columns."""
+    return (-sl, cl, 0.0), (-sp * cl, -sp * sl, cp), (cp * cl, cp * sl, sp)
 
 
-_BASE_KEY = struct.Struct("<3d")
-_BASE_FRAMES = 16  # bases whose frame is kept; a full cache starts over
-_base_frames: dict[bytes, tuple[tuple[float, float, float], np.ndarray]] = {}
+def _to_enu(rows, dx, dy, dz):
+    """ENU components of the ECEF offset (dx, dy, dz): each basis row's
+    products with it, summed left to right. Floats or numpy columns."""
+    (ex, ey, ez), (nx, ny, nz), (ux, uy, uz) = rows
+    return ex * dx + ey * dy + ez * dz, nx * dx + ny * dy + nz * dz, ux * dx + uy * dy + uz * dz
 
 
-def _base_frame(base: GeodeticCoord) -> tuple[tuple[float, float, float], np.ndarray]:
-    """The origin ECEF (x, y, z) and the read-only ENU basis of ``base``.
+def _from_enu(rows, e, n, u):
+    """ECEF offset of the ENU vector (e, n, u): the basis rows weighted by
+    ``e``, ``n`` and ``u``, summed in that order. Floats or numpy columns."""
+    (ex, ey, ez), (nx, ny, nz), (ux, uy, uz) = rows
+    return ex * e + nx * n + ux * u, ey * e + ny * n + uy * u, ez * e + nz * n + uz * u
 
-    Keyed by the bits of (lat, lon, alt), so 0.0 and -0.0 get their own
-    entries: the sign of a zero reaches the basis through ``sin``. Each dict
-    operation is atomic, so threads sharing the cache at worst compute a
-    frame twice, and every computation of a frame gives the same bits.
-    """
-    key = _BASE_KEY.pack(base.lat, base.lon, base.alt)
-    frame = _base_frames.get(key)
-    if frame is None:
-        origin = geodetic_to_ecef(base)
-        basis = _enu_basis(base)
-        basis.flags.writeable = False
-        frame = (origin.x, origin.y, origin.z), basis
-        if len(_base_frames) >= _BASE_FRAMES:
-            _base_frames.clear()
-        _base_frames[key] = frame
-    return frame
+
+def _basis(base: GeodeticCoord):
+    lat, lon = math.radians(base.lat), math.radians(base.lon)
+    return _enu_rows(math.sin(lat), math.cos(lat), math.sin(lon), math.cos(lon))
 
 
 def ecef_to_enu(p: EcefCoord, base: GeodeticCoord) -> EnuCoord:
-    (ox, oy, oz), basis = _base_frame(base)
-    e = basis @ np.array([p.x - ox, p.y - oy, p.z - oz])
-    return EnuCoord(float(e[0]), float(e[1]), float(e[2]))
+    o = geodetic_to_ecef(base)
+    return EnuCoord(*_to_enu(_basis(base), p.x - o.x, p.y - o.y, p.z - o.z))
 
 
 def enu_to_ecef(e: EnuCoord, base: GeodeticCoord) -> EcefCoord:
-    (ox, oy, oz), basis = _base_frame(base)
-    d = basis.T @ np.array([e.east, e.north, e.up])
-    return EcefCoord(float(ox + d[0]), float(oy + d[1]), float(oz + d[2]))
+    o = geodetic_to_ecef(base)
+    dx, dy, dz = _from_enu(_basis(base), e.east, e.north, e.up)
+    return EcefCoord(o.x + dx, o.y + dy, o.z + dz)
 
 
 def geodetic_to_enu(g: GeodeticCoord, base: GeodeticCoord) -> EnuCoord:
@@ -286,28 +270,17 @@ def enu_to_geodetic_array(enu, base: GeodeticCoord | np.ndarray) -> np.ndarray:
     enu = _as_points(enu)
     base = (np.array([[base.lat, base.lon, base.alt]]) if isinstance(base, GeodeticCoord)
             else _as_points(base))
-    origin = geodetic_to_ecef_array(base)
-    lat = np.radians(base[:, 0])
-    lon = np.radians(base[:, 1])
-    sp, cp = np.sin(lat), np.cos(lat)
-    sl, cl = np.sin(lon), np.cos(lon)
-    zero = np.zeros_like(sp)
-    basis = np.stack([np.stack([-sl, cl, zero], axis=1),
-                      np.stack([-sp * cl, -sp * sl, cp], axis=1),
-                      np.stack([cp * cl, cp * sl, sp], axis=1)], axis=1)
-    # one matrix-vector product per row, the same product the scalar
-    # ``_enu_basis(base).T @ e`` makes
-    d = (basis.transpose(0, 2, 1) @ enu[:, :, None])[:, :, 0]
-    return ecef_to_geodetic_array(origin + d)
+    lat, lon = np.radians(base[:, 0]), np.radians(base[:, 1])
+    rows = _enu_rows(np.sin(lat), np.cos(lat), np.sin(lon), np.cos(lon))
+    d = np.stack(_from_enu(rows, enu[:, 0], enu[:, 1], enu[:, 2]), axis=1)
+    return ecef_to_geodetic_array(geodetic_to_ecef_array(base) + d)
 
 
 def geodetic_to_enu_array(lats, lons, alts, base: GeodeticCoord) -> np.ndarray:
     """Geodetic columns -> ENU (N, 3) about ``base``."""
-    ecef = geodetic_to_ecef_array(np.stack([np.asarray(lats, dtype=float),
-                                            np.asarray(lons, dtype=float),
-                                            np.asarray(alts, dtype=float)], axis=1))
-    origin, basis = _base_frame(base)
-    return (ecef - np.array(origin)) @ basis.T
+    x, y, z = geodetic_to_ecef_array(np.array([lats, lons, alts], dtype=float).T).T
+    o = geodetic_to_ecef(base)
+    return np.stack(_to_enu(_basis(base), x - o.x, y - o.y, z - o.z), axis=1)
 
 
 # -- fix wire/file formats ----------------------------------------------

@@ -2,11 +2,13 @@
 
 Each operation has one private kernel on Python float tuples (``_mul``,
 ``_conjugate``, ``_rotate``, ``_canonicalize``, ``_slerp``); the public
-functions wrap it and return ``np.ndarray``. The rule that keeps both
-bit-identical to numpy: elementwise arithmetic runs on floats, in the same
-order numpy would apply it, and every reduction (a dot product or a norm)
-runs through ``ndarray.dot``, which is what ``np.dot`` and ``np.linalg.norm``
-call for a real 1-D array.
+functions wrap it and return ``np.ndarray``. One arithmetic rule holds across
+the package: every reduction (a dot product, a norm, a rotation) is a sum of
+Python floats in a fixed order, left to right, as ``inner`` writes it. None
+goes through BLAS (``ndarray.dot``, ``@``, ``numpy.linalg``), whose summation
+order depends on the CPU, the OpenBLAS kernel and the thread count, nor
+through the built-in ``sum``, compensated since Python 3.12. So the same
+inputs give the same bits on every host.
 """
 from __future__ import annotations
 
@@ -20,10 +22,19 @@ Quat = tuple[float, float, float, float]
 Vec3 = tuple[float, float, float]
 
 
-def norm(v: np.ndarray) -> float:
-    """Euclidean norm of a contiguous 1-D float array, bit for bit the value
-    ``np.linalg.norm(v)`` returns, at a fraction of its call cost."""
-    return math.sqrt(v.dot(v))
+def inner(a, b) -> float:
+    """``a[0] * b[0] + a[1] * b[1] + ...`` for non-empty float sequences."""
+    pairs = zip(a, b)
+    x, y = next(pairs)
+    total = x * y
+    for x, y in pairs:
+        total += x * y
+    return total
+
+
+def norm(v) -> float:
+    """Euclidean norm of a non-empty float sequence, ``math.sqrt(inner(v, v))``."""
+    return math.sqrt(inner(v, v))
 
 
 def _mul(q1, q2) -> Quat:
@@ -66,17 +77,17 @@ def _canonicalize(q) -> Quat:
     return q
 
 
-def _slerp(q1, q2, dot: float, t: float) -> Quat:
-    """Elementwise part of slerp; ``dot`` is ``q1 . q2`` from ``ndarray.dot``."""
+def _slerp(q1, q2, t: float) -> Quat:
     w1, x1, y1, z1 = q1
     w2, x2, y2, z2 = q2
+    dot = inner(q1, q2)
     if dot < 0.0:
         w2, x2, y2, z2, dot = -w2, -x2, -y2, -z2, -dot
     if dot > 0.9995:
         # nearly parallel: lerp and renormalize
         w, x, y, z = (w1 + t * (w2 - w1), x1 + t * (x2 - x1),
                       y1 + t * (y2 - y1), z1 + t * (z2 - z1))
-        n = norm(np.array((w, x, y, z)))
+        n = norm((w, x, y, z))
         if n == 0.0:
             raise ValueError("cannot normalize a zero quaternion")
         return (w / n, x / n, y / n, z / n)
@@ -107,14 +118,13 @@ def rotate(q: np.ndarray, v) -> np.ndarray:
 
 def slerp(q1: np.ndarray, q2: np.ndarray, t: float) -> np.ndarray:
     """Shortest-arc spherical interpolation between unit quaternions."""
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    return np.array(_slerp(q1.tolist(), q2.tolist(), float(q1.dot(q2)), t))
+    return np.array(_slerp(np.asarray(q1, dtype=float).tolist(),
+                           np.asarray(q2, dtype=float).tolist(), t))
 
 
 def from_axis_angle(axis, angle_rad: float) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
+    axis = axis / norm(axis.tolist())
     half = 0.5 * angle_rad
     return np.concatenate(([math.cos(half)], math.sin(half) * axis))
 

@@ -68,7 +68,7 @@ class Transform:
         q = np.array(self.rotation, dtype=float).reshape(4)
         if not (math.isfinite(self.stamp) and all(map(math.isfinite, t.tolist()))):
             raise ValueError(f"non-finite stamp {self.stamp} or translation {t}")
-        if not abs(quat.norm(q) - 1.0) <= QUAT_NORM_TOL:  # NaN fails too
+        if not abs(quat.norm(q.tolist()) - 1.0) <= QUAT_NORM_TOL:  # NaN fails too
             raise ValueError(f"rotation is not a unit quaternion: {q}")
         object.__setattr__(self, "translation", t)
         object.__setattr__(self, "rotation", q)
@@ -115,14 +115,13 @@ class _Edge:
     """Samples of one edge, sorted by stamp, as copies the tree owns.
 
     ``stamps`` is kept apart for ``bisect``; ``samples[i]`` is the sample at
-    ``stamps[i]``: a (translation, rotation, rotation array) triple, the first
-    two as float tuples, the third the rotation again as an array for slerp's
-    ``ndarray.dot``.
+    ``stamps[i]``: a (translation, rotation) pair of float tuples, which
+    lookups reduce only by fixed-order float sums (slerp's dot, ``hmas.quat``).
     """
 
     parent: str
     stamps: list[float] = field(default_factory=list)
-    samples: list[tuple[quat.Vec3, quat.Quat, np.ndarray]] = field(default_factory=list)
+    samples: list[tuple[quat.Vec3, quat.Quat]] = field(default_factory=list)
 
 
 class TransformTree:
@@ -162,8 +161,7 @@ class TransformTree:
             if stamps and t.stamp < stamps[-1] - self._horizon:
                 raise TimeBoundsError(
                     f"stamp {t.stamp} is older than the {self._horizon}s buffer horizon")
-            rotation = quat._canonicalize(tuple(t.rotation.tolist()))
-            sample = (translation, rotation, np.array(rotation))
+            sample = (translation, quat._canonicalize(tuple(t.rotation.tolist())))
             i = bisect_left(stamps, t.stamp)
             if i < len(stamps) and stamps[i] == t.stamp:
                 edge.samples[i] = sample
@@ -242,14 +240,14 @@ class TransformTree:
                 f"time {at} outside buffer span {span} of edge {edge.parent}->{child}")
         i = bisect_left(stamps, at)
         if stamps[i] == at:
-            translation, rotation, _ = edge.samples[i]
+            translation, rotation = edge.samples[i]
             return rotation, translation
-        (x0, y0, z0), q0, a0 = edge.samples[i - 1]
-        (x1, y1, z1), q1, a1 = edge.samples[i]
+        (x0, y0, z0), q0 = edge.samples[i - 1]
+        (x1, y1, z1), q1 = edge.samples[i]
         alpha = (at - stamps[i - 1]) / (stamps[i] - stamps[i - 1])
         beta = 1.0 - alpha
         translation = (beta * x0 + alpha * x1, beta * y0 + alpha * y1, beta * z0 + alpha * z1)
-        return quat._slerp(q0, q1, float(a0.dot(a1)), alpha), translation
+        return quat._slerp(q0, q1, alpha), translation
 
     # -- export ---------------------------------------------------------
 

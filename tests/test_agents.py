@@ -97,6 +97,15 @@ class TestSpawn:
         with pytest.raises(SpawnError):
             world.spawn_agent(ground("spot"), (101.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("start", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                                       (0.0, 0.0, -math.inf)])
+    def test_non_finite_start_rejected_before_any_node(self, start):
+        world = noiseless_world()
+        with pytest.raises(SpawnError, match="finite"):
+            world.spawn_agent(ground("spot"), start)
+        assert world.bus.discover().nodes == {"/hmas/display"}
+        world.spawn_agent(ground("spot"), (0.0, 0.0, 0.0))
+
 
 class TestStepping:
     def test_zero_velocity_holds_positions(self):
@@ -298,8 +307,9 @@ class TestScenarioIO:
 # -- float step path against the numpy arithmetic it replaced -------------------
 #
 # The references below are the whole-array kinematics and follow behaviour
-# that the float step path replaced; every result must match them bit for
-# bit (compared by bytes, so 0.0 and -0.0 differ).
+# that the float step path replaced, with the standoff dot product written
+# out; every result must match them bit for bit (compared by bytes, so 0.0
+# and -0.0 differ).
 
 
 def _ref_clamp_speed(velocity, max_speed):
@@ -348,7 +358,7 @@ def _ref_standoff(velocity, f_pos, t_pos, standoff, dt):
     if dist < 1e-9:
         return velocity
     radial = sep / dist
-    approach = -float(velocity.dot(radial))
+    approach = -(velocity[0] * radial[0] + velocity[1] * radial[1] + velocity[2] * radial[2])
     max_approach = (dist - standoff) / dt
     if approach > max_approach:
         velocity = velocity + (approach - max_approach) * radial

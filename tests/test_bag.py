@@ -363,6 +363,12 @@ class TestReplay:
         with pytest.raises(ValueError):
             replay(path, Bus(), rate=-1.0)
 
+    @pytest.mark.parametrize("rate", [0.0, math.nan, math.inf])
+    def test_rate_must_be_positive_and_finite(self, tmp_path, rate):
+        path = self.record_sequence(tmp_path)
+        with pytest.raises(ValueError, match="rate"):
+            replay(path, Bus(), rate=rate)
+
     def test_corrupt_source_fails_with_offset(self, tmp_path):
         path = self.record_sequence(tmp_path)
         data = path.read_bytes()

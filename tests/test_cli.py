@@ -176,6 +176,34 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+    @pytest.fixture(scope="class")
+    def short_bag(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("bag") / "short.bag"
+        bench.run_experiment(bench.make_spec("static", 1, duration_s=2.0, noiseless=True), out)
+        return out
+
+    @pytest.mark.parametrize("argv", [
+        ("bag", "replay", "{bag}", "--rate", "nan"),
+        ("bag", "replay", "{bag}", "--rate", "inf"),
+        ("bench", "analyze", "{bag}", "--expected-side", "nan", "--convergence-s", "0"),
+        ("bench", "analyze", "{bag}", "--expected-side", "-1", "--convergence-s", "0"),
+        ("bench", "analyze", "{bag}", "--convergence-s", "-5"),
+        ("bench", "analyze", "{bag}", "--convergence-s", "inf"),
+        ("bench", "run", "--kind", "static", "--duration", "nan", "--out", "{out}"),
+        ("bench", "analyze", "{bag}", "--base", "nan,6.15,220"),
+        ("bench", "analyze", "{bag}", "--no-such-option"),
+        ("bench",),
+    ], ids=["rate-nan", "rate-inf", "side-nan", "side-negative", "convergence-negative",
+            "convergence-inf", "duration-nan", "base-nan", "unknown-option",
+            "missing-subcommand"])
+    def test_bad_argument_exits_2_with_one_line(self, short_bag, tmp_path, capsys, argv):
+        code = run_cli(*(a.format(bag=short_bag, out=tmp_path / "out.bag") for a in argv))
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("hmas: error: ")
+        assert err.count("\n") == 1
+
+
 class TestBagCli:
     def make_bag(self, tmp_path):
         out = tmp_path / "src.bag"

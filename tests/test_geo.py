@@ -185,6 +185,17 @@ class TestArrayConversions:
         expected = _rows(geo.enu_to_geodetic(EnuCoord(*e), bases[0]) for e in offsets)
         assert one_base.tobytes() == expected.tobytes()
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.floats(-89.0, 89.0),
+                              st.floats(-180.0, 180.0, exclude_min=True),
+                              st.floats(-400.0, 9000.0)), min_size=1, max_size=8),
+           st.sampled_from([NANCY, GeodeticCoord(-0.0, -0.0, 0.0), GeodeticCoord(0.0, 0.0, 0.0)]))
+    def test_geodetic_to_enu_matches_scalar_bitwise(self, rows, base):
+        lats, lons, alts = np.array(rows).T
+        got = geo.geodetic_to_enu_array(lats, lons, alts, base)
+        expected = [geodetic_to_enu(GeodeticCoord(*row), base) for row in rows]
+        assert got.tobytes() == np.array([[e.east, e.north, e.up] for e in expected]).tobytes()
+
     def test_special_points_match_scalar(self):
         points = [EcefCoord(0.0, 0.0, SEMI_MINOR_B + 5.0),    # north pole
                   EcefCoord(0.0, 0.0, -SEMI_MINOR_B - 5.0),   # south pole
@@ -241,21 +252,29 @@ class TestFixCodec:
             geo.read_fix_csv(bad)
 
 
-# -- the base-frame cache against the uncached conversions ----------------------
+# -- the ENU rotations against their formulas, written out ---------------------
+
+
+def _sincos(base):
+    lat, lon = math.radians(base.lat), math.radians(base.lon)
+    return math.sin(lat), math.cos(lat), math.sin(lon), math.cos(lon)
 
 
 def _ref_ecef_to_enu(p, base):
-    origin = geo.geodetic_to_ecef(base)
-    d = np.array([p.x - origin.x, p.y - origin.y, p.z - origin.z])
-    e = geo._enu_basis(base) @ d
-    return EnuCoord(float(e[0]), float(e[1]), float(e[2]))
+    o = geodetic_to_ecef(base)
+    sp, cp, sl, cl = _sincos(base)
+    dx, dy, dz = p.x - o.x, p.y - o.y, p.z - o.z
+    return EnuCoord(-sl * dx + cl * dy + 0.0 * dz,
+                    -sp * cl * dx + -sp * sl * dy + cp * dz,
+                    cp * cl * dx + cp * sl * dy + sp * dz)
 
 
 def _ref_enu_to_ecef(e, base):
-    origin = geo.geodetic_to_ecef(base)
-    d = geo._enu_basis(base).T @ np.array([e.east, e.north, e.up])
-    return EcefCoord(float(origin.x + d[0]), float(origin.y + d[1]),
-                     float(origin.z + d[2]))
+    o = geodetic_to_ecef(base)
+    sp, cp, sl, cl = _sincos(base)
+    return EcefCoord(o.x + (-sl * e.east + -sp * cl * e.north + cp * cl * e.up),
+                     o.y + (cl * e.east + -sp * sl * e.north + cp * sl * e.up),
+                     o.z + (0.0 * e.east + cp * e.north + sp * e.up))
 
 
 def _coord_bits(c):
@@ -270,31 +289,46 @@ bases = st.builds(GeodeticCoord,
 enu_points = st.builds(EnuCoord, *[st.one_of(signed_zero, st.floats(-5e4, 5e4))] * 3)
 
 
-@given(st.lists(st.tuples(bases, enu_points), min_size=geo._BASE_FRAMES + 1,
-                max_size=3 * geo._BASE_FRAMES))
-@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(bases, enu_points), min_size=1, max_size=20))
+@settings(max_examples=60, deadline=None)
 def test_scalar_conversions_match_uncached_reference(cases):
-    """More bases than the cache holds, each converted twice (the second
-    pass after evictions), with 0.0 and -0.0 latitudes and longitudes."""
-    for _ in range(2):
-        for base, e in cases:
-            ecef = geo.enu_to_ecef(e, base)
-            assert _coord_bits(ecef) == _coord_bits(_ref_enu_to_ecef(e, base))
-            assert (_coord_bits(geo.ecef_to_enu(ecef, base))
-                    == _coord_bits(_ref_ecef_to_enu(ecef, base)))
-    assert len(geo._base_frames) <= geo._BASE_FRAMES
+    """Each base's frame is computed afresh on every call; 0.0 and -0.0
+    latitudes and longitudes give their own (differently signed) bases."""
+    for base, e in cases:
+        ecef = geo.enu_to_ecef(e, base)
+        assert _coord_bits(ecef) == _coord_bits(_ref_enu_to_ecef(e, base))
+        assert (_coord_bits(geo.ecef_to_enu(ecef, base))
+                == _coord_bits(_ref_ecef_to_enu(ecef, base)))
 
 
-def test_signed_zero_bases_get_their_own_frames():
-    plus, minus = GeodeticCoord(0.0, 0.0, 0.0), GeodeticCoord(-0.0, -0.0, 0.0)
-    (_, basis_plus), (_, basis_minus) = geo._base_frame(plus), geo._base_frame(minus)
-    assert basis_plus.tobytes() != basis_minus.tobytes()  # equal values, other zero signs
-    assert basis_minus.tobytes() == geo._enu_basis(minus).tobytes()
-    assert geo._base_frame(plus)[1].tobytes() == geo._enu_basis(plus).tobytes()
+def _written_rotations(sp, cp, sl, cl, a, b, c):
+    return (((-sl, cl, 0.0), (-sp * cl, -sp * sl, cp), (cp * cl, cp * sl, sp)),
+            (-sl * a + cl * b + 0.0 * c,
+             -sp * cl * a + -sp * sl * b + cp * c,
+             cp * cl * a + cp * sl * b + sp * c),
+            (-sl * a + -sp * cl * b + cp * cl * c,
+             cl * a + -sp * sl * b + cp * sl * c,
+             0.0 * a + cp * b + sp * c))
 
 
-def test_cached_basis_is_read_only():
-    _, basis = geo._base_frame(NANCY)
-    with pytest.raises(ValueError):
-        basis[0, 0] = 1.0
-    assert geo._base_frame(NANCY)[1].tobytes() == geo._enu_basis(NANCY).tobytes()
+def _kernel_rotations(sp, cp, sl, cl, a, b, c):
+    rows = geo._enu_rows(sp, cp, sl, cl)
+    return rows, geo._to_enu(rows, a, b, c), geo._from_enu(rows, a, b, c)
+
+
+def _flat(rotations):
+    rows, to_enu, from_enu = rotations
+    return [*(v for row in rows for v in row), *to_enu, *from_enu]
+
+
+@given(st.lists(st.tuples(*[st.one_of(signed_zero, st.floats(-1e6, 1e6))] * 7),
+                min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_rotation_kernels_match_their_formulas(cases):
+    """The basis rows and both rotation sums, over floats and over numpy
+    columns, bit for bit against the formulas written out above."""
+    want = np.array([_flat(_written_rotations(*case)) for case in cases])
+    on_floats = np.array([_flat(_kernel_rotations(*case)) for case in cases])
+    assert on_floats.tobytes() == want.tobytes()
+    on_columns = np.broadcast_arrays(*_flat(_kernel_rotations(*np.array(cases).T)))
+    assert np.array(on_columns).T.tobytes() == want.tobytes()

@@ -316,16 +316,30 @@ def test_one_writer_many_readers():
     assert errors == []
 
 
-# -- float kernels against numpy arithmetic ------------------------------------
+# -- float kernels against their formulas and numpy arithmetic -----------------
 
-finite = st.floats(-1e150, 1e150, allow_nan=False)
+finite = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e150, 1e150, allow_nan=False))
+_WRITTEN_DOT = {
+    2: lambda a, b: a[0] * b[0] + a[1] * b[1],                             # heading norm
+    3: lambda a, b: a[0] * b[0] + a[1] * b[1] + a[2] * b[2],               # standoff dot
+    4: lambda a, b: a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3],  # slerp dot
+}
 
 
-@given(st.lists(finite, min_size=1, max_size=6))
+def _float_bits(x):
+    return np.float64(x).tobytes()
+
+
+@given(st.integers(2, 4).flatmap(
+    lambda n: st.tuples(*[st.lists(finite, min_size=n, max_size=n)] * 2)))
 @settings(max_examples=300, deadline=None)
-def test_norm_is_bit_identical_to_numpy(values):
-    v = np.array(values)
-    assert np.float64(quat.norm(v)).tobytes() == np.linalg.norm(v).tobytes()
+def test_norm_is_bit_identical_to_numpy(pair):
+    """``quat.inner`` and ``quat.norm`` against the sums written out, at every
+    length the package reduces over; 0.0 and -0.0 compare by their bits."""
+    a, b = pair
+    written = _WRITTEN_DOT[len(a)]
+    assert _float_bits(quat.inner(a, b)) == _float_bits(written(a, b))
+    assert _float_bits(quat.norm(a)) == _float_bits(math.sqrt(written(a, a)))
 
 
 @pytest.mark.parametrize("field", ["translation", "rotation"])
@@ -359,13 +373,13 @@ def test_transform_keeps_its_own_copy_of_its_arrays(field):
 
 
 def _numpy_slerp(q1, q2, t):
-    dot = float(np.dot(q1, q2))
+    dot = _WRITTEN_DOT[4](q1.tolist(), q2.tolist())
     if dot < 0.0:
         q2 = -q2
         dot = -dot
     if dot > 0.9995:
         q = q1 + t * (q2 - q1)
-        return q / np.linalg.norm(q)
+        return q / math.sqrt(_WRITTEN_DOT[4](q.tolist(), q.tolist()))
     theta0 = math.acos(min(dot, 1.0))
     theta = theta0 * t
     s2 = math.sin(theta) / math.sin(theta0)
@@ -375,7 +389,8 @@ def _numpy_slerp(q1, q2, t):
 
 class _ReferenceTree:
     """The tree's buffering and lookup as numpy arithmetic on arrays: a
-    ``pop(0)`` trim, a frame set rebuilt per lookup, and vector slerp."""
+    ``pop(0)`` trim, a frame set rebuilt per lookup, and vector slerp whose
+    dot product and norm are the sums written out."""
 
     def __init__(self, horizon_s):
         self.horizon = horizon_s
