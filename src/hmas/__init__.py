@@ -11,8 +11,7 @@ from .geo import (CorrectionLink, CorrectionMsg, EcefCoord, EnuCoord,
                   geodetic_to_ecef, geodetic_to_enu)
 from .agents import AgentSpec, FollowCommand, SensorSpec, World
 from .bag import BagRecord, Recorder, bag_info, read_bag, record, replay
-from .bench import (BoardRig, DistanceSeries, ExperimentSpec, Report,
-                    emit_csv, make_spec, run_experiment, side_distances,
-                    summarize)
+from .bench import (DistanceSeries, ExperimentSpec, Report, emit_csv,
+                    make_spec, run_experiment, side_distances, summarize)
 
 __version__ = "0.1.0"

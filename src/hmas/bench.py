@@ -10,15 +10,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .bag import read_bag, record
 from .bus import Bus
-from .geo import (DISTURBANCE_DECAY_S, CorrectionLink, DisturbanceWindow,
-                  GeodeticCoord, Rover, RoverConfig, RtkFix, decode_fix,
-                  encode_fixes, enu_to_geodetic_array, geodetic_to_enu_array)
+from .geo import (DEFAULT_FIX_RATE_HZ, DISTURBANCE_DECAY_S, CorrectionLink,
+                  DisturbanceWindow, GeodeticCoord, Rover, RoverConfig, RtkFix,
+                  decode_fix, encode_fixes, enu_to_geodetic_array,
+                  geodetic_to_enu_array)
 # The per-fix scalar functions stay importable from this module, where the
 # span tracer in perfbench/ patches them.
 from .geo import encode_fix, enu_to_geodetic  # noqa: F401
@@ -56,46 +57,7 @@ PEAK_SIGMA_FACTOR = 2.0
 PEAK_MIN_SAMPLES = 2
 
 
-# -- rig and trajectories ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoardPose:
-    """Board pose at one time, or at each of a vector of times (then the
-    center is (n, 3) and the yaw (n,))."""
-
-    center: np.ndarray  # ENU, meters
-    yaw: float | np.ndarray  # radians about up
-
-
-@dataclass(frozen=True)
-class BoardRig:
-    """Rigid square of four rovers; corner geometry is exact at every instant."""
-
-    side_m: float
-    rover_ids: tuple[str, str, str, str]
-    trajectory: Callable[[float | np.ndarray], BoardPose]
-
-    def __post_init__(self) -> None:
-        if self.side_m <= 0.0:
-            raise ValueError("board side must be positive")
-        if len(set(self.rover_ids)) != 4:
-            raise ValueError("need four distinct rover ids")
-
-    def corner_positions(self, t: float | np.ndarray) -> dict[str, np.ndarray]:
-        """rover id -> true ENU position at time t: (3,) for a scalar t,
-        (n, 3) for a vector of n times."""
-        pose = self.trajectory(t)
-        c, s = np.cos(pose.yaw), np.sin(pose.yaw)
-        zero = np.zeros_like(c)
-        out = {}
-        for corner, rover_id in zip(CORNERS, self.rover_ids):
-            lx, ly = _CORNER_LOCAL[corner]
-            lx *= self.side_m
-            ly *= self.side_m
-            offset = np.stack([c * lx - s * ly, s * lx + c * ly, zero], axis=-1)
-            out[rover_id] = pose.center + offset
-        return out
+# -- specs and board truth ------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -157,7 +119,6 @@ class ExperimentSpec:
     side_m: float = DEFAULT_SIDE_M
     base: GeodeticCoord = DEFAULT_BASE
     center_en: tuple[float, float] = (2.0, 3.0)
-    fix_rate_hz: float = 14.0
     noiseless: bool = False
     disturbances: tuple[RoverWindow, ...] = ()
     rotation: RotationTimeline = RotationTimeline()
@@ -168,8 +129,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.duration_s <= 0.0:
             raise ValueError("duration must be positive")
-        if self.fix_rate_hz <= 0.0:
-            raise ValueError("fix rate must be positive")
+        if not 0.0 < self.side_m < math.inf:
+            raise ValueError(f"board side must be finite and above 0, got {self.side_m}")
         min_rotation_s = self.rotation.ccw_end_s + 1.0  # the board is back down
         if self.kind == "rotation" and self.duration_s < min_rotation_s:
             raise ValueError(f"a rotation run needs at least {min_rotation_s:g} s, "
@@ -262,53 +223,42 @@ def make_spec(kind: str, seed: int, **kwargs) -> ExperimentSpec:
     return _SPEC_BUILDERS[kind](seed, **kwargs)
 
 
-def build_trajectory(spec: ExperimentSpec) -> Callable[[float | np.ndarray], BoardPose]:
-    """The spec's board pose as a function of time; it takes a scalar time or
-    a vector of times."""
-    cx, cy = spec.center_en
-    if spec.kind in ("static", "static_disturbed"):
-        center = np.array([cx, cy, 0.0])
-
-        def static_traj(t: float | np.ndarray) -> BoardPose:
-            shape = np.shape(t)
-            return BoardPose(np.broadcast_to(center, shape + (3,)), np.zeros(shape))
-
-        return static_traj
-
+def corner_positions(spec: ExperimentSpec, t: np.ndarray) -> dict[str, np.ndarray]:
+    """Corner -> (n, 3) true ENU position at each of the n stamps ``t``: the
+    spec's board center and yaw, with the square's corners placed exactly."""
+    x, y = spec.center_en
+    z = 0.0
+    yaw = np.zeros(len(t))
     if spec.kind == "rotation":
         r = spec.rotation
-        knots_t = [0.0, r.lift_end_s, r.cw_end_s, r.pause_end_s, r.ccw_end_s, spec.duration_s]
-        yaw_knots = [0.0, 0.0, -2.0 * math.pi, -2.0 * math.pi, 0.0, 0.0]
-        z_t = [0.0, r.lift_end_s - 2.0, r.lift_end_s, r.ccw_end_s,
-               r.ccw_end_s + 1.0, spec.duration_s]
-        z_knots = [0.0, 0.0, r.lift_height_m, r.lift_height_m, 0.0, 0.0]
-
-        def rotation_traj(t: float | np.ndarray) -> BoardPose:
-            yaw = np.interp(t, knots_t, yaw_knots)
-            z = np.interp(t, z_t, z_knots)
-            return BoardPose(np.stack(np.broadcast_arrays(cx, cy, z), axis=-1), yaw)
-
-        return rotation_traj
-
-    legs = spec.legs
-    v = legs.walk_speed_mps
-    side = legs.square_side_m
-    t0 = legs.line_duration_s
-    t1 = t0 + legs.hold_s
-    leg_t = side / v
-    times = [0.0, t0, t1, t1 + leg_t, t1 + 2 * leg_t, t1 + 3 * leg_t,
-             t1 + 3 * leg_t + (side + legs.overshoot_m) / v]
-    ln = legs.line_length_m
-    xs = [0.0, ln, ln, ln, ln - side, ln - side, ln + legs.overshoot_m]
-    ys = [0.0, 0.0, 0.0, side, side, 0.0, 0.0]
-
-    def translation_traj(t: float | np.ndarray) -> BoardPose:
-        x = cx + np.interp(t, times, xs)
-        y = cy + np.interp(t, times, ys)
-        return BoardPose(np.stack(np.broadcast_arrays(x, y, 1.0), axis=-1),
-                         np.zeros(np.shape(t)))
-
-    return translation_traj
+        yaw = np.interp(t, [0.0, r.lift_end_s, r.cw_end_s, r.pause_end_s, r.ccw_end_s,
+                            spec.duration_s],
+                        [0.0, 0.0, -2.0 * math.pi, -2.0 * math.pi, 0.0, 0.0])
+        z = np.interp(t, [0.0, r.lift_end_s - 2.0, r.lift_end_s, r.ccw_end_s,
+                          r.ccw_end_s + 1.0, spec.duration_s],
+                      [0.0, 0.0, r.lift_height_m, r.lift_height_m, 0.0, 0.0])
+    elif spec.kind == "translation_square":
+        legs = spec.legs
+        side = legs.square_side_m
+        t1 = legs.line_duration_s + legs.hold_s
+        leg_t = side / legs.walk_speed_mps
+        times = [0.0, legs.line_duration_s, t1, t1 + leg_t, t1 + 2 * leg_t, t1 + 3 * leg_t,
+                 t1 + 3 * leg_t + (side + legs.overshoot_m) / legs.walk_speed_mps]
+        ln = legs.line_length_m
+        x = x + np.interp(t, times, [0.0, ln, ln, ln, ln - side, ln - side,
+                                     ln + legs.overshoot_m])
+        y = y + np.interp(t, times, [0.0, 0.0, 0.0, side, side, 0.0, 0.0])
+        z = 1.0
+    center = np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+    c, s = np.cos(yaw), np.sin(yaw)
+    zero = np.zeros_like(c)
+    out = {}
+    for corner in CORNERS:
+        lx, ly = _CORNER_LOCAL[corner]
+        lx *= spec.side_m
+        ly *= spec.side_m
+        out[corner] = center + np.stack([c * lx - s * ly, s * lx + c * ly, zero], axis=-1)
+    return out
 
 
 # -- running ---------------------------------------------------------------
@@ -351,8 +301,8 @@ def board_rovers(spec: ExperimentSpec) -> tuple[CorrectionLink, dict[str, Rover]
     link = CorrectionLink(spec.base, seed=link_ss)
     rovers = {}
     for corner, ss in zip(CORNERS, rover_ss):
-        config = (RoverConfig.noiseless(fix_rate_hz=spec.fix_rate_hz) if spec.noiseless
-                  else RoverConfig(fix_rate_hz=spec.fix_rate_hz, bias_en=biases[corner]))
+        config = (RoverConfig.noiseless() if spec.noiseless
+                  else RoverConfig(bias_en=biases[corner]))
         rovers[corner] = Rover(corner, config, seed=ss, disturbances=windows[corner])
     return link, rovers
 
@@ -362,24 +312,23 @@ _BATCH_STEPS = 4096
 
 
 def run_experiment(spec: ExperimentSpec, out) -> Path:
-    """Drive the rig through the spec's trajectory, step four rovers at the
+    """Move the board through the spec's trajectory, step four rovers at the
     fix rate, and record every ``/*/gps/fix`` topic into the sink bag.
 
     Rovers run in batches of fix steps over arrays; every fix is still
     published on the bus in step order, corners in ``CORNERS`` order, so the
     bag holds the same bytes a per-fix ``Rover.step`` loop records.
     """
-    rig = BoardRig(spec.side_m, CORNERS, build_trajectory(spec))
     link, rovers = board_rovers(spec)
     bus = Bus()
     pubs = [bus.advertise(bus.create_node(corner, "gps"), "gps/fix") for corner in CORNERS]
     recorder = record(bus, ["/*/gps/fix"], out)
-    steps = round(spec.duration_s * spec.fix_rate_hz)
+    steps = round(spec.duration_s * DEFAULT_FIX_RATE_HZ)
     for first in range(1, steps + 1, _BATCH_STEPS):
-        t = np.arange(first, min(first + _BATCH_STEPS, steps + 1)) / spec.fix_rate_hz
+        t = np.arange(first, min(first + _BATCH_STEPS, steps + 1)) / DEFAULT_FIX_RATE_HZ
         stamps = t.tolist()
         corrections = [link.poll(stamp) for stamp in stamps]
-        positions = rig.corner_positions(t)
+        positions = corner_positions(spec, t)
         payloads = []
         for corner in CORNERS:
             truth = enu_to_geodetic_array(positions[corner], spec.base)
@@ -523,6 +472,8 @@ def summarize(series: DistanceSeries, expected_side_m: float,
     verdicts; peaks are excursions beyond twice the quiet standard deviation
     around the quiet mean, lasting at least two samples.
     """
+    if not 0.0 < expected_side_m < math.inf:
+        raise ValueError(f"expected side must be finite and above 0, got {expected_side_m}")
     if not 0.0 <= convergence_s < math.inf:
         raise ValueError(f"convergence window must be finite and >= 0, got {convergence_s}")
     windows = windows or {}

@@ -34,7 +34,10 @@ def _parse_base(text: str) -> GeodeticCoord:
 
 def _positive_float(text: str) -> float:
     """argparse type of lengths, rates and durations: a finite number above 0."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number above 0")
     return value

@@ -1,5 +1,6 @@
-"""Experiment harness: rig geometry, determinism, analysis, CSV output."""
+"""Experiment harness: board geometry, determinism, analysis, CSV output."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmas import bag, bench, geo
-from hmas.bench import (CORNERS, EXPERIMENT_KINDS, SIDES, BoardPose, BoardRig,
-                        DistanceSeries, ExperimentSpec, RotationTimeline, RoverWindow,
+from hmas.bench import (CORNERS, EXPERIMENT_KINDS, SIDES, DistanceSeries,
+                        ExperimentSpec, RotationTimeline, RoverWindow,
                         TranslationLegs, corner_displacement_for_peaks,
                         disturbed_spec, emit_csv, load_bag_fixes, make_spec,
                         rotation_spec, run_experiment, side_distances,
@@ -25,25 +26,18 @@ def fixes_at(rover_id, points, t0=0.0, dt=1.0 / 14.0, base=bench.DEFAULT_BASE):
     return out
 
 
-class TestRig:
-    def test_square_is_rigid_under_any_pose(self, rng):
-        def wild(t):
-            return BoardPose(np.array([10 * math.sin(t), 5 * math.cos(t), 2.0]),
-                             yaw=3.0 * t)
-
-        rig = BoardRig(0.9, CORNERS, wild)
-        for t in rng.uniform(0, 100, 50):
-            pos = rig.corner_positions(float(t))
-            for side, (a, b) in bench.SIDE_PAIRS.items():
-                assert np.linalg.norm(pos[a] - pos[b]) == pytest.approx(0.9, abs=1e-12)
-            diag = np.linalg.norm(pos["top_left"] - pos["bottom_right"])
-            assert diag == pytest.approx(0.9 * math.sqrt(2), abs=1e-12)
-
-    def test_bad_rig_rejected(self):
-        with pytest.raises(ValueError):
-            BoardRig(0.0, CORNERS, lambda t: BoardPose(np.zeros(3), 0.0))
-        with pytest.raises(ValueError):
-            BoardRig(0.9, ("a", "a", "b", "c"), lambda t: BoardPose(np.zeros(3), 0.0))
+@given(kind=st.sampled_from(EXPERIMENT_KINDS), side_m=st.floats(0.05, 5.0),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_board_is_rigid_at_any_stamps(kind, side_m, fractions):
+    spec = replace(make_spec(kind, seed=1), side_m=side_m)
+    pos = bench.corner_positions(spec, spec.duration_s * np.array(fractions))
+    for a, b in bench.SIDE_PAIRS.values():
+        np.testing.assert_allclose(np.linalg.norm(pos[a] - pos[b], axis=1), side_m,
+                                   rtol=0, atol=1e-12)
+    for a, b in (("top_left", "bottom_right"), ("top_right", "bottom_left")):
+        np.testing.assert_allclose(np.linalg.norm(pos[a] - pos[b], axis=1),
+                                   side_m * math.sqrt(2), rtol=0, atol=1e-12)
 
 
 class TestSpecs:
@@ -60,6 +54,11 @@ class TestSpecs:
         with pytest.raises(ValueError):
             ExperimentSpec("static", 10.0, 1,
                            disturbances=(RoverWindow("nobody", 1.0, 2.0, 0.1),))
+
+    @pytest.mark.parametrize("side_m", [0.0, -1.0, math.nan, math.inf])
+    def test_side_must_be_finite_and_positive(self, side_m):
+        with pytest.raises(ValueError, match="board side"):
+            ExperimentSpec("static", 10.0, 1, side_m=side_m)
 
     def test_displacement_solve_hits_target_side_errors(self):
         side = 0.9
@@ -150,17 +149,16 @@ class TestRunExperiment:
 def _scalar_loop_bag(spec, path):
     """Reference for ``run_experiment``: the per-fix loop, one scalar truth
     conversion and one ``Rover.step`` per rover and step."""
-    rig = BoardRig(spec.side_m, CORNERS, bench.build_trajectory(spec))
     link, rovers = bench.board_rovers(spec)
     live = Bus()
     pubs = {c: live.advertise(live.create_node(c, "gps"), "gps/fix") for c in CORNERS}
     recorder = bag.record(live, ["/*/gps/fix"], path)
-    for i in range(1, round(spec.duration_s * spec.fix_rate_hz) + 1):
-        t = i / spec.fix_rate_hz
+    for i in range(1, round(spec.duration_s * geo.DEFAULT_FIX_RATE_HZ) + 1):
+        t = i / geo.DEFAULT_FIX_RATE_HZ
         corrections = link.poll(t)
-        positions = rig.corner_positions(t)
+        positions = bench.corner_positions(spec, np.array([t]))
         for corner in CORNERS:
-            truth = geo.enu_to_geodetic(geo.EnuCoord(*positions[corner]), spec.base)
+            truth = geo.enu_to_geodetic(geo.EnuCoord(*positions[corner][0]), spec.base)
             fix = rovers[corner].step(truth, corrections, t)
             pubs[corner].publish(fix.stamp, geo.encode_fix(fix))
     return recorder.stop()
@@ -303,6 +301,11 @@ class TestSummarize:
         series = self.constant_series(t0=0.0, n=100)  # ends before 120 s
         with pytest.raises(ValueError, match="convergence"):
             summarize(series, 0.9)
+
+    @pytest.mark.parametrize("expected_side_m", [0.0, -1.0, math.nan, math.inf])
+    def test_expected_side_must_be_finite_and_positive(self, expected_side_m):
+        with pytest.raises(ValueError, match="expected side"):
+            summarize(self.constant_series(), expected_side_m, convergence_s=0.0)
 
     def test_offset_beyond_20cm_fails_verdict(self):
         report = summarize(self.constant_series(value=1.15), 0.9)

@@ -185,23 +185,26 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("bag", "replay", "{bag}", "--rate", "nan"),
         ("bag", "replay", "{bag}", "--rate", "inf"),
+        ("bag", "replay", "{bag}", "--rate", "abc"),
         ("bench", "analyze", "{bag}", "--expected-side", "nan", "--convergence-s", "0"),
         ("bench", "analyze", "{bag}", "--expected-side", "-1", "--convergence-s", "0"),
         ("bench", "analyze", "{bag}", "--convergence-s", "-5"),
         ("bench", "analyze", "{bag}", "--convergence-s", "inf"),
         ("bench", "run", "--kind", "static", "--duration", "nan", "--out", "{out}"),
+        ("bench", "run", "--kind", "static", "--duration", "abc", "--out", "{out}"),
         ("bench", "analyze", "{bag}", "--base", "nan,6.15,220"),
         ("bench", "analyze", "{bag}", "--no-such-option"),
         ("bench",),
-    ], ids=["rate-nan", "rate-inf", "side-nan", "side-negative", "convergence-negative",
-            "convergence-inf", "duration-nan", "base-nan", "unknown-option",
-            "missing-subcommand"])
+    ], ids=["rate-nan", "rate-inf", "rate-abc", "side-nan", "side-negative",
+            "convergence-negative", "convergence-inf", "duration-nan", "duration-abc",
+            "base-nan", "unknown-option", "missing-subcommand"])
     def test_bad_argument_exits_2_with_one_line(self, short_bag, tmp_path, capsys, argv):
         code = run_cli(*(a.format(bag=short_bag, out=tmp_path / "out.bag") for a in argv))
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("hmas: error: ")
         assert err.count("\n") == 1
+        assert "_positive_float" not in err
 
 
 class TestBagCli:
