@@ -55,6 +55,15 @@ class SpawnError(AgentError):
     pass
 
 
+def _finite_floats(value, n: int) -> tuple[float, ...] | None:
+    """``value`` as ``n`` finite floats, or None if it is not that."""
+    try:
+        floats = tuple(map(float, value))
+    except (TypeError, ValueError):
+        return None
+    return floats if len(floats) == n and all(map(math.isfinite, floats)) else None
+
+
 @dataclass(frozen=True)
 class SensorSpec:
     name: str
@@ -62,11 +71,8 @@ class SensorSpec:
     mount: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
-        try:
-            mount = tuple(map(float, self.mount))
-        except (TypeError, ValueError):
-            mount = ()
-        if len(mount) != 3 or not all(map(math.isfinite, mount)):
+        mount = _finite_floats(self.mount, 3)
+        if mount is None:
             raise ValueError(f"sensor {self.name!r} mount must be 3 finite numbers, "
                              f"got {self.mount!r}")
         object.__setattr__(self, "mount", mount)
@@ -86,8 +92,8 @@ class AgentSpec:
         QualifiedName(self.name, "driver")  # validates the namespace
         if self.category not in CATEGORIES:
             raise ValueError(f"unknown category {self.category!r}")
-        if self.max_speed <= 0.0:
-            raise ValueError("max_speed must be positive")
+        if not 0.0 < self.max_speed < math.inf:  # NaN fails too
+            raise ValueError(f"max_speed must be finite and above 0, got {self.max_speed}")
         if self.category == "aerial":
             if self.altitude_range is None or self.altitude_range[0] >= self.altitude_range[1]:
                 raise ValueError("aerial agents need altitude_range = (min, max), min < max")
@@ -105,8 +111,12 @@ class FollowCommand:
     standoff: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.standoff <= 0.0:
-            raise ValueError("standoff must be positive")
+        if not 0.0 < self.standoff < math.inf:  # NaN fails too
+            raise ValueError(f"standoff must be finite and above 0, got {self.standoff}")
+        offset = _finite_floats(self.offset, 2)
+        if offset is None:
+            raise ValueError(f"offset must be 2 finite numbers, got {self.offset!r}")
+        object.__setattr__(self, "offset", offset)
         if isinstance(self.target, str) and self.target == self.follower:
             raise ValueError("an agent cannot follow itself")
 
@@ -384,6 +394,10 @@ class ScenarioAgent:
     waypoints: tuple[tuple[float, float, float], ...] = ()
     speed: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.speed < math.inf:  # NaN fails too
+            raise ValueError(f"script speed must be finite and above 0, got {self.speed}")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -451,8 +465,6 @@ class _WaypointScript:
     """Drives an agent through waypoints at constant speed (ground truth actor)."""
 
     def __init__(self, waypoints: Sequence[Sequence[float]], speed: float) -> None:
-        if speed <= 0.0:
-            raise ValueError("script speed must be positive")
         self._waypoints = [np.asarray(w, dtype=float).reshape(3) for w in waypoints]
         self._speed = speed
         self._index = 0

@@ -127,10 +127,9 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.duration_s <= 0.0:
-            raise ValueError("duration must be positive")
-        if not 0.0 < self.side_m < math.inf:
-            raise ValueError(f"board side must be finite and above 0, got {self.side_m}")
+        if not 0.0 < self.duration_s < math.inf:  # NaN fails too
+            raise ValueError(f"duration must be finite and above 0, got {self.duration_s}")
+        _check_side(self.side_m)
         min_rotation_s = self.rotation.ccw_end_s + 1.0  # the board is back down
         if self.kind == "rotation" and self.duration_s < min_rotation_s:
             raise ValueError(f"a rotation run needs at least {min_rotation_s:g} s, "
@@ -141,6 +140,11 @@ class ExperimentSpec:
             if not 0.0 <= w.start_s <= w.end_s <= self.duration_s:
                 raise ValueError(f"disturbance window [{w.start_s}, {w.end_s}] "
                                  f"outside the {self.duration_s}s run")
+
+
+def _check_side(side_m: float) -> None:
+    if not 0.0 < side_m < math.inf:  # NaN fails too
+        raise ValueError(f"board side must be finite and above 0, got {side_m}")
 
 
 def corner_displacement_for_peaks(side_m: float, corner: str,
@@ -194,6 +198,7 @@ def rotation_spec(seed: int, duration_s: float = 60.0, noiseless: bool = False,
     """Lift, full turn each way, then a short receiver obstruction whose
     displacement is solved so the two adjacent sides peak at the target pair.
     A run that ends before the obstruction starts has none."""
+    _check_side(side_m)  # before the solve divides by it
     dx, dy = corner_displacement_for_peaks(side_m, obstructed_corner, obstruction_peaks_m)
     magnitude = math.hypot(dx, dy)
     window = RoverWindow(obstructed_corner, *obstruction_window_s, magnitude,

@@ -10,6 +10,11 @@ as floats (a lookup's result, an agent's pose edges) are built by
 ``_transform``, which makes owned float64 arrays and skips those checks;
 ``TransformTree.set_transform`` still rejects a non-finite stamp or
 translation, whichever way a transform was built.
+
+A tree remembers each frame pair's last lookup. Asked for the same pair at the
+same time again, it answers from that memo without walking the edges, and any
+``set_transform`` clears the memo, so the answer is always what the walk would
+compute. A lookup that raises is not remembered.
 """
 from __future__ import annotations
 
@@ -137,6 +142,8 @@ class TransformTree:
         self._horizon = horizon_s
         self._edges: dict[str, _Edge] = {}  # child -> edge history
         self._parents: set[str] = set()
+        # (target, source) -> (at, translation, rotation) of the pair's last lookup
+        self._memo: dict[tuple[str, str], tuple[float, quat.Vec3, quat.Quat]] = {}
         self._lock = threading.RLock()
 
     # -- writing ------------------------------------------------------
@@ -146,6 +153,7 @@ class TransformTree:
         if not all(map(math.isfinite, (t.stamp, *translation))):
             raise ValueError(f"non-finite stamp {t.stamp} or translation {translation}")
         with self._lock:
+            self._memo.clear()
             edge = self._edges.get(t.child)
             if edge is not None and edge.parent != t.parent:
                 raise CycleError(
@@ -189,6 +197,9 @@ class TransformTree:
     def lookup(self, target: str, source: str, at: float) -> Transform:
         """Transform mapping source-frame coordinates into the target frame at time ``at``."""
         with self._lock:
+            memo = self._memo.get((target, source))
+            if memo is not None and memo[0] == at:
+                return _transform(target, source, memo[1], memo[2], at)
             for f in (target, source):
                 if f not in self._edges and f not in self._parents:
                     raise UnknownFrameError(f"unknown frame {f!r}")
@@ -209,6 +220,7 @@ class TransformTree:
             rotation = quat._canonicalize(quat._mul(q_ti, q_s))
             translation = quat._rotate(
                 q_ti, (p_s[0] - p_t[0], p_s[1] - p_t[1], p_s[2] - p_t[2]))
+            self._memo[target, source] = (at, translation, rotation)
             return _transform(target, source, translation, rotation, at)
 
     def _chain_to_root(self, frame: str) -> list[str]:

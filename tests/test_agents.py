@@ -58,6 +58,24 @@ class TestSpec:
             FollowCommand("a", "a")
         with pytest.raises(ValueError):
             FollowCommand("a", "b", standoff=0.0)
+        offset = FollowCommand("a", "b", offset=[0, -1]).offset
+        assert offset == (0.0, -1.0) and all(type(v) is float for v in offset)
+
+    @pytest.mark.parametrize("build", [
+        lambda: AgentSpec("spot", "ground", math.nan),
+        lambda: AgentSpec("spot", "ground", math.inf),
+        lambda: FollowCommand("a", "b", standoff=math.nan),
+        lambda: FollowCommand("a", "b", standoff=math.inf),
+        lambda: FollowCommand("a", "b", offset=(math.nan, 0.0)),
+        lambda: FollowCommand("a", "b", offset=(0.0, -math.inf)),
+        lambda: FollowCommand("a", "b", offset=(0.0, -1.0, 0.0)),
+        lambda: ScenarioAgent(ground("spot"), (0.0, 0.0, 0.0), speed=math.nan),
+        lambda: ScenarioAgent(ground("spot"), (0.0, 0.0, 0.0), speed=math.inf),
+    ], ids=["max_speed_nan", "max_speed_inf", "standoff_nan", "standoff_inf",
+            "offset_nan", "offset_inf", "offset_3", "speed_nan", "speed_inf"])
+    def test_non_finite_inputs_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
 
 
 class TestSpawn:

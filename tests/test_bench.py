@@ -57,8 +57,19 @@ class TestSpecs:
 
     @pytest.mark.parametrize("side_m", [0.0, -1.0, math.nan, math.inf])
     def test_side_must_be_finite_and_positive(self, side_m):
-        with pytest.raises(ValueError, match="board side"):
+        with pytest.raises(ValueError, match="board side") as from_spec:
             ExperimentSpec("static", 10.0, 1, side_m=side_m)
+        # the rotation builder checks the side before its obstruction solve divides by it
+        with pytest.raises(ValueError) as from_builder:
+            make_spec("rotation", 1, side_m=side_m)
+        assert str(from_builder.value) == str(from_spec.value)
+
+    @pytest.mark.parametrize("duration_s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_duration_rejected_before_any_bag(self, tmp_path, duration_s):
+        path = tmp_path / "run.bag"
+        with pytest.raises(ValueError, match="duration must be finite"):
+            run_experiment(ExperimentSpec("static", duration_s, 1), path)
+        assert not path.exists()
 
     def test_displacement_solve_hits_target_side_errors(self):
         side = 0.9

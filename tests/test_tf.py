@@ -457,6 +457,13 @@ class _ReferenceTree:
 
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
+inserts = st.tuples(
+    st.integers(0, 4),                          # edge
+    st.integers(0, 12),                         # stamp in quarter seconds
+    st.tuples(*[st.floats(-50.0, 50.0)] * 3),  # translation
+    st.tuples(*[unit] * 4),                     # rotation components
+    st.sampled_from(["random", "near", "near", "near_flipped", "flipped"]),
+)
 forests = st.fixed_dictionaries({
     "horizon": st.sampled_from([1.0, 2.0, 100.0]),
     # edge i maps frame f{i+1} into an earlier frame, or into the second root
@@ -464,13 +471,7 @@ forests = st.fixed_dictionaries({
     # close to
     "edges": st.lists(st.tuples(st.integers(-1, 4), st.tuples(*[unit] * 4), st.integers(0, 12)),
                       min_size=1, max_size=5),
-    "inserts": st.lists(st.tuples(
-        st.integers(0, 4),                          # edge
-        st.integers(0, 12),                         # stamp in quarter seconds
-        st.tuples(*[st.floats(-50.0, 50.0)] * 3),  # translation
-        st.tuples(*[unit] * 4),                     # rotation components
-        st.sampled_from(["random", "near", "near", "near_flipped", "flipped"]),
-    ), min_size=1, max_size=40),
+    "inserts": st.lists(inserts, min_size=1, max_size=40),
     # frame 0 is unknown, the others index the known frames; times run past
     # both ends of the stamp grid
     "lookups": st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(-4, 52)),
@@ -484,43 +485,95 @@ def _unit(components):
     return q / n if n > 0.1 else quat.IDENTITY.copy()
 
 
+def _edges_and_firsts(forest):
+    """Edge i as (child, parent, base rotation), and each edge's first sample."""
+    edges = [(f"f{i + 1}", "g" if p < 0 else f"f{min(p, i)}", _unit(base))
+             for i, (p, base, *_) in enumerate(forest["edges"])]
+    firsts = [(e, k, (float(e), 0.0, 0.0), (0.0,) * 4, "near")
+              for e, (_, _, k, *_) in enumerate(forest["edges"])]
+    return edges, firsts
+
+
+def _insert_both(tree, ref, edges, insert):
+    """One sample into the tree and the reference; both accept it or both
+    raise ``TimeBoundsError``."""
+    e, k, translation, components, kind = insert
+    child, parent, base = edges[e % len(edges)]
+    if kind.startswith("near"):
+        q = _unit(base + 1e-3 * np.array(components))  # slerp's lerp branch
+    else:
+        q = _unit(components)
+    if kind.endswith("flipped"):
+        q = -q
+    args = (parent, child, np.array(translation), q, 0.25 * k)
+    try:
+        ref.set_transform(*args)
+    except TimeBoundsError:
+        with pytest.raises(TimeBoundsError):
+            tree.set_transform(Transform(*args))
+        return
+    tree.set_transform(Transform(*args))
+
+
+def _lookup_both(tree, ref, target, source, at):
+    """The tree's lookup is bit-identical to the reference's, or raises the
+    same error type."""
+    try:
+        want = ref.lookup(target, source, at)
+    except TfError as exc:
+        with pytest.raises(type(exc)):
+            tree.lookup(target, source, at)
+        return
+    got = tree.lookup(target, source, at)
+    assert (got.parent, got.child, got.stamp) == (target, source, at)
+    assert got.translation.tobytes() == want[0].tobytes()
+    assert got.rotation.tobytes() == want[1].tobytes()
+
+
 @given(forests)
 @settings(max_examples=300, deadline=None)
 def test_lookup_is_bit_identical_to_numpy_reference(forest):
     tree, ref = TransformTree(forest["horizon"]), _ReferenceTree(forest["horizon"])
-    edges = [(f"f{i + 1}", "g" if p < 0 else f"f{min(p, i)}", _unit(base))
-             for i, (p, base, _) in enumerate(forest["edges"])]
-    firsts = [(e, k, (float(e), 0.0, 0.0), (0.0,) * 4, "near")
-              for e, (_, _, k) in enumerate(forest["edges"])]
-    for e, k, translation, components, kind in firsts + forest["inserts"]:
-        child, parent, base = edges[e % len(edges)]
-        if kind.startswith("near"):
-            q = _unit(base + 1e-3 * np.array(components))  # slerp's lerp branch
-        else:
-            q = _unit(components)
-        if kind.endswith("flipped"):
-            q = -q
-        args = (parent, child, np.array(translation), q, 0.25 * k)
-        try:
-            ref.set_transform(*args)
-        except TimeBoundsError:
-            with pytest.raises(TimeBoundsError):
-                tree.set_transform(Transform(*args))
-            continue
-        tree.set_transform(Transform(*args))
+    edges, firsts = _edges_and_firsts(forest)
+    for insert in firsts + forest["inserts"]:
+        _insert_both(tree, ref, edges, insert)
     known = sorted(tree.frames())
     for a, b, k in forest["lookups"]:
         target, source = (known[i % len(known)] if i else "ghost" for i in (a, b))
-        at = 0.0625 * k
-        try:
-            want = ref.lookup(target, source, at)
-        except TfError as exc:
-            with pytest.raises(type(exc)):
-                tree.lookup(target, source, at)
-            continue
-        got = tree.lookup(target, source, at)
-        assert got.translation.tobytes() == want[0].tobytes()
-        assert got.rotation.tobytes() == want[1].tobytes()
+        _lookup_both(tree, ref, target, source, 0.0625 * k)
+
+
+@given(st.fixed_dictionaries({
+    # a short horizon on a 0.25 s stamp grid up to 3 s, so later batches
+    # replace exact stamps, insert behind the newest sample and prune
+    "horizon": st.sampled_from([1.0, 2.0]),
+    "edges": st.lists(st.tuples(st.integers(-1, 4), st.tuples(*[unit] * 4),
+                                st.integers(0, 12), st.integers(0, 2)),
+                      min_size=1, max_size=5),
+    "batches": st.lists(st.lists(inserts, max_size=8), min_size=2, max_size=4),
+    # the same lookups after every batch; frame 0 is unknown, 1 and 2 the
+    # roots, the others edges that may not exist yet
+    "lookups": st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(-4, 52)),
+                        min_size=1, max_size=12),
+}))
+@settings(max_examples=200, deadline=None)
+def test_lookups_between_writes_are_bit_identical_to_numpy_reference(forest):
+    """Writes between repeated lookups: a lookup answered from the tree's
+    memo of the previous one must still match the reference after any
+    replacement, older insert, new edge or pruning insert."""
+    tree, ref = TransformTree(forest["horizon"]), _ReferenceTree(forest["horizon"])
+    edges, firsts = _edges_and_firsts(forest)
+    frames = ["ghost", "f0", "g"] + [f"f{i}" for i in range(1, 6)]
+    joins = [j for *_, j in forest["edges"]]
+    for batch_index, batch in enumerate(forest["batches"]):
+        # edge e joins the tree, with its first sample, in batch joins[e]
+        new = [first for first, j in zip(firsts, joins) if j == batch_index]
+        for insert in new + batch:
+            if joins[insert[0] % len(edges)] <= batch_index:
+                _insert_both(tree, ref, edges, insert)
+        for _ in range(2):
+            for a, b, k in forest["lookups"]:
+                _lookup_both(tree, ref, frames[a], frames[b], 0.0625 * k)
 
 
 @given(st.sampled_from([0.5, 2.0, 7.0]),
@@ -610,3 +663,45 @@ def test_set_transform_checks_unchecked_transforms(translation, stamp):
     with pytest.raises(ValueError):
         tree.set_transform(_transform("world", "a", translation, quat.IDENTITY, stamp))
     assert tree.frames() == set()
+
+
+# -- the lookup memo -------------------------------------------------------------
+
+
+def _moving_edge_tree(x1=2.0):
+    tree = TransformTree()
+    tree.set_transform(Transform("world", "a", np.zeros(3), quat.IDENTITY.copy(), 0.0))
+    tree.set_transform(Transform("world", "a", np.array([x1, 0.0, 0.0]), quat.from_yaw(1.0), 1.0))
+    return tree
+
+
+def test_repeated_lookup_owns_its_arrays():
+    tree = _moving_edge_tree()
+    first = tree.lookup("world", "a", 0.25)
+    translation, rotation = first.translation.copy(), first.rotation.copy()
+    first.translation[:] = 99.0
+    first.rotation[:] = 0.0
+    again = tree.lookup("world", "a", 0.25)
+    assert again.translation.tobytes() == translation.tobytes()
+    assert again.rotation.tobytes() == rotation.tobytes()
+    again.translation[0] = -5.0
+    assert tree.lookup("world", "a", 0.25).translation.tobytes() == translation.tobytes()
+
+
+def test_failed_lookup_succeeds_once_a_write_covers_its_time():
+    tree = _moving_edge_tree()
+    for _ in range(2):  # a failure is never remembered as an answer
+        with pytest.raises(TimeBoundsError):
+            tree.lookup("world", "a", 1.5)
+    tree.set_transform(Transform("world", "a", np.array([4.0, 0.0, 0.0]),
+                                 quat.IDENTITY.copy(), 2.0))
+    out = tree.lookup("world", "a", 1.5)
+    np.testing.assert_array_equal(out.translation, [3.0, 0.0, 0.0])
+    assert out.stamp == 1.5
+
+
+def test_trees_do_not_share_a_memo():
+    near, far = _moving_edge_tree(x1=2.0), _moving_edge_tree(x1=8.0)
+    for _ in range(2):
+        np.testing.assert_array_equal(near.lookup("world", "a", 0.5).translation, [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(far.lookup("world", "a", 0.5).translation, [4.0, 0.0, 0.0])
