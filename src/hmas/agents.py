@@ -5,13 +5,15 @@ transform tree and the RTK rover model.
 Control is estimation-only: follow commands act on the latest published
 fixes, never on simulator ground truth.
 
-The step path runs on Python floats: ``World.step`` moves each agent and its
-odometry from one ``tolist()`` of each vector, in numpy's operation order,
-and stores fresh arrays back, so ``Agent.position``, ``velocity`` and
-``odom_position`` stay assignable arrays. Norms and the standoff dot product
-are fixed-order float sums (``quat.norm``, ``quat.inner``), the package's one
-rule for reductions. A rover is stepped only when a fix is due or corrections
-arrived; on any other step ``Rover.step`` would do nothing but check its clock.
+The step path runs on Python floats: agents keep position, velocity and
+odometry as 3-float tuples, and ``Agent.position``, ``velocity`` and
+``odom_position`` copy in both directions (a read returns a fresh array, an
+assignment copies any 3-vector). Arithmetic keeps numpy's operation order,
+norms and the standoff dot product are fixed-order float sums, and every speed
+clamp still runs, since a clamped vector's norm can round above the limit. A
+target's heading is cached until its next fix. A rover is stepped only when a
+fix is due or corrections arrived; on any other step ``Rover.step`` would do
+nothing but check its clock.
 """
 from __future__ import annotations
 
@@ -103,7 +105,8 @@ class AgentSpec:
 @dataclass(frozen=True)
 class FollowCommand:
     """Keep ``follower`` at ``offset`` (forward, left) in the target's heading
-    frame, never closer than ``standoff``."""
+    frame, never closer than ``standoff``. The target is an agent's name or
+    a fixed ENU point of 3 finite numbers, stored as floats."""
 
     follower: str
     target: str | tuple[float, float, float]
@@ -117,20 +120,48 @@ class FollowCommand:
         if offset is None:
             raise ValueError(f"offset must be 2 finite numbers, got {self.offset!r}")
         object.__setattr__(self, "offset", offset)
-        if isinstance(self.target, str) and self.target == self.follower:
-            raise ValueError("an agent cannot follow itself")
+        if isinstance(self.target, str):
+            if self.target == self.follower:
+                raise ValueError("an agent cannot follow itself")
+        else:
+            target = _finite_floats(self.target, 3)
+            if target is None:
+                raise ValueError(f"a point target must be 3 finite numbers, got {self.target!r}")
+            object.__setattr__(self, "target", target)
+
+
+def _vec3(value) -> quat.Vec3:
+    """Any 3-vector as a tuple of 3 Python floats."""
+    return tuple(np.asarray(value, dtype=float).reshape(3).tolist())
+
+
+def _vector(attr: str, doc: str, optional: bool = False) -> property:
+    """An ``Agent`` vector kept as a float tuple in ``attr``: a read returns a
+    fresh float64 array, an assignment copies any 3-vector (or None, if
+    ``optional``)."""
+    def get(self):
+        value = getattr(self, attr)
+        return None if value is None else np.array(value)
+
+    def set_(self, value) -> None:
+        setattr(self, attr, None if optional and value is None else _vec3(value))
+    return property(get, set_, doc=doc)
 
 
 class Agent:
-    def __init__(self, spec: AgentSpec, position: np.ndarray) -> None:
+    position = _vector("_position", "Ground truth, ENU meters.")
+    velocity = _vector("_velocity", "Commanded velocity, ENU m/s.")
+    odom_position = _vector("_odom", "Controller-side state: the last fix dead-reckoned with "
+                            "the agent's own commands, never touched by ground truth.",
+                            optional=True)
+
+    def __init__(self, spec: AgentSpec, position) -> None:
         self.spec = spec
-        self.position = position       # ground truth, ENU meters
-        self.velocity = np.zeros(3)
+        self._position = _vec3(position)
+        self._velocity = (0.0, 0.0, 0.0)
         self.rover: Rover | None = None
         self.fix_pub = None
-        # controller-side state: last fix dead-reckoned with own commands,
-        # never touched by simulator ground truth
-        self.odom_position: np.ndarray | None = None
+        self._odom: quat.Vec3 | None = None
         self.odom_stamp: float | None = None
 
     @property
@@ -155,6 +186,7 @@ class World:
         self._display = self.bus.create_node("hmas", "display")
         self._fix_subs: dict[str, object] = {}
         self._estimates: dict[str, deque] = {}  # name -> deque[(stamp, (e, n, u))]
+        self._headings: dict[str, tuple[float, float]] = {}  # name -> heading of its estimates
         self.fix_counts: dict[str, int] = {}
         self._time = 0.0
 
@@ -215,8 +247,7 @@ class World:
 
     def set_velocity(self, name: str, velocity) -> None:
         agent = self._require(name)
-        agent.velocity = _clamp_speed(np.array(velocity, dtype=float).reshape(3),
-                                      agent.spec.max_speed)
+        agent._velocity = _clamp_speed(_vec3(velocity), agent.spec.max_speed)
 
     def estimated_state(self, name: str) -> tuple[float, np.ndarray] | None:
         """Latest published-fix position (stamp, ENU array) for an agent, if
@@ -238,10 +269,9 @@ class World:
             raise ValueError("dt must be positive")
         follower = self._require(cmd.follower)
         stale_after = STALE_FIX_PERIODS * self.fix_period()
-        if (follower.odom_position is None
-                or self._time - follower.odom_stamp > stale_after):
+        if follower._odom is None or self._time - follower.odom_stamp > stale_after:
             return np.zeros(3)
-        fx, fy, fz = follower.odom_position.tolist()
+        fx, fy, fz = follower._odom
         if isinstance(cmd.target, str):
             self._require(cmd.target)
             hist = self._estimates[cmd.target]
@@ -250,23 +280,29 @@ class World:
             tx, ty, tz = hist[-1][1]
             hx, hy = self._target_heading(cmd.target)
         else:
-            tx, ty, tz = _as_enu_array(cmd.target).tolist()
+            tx, ty, tz = cmd.target
             hx, hy = 1.0, 0.0
         forward, left = cmd.offset
         # t_pos + offset - f_pos, with the offset's up component 0.0
-        error = (tx + (forward * hx - left * hy) - fx,
-                 ty + (forward * hy + left * hx) - fy,
-                 tz + 0.0 - fz)
-        if quat.norm(error) < DEAD_BAND_M:
-            velocity = np.zeros(3)
+        ex = tx + (forward * hx - left * hy) - fx
+        ey = ty + (forward * hy + left * hx) - fy
+        ez = tz + 0.0 - fz
+        # norms here and below are quat.norm's left-to-right sum, written out
+        if math.sqrt(ex * ex + ey * ey + ez * ez) < DEAD_BAND_M:
+            velocity = (0.0, 0.0, 0.0)
         else:
-            velocity = _clamp_speed(FOLLOW_GAIN * np.array(error), follower.spec.max_speed)
-        sep = (fx - tx, fy - ty, fz - tz)
-        velocity = self._enforce_standoff(velocity, sep, cmd.standoff, dt)
-        return _clamp_speed(velocity, follower.spec.max_speed)
+            velocity = _clamp_speed((FOLLOW_GAIN * ex, FOLLOW_GAIN * ey, FOLLOW_GAIN * ez),
+                                    follower.spec.max_speed)
+        velocity = self._enforce_standoff(velocity, fx - tx, fy - ty, fz - tz, cmd.standoff, dt)
+        return np.array(_clamp_speed(velocity, follower.spec.max_speed))
 
     def _target_heading(self, name: str) -> tuple[float, float]:
-        """Unit horizontal heading from the target's fix history (east default)."""
+        """Unit horizontal heading from the target's fix history (east
+        default), cached until ``_drain_fixes`` adds to that history."""
+        heading = self._headings.get(name)
+        if heading is not None:
+            return heading
+        heading = 1.0, 0.0
         hist = self._estimates[name]
         if len(hist) >= 2:
             latest_stamp, (lx, ly, _) = hist[-1]
@@ -275,23 +311,26 @@ class World:
                     mx, my = lx - px, ly - py
                     norm = quat.norm((mx, my))
                     if norm >= HEADING_MIN_MOVE_M:
-                        return mx / norm, my / norm
+                        heading = mx / norm, my / norm
                     break
-        return 1.0, 0.0
+        self._headings[name] = heading
+        return heading
 
     @staticmethod
-    def _enforce_standoff(velocity: np.ndarray, sep: quat.Vec3,
-                          standoff: float, dt: float) -> np.ndarray:
-        """``velocity`` with its approach along ``sep`` (follower minus
+    def _enforce_standoff(velocity: quat.Vec3, sx: float, sy: float, sz: float,
+                          standoff: float, dt: float) -> quat.Vec3:
+        """``velocity`` with its approach along (sx, sy, sz) (follower minus
         target) cut so the next ``dt`` ends no closer than ``standoff``."""
-        dist = quat.norm(sep)
+        dist = math.sqrt(sx * sx + sy * sy + sz * sz)
         if dist < 1e-9:
             return velocity
-        radial = np.array(sep) / dist
-        approach = -quat.inner(velocity.tolist(), radial.tolist())
+        rx, ry, rz = sx / dist, sy / dist, sz / dist
+        vx, vy, vz = velocity
+        approach = -(vx * rx + vy * ry + vz * rz)
         max_approach = (dist - standoff) / dt
         if approach > max_approach:
-            velocity = velocity + (approach - max_approach) * radial
+            cut = approach - max_approach
+            velocity = vx + cut * rx, vy + cut * ry, vz + cut * rz
         return velocity
 
     # -- stepping ---------------------------------------------------------
@@ -303,15 +342,13 @@ class World:
         now = self._time + dt
         corrections = self._link.poll(now)
         for agent in self._agents.values():
-            velocity = agent.velocity = _clamp_speed(agent.velocity, agent.spec.max_speed)
-            vx, vy, vz = velocity.tolist()
+            vx, vy, vz = agent._velocity = _clamp_speed(agent._velocity, agent.spec.max_speed)
             dx, dy, dz = vx * dt, vy * dt, vz * dt
-            px, py, pz = agent.position.tolist()
-            px, py, pz = self._clamp_point(agent, px + dx, py + dy, pz + dz)
-            agent.position = np.array((px, py, pz))
-            if agent.odom_position is not None:
-                ox, oy, oz = agent.odom_position.tolist()
-                agent.odom_position = np.array(self._clamp_point(agent, ox + dx, oy + dy, oz + dz))
+            px, py, pz = agent._position
+            px, py, pz = agent._position = self._clamp_point(agent, px + dx, py + dy, pz + dz)
+            if agent._odom is not None:
+                ox, oy, oz = agent._odom
+                agent._odom = self._clamp_point(agent, ox + dx, oy + dy, oz + dz)
             rover = agent.rover
             if rover is None:
                 continue
@@ -323,7 +360,7 @@ class World:
                 self.fix_counts[agent.name] += 1
                 est = geodetic_to_enu(fix.position, self.base)
                 est_pos = (est.east, est.north, est.up)
-                agent.odom_position = np.array(est_pos)
+                agent._odom = est_pos
                 agent.odom_stamp = fix.stamp
                 self._set_pose_edges(agent, est_pos, fix.stamp)
             elif corrections:
@@ -360,6 +397,7 @@ class World:
                 fix = decode_fix(msg.payload)
                 est = geodetic_to_enu(fix.position, self.base)
                 self._estimates[name].append((fix.stamp, (est.east, est.north, est.up)))
+                self._headings.pop(name, None)
 
     def _require(self, name: str) -> Agent:
         try:
@@ -377,10 +415,14 @@ def _as_enu_array(value) -> np.ndarray:
 _IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
-def _clamp_speed(velocity: np.ndarray, max_speed: float) -> np.ndarray:
-    speed = quat.norm(velocity.tolist())
+def _clamp_speed(velocity: quat.Vec3, max_speed: float) -> quat.Vec3:
+    """``velocity`` scaled down to ``max_speed`` if it is faster; the norm is
+    ``quat.norm``'s left-to-right sum, written out."""
+    x, y, z = velocity
+    speed = math.sqrt(x * x + y * y + z * z)
     if speed > max_speed:
-        return velocity * (max_speed / speed)
+        scale = max_speed / speed
+        return x * scale, y * scale, z * scale
     return velocity
 
 
@@ -397,6 +439,13 @@ class ScenarioAgent:
     def __post_init__(self) -> None:
         if not 0.0 < self.speed < math.inf:  # NaN fails too
             raise ValueError(f"script speed must be finite and above 0, got {self.speed}")
+        start = _finite_floats(self.start, 3)
+        waypoints = tuple(_finite_floats(w, 3) for w in self.waypoints)
+        if start is None or None in waypoints:
+            raise ValueError(f"start and waypoints of {self.spec.name!r} must be 3 finite "
+                             f"numbers each, got {self.start!r} and {self.waypoints!r}")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "waypoints", waypoints)
 
 
 @dataclass(frozen=True)
@@ -407,6 +456,14 @@ class Scenario:
     agents: tuple[ScenarioAgent, ...]
     commands: tuple[FollowCommand, ...]
     noiseless: bool = False
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.duration_s < math.inf:  # NaN fails too
+            raise ValueError(f"duration_s must be finite and above 0, got {self.duration_s}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.noiseless, bool):
+            raise ValueError(f"noiseless must be true or false, got {self.noiseless!r}")
 
 
 def load_scenario(path) -> Scenario:
@@ -420,13 +477,11 @@ def load_scenario(path) -> Scenario:
         spec = AgentSpec(entry["name"], entry["category"], entry["max_speed"],
                          tuple(entry["altitude_range"]) if "altitude_range" in entry else None,
                          sensors)
-        agents.append(ScenarioAgent(spec, tuple(entry.get("start", (0.0, 0.0, 0.0))),
-                                    tuple(tuple(w) for w in entry.get("waypoints", ())),
-                                    entry.get("speed", 1.0)))
+        agents.append(ScenarioAgent(spec, entry.get("start", (0.0, 0.0, 0.0)),
+                                    tuple(entry.get("waypoints", ())), entry.get("speed", 1.0)))
     commands = tuple(
-        FollowCommand(c["follower"],
-                      c["target"] if isinstance(c["target"], str) else tuple(c["target"]),
-                      tuple(c.get("offset", (0.0, 0.0))), c.get("standoff", 0.5))
+        FollowCommand(c["follower"], c["target"], c.get("offset", (0.0, 0.0)),
+                      c.get("standoff", 0.5))
         for c in raw.get("commands", ()))
     return Scenario(base, raw.get("seed", 0), float(raw["duration_s"]),
                     tuple(agents), commands, raw.get("noiseless", False))
@@ -452,7 +507,7 @@ def run_scenario(scenario: Scenario, dt: float | None = None,
     steps = round(scenario.duration_s / dt)
     for _ in range(steps):
         for name, script in scripts.items():
-            world.set_velocity(name, script.velocity(world.agents[name].position, dt))
+            world.set_velocity(name, script.velocity(world.agents[name]._position, dt))
         for cmd in scenario.commands:
             world.set_velocity(cmd.follower, world.follow_step(cmd, dt))
         world.step(dt)
@@ -464,16 +519,19 @@ def run_scenario(scenario: Scenario, dt: float | None = None,
 class _WaypointScript:
     """Drives an agent through waypoints at constant speed (ground truth actor)."""
 
-    def __init__(self, waypoints: Sequence[Sequence[float]], speed: float) -> None:
-        self._waypoints = [np.asarray(w, dtype=float).reshape(3) for w in waypoints]
+    def __init__(self, waypoints: Sequence[quat.Vec3], speed: float) -> None:
+        self._waypoints = waypoints
         self._speed = speed
         self._index = 0
 
-    def velocity(self, position: np.ndarray, dt: float) -> np.ndarray:
+    def velocity(self, position: quat.Vec3, dt: float) -> quat.Vec3:
+        px, py, pz = position
         while self._index < len(self._waypoints):
-            to_goal = self._waypoints[self._index] - position
-            dist = quat.norm(to_goal.tolist())
+            wx, wy, wz = self._waypoints[self._index]
+            gx, gy, gz = wx - px, wy - py, wz - pz
+            dist = math.sqrt(gx * gx + gy * gy + gz * gz)  # quat.norm, written out
             if dist > self._speed * dt:
-                return to_goal * (self._speed / dist)
+                scale = self._speed / dist
+                return gx * scale, gy * scale, gz * scale
             self._index += 1
-        return np.zeros(3)
+        return 0.0, 0.0, 0.0

@@ -4,7 +4,9 @@ RTK base, a simulated correction link, and a stochastic rover fix model.
 Conversions use the WGS84 closed forms (a = 6378137 m, f = 1/298.257223563);
 the inverse is Bowring's start refined by a short fixed-point iteration. The
 ENU rotations are written once, as fixed-order float sums that take floats
-(per-point functions) or numpy columns (array functions).
+(per-point functions) or numpy columns (array functions). A base's frame, its
+ECEF origin and ENU basis rows, comes from one helper on Python floats, and
+``Rover.step`` converts its one fix's error as Python floats too.
 """
 from __future__ import annotations
 
@@ -93,15 +95,7 @@ class CorrectionMsg:
 
 
 def geodetic_to_ecef(g: GeodeticCoord) -> EcefCoord:
-    lat = math.radians(g.lat)
-    lon = math.radians(g.lon)
-    s, c = math.sin(lat), math.cos(lat)
-    n = WGS84_A / math.sqrt(1.0 - WGS84_E2 * s * s)
-    return EcefCoord(
-        (n + g.alt) * c * math.cos(lon),
-        (n + g.alt) * c * math.sin(lon),
-        (n * (1.0 - WGS84_E2) + g.alt) * s,
-    )
+    return EcefCoord(*_frame(g)[0])
 
 
 def ecef_to_geodetic(p: EcefCoord) -> GeodeticCoord:
@@ -153,20 +147,26 @@ def _from_enu(rows, e, n, u):
     return ex * e + nx * n + ux * u, ey * e + ny * n + uy * u, ez * e + nz * n + uz * u
 
 
-def _basis(base: GeodeticCoord):
-    lat, lon = math.radians(base.lat), math.radians(base.lon)
-    return _enu_rows(math.sin(lat), math.cos(lat), math.sin(lon), math.cos(lon))
+def _frame(g: GeodeticCoord):
+    """The ECEF position of ``g`` as 3 floats, and the ENU basis rows of the
+    tangent plane there, from one sine and cosine of its latitude and
+    longitude. As a base, ``g`` is the origin of the ENU frame."""
+    lat, lon = math.radians(g.lat), math.radians(g.lon)
+    sp, cp, sl, cl = math.sin(lat), math.cos(lat), math.sin(lon), math.cos(lon)
+    n = WGS84_A / math.sqrt(1.0 - WGS84_E2 * sp * sp)
+    origin = ((n + g.alt) * cp * cl, (n + g.alt) * cp * sl, (n * (1.0 - WGS84_E2) + g.alt) * sp)
+    return origin, _enu_rows(sp, cp, sl, cl)
 
 
 def ecef_to_enu(p: EcefCoord, base: GeodeticCoord) -> EnuCoord:
-    o = geodetic_to_ecef(base)
-    return EnuCoord(*_to_enu(_basis(base), p.x - o.x, p.y - o.y, p.z - o.z))
+    (ox, oy, oz), rows = _frame(base)
+    return EnuCoord(*_to_enu(rows, p.x - ox, p.y - oy, p.z - oz))
 
 
 def enu_to_ecef(e: EnuCoord, base: GeodeticCoord) -> EcefCoord:
-    o = geodetic_to_ecef(base)
-    dx, dy, dz = _from_enu(_basis(base), e.east, e.north, e.up)
-    return EcefCoord(o.x + dx, o.y + dy, o.z + dz)
+    (ox, oy, oz), rows = _frame(base)
+    dx, dy, dz = _from_enu(rows, e.east, e.north, e.up)
+    return EcefCoord(ox + dx, oy + dy, oz + dz)
 
 
 def geodetic_to_enu(g: GeodeticCoord, base: GeodeticCoord) -> EnuCoord:
@@ -279,8 +279,8 @@ def enu_to_geodetic_array(enu, base: GeodeticCoord | np.ndarray) -> np.ndarray:
 def geodetic_to_enu_array(lats, lons, alts, base: GeodeticCoord) -> np.ndarray:
     """Geodetic columns -> ENU (N, 3) about ``base``."""
     x, y, z = geodetic_to_ecef_array(np.array([lats, lons, alts], dtype=float).T).T
-    o = geodetic_to_ecef(base)
-    return np.stack(_to_enu(_basis(base), x - o.x, y - o.y, z - o.z), axis=1)
+    (ox, oy, oz), rows = _frame(base)
+    return np.stack(_to_enu(rows, x - ox, y - oy, z - oz), axis=1)
 
 
 # -- fix wire/file formats ----------------------------------------------
@@ -526,8 +526,8 @@ class Rover:
         if stamp is None:
             return None
         self._update_quality(stamp)
-        error = self._errors([stamp], np.array([self._code]))[0]
-        if error.any():
+        error = self._errors([stamp], np.array([self._code]))[0].tolist()
+        if any(error):
             measured = enu_to_geodetic(EnuCoord(*error), true_position)
         else:
             measured = true_position

@@ -137,8 +137,8 @@ class TransformTree:
     """
 
     def __init__(self, horizon_s: float = DEFAULT_HORIZON_S) -> None:
-        if horizon_s <= 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < horizon_s < math.inf:  # NaN fails too
+            raise ValueError(f"horizon must be finite and above 0, got {horizon_s}")
         self._horizon = horizon_s
         self._edges: dict[str, _Edge] = {}  # child -> edge history
         self._parents: set[str] = set()

@@ -1,4 +1,5 @@
 """Agent layer: spawning, kinematics, fix publishing, follow behavior."""
+import hashlib
 import json
 import math
 
@@ -9,10 +10,13 @@ from hypothesis import strategies as st
 
 from hmas import quat
 from hmas.agents import (DEAD_BAND_M, FOLLOW_GAIN, HEADING_BASELINE_S, HEADING_MIN_MOVE_M,
+                         STALE_FIX_PERIODS,
                          AgentSpec, DuplicateAgentError, FollowCommand,
                          Scenario, ScenarioAgent, SensorSpec, SpawnError,
                          UnknownAgentError, World, load_scenario, run_scenario)
+from hmas.bus import SeededDropInjector
 from hmas.geo import FixQuality, GeodeticCoord, RoverConfig, decode_fix
+from hmas.tf import TfError
 
 BASE = GeodeticCoord(48.70, 6.15, 220.0)
 GPS = (SensorSpec("gps", "gnss"),)
@@ -74,6 +78,45 @@ class TestSpec:
     ], ids=["max_speed_nan", "max_speed_inf", "standoff_nan", "standoff_inf",
             "offset_nan", "offset_inf", "offset_3", "speed_nan", "speed_inf"])
     def test_non_finite_inputs_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_point_target_is_three_floats(self):
+        target = FollowCommand("spot", [1, 0, -2]).target
+        assert target == (1.0, 0.0, -2.0) and all(type(v) is float for v in target)
+
+    @pytest.mark.parametrize("target", [(math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0),
+                                        (0.0, -math.inf, 0.0), (1.0, 0.0),
+                                        (1.0, 0.0, 0.0, 0.0)],
+                             ids=["nan", "inf", "minus_inf", "two", "four"])
+    def test_point_target_must_be_three_finite_numbers(self, target):
+        with pytest.raises(ValueError, match="target"):
+            FollowCommand("spot", target)
+
+    def test_scenario_agent_points_are_float_tuples(self):
+        entry = ScenarioAgent(ground("spot"), [1, 2, 0], waypoints=[[3, 4, 0], (5, 6, 0)])
+        assert entry.start == (1.0, 2.0, 0.0)
+        assert entry.waypoints == ((3.0, 4.0, 0.0), (5.0, 6.0, 0.0))
+        assert all(type(v) is float for point in (entry.start, *entry.waypoints) for v in point)
+
+    @pytest.mark.parametrize("build", [
+        lambda: ScenarioAgent(ground("spot"), (0.0, 0.0)),
+        lambda: ScenarioAgent(ground("spot"), (math.nan, 0.0, 0.0)),
+        lambda: ScenarioAgent(ground("spot"), (0.0, 0.0, 0.0), waypoints=((1.0, math.inf, 0.0),)),
+        lambda: ScenarioAgent(ground("spot"), (0.0, 0.0, 0.0), waypoints=((1.0, 0.0),)),
+        lambda: Scenario(BASE, 1, math.nan, (), ()),
+        lambda: Scenario(BASE, 1, math.inf, (), ()),
+        lambda: Scenario(BASE, 1, 0.0, (), ()),
+        lambda: Scenario(BASE, 1, -5.0, (), ()),
+        lambda: Scenario(BASE, 1.5, 1.0, (), ()),
+        lambda: Scenario(BASE, True, 1.0, (), ()),
+        lambda: Scenario(BASE, -1, 1.0, (), ()),
+        lambda: Scenario(BASE, 1, 1.0, (), (), noiseless="no"),
+        lambda: Scenario(BASE, 1, 1.0, (), (), noiseless=1),
+    ], ids=["start_2", "start_nan", "waypoint_inf", "waypoint_2", "duration_nan",
+            "duration_inf", "duration_0", "duration_negative", "seed_float", "seed_bool",
+            "seed_negative", "noiseless_str", "noiseless_int"])
+    def test_scenario_inputs_rejected(self, build):
         with pytest.raises(ValueError):
             build()
 
@@ -423,17 +466,21 @@ def moving_agents(draw):
     return spec, draw(vec3), odom, velocity
 
 
+# any 3-vector an Agent property accepts on assignment
+vector_forms = st.sampled_from([np.array, list, tuple])
+
+
 @given(moving_agents(), st.sampled_from([5.0, 100.0, 10_000.0]),
-       st.floats(1e-3, 1.0), st.integers(1, 4))
+       st.floats(1e-3, 1.0), st.integers(1, 4), vector_forms)
 @settings(max_examples=300, deadline=None)
-def test_world_step_kinematics_match_numpy_reference(agent, bounds, dt, steps):
+def test_world_step_kinematics_match_numpy_reference(agent, bounds, dt, steps, form):
     spec, position, odom, velocity = agent
     world = World(BASE, bounds_m=bounds)
     start = (0.0, 0.0, spec.altitude_range[0] if spec.altitude_range else 0.0)
     moved = world.spawn_agent(spec, start)
-    moved.position = np.array(position)
-    moved.velocity = np.array(velocity)
-    moved.odom_position = None if odom is None else np.array(odom)
+    moved.position = form(position)
+    moved.velocity = form(velocity)
+    moved.odom_position = None if odom is None else form(odom)
     ref = (np.array(velocity), np.array(position), None if odom is None else np.array(odom))
     for _ in range(steps):
         world.step(dt)
@@ -465,16 +512,17 @@ def follow_cases(draw):
     return f_pos, list(zip(stamps, positions)), cmd, draw(st.floats(1e-3, 1.0))
 
 
-@given(follow_cases(), st.sampled_from(["ground", "aerial"]), st.floats(0.1, 6.0))
+@given(follow_cases(), st.sampled_from(["ground", "aerial"]), st.floats(0.1, 6.0),
+       vector_forms)
 @settings(max_examples=200, deadline=None)
-def test_follow_step_matches_numpy_reference(case, category, max_speed):
+def test_follow_step_matches_numpy_reference(case, category, max_speed, form):
     f_pos, hist, cmd, dt = case
     world = World(BASE)
     altitude = (0.0, 50.0) if category == "aerial" else None
     follower = world.spawn_agent(AgentSpec("spot", category, max_speed,
                                            altitude_range=altitude), (0.0, 0.0, 0.0))
     world.spawn_agent(AgentSpec("operator", "human", 1.5), (0.0, 0.0, 0.0))
-    follower.odom_position = np.array(f_pos)
+    follower.odom_position = form(f_pos)
     follower.odom_stamp = 0.0
     world._estimates["operator"].extend(hist)  # entries: (stamp, (e, n, u))
     if isinstance(cmd.target, str):
@@ -483,7 +531,76 @@ def test_follow_step_matches_numpy_reference(case, category, max_speed):
     else:
         t_pos, heading = np.array(cmd.target, dtype=float), np.array([1.0, 0.0])
     expected = _ref_follow(np.array(f_pos), t_pos, heading, cmd, dt, max_speed)
-    assert _bits(world.follow_step(cmd, dt)) == _bits(expected)
+    command = world.follow_step(cmd, dt)
+    assert _bits(command) == _bits(expected)
+    assert command.dtype == np.float64 and command.flags.writeable
+    assert _bits(world.follow_step(cmd, dt)) == _bits(expected)  # the heading, cached
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0 / 140.0, 0.02, 0.05]),
+       st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)), min_size=1, max_size=6),
+       st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+@settings(max_examples=25, deadline=None)
+def test_follow_step_tracks_a_changing_fix_history(seed, dt, legs, offset):
+    """The target's heading is cached until its next fix. Every command of a
+    world whose target keeps moving still equals the numpy reference with the
+    heading recomputed from the fix history at every step."""
+    world = World(BASE, seed=seed)
+    world.spawn_agent(AgentSpec("operator", "human", 1.5, sensors=GPS), (0.0, 0.0, 0.0))
+    follower = world.spawn_agent(ground("spot", max_speed=2.0), (-2.0, -1.0, 0.0))
+    cmd = FollowCommand("spot", "operator", offset)
+    stale_after = STALE_FIX_PERIODS * world.fix_period()
+    steps = round(4.0 / dt)
+    compared = 0
+    for k in range(steps):
+        world.set_velocity("operator", (*legs[k * len(legs) // steps], 0.0))
+        hist = [(stamp, np.array(pos)) for stamp, pos in world._estimates["operator"]]
+        command = world.follow_step(cmd, dt)
+        if (follower.odom_position is None or world.time - follower.odom_stamp > stale_after
+                or not hist or world.time - hist[-1][0] > stale_after):
+            expected = np.zeros(3)
+        else:
+            expected = _ref_follow(follower.odom_position, hist[-1][1], _ref_heading(hist),
+                                   cmd, dt, 2.0)
+            compared += 1
+        assert _bits(command) == _bits(expected)
+        world.set_velocity("spot", command)
+        world.step(dt)
+    assert compared > steps // 2
+
+
+@given(st.sampled_from(["position", "velocity", "odom_position"]), vec3, vector_forms)
+@settings(max_examples=100, deadline=None)
+def test_agent_vectors_copy_in_both_directions(attr, value, form):
+    """A read is a fresh, writeable float64 array; writing into it does not
+    move the agent, assigning it (or any 3-vector) does."""
+    agent = World(BASE).spawn_agent(ground("spot"), (0.0, 0.0, 0.0))
+    source = form(value)
+    setattr(agent, attr, source)
+    if form is not tuple:
+        source[0] = 99.0  # the agent keeps its own copy
+    read = getattr(agent, attr)
+    assert type(read) is np.ndarray and read.dtype == np.float64 and read.flags.writeable
+    assert read is not getattr(agent, attr)
+    assert _bits(read) == _bits(value)
+    read += 1.0
+    assert _bits(getattr(agent, attr)) == _bits(value)
+    setattr(agent, attr, read)
+    assert _bits(getattr(agent, attr)) == _bits(read)
+
+
+def test_agent_vector_assignment_checks_its_shape():
+    agent = World(BASE).spawn_agent(ground("spot"), (0.0, 0.0, 0.0))
+    assert agent.odom_position is None
+    agent.odom_position = (1.0, 2.0, 0.0)
+    agent.odom_position = None
+    assert agent.odom_position is None
+    for attr in ("position", "velocity", "odom_position"):
+        with pytest.raises(ValueError):
+            setattr(agent, attr, (1.0, 2.0))
+    for attr in ("position", "velocity"):
+        with pytest.raises((TypeError, ValueError)):
+            setattr(agent, attr, None)
 
 
 @given(st.tuples(coord, coord, coord).map(lambda v: [10.0 * c for c in v]),
@@ -548,3 +665,67 @@ def test_skipping_idle_rover_steps_changes_no_fix(seed, dt):
         assert lean.agents[name].rover.quality is FixQuality.FIXED
         assert every.agents[name].rover.quality is FixQuality.FIXED
         assert _bits(lean.agents[name].position) == _bits(every.agents[name].position)
+
+
+def _lossy_team(seed, duration_s=30.0, alongside=None):
+    """Run a seeded operator, ground and aerial team with 5 % fix loss and a TF
+    lookup per agent per step, as the fleet benchmark does. Returns a hash of
+    every agent's state and lookup at every step, the fix counts and the
+    lookups that failed after the first second. ``alongside()`` runs after
+    every step."""
+    gps = (SensorSpec("gps", "gnss", (0.0, 0.0, 0.3)),)
+    members = (
+        ScenarioAgent(AgentSpec("operator", "human", 1.5, sensors=gps), (0.0, 0.0, 0.0),
+                      ((8.0, 3.0, 0.0), (-4.0, 6.0, 0.0), (2.0, -5.0, 0.0)), 1.0),
+        ScenarioAgent(AgentSpec("ground", "ground", 2.0, sensors=gps), (-2.0, -1.0, 0.0)),
+        ScenarioAgent(AgentSpec("aerial", "aerial", 3.0, altitude_range=(2.0, 30.0),
+                                sensors=gps), (-2.0, 1.0, 10.0)))
+    commands = (FollowCommand("ground", "operator", (0.0, -1.0)),
+                FollowCommand("aerial", "operator", (-2.0, 0.0), standoff=1.0))
+    digest, late_failures = hashlib.sha256(), []
+
+    def on_step(world):
+        for name, agent in sorted(world.agents.items()):
+            digest.update(b"".join(_bits(agent.position, agent.velocity)))
+            digest.update(_bits(agent.odom_position)[0] or b"-")
+            latest = agent.odom_stamp if agent.odom_stamp is not None else 0.0
+            try:
+                out = world.tree.lookup("world", f"{name}/gps", latest - 0.5 / 14.0)
+                digest.update(out.translation.tobytes() + out.rotation.tobytes())
+            except TfError:
+                if world.time > 1.0:
+                    late_failures.append((world.time, name))
+        if alongside is not None:
+            alongside()
+
+    world = run_scenario(
+        Scenario(BASE, seed, duration_s, members, commands), on_step=on_step,
+        on_world=lambda w: w.bus.set_fault_injector(SeededDropInjector(0.05, seed)))
+    return digest.hexdigest(), world.fix_counts, late_failures
+
+
+def test_a_lossy_scenario_repeats_bit_for_bit_in_one_process():
+    """Guards the fleet benchmark's own checks: each run publishes 420 fixes
+    per agent, no TF lookup fails after the first second, and every run of
+    one seed hashes the same. World state must not leak between worlds: a
+    shorter run, a run of another seed and a second world stepped alongside
+    change nothing."""
+    _lossy_team(3, duration_s=1.0)
+    first = _lossy_team(3)
+    assert first[1] == {"operator": 420, "ground": 420, "aerial": 420}
+    assert first[2] == []
+    assert _lossy_team(4)[0] != first[0]
+
+    other = World(BASE, seed=5)
+    other.spawn_agent(AgentSpec("operator", "human", 1.5, sensors=GPS), (5.0, 5.0, 0.0))
+    other.spawn_agent(ground("ground", max_speed=2.0), (0.0, 0.0, 0.0))
+    chase = FollowCommand("ground", "operator", (1.0, 0.5))
+
+    def step_other():
+        k = other.time
+        other.set_velocity("operator", (math.cos(0.7 * k), math.sin(0.3 * k), 0.0))
+        other.set_velocity("ground", other.follow_step(chase, 1.0 / 90.0))
+        other.step(1.0 / 90.0)  # its fixes arrive on other steps than the team's
+
+    assert _lossy_team(3, alongside=step_other) == first
+    assert _lossy_team(3) == first

@@ -1,5 +1,6 @@
 """End-to-end CLI coverage through hmas.cli.main."""
 import json
+import math
 
 import pytest
 
@@ -261,6 +262,28 @@ class TestScenarioCli:
         err = capsys.readouterr().err
         assert err.startswith("hmas: error: ") and "mount" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda s: s.update(noiseless="no"),
+        lambda s: s["agents"][0].update(waypoints=[[math.nan, 0, 0]]),
+        lambda s: s.update(duration_s=-5),
+        lambda s: s["agents"][1].update(start=[-2, -1]),
+        lambda s: s["agents"][0].update(waypoints=[[10, 0]]),
+        lambda s: s.update(seed=1.5),
+        lambda s: s.update(seed=True),
+        lambda s: s["commands"][0].update(target=[10, 0]),
+    ], ids=["noiseless-string", "waypoint-nan", "duration-negative", "start-2",
+            "waypoint-2", "seed-float", "seed-bool", "target-2"])
+    def test_bad_scenario_exits_2_with_one_line(self, tmp_path, capsys, edit):
+        scenario = json.loads(json.dumps(SCENARIO))
+        edit(scenario)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(scenario))
+        assert run_cli("scenario", "run", path) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("hmas: error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "reshape" not in err and "SeedSequence" not in err
 
     def test_integer_mount_reaches_the_sensor_frame(self, tmp_path):
         scenario = json.loads(json.dumps(SCENARIO))

@@ -216,6 +216,11 @@ class TestTimeBuffer:
         with pytest.raises(TimeBoundsError):
             tree.set_transform(Transform.identity("world", "a", 89.0))
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_horizon_must_be_finite_and_positive(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            TransformTree(horizon)
+
     def test_old_samples_pruned(self):
         tree = TransformTree(horizon_s=10.0)
         tree.set_transform(Transform.identity("world", "a", 0.0))
