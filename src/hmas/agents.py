@@ -11,9 +11,9 @@ odometry as 3-float tuples, and ``Agent.position``, ``velocity`` and
 assignment copies any 3-vector). Arithmetic keeps numpy's operation order,
 norms and the standoff dot product are fixed-order float sums, and every speed
 clamp still runs, since a clamped vector's norm can round above the limit. A
-target's heading is cached until its next fix. A rover is stepped only when a
-fix is due or corrections arrived; on any other step ``Rover.step`` would do
-nothing but check its clock.
+target's heading is cached until its next fix. A rover is stepped only when its
+fix is due, with what its own correction subscription holds: a correction moves
+the grade only at a fix stamp, so taking it at the next fix changes no bit.
 """
 from __future__ import annotations
 
@@ -27,8 +27,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bus import Bus, QosProfile, QualifiedName
-from .geo import (CorrectionLink, EnuCoord, GeodeticCoord, Rover, RoverConfig,
-                  encode_fix, decode_fix, geodetic_to_enu, enu_to_geodetic)
+from .geo import (CORRECTION_QOS, CORRECTION_TOPIC, DEFAULT_FIX_RATE_HZ, EnuCoord,
+                  GeodeticCoord, Rover, RoverConfig, encode_fix, decode_fix, geodetic_to_enu,
+                  enu_to_geodetic, rtk_base, take_corrections)
 from .tf import TransformTree, _transform
 from . import quat
 
@@ -161,6 +162,7 @@ class Agent:
         self._velocity = (0.0, 0.0, 0.0)
         self.rover: Rover | None = None
         self.fix_pub = None
+        self.rtk_sub = None
         self._odom: quat.Vec3 | None = None
         self.odom_stamp: float | None = None
 
@@ -181,7 +183,8 @@ class World:
         self.bounds_m = bounds_m
         self.rover_config = rover_config if rover_config is not None else RoverConfig()
         self._seed_root = np.random.SeedSequence(seed)
-        self._link = CorrectionLink(base, seed=self._seed_root.spawn(1)[0])
+        self._seed_root.spawn(1)  # the old correction link's seed: rover seeds stay put
+        self._link = rtk_base(self.bus)
         self._agents: dict[str, Agent] = {}
         self._display = self.bus.create_node("hmas", "display")
         self._fix_subs: dict[str, object] = {}
@@ -199,7 +202,7 @@ class World:
         return self._agents
 
     def fix_period(self) -> float:
-        return 1.0 / self.rover_config.fix_rate_hz
+        return 1.0 / DEFAULT_FIX_RATE_HZ
 
     # -- population -----------------------------------------------------
 
@@ -227,6 +230,7 @@ class World:
                     agent.rover = Rover(spec.name, self.rover_config,
                                         seed=self._seed_root.spawn(1)[0])
                     agent.fix_pub = self.bus.advertise(node, f"{sensor.name}/fix")
+                    agent.rtk_sub = self.bus.subscribe(node, CORRECTION_TOPIC.full, CORRECTION_QOS)
                     topic = f"/{spec.name}/{sensor.name}/fix"
                     self._fix_subs[spec.name] = self.bus.subscribe(
                         self._display, topic, QosProfile(history_depth=8))
@@ -340,7 +344,7 @@ class World:
         if not 0.0 < dt <= 1.0:
             raise ValueError(f"dt must be in (0, 1] s, got {dt}")
         now = self._time + dt
-        corrections = self._link.poll(now)
+        self._link.poll(now)
         for agent in self._agents.values():
             vx, vy, vz = agent._velocity = _clamp_speed(agent._velocity, agent.spec.max_speed)
             dx, dy, dz = vx * dt, vy * dt, vz * dt
@@ -355,7 +359,7 @@ class World:
             if rover.fix_due(now):
                 # the rover reads the truth only on a step that emits a fix
                 truth = enu_to_geodetic(EnuCoord(px, py, pz), self.base)
-                fix = rover.step(truth, corrections, now)
+                fix = rover.step(truth, take_corrections(self.bus, agent.rtk_sub), now)
                 agent.fix_pub.publish(fix.stamp, encode_fix(fix))
                 self.fix_counts[agent.name] += 1
                 est = geodetic_to_enu(fix.position, self.base)
@@ -363,8 +367,6 @@ class World:
                 agent._odom = est_pos
                 agent.odom_stamp = fix.stamp
                 self._set_pose_edges(agent, est_pos, fix.stamp)
-            elif corrections:
-                rover.step(None, corrections, now)  # ingests them; no fix is due
         self._drain_fixes()
         self._time = now
 

@@ -16,10 +16,10 @@ import numpy as np
 
 from .bag import read_bag, record
 from .bus import Bus
-from .geo import (DEFAULT_FIX_RATE_HZ, DISTURBANCE_DECAY_S, CorrectionLink,
-                  DisturbanceWindow, GeodeticCoord, Rover, RoverConfig, RtkFix,
-                  decode_fix, encode_fixes, enu_to_geodetic_array,
-                  geodetic_to_enu_array)
+from .geo import (CORRECTION_QOS, CORRECTION_TOPIC, DEFAULT_FIX_RATE_HZ,
+                  DISTURBANCE_DECAY_S, DisturbanceWindow, GeodeticCoord, Rover,
+                  RoverConfig, RtkFix, decode_fix, encode_fixes, enu_to_geodetic_array,
+                  geodetic_to_enu_array, rtk_base, take_corrections)
 # The per-fix scalar functions stay importable from this module, where the
 # span tracer in perfbench/ patches them.
 from .geo import encode_fix, enu_to_geodetic  # noqa: F401
@@ -291,10 +291,10 @@ def _draw_biases(spec: ExperimentSpec,
     return biases
 
 
-def board_rovers(spec: ExperimentSpec) -> tuple[CorrectionLink, dict[str, Rover]]:
-    """The spec's seeded correction link and one seeded rover per corner."""
+def board_rovers(spec: ExperimentSpec) -> dict[str, Rover]:
+    """One seeded rover per corner."""
     root = np.random.SeedSequence(spec.seed)
-    bias_ss, link_ss, *rover_ss = root.spawn(2 + len(CORNERS))
+    bias_ss, _old_link_ss, *rover_ss = root.spawn(2 + len(CORNERS))
     biases = _draw_biases(spec, bias_ss)
 
     windows: dict[str, list[DisturbanceWindow]] = {c: [] for c in CORNERS}
@@ -303,13 +303,12 @@ def board_rovers(spec: ExperimentSpec) -> tuple[CorrectionLink, dict[str, Rover]
             ox, oy = w.offset_en()
             windows[w.rover_id].append(DisturbanceWindow(w.start_s, w.end_s, (ox, oy, 0.0)))
 
-    link = CorrectionLink(spec.base, seed=link_ss)
     rovers = {}
     for corner, ss in zip(CORNERS, rover_ss):
         config = (RoverConfig.noiseless() if spec.noiseless
                   else RoverConfig(bias_en=biases[corner]))
         rovers[corner] = Rover(corner, config, seed=ss, disturbances=windows[corner])
-    return link, rovers
+    return rovers
 
 
 # Fix steps simulated per batch: bounds the arrays a long run holds at once.
@@ -320,22 +319,26 @@ def run_experiment(spec: ExperimentSpec, out) -> Path:
     """Move the board through the spec's trajectory, step four rovers at the
     fix rate, and record every ``/*/gps/fix`` topic into the sink bag.
 
-    Rovers run in batches of fix steps over arrays; every fix is still
-    published on the bus in step order, corners in ``CORNERS`` order, so the
-    bag holds the same bytes a per-fix ``Rover.step`` loop records.
+    Rovers run in batches of fix steps over arrays, each taking corrections at
+    the stamps where the base sent some; every fix is published in step order,
+    corners in ``CORNERS`` order: the bag holds the bytes a per-fix loop records.
     """
-    link, rovers = board_rovers(spec)
+    rovers = board_rovers(spec)
     bus = Bus()
-    pubs = [bus.advertise(bus.create_node(corner, "gps"), "gps/fix") for corner in CORNERS]
+    link = rtk_base(bus)
+    nodes = [bus.create_node(corner, "gps") for corner in CORNERS]
+    pubs = [bus.advertise(node, "gps/fix") for node in nodes]
+    subs = [bus.subscribe(node, CORRECTION_TOPIC.full, CORRECTION_QOS) for node in nodes]
     recorder = record(bus, ["/*/gps/fix"], out)
     steps = round(spec.duration_s * DEFAULT_FIX_RATE_HZ)
     for first in range(1, steps + 1, _BATCH_STEPS):
         t = np.arange(first, min(first + _BATCH_STEPS, steps + 1)) / DEFAULT_FIX_RATE_HZ
         stamps = t.tolist()
-        corrections = [link.poll(stamp) for stamp in stamps]
+        taken = [[take_corrections(bus, sub) for sub in subs] if link.poll(stamp)
+                 else [()] * len(subs) for stamp in stamps]
         positions = corner_positions(spec, t)
         payloads = []
-        for corner in CORNERS:
+        for corner, corrections in zip(CORNERS, zip(*taken)):
             truth = enu_to_geodetic_array(positions[corner], spec.base)
             measured, codes = rovers[corner].step_batch(truth, t, corrections)
             payloads.append(encode_fixes(corner, t, measured, codes))

@@ -1,5 +1,5 @@
 """Geolocation pipeline: geodetic/ECEF/ENU conversions anchored at a fixed
-RTK base, a simulated correction link, and a stochastic rover fix model.
+RTK base, its correction stream on the bus, and a stochastic rover fix model.
 
 Conversions use the WGS84 closed forms (a = 6378137 m, f = 1/298.257223563);
 the inverse is Bowring's start refined by a short fixed-point iteration. The
@@ -20,6 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .bus import Bus, PublisherHandle, QosProfile, QualifiedName, Reliability, SubscriptionHandle
+
 WGS84_A = 6378137.0
 WGS84_F = 1.0 / 298.257223563
 WGS84_E2 = WGS84_F * (2.0 - WGS84_F)
@@ -28,7 +30,9 @@ _EP2 = WGS84_E2 / (1.0 - WGS84_E2)  # second eccentricity squared
 
 DEFAULT_FIX_RATE_HZ = 14.0
 DEFAULT_CORRECTION_TIMEOUT_S = 5.0
-DEFAULT_CORRECTION_INTERVAL_S = 1.0
+CORRECTION_INTERVAL_S = 1.0
+CORRECTION_TOPIC = QualifiedName("hmas", "rtk/corrections")
+CORRECTION_QOS = QosProfile(Reliability.RELIABLE, history_depth=1)
 DISTURBANCE_DECAY_S = 3.0
 
 
@@ -86,7 +90,6 @@ class RtkFix:
 
 @dataclass(frozen=True)
 class CorrectionMsg:
-    base_position: GeodeticCoord
     epoch: int
     stamp: float
 
@@ -340,13 +343,16 @@ def read_fix_csv(path) -> list[RtkFix]:
         missing = set(FIX_CSV_HEADER) - set(reader.fieldnames or ())
         if missing:
             raise ValueError(f"fix CSV {path} is missing columns {sorted(missing)}")
-        for row in reader:
+        for n, row in enumerate(reader, start=1):
+            stamp = float(row["stamp_s"])
+            if not math.isfinite(stamp):
+                raise ValueError(f"fix CSV {path} row {n}: stamp {stamp} is not finite")
             fixes.append(RtkFix(
                 row["rover_id"],
                 GeodeticCoord(float(row["lat_deg"]), float(row["lon_deg"]),
                               float(row["alt_m"])),
                 FixQuality(row["quality"]),
-                float(row["stamp_s"]),
+                stamp,
             ))
     return fixes
 
@@ -356,15 +362,13 @@ def read_fix_csv(path) -> list[RtkFix]:
 
 @dataclass(frozen=True)
 class RoverConfig:
-    """Error model and cadence of one simulated RTK rover.
+    """Error model of one simulated RTK rover.
 
     Horizontal/vertical sigmas are per fix-quality grade; ``bias_en`` pins the
     constant horizontal bias (east, north) or, when None, draws magnitude
     uniformly from [0, 0.20] m in a random direction.
     """
 
-    fix_rate_hz: float = DEFAULT_FIX_RATE_HZ
-    correction_timeout_s: float = DEFAULT_CORRECTION_TIMEOUT_S
     fixed_sigma_h: float = 0.01
     fixed_sigma_v: float = 0.02
     float_sigma_h: float = 0.25
@@ -372,12 +376,6 @@ class RoverConfig:
     single_sigma_h: float = 1.5
     single_sigma_v: float = 3.0
     bias_en: tuple[float, float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.fix_rate_hz <= 0.0:
-            raise ValueError(f"fix rate must be positive, got {self.fix_rate_hz}")
-        if self.correction_timeout_s <= 0.0:
-            raise ValueError("correction timeout must be positive")
 
     def sigmas(self, quality: FixQuality) -> tuple[float, float]:
         if quality is FixQuality.FIXED:
@@ -418,37 +416,38 @@ class DisturbanceWindow:
 
 
 class CorrectionLink:
-    """Fixed-interval correction stream from the base, with optional latency
-    and seeded drops standing in for a lossy radio link."""
+    """The RTK base: epoch k goes out on ``pub`` at k * ``CORRECTION_INTERVAL_S``,
+    stamped with that send time. A rover keeps only the last epoch, so the
+    keep-last-1 of ``CORRECTION_QOS`` loses nothing it uses."""
 
-    def __init__(self, base: GeodeticCoord, interval_s: float = DEFAULT_CORRECTION_INTERVAL_S,
-                 latency_s: float = 0.0, drop_prob: float = 0.0,
-                 seed: int | np.random.SeedSequence = 0) -> None:
-        if interval_s <= 0.0:
-            raise ValueError("correction interval must be positive")
-        if latency_s < 0.0:
-            raise ValueError("latency cannot be negative")
-        if not 0.0 <= drop_prob <= 1.0:
-            raise ValueError("drop probability must be in [0, 1]")
-        self.base = base
-        self.interval_s = interval_s
-        self.latency_s = latency_s
-        self.drop_prob = drop_prob
-        self._rng = np.random.default_rng(seed)
+    def __init__(self, pub: PublisherHandle) -> None:
+        self.pub = pub
         self._next_epoch = 1
 
-    def poll(self, now: float) -> list[CorrectionMsg]:
-        """Corrections that have arrived by ``now`` since the previous poll."""
-        out = []
-        while True:
-            send_t = self._next_epoch * self.interval_s
-            if send_t + self.latency_s > now:
-                break
-            dropped = self.drop_prob > 0.0 and self._rng.random() < self.drop_prob
-            if not dropped:
-                out.append(CorrectionMsg(self.base, self._next_epoch, send_t))
+    def poll(self, now: float) -> int:
+        """Publish every epoch due by ``now``; returns how many went out."""
+        first = self._next_epoch
+        while (send_t := self._next_epoch * CORRECTION_INTERVAL_S) <= now:
+            self.pub.publish(send_t, _EPOCH.pack(self._next_epoch))
             self._next_epoch += 1
-        return out
+        return self._next_epoch - first
+
+
+_EPOCH = struct.Struct("<Q")
+
+
+def rtk_base(bus: Bus) -> CorrectionLink:
+    """The RTK base on ``bus``: an ``hmas/rtk_base`` node with its correction link."""
+    node = bus.create_node(CORRECTION_TOPIC.namespace, "rtk_base")
+    return CorrectionLink(bus.advertise(node, CORRECTION_TOPIC.local))
+
+
+def take_corrections(bus: Bus, sub: SubscriptionHandle) -> list[CorrectionMsg]:
+    """Every correction waiting on ``sub``, oldest first."""
+    out = []
+    while (msg := bus.take(sub)) is not None:
+        out.append(CorrectionMsg(*_EPOCH.unpack(msg.payload), msg.stamp))
+    return out
 
 
 class Rover:
@@ -501,27 +500,23 @@ class Rover:
 
     def fix_due(self, now: float) -> bool:
         """Whether ``step(..., now)`` would emit a fix."""
-        return self._next_fix_index / self.config.fix_rate_hz <= now + 1e-9
+        return self._next_fix_index / DEFAULT_FIX_RATE_HZ <= now + 1e-9
 
-    def step(self, true_position: GeodeticCoord | None,
+    def step(self, true_position: GeodeticCoord,
              corrections: Iterable[CorrectionMsg], now: float) -> RtkFix | None:
         """Ingest corrections and emit the fix due by ``now``, if any.
 
         ``now`` must be monotone. Stepping slower than the fix period emits
-        only the latest due epoch. ``true_position`` is read only when a fix
-        is due (see ``fix_due``), and may be None otherwise.
+        only the latest due epoch.
         """
         if self._last_now is not None and now < self._last_now:
             raise ValueError(f"time went backwards: {now} < {self._last_now}")
-        if true_position is None and self.fix_due(now):
-            raise ValueError(f"a fix is due at {now} but no true position was given")
         self._last_now = now
         for msg in corrections:
             self.receive_correction(msg)
-        rate = self.config.fix_rate_hz
         stamp = None
         while self.fix_due(now):
-            stamp = self._next_fix_index / rate
+            stamp = self._next_fix_index / DEFAULT_FIX_RATE_HZ
             self._next_fix_index += 1
         if stamp is None:
             return None
@@ -540,7 +535,7 @@ class Rover:
 
         ``stamps`` must be the rover's next n fix stamps, ``true_positions``
         the (n, 3) geodetic truth at them, and ``corrections[k]`` the
-        corrections polled at ``stamps[k]``. Returns the measured (n, 3)
+        corrections taken at ``stamps[k]``. Returns the measured (n, 3)
         geodetic positions and the quality codes (indexes into single, float,
         fixed), and leaves the rover in the state those n steps would.
         """
@@ -549,7 +544,7 @@ class Rover:
         truth = _as_points(true_positions)
         if len(truth) != n or len(corrections) != n:
             raise ValueError(f"{n} stamps need {n} true positions and {n} correction lists")
-        due = (self._next_fix_index + np.arange(n)) / self.config.fix_rate_hz
+        due = (self._next_fix_index + np.arange(n)) / DEFAULT_FIX_RATE_HZ
         if not np.array_equal(stamps, due):
             raise ValueError("stamps must be the rover's next fix stamps")
         if n == 0:
@@ -573,14 +568,13 @@ class Rover:
         return measured, codes
 
     def _update_quality(self, now: float) -> None:
-        timeout = self.config.correction_timeout_s
         if self._last_corr_stamp is None:
             target = 0  # single
         else:
             staleness = now - self._last_corr_stamp
-            if staleness <= timeout:
+            if staleness <= DEFAULT_CORRECTION_TIMEOUT_S:
                 target = 2  # fixed
-            elif staleness <= 2.0 * timeout:
+            elif staleness <= 2.0 * DEFAULT_CORRECTION_TIMEOUT_S:
                 target = 1  # float
             else:
                 target = 0

@@ -14,8 +14,10 @@ from hmas.agents import (DEAD_BAND_M, FOLLOW_GAIN, HEADING_BASELINE_S, HEADING_M
                          AgentSpec, DuplicateAgentError, FollowCommand,
                          Scenario, ScenarioAgent, SensorSpec, SpawnError,
                          UnknownAgentError, World, load_scenario, run_scenario)
+from hmas.bag import read_bag, record
 from hmas.bus import SeededDropInjector
-from hmas.geo import FixQuality, GeodeticCoord, RoverConfig, decode_fix
+from hmas.geo import (CORRECTION_TOPIC, EnuCoord, FixQuality, GeodeticCoord, RoverConfig,
+                      decode_fix, enu_to_geodetic, take_corrections)
 from hmas.tf import TfError
 
 BASE = GeodeticCoord(48.70, 6.15, 220.0)
@@ -164,8 +166,32 @@ class TestSpawn:
         world = noiseless_world()
         with pytest.raises(SpawnError, match="finite"):
             world.spawn_agent(ground("spot"), start)
-        assert world.bus.discover().nodes == {"/hmas/display"}
+        assert world.bus.discover().nodes == {"/hmas/display", "/hmas/rtk_base"}
         world.spawn_agent(ground("spot"), (0.0, 0.0, 0.0))
+
+
+class TestCorrections:
+    def test_every_gnss_sensor_subscribes_to_the_base(self):
+        world = noiseless_world()
+        world.spawn_agent(ground("spot"), (0.0, 0.0, 0.0))
+        world.spawn_agent(AgentSpec("anafi", "aerial", 5.0, altitude_range=(1.0, 50.0),
+                                    sensors=(SensorSpec("cam"), *GPS)), (0.0, 0.0, 10.0))
+        world.spawn_agent(AgentSpec("operator", "human", 1.5), (1.0, 0.0, 0.0))
+        graph = world.bus.discover()
+        assert graph.publishers[CORRECTION_TOPIC.full] == {"/hmas/rtk_base"}
+        assert graph.subscribers[CORRECTION_TOPIC.full] == {"/spot/gps", "/anafi/gps"}
+
+    def test_scenario_bag_holds_every_epoch_sent(self, tmp_path):
+        scenario = Scenario(BASE, 1, 4.0, (ScenarioAgent(ground("spot"), (0.0, 0.0, 0.0)),), ())
+        recorders = []
+        world = run_scenario(scenario, on_world=lambda w: recorders.append(
+            record(w.bus, [CORRECTION_TOPIC.full], tmp_path / "rtk.bag")))
+        records = read_bag(recorders[0].stop())
+        k = math.floor(world.time)  # the summed world clock ends just below 4 s
+        assert k == 3
+        assert [r.topic for r in records] == [CORRECTION_TOPIC.full] * k
+        assert [int.from_bytes(r.payload, "little") for r in records] == list(range(1, k + 1))
+        assert [r.stamp for r in records] == [float(e) for e in range(1, k + 1)]
 
 
 class TestStepping:
@@ -646,9 +672,10 @@ def _fleet(seed):
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1.0 / 140.0, 0.01, 0.05, 0.3]))
 @settings(max_examples=12, deadline=None)
 def test_skipping_idle_rover_steps_changes_no_fix(seed, dt):
-    """World steps a rover only when a fix is due or corrections arrived. A
-    world whose rovers are also stepped on every other step, as they once
-    were, publishes the same fixes and leaves the rovers in the same grade."""
+    """World steps a rover only when its fix is due, with the corrections its
+    subscription holds by then. A world whose rovers also take and ingest
+    their corrections on every other step, as they arrive, publishes the same
+    fixes and leaves the rovers in the same grade."""
     lean, lean_fixes = _fleet(seed)
     every, every_fixes = _fleet(seed)
     for k in range(round(12.0 / dt)):
@@ -658,7 +685,9 @@ def test_skipping_idle_rover_steps_changes_no_fix(seed, dt):
             world.set_velocity("anafi", velocity)
             world.step(dt)
         for agent in every.agents.values():
-            assert agent.rover.step(None, (), every.time) is None
+            truth = enu_to_geodetic(EnuCoord(*agent.position), BASE)
+            corrections = take_corrections(every.bus, agent.rtk_sub)
+            assert agent.rover.step(truth, corrections, every.time) is None
     assert lean_fixes and lean_fixes == every_fixes
     for name in lean.agents:
         # corrections arrived: both climbed the ladder to fixed

@@ -159,18 +159,23 @@ class TestRunExperiment:
 
 def _scalar_loop_bag(spec, path):
     """Reference for ``run_experiment``: the per-fix loop, one scalar truth
-    conversion and one ``Rover.step`` per rover and step."""
-    link, rovers = bench.board_rovers(spec)
+    conversion and one ``Rover.step`` per rover and step, each rover taking
+    its corrections from its own subscription at every step."""
+    rovers = bench.board_rovers(spec)
     live = Bus()
-    pubs = {c: live.advertise(live.create_node(c, "gps"), "gps/fix") for c in CORNERS}
+    link = geo.rtk_base(live)
+    nodes = {c: live.create_node(c, "gps") for c in CORNERS}
+    pubs = {c: live.advertise(node, "gps/fix") for c, node in nodes.items()}
+    subs = {c: live.subscribe(node, geo.CORRECTION_TOPIC.full, geo.CORRECTION_QOS)
+            for c, node in nodes.items()}
     recorder = bag.record(live, ["/*/gps/fix"], path)
     for i in range(1, round(spec.duration_s * geo.DEFAULT_FIX_RATE_HZ) + 1):
         t = i / geo.DEFAULT_FIX_RATE_HZ
-        corrections = link.poll(t)
+        link.poll(t)
         positions = bench.corner_positions(spec, np.array([t]))
         for corner in CORNERS:
             truth = geo.enu_to_geodetic(geo.EnuCoord(*positions[corner][0]), spec.base)
-            fix = rovers[corner].step(truth, corrections, t)
+            fix = rovers[corner].step(truth, geo.take_corrections(live, subs[corner]), t)
             pubs[corner].publish(fix.stamp, geo.encode_fix(fix))
     return recorder.stop()
 

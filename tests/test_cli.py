@@ -75,6 +75,25 @@ class TestBenchCli:
         assert code == 0
         assert "verdicts:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("stamp", ["nan", "inf"])
+    def test_analyze_rejects_a_non_finite_fix_stamp(self, tmp_path, capsys, stamp):
+        from hmas.geo import write_fix_csv
+        bagfile = tmp_path / "s.bag"
+        bench.run_experiment(bench.make_spec("static", 1, duration_s=2.0, noiseless=True),
+                             bagfile)
+        fixes = [f for series in bench.load_bag_fixes(bagfile).values() for f in series]
+        csv_in = tmp_path / "fixes.csv"
+        write_fix_csv(csv_in, fixes)
+        lines = csv_in.read_text().splitlines()
+        last = lines[-1].split(",")
+        lines[-1] = ",".join([stamp, *last[1:]])
+        csv_in.write_text("\n".join(lines) + "\n")
+        code = run_cli("bench", "analyze", "--fixes", csv_in, "--convergence-s", "0")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"hmas: error: fix CSV {csv_in} row {len(fixes)}: "
+                       f"stamp {stamp} is not finite\n")
+
     def test_rotation_kind_excludes_its_windows(self, tmp_path, capsys):
         out = tmp_path / "rot.bag"
         run_cli("bench", "run", "--kind", "rotation", "--seed", "1", "--out", out)

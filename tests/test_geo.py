@@ -251,6 +251,17 @@ class TestFixCodec:
         with pytest.raises(ValueError, match="missing columns"):
             geo.read_fix_csv(bad)
 
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_stamp_rejected(self, tmp_path, stamp):
+        path = tmp_path / "fixes.csv"
+        fix = RtkFix("r1", GeodeticCoord(48.7, 6.15, 220.0), FixQuality.FIXED, 0.5)
+        geo.write_fix_csv(path, [fix, fix, fix])
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace("0.500000", stamp, 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"row 2: stamp {stamp} is not finite"):
+            geo.read_fix_csv(path)
+
 
 # -- the ENU rotations against their formulas, written out ---------------------
 

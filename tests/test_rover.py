@@ -1,25 +1,33 @@
-"""Rover fix model: quality ladder, noise statistics, correction link."""
+"""Rover fix model: quality ladder, noise statistics, corrections on the bus."""
 import math
 
 import numpy as np
 import pytest
 
-from hmas.geo import (CorrectionLink, CorrectionMsg, DisturbanceWindow,
-                      FixQuality, GeodeticCoord, Rover, RoverConfig,
-                      geodetic_to_enu)
+from hmas.bus import Bus, QosProfile, SeededDropInjector
+from hmas.geo import (CORRECTION_QOS, CORRECTION_TOPIC, CorrectionMsg, DisturbanceWindow,
+                      FixQuality, GeodeticCoord, Rover, RoverConfig, geodetic_to_enu,
+                      rtk_base, take_corrections)
 
 BASE = GeodeticCoord(48.70, 6.15, 220.0)
-FRESH = [CorrectionMsg(BASE, 1, 0.0)]
+FRESH = [CorrectionMsg(1, 0.0)]
 QUALITIES = tuple(FixQuality)  # the order quality codes index
+BEST_EFFORT = QosProfile()  # the fault injector drops only best-effort deliveries
 
 
 def corrections_at(epoch, stamp):
-    return [CorrectionMsg(BASE, epoch, stamp)]
+    return [CorrectionMsg(epoch, stamp)]
 
 
-def test_fix_rate_zero_rejected():
-    with pytest.raises(ValueError):
-        RoverConfig(fix_rate_hz=0.0)
+def rtk_feed(qos=CORRECTION_QOS, drop_rate=0.0, seed=0, rovers=1):
+    """A bus whose SeededDropInjector drops ``drop_rate`` of the droppable
+    deliveries, an RTK base on it, and ``rovers`` correction subscriptions
+    with ``qos``: (bus, link, subscriptions)."""
+    bus = Bus(SeededDropInjector(drop_rate, seed))
+    link = rtk_base(bus)
+    subs = [bus.subscribe(bus.create_node(f"rover_{i}", "gps"), CORRECTION_TOPIC.full, qos)
+            for i in range(rovers)]
+    return bus, link, subs
 
 
 def test_noiseless_fixes_equal_truth_exactly():
@@ -35,11 +43,12 @@ def test_quality_climbs_stepwise_and_never_regresses_when_fresh():
     rover = Rover("r", RoverConfig.noiseless(), seed=0)
     truth = BASE
     seen = []
-    link = CorrectionLink(BASE, interval_s=1.0)
+    bus, link, (sub,) = rtk_feed()
     reached_fixed_at = None
     for i in range(1, 200):
         now = i / 14.0
-        fix = rover.step(truth, link.poll(now), now)
+        link.poll(now)
+        fix = rover.step(truth, take_corrections(bus, sub), now)
         seen.append(fix.quality)
         if reached_fixed_at is None and fix.quality is FixQuality.FIXED:
             reached_fixed_at = i
@@ -86,11 +95,12 @@ def test_degraded_mode_sigma_rises_to_single_value():
 def test_fixed_mode_noise_statistics_match_configured_sigma():
     config = RoverConfig(bias_en=(0.0, 0.0))
     rover = Rover("r", config, seed=42)
-    link = CorrectionLink(BASE, interval_s=1.0)
+    bus, link, (sub,) = rtk_feed()
     samples = []
     for i in range(1, 1101):
         now = i / 14.0
-        fix = rover.step(BASE, link.poll(now), now)
+        link.poll(now)
+        fix = rover.step(BASE, take_corrections(bus, sub), now)
         if fix.quality is FixQuality.FIXED:
             e = geodetic_to_enu(fix.position, BASE)
             samples.append((e.east, e.north, e.up))
@@ -104,11 +114,12 @@ def test_fixed_mode_noise_statistics_match_configured_sigma():
 def test_same_seed_reproduces_fixes_exactly():
     def run():
         rover = Rover("r", RoverConfig(), seed=99)
-        link = CorrectionLink(BASE, interval_s=1.0)
+        bus, link, (sub,) = rtk_feed()
         out = []
         for i in range(1, 200):
             now = i / 14.0
-            out.append(rover.step(BASE, link.poll(now), now))
+            link.poll(now)
+            out.append(rover.step(BASE, take_corrections(bus, sub), now))
         return out
 
     assert run() == run()
@@ -139,39 +150,67 @@ def test_time_going_backwards_rejected():
 
 def test_correction_epoch_must_increase():
     rover = Rover("r", RoverConfig.noiseless(), seed=0)
-    rover.receive_correction(CorrectionMsg(BASE, 5, 1.0))
+    rover.receive_correction(CorrectionMsg(5, 1.0))
     with pytest.raises(ValueError, match="epoch"):
-        rover.receive_correction(CorrectionMsg(BASE, 5, 2.0))
+        rover.receive_correction(CorrectionMsg(5, 2.0))
 
 
 class TestCorrectionLink:
     def test_cadence(self):
-        link = CorrectionLink(BASE, interval_s=1.0)
-        assert [m.epoch for m in link.poll(3.5)] == [1, 2, 3]
-        assert [m.epoch for m in link.poll(4.0)] == [4]
-        assert link.poll(4.5) == []
-
-    def test_latency_delays_arrival(self):
-        link = CorrectionLink(BASE, interval_s=1.0, latency_s=0.75)
-        assert link.poll(1.5) == []
-        msgs = link.poll(1.75)
-        assert [m.epoch for m in msgs] == [1]
-        assert msgs[0].stamp == 1.0  # stamped at send time
+        bus, link, (sub,) = rtk_feed(QosProfile(history_depth=8))
+        assert link.poll(3.5) == 3
+        msgs = take_corrections(bus, sub)
+        assert [m.epoch for m in msgs] == [1, 2, 3]
+        assert [m.stamp for m in msgs] == [1.0, 2.0, 3.0]  # stamped at send time
+        assert link.poll(4.0) == 1
+        assert [m.epoch for m in take_corrections(bus, sub)] == [4]
+        assert link.poll(4.5) == 0
+        assert take_corrections(bus, sub) == []
 
     def test_full_drop(self):
-        link = CorrectionLink(BASE, interval_s=1.0, drop_prob=1.0, seed=1)
-        assert link.poll(100.0) == []
+        bus, link, (sub,) = rtk_feed(BEST_EFFORT, drop_rate=1.0, seed=1)
+        for t in range(1, 101):
+            link.poll(float(t))
+            assert take_corrections(bus, sub) == []
 
     def test_seeded_drops_are_reproducible(self):
         def epochs(seed):
-            link = CorrectionLink(BASE, interval_s=1.0, drop_prob=0.5, seed=seed)
-            return [m.epoch for m in link.poll(200.0)]
+            bus, link, (sub,) = rtk_feed(BEST_EFFORT, drop_rate=0.5, seed=seed)
+            kept = []
+            for t in range(1, 201):
+                link.poll(float(t))
+                kept += [m.epoch for m in take_corrections(bus, sub)]
+            return kept
 
         assert epochs(11) == epochs(11)
         assert epochs(11) != epochs(12)
         kept = epochs(11)
         assert 0 < len(kept) < 200  # some dropped, some kept
         assert all(a < b for a, b in zip(kept, kept[1:]))
+
+    def test_reliable_subscriptions_lose_nothing(self):
+        bus, link, (sub,) = rtk_feed(drop_rate=1.0)
+        for t in range(1, 11):
+            link.poll(float(t))
+            assert [m.epoch for m in take_corrections(bus, sub)] == [t]
+
+    def test_two_rovers_on_one_base_lose_their_own_corrections(self):
+        # a 40 s outage drawn per delivery: each rover's ladder falls and
+        # climbs on its own
+        bus, link, subs = rtk_feed(BEST_EFFORT, drop_rate=0.8, seed=3, rovers=2)
+        rovers = [Rover(f"r{i}", RoverConfig.noiseless(), seed=i) for i in range(2)]
+        kept = [[], []]
+        ladders = [[], []]
+        for i in range(1, 14 * 40 + 1):
+            now = i / 14.0
+            link.poll(now)
+            for rover, sub, epochs, ladder in zip(rovers, subs, kept, ladders):
+                msgs = take_corrections(bus, sub)
+                epochs += [m.epoch for m in msgs]
+                ladder.append(rover.step(BASE, msgs, now).quality)
+        assert kept[0] and kept[1] and kept[0] != kept[1]
+        assert len(kept[0]) < 40 and len(kept[1]) < 40
+        assert ladders[0] != ladders[1]
 
 
 class TestDisturbance:
@@ -213,13 +252,18 @@ class TestStepBatch:
                 fix.quality)
 
     def test_batch_then_steps_equals_scalar_steps(self):
-        # corrections stop after 2 s: the ladder climbs to fixed, is at float
-        # when the batch ends at 8.6 s, and drops to single in the scalar
-        # steps; the last window spans the boundary
+        # the base falls silent after 3 s and the injector drops epoch 2: the
+        # ladder climbs to fixed, holds it across the gap, is at float when
+        # the batch ends at 8.6 s, and drops to single in the scalar steps;
+        # the last window spans the boundary
         n, k = 120, 200
         stamps = np.arange(1, n + k + 1) / 14.0
-        link = CorrectionLink(BASE, interval_s=0.5, drop_prob=0.3, seed=4)
-        polled = [link.poll(s) if s <= 2.0 else [] for s in stamps.tolist()]
+        bus, link, (sub,) = rtk_feed(BEST_EFFORT, drop_rate=0.5, seed=10)
+        polled = []
+        for s in stamps.tolist():
+            link.poll(min(s, 3.0))
+            polled.append(take_corrections(bus, sub))
+        assert [m.epoch for msgs in polled for m in msgs] == [1, 3]
         truth = self.truth_at(stamps.tolist())
 
         def rover():
@@ -249,13 +293,11 @@ class TestStepBatch:
         with pytest.raises(ValueError, match="3 stamps"):
             rover.step_batch(self.truth_at(stamps), stamps, [()] * 2)
 
-    def test_truth_needed_only_when_a_fix_is_due(self):
+    def test_corrections_between_fixes_count_at_the_next_fix(self):
         rover = Rover("r", RoverConfig.noiseless(), seed=1)
         assert not rover.fix_due(0.05)
-        assert rover.step(None, FRESH, 0.05) is None  # corrections still ingested
+        assert rover.step(BASE, FRESH, 0.05) is None  # no fix due; corrections still ingested
         assert rover.fix_due(1 / 14.0)
-        with pytest.raises(ValueError, match="no true position"):
-            rover.step(None, (), 1 / 14.0)
         fix = rover.step(BASE, (), 1 / 14.0)
         assert fix.position == BASE and fix.quality is FixQuality.FLOAT
 
