@@ -6,7 +6,7 @@ from .bus import (Bus, BusGraph, DeliveryReport, Message, QosProfile,
                   QualifiedName, Reliability, SeededDropInjector)
 from .tf import Transform, TransformTree, compose, invert
 from .geo import (CorrectionLink, CorrectionMsg, EcefCoord, EnuCoord,
-                  FixQuality, GeodeticCoord, Rover, RoverConfig, RtkFix,
+                  FixQuality, GeodeticCoord, Rover, RtkFix,
                   ecef_to_enu, ecef_to_geodetic, enu_to_ecef, enu_to_geodetic,
                   geodetic_to_ecef, geodetic_to_enu)
 from .agents import AgentSpec, FollowCommand, SensorSpec, World

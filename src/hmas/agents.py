@@ -14,6 +14,8 @@ clamp still runs, since a clamped vector's norm can round above the limit. A
 target's heading is cached until its next fix. A rover is stepped only when its
 fix is due, with what its own correction subscription holds: a correction moves
 the grade only at a fix stamp, so taking it at the next fix changes no bit.
+``World(noiseless=True)`` gives every rover no bias and no noise, and
+``run_scenario`` steps the world at a tenth of the fix period.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from .bus import Bus, QosProfile, QualifiedName
 from .geo import (CORRECTION_QOS, CORRECTION_TOPIC, DEFAULT_FIX_RATE_HZ, EnuCoord,
-                  GeodeticCoord, Rover, RoverConfig, encode_fix, decode_fix, geodetic_to_enu,
+                  GeodeticCoord, Rover, encode_fix, decode_fix, geodetic_to_enu,
                   enu_to_geodetic, rtk_base, take_corrections)
 from .tf import TransformTree, _transform
 from . import quat
@@ -175,13 +177,12 @@ class World:
     """Single-owner simulation world stepping agents, rovers, and the bus."""
 
     def __init__(self, base: GeodeticCoord, seed: int = 0,
-                 bounds_m: float = 10_000.0,
-                 rover_config: RoverConfig | None = None) -> None:
+                 bounds_m: float = 10_000.0, noiseless: bool = False) -> None:
         self.base = base
         self.bus = Bus()
         self.tree = TransformTree()
         self.bounds_m = bounds_m
-        self.rover_config = rover_config if rover_config is not None else RoverConfig()
+        self.noiseless = noiseless
         self._seed_root = np.random.SeedSequence(seed)
         self._seed_root.spawn(1)  # the old correction link's seed: rover seeds stay put
         self._link = rtk_base(self.bus)
@@ -209,26 +210,26 @@ class World:
     def spawn_agent(self, spec: AgentSpec, start) -> Agent:
         if spec.name in self._agents:
             raise DuplicateAgentError(f"agent {spec.name!r} already exists")
-        position = _as_enu_array(start)
-        if not all(map(math.isfinite, position.tolist())):
-            raise SpawnError(f"start {position} is not finite")
-        if np.max(np.abs(position[:2])) > self.bounds_m:
+        position = _finite_floats(start, 3)
+        if position is None:
+            raise SpawnError(f"start must be 3 finite numbers, got {start!r}")
+        x, y, z = position
+        if max(abs(x), abs(y)) > self.bounds_m:
             raise SpawnError(f"start {position} outside the {self.bounds_m} m world bounds")
         if spec.category == "aerial":
             lo, hi = spec.altitude_range
-            if not lo <= position[2] <= hi:
-                raise SpawnError(
-                    f"aerial start altitude {position[2]} outside range [{lo}, {hi}]")
+            if not lo <= z <= hi:
+                raise SpawnError(f"aerial start altitude {z} outside range [{lo}, {hi}]")
         else:
-            position[2] = 0.0  # flat terrain
+            position = x, y, 0.0  # flat terrain
         agent = Agent(spec, position)
         self.bus.create_node(spec.name, "driver")
         for sensor in spec.sensors:
             node = self.bus.create_node(spec.name, sensor.name)
             if sensor.kind == "gnss":
                 if agent.rover is None:
-                    agent.rover = Rover(spec.name, self.rover_config,
-                                        seed=self._seed_root.spawn(1)[0])
+                    agent.rover = Rover(spec.name, self._seed_root.spawn(1)[0],
+                                        noiseless=self.noiseless)
                     agent.fix_pub = self.bus.advertise(node, f"{sensor.name}/fix")
                     agent.rtk_sub = self.bus.subscribe(node, CORRECTION_TOPIC.full, CORRECTION_QOS)
                     topic = f"/{spec.name}/{sensor.name}/fix"
@@ -408,12 +409,6 @@ class World:
             raise UnknownAgentError(f"no agent named {name!r}") from None
 
 
-def _as_enu_array(value) -> np.ndarray:
-    if isinstance(value, EnuCoord):
-        return np.array([value.east, value.north, value.up])
-    return np.asarray(value, dtype=float).reshape(3).copy()
-
-
 _IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
@@ -489,18 +484,16 @@ def load_scenario(path) -> Scenario:
                     tuple(agents), commands, raw.get("noiseless", False))
 
 
-def run_scenario(scenario: Scenario, dt: float | None = None,
-                 on_step: Callable[[World], None] | None = None,
+def run_scenario(scenario: Scenario, on_step: Callable[[World], None] | None = None,
                  on_world: Callable[[World], None] | None = None) -> World:
-    """Run a scenario to completion; scripted agents walk their waypoints,
-    commanded agents follow. ``on_world`` fires once before any agent spawns
-    (e.g. to attach a recorder); returns the finished world."""
-    config = RoverConfig.noiseless() if scenario.noiseless else RoverConfig()
-    world = World(scenario.base, seed=scenario.seed, rover_config=config)
+    """Run a scenario to completion in control steps of a tenth of the fix
+    period; scripted agents walk their waypoints, commanded agents follow.
+    ``on_world`` fires once before any agent spawns (e.g. to attach a
+    recorder); returns the finished world."""
+    world = World(scenario.base, seed=scenario.seed, noiseless=scenario.noiseless)
     if on_world is not None:
         on_world(world)
-    if dt is None:
-        dt = world.fix_period() / 10.0
+    dt = world.fix_period() / 10.0
     scripts: dict[str, _WaypointScript] = {}
     for entry in scenario.agents:
         world.spawn_agent(entry.spec, entry.start)

@@ -2,8 +2,10 @@
 square board of rovers, plus analysis of recorded fixes into per-side
 distance series and summary verdicts.
 
-Experiments are fully deterministic given their seed: same spec, same seed,
-byte-identical bag.
+A spec builder takes a seed, a duration (not for the square run) and
+``noiseless``; the narrated timeline fixes the rest. The board rests at
+``BOARD_CENTER_EN`` and each rover id is its corner's name. Experiments are
+fully deterministic given their seed: same spec, same seed, byte-identical bag.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from .bag import read_bag, record
 from .bus import Bus
 from .geo import (CORRECTION_QOS, CORRECTION_TOPIC, DEFAULT_FIX_RATE_HZ,
                   DISTURBANCE_DECAY_S, DisturbanceWindow, GeodeticCoord, Rover,
-                  RoverConfig, RtkFix, decode_fix, encode_fixes, enu_to_geodetic_array,
+                  RtkFix, decode_fix, encode_fixes, enu_to_geodetic_array,
                   geodetic_to_enu_array, rtk_base, take_corrections)
 # The per-fix scalar functions stay importable from this module, where the
 # span tracer in perfbench/ patches them.
@@ -26,6 +28,7 @@ from .geo import encode_fix, enu_to_geodetic  # noqa: F401
 
 DEFAULT_BASE = GeodeticCoord(48.70, 6.15, 220.0)
 DEFAULT_SIDE_M = 0.90
+BOARD_CENTER_EN = (2.0, 3.0)  # the board's center at rest, ENU meters from the base
 
 CORNERS = ("top_left", "top_right", "bottom_right", "bottom_left")
 SIDES = ("top", "right", "bottom", "left")
@@ -118,7 +121,6 @@ class ExperimentSpec:
     seed: int
     side_m: float = DEFAULT_SIDE_M
     base: GeodeticCoord = DEFAULT_BASE
-    center_en: tuple[float, float] = (2.0, 3.0)
     noiseless: bool = False
     disturbances: tuple[RoverWindow, ...] = ()
     rotation: RotationTimeline = RotationTimeline()
@@ -129,7 +131,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if not 0.0 < self.duration_s < math.inf:  # NaN fails too
             raise ValueError(f"duration must be finite and above 0, got {self.duration_s}")
-        _check_side(self.side_m)
+        if not 0.0 < self.side_m < math.inf:  # NaN fails too
+            raise ValueError(f"board side must be finite and above 0, got {self.side_m}")
         min_rotation_s = self.rotation.ccw_end_s + 1.0  # the board is back down
         if self.kind == "rotation" and self.duration_s < min_rotation_s:
             raise ValueError(f"a rotation run needs at least {min_rotation_s:g} s, "
@@ -140,11 +143,6 @@ class ExperimentSpec:
             if not 0.0 <= w.start_s <= w.end_s <= self.duration_s:
                 raise ValueError(f"disturbance window [{w.start_s}, {w.end_s}] "
                                  f"outside the {self.duration_s}s run")
-
-
-def _check_side(side_m: float) -> None:
-    if not 0.0 < side_m < math.inf:  # NaN fails too
-        raise ValueError(f"board side must be finite and above 0, got {side_m}")
 
 
 def corner_displacement_for_peaks(side_m: float, corner: str,
@@ -169,48 +167,38 @@ def _fit_windows(windows: Sequence[RoverWindow], duration_s: float) -> tuple[Rov
                  for w in windows if w.start_s < duration_s)
 
 
-def static_spec(seed: int, duration_s: float = 300.0, noiseless: bool = False,
-                **overrides) -> ExperimentSpec:
-    return ExperimentSpec("static", duration_s, seed, noiseless=noiseless, **overrides)
+def static_spec(seed: int, duration_s: float = 300.0, noiseless: bool = False) -> ExperimentSpec:
+    return ExperimentSpec("static", duration_s, seed, noiseless=noiseless)
 
 
-def disturbed_spec(seed: int, duration_s: float = 300.0, noiseless: bool = False,
-                   twist_magnitude_m: float = 0.10,
-                   obstruction_magnitude_m: float = 0.12, **overrides) -> ExperimentSpec:
-    """Board on the ground: three corner twists plus two longer hand-over-antenna
-    windows (timings follow the narrated run). A shorter run keeps the windows
-    that start before its end."""
+def disturbed_spec(seed: int, duration_s: float = 300.0,
+                   noiseless: bool = False) -> ExperimentSpec:
+    """Board on the ground: three 10 cm corner twists plus two longer 12 cm
+    hand-over-antenna windows (timings follow the narrated run). A shorter run
+    keeps the windows that start before its end."""
     windows = _fit_windows(
-        [RoverWindow("top_right", t0, t0 + 1.5, twist_magnitude_m)
-         for t0 in (140.0, 160.0, 230.0)]
-        + [RoverWindow("top_left", 170.0, 220.0, obstruction_magnitude_m),
-           RoverWindow("top_left", 235.0, duration_s, obstruction_magnitude_m)],
+        [RoverWindow("top_right", t0, t0 + 1.5, 0.10) for t0 in (140.0, 160.0, 230.0)]
+        + [RoverWindow("top_left", 170.0, 220.0, 0.12),
+           RoverWindow("top_left", 235.0, duration_s, 0.12)],
         duration_s)
     return ExperimentSpec("static_disturbed", duration_s, seed, noiseless=noiseless,
-                          disturbances=windows, **overrides)
+                          disturbances=windows)
 
 
-def rotation_spec(seed: int, duration_s: float = 60.0, noiseless: bool = False,
-                  obstruction_peaks_m: tuple[float, float] = (1.4, 1.5),
-                  obstructed_corner: str = "top_right",
-                  obstruction_window_s: tuple[float, float] = (51.0, 54.0),
-                  side_m: float = DEFAULT_SIDE_M, **overrides) -> ExperimentSpec:
-    """Lift, full turn each way, then a short receiver obstruction whose
-    displacement is solved so the two adjacent sides peak at the target pair.
-    A run that ends before the obstruction starts has none."""
-    _check_side(side_m)  # before the solve divides by it
-    dx, dy = corner_displacement_for_peaks(side_m, obstructed_corner, obstruction_peaks_m)
+def rotation_spec(seed: int, duration_s: float = 60.0, noiseless: bool = False) -> ExperimentSpec:
+    """Lift, full turn each way, then a 51-54 s obstruction of the top right
+    receiver whose displacement is solved so the top and right sides peak at
+    1.4 and 1.5 m. A run that ends before the obstruction starts has none."""
+    dx, dy = corner_displacement_for_peaks(DEFAULT_SIDE_M, "top_right", (1.4, 1.5))
     magnitude = math.hypot(dx, dy)
-    window = RoverWindow(obstructed_corner, *obstruction_window_s, magnitude,
-                         (dx / magnitude, dy / magnitude))
-    return ExperimentSpec("rotation", duration_s, seed, side_m=side_m, noiseless=noiseless,
-                          disturbances=_fit_windows([window], duration_s), **overrides)
+    window = RoverWindow("top_right", 51.0, 54.0, magnitude, (dx / magnitude, dy / magnitude))
+    return ExperimentSpec("rotation", duration_s, seed, noiseless=noiseless,
+                          disturbances=_fit_windows([window], duration_s))
 
 
-def translation_spec(seed: int, noiseless: bool = False,
-                     legs: TranslationLegs = TranslationLegs(), **overrides) -> ExperimentSpec:
-    return ExperimentSpec("translation_square", legs.duration_s(), seed,
-                          noiseless=noiseless, legs=legs, **overrides)
+def translation_spec(seed: int, noiseless: bool = False) -> ExperimentSpec:
+    return ExperimentSpec("translation_square", TranslationLegs().duration_s(), seed,
+                          noiseless=noiseless)
 
 
 _SPEC_BUILDERS = {
@@ -231,7 +219,7 @@ def make_spec(kind: str, seed: int, **kwargs) -> ExperimentSpec:
 def corner_positions(spec: ExperimentSpec, t: np.ndarray) -> dict[str, np.ndarray]:
     """Corner -> (n, 3) true ENU position at each of the n stamps ``t``: the
     spec's board center and yaw, with the square's corners placed exactly."""
-    x, y = spec.center_en
+    x, y = BOARD_CENTER_EN
     z = 0.0
     yaw = np.zeros(len(t))
     if spec.kind == "rotation":
@@ -303,12 +291,8 @@ def board_rovers(spec: ExperimentSpec) -> dict[str, Rover]:
             ox, oy = w.offset_en()
             windows[w.rover_id].append(DisturbanceWindow(w.start_s, w.end_s, (ox, oy, 0.0)))
 
-    rovers = {}
-    for corner, ss in zip(CORNERS, rover_ss):
-        config = (RoverConfig.noiseless() if spec.noiseless
-                  else RoverConfig(bias_en=biases[corner]))
-        rovers[corner] = Rover(corner, config, seed=ss, disturbances=windows[corner])
-    return rovers
+    return {corner: Rover(corner, ss, windows[corner], biases[corner], spec.noiseless)
+            for corner, ss in zip(CORNERS, rover_ss)}
 
 
 # Fix steps simulated per batch: bounds the arrays a long run holds at once.
@@ -397,24 +381,18 @@ def _pair_tolerance(stamps: np.ndarray) -> float:
     return 0.5 * float(np.median(np.diff(stamps))) if len(stamps) > 1 else 0.0
 
 
-def side_distances(fixes: Mapping[str, Sequence[RtkFix]], base: GeodeticCoord,
-                   corners: Mapping[str, str] | None = None) -> DistanceSeries:
-    """Per-side 3D rover distances about ``base``. Each fix of a side's first
-    rover pairs with the second rover's nearest-stamp fix (a tie goes to the
-    later stamp) when that lies within half the first rover's median fix
-    period, or at the same stamp when the first rover has a single fix;
-    unpaired fixes are left out.
-
-    ``corners`` maps corner names (top_left, ...) to rover ids when logs use
-    different naming; by default the ids are the corner names themselves.
+def side_distances(fixes: Mapping[str, Sequence[RtkFix]], base: GeodeticCoord) -> DistanceSeries:
+    """Per-side 3D rover distances about ``base``, from fixes keyed by rover
+    id, which is the corner name. Each fix of a side's first rover pairs with
+    the second rover's nearest-stamp fix (a tie goes to the later stamp) when
+    that lies within half the first rover's median fix period, or at the same
+    stamp when the first rover has a single fix; unpaired fixes are left out.
     """
-    corner_map = dict(corners) if corners is not None else {c: c for c in CORNERS}
     tracks: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for corner in CORNERS:
-        rover_id = corner_map[corner]
-        series = fixes.get(rover_id, ())
+        series = fixes.get(corner, ())
         if len(series) == 0:
-            raise ValueError(f"no fixes for rover {rover_id!r} (corner {corner})")
+            raise ValueError(f"no fixes for rover {corner!r} (rover ids are corner names)")
         stamps = np.array([f.stamp for f in series])
         order = np.argsort(stamps, kind="stable")
         stamps = stamps[order]
@@ -439,9 +417,8 @@ def side_distances(fixes: Mapping[str, Sequence[RtkFix]], base: GeodeticCoord,
             d = np.sqrt(np.square(ea[ok][keep] - eb[nearest[ok]][keep]).sum(axis=1))
             sides[side] = (stamps_ok[keep], d)
         else:
-            raise ValueError(
-                f"rovers {corner_map[ca]!r} and {corner_map[cb]!r} have no "
-                f"overlapping fixes within {tol} s (side {side})")
+            raise ValueError(f"rovers {ca!r} and {cb!r} have no overlapping fixes "
+                             f"within {tol} s (side {side})")
     return DistanceSeries(sides)
 
 
@@ -478,7 +455,8 @@ def summarize(series: DistanceSeries, expected_side_m: float,
     Samples inside declared disturbance ``windows`` (per side, already
     including any decay tail) are excluded from the quiet statistics and the
     verdicts; peaks are excursions beyond twice the quiet standard deviation
-    around the quiet mean, lasting at least two samples.
+    around the quiet mean, lasting at least two samples. A side with fewer
+    than two quiet samples has no slope to judge, so it is not stable.
     """
     if not 0.0 < expected_side_m < math.inf:
         raise ValueError(f"expected side must be finite and above 0, got {expected_side_m}")
@@ -509,7 +487,7 @@ def summarize(series: DistanceSeries, expected_side_m: float,
             slope_m_per_s=slope,
             peaks=peaks,
             within_20cm=max_abs <= WITHIN_LIMIT_M,
-            stable=abs(slope) <= STABLE_SLOPE_LIMIT,
+            stable=np.count_nonzero(quiet) >= 2 and abs(slope) <= STABLE_SLOPE_LIMIT,
         )
     return Report(expected_side_m, convergence_s, summaries,
                   all(s.within_20cm for s in summaries.values()),
@@ -517,8 +495,6 @@ def summarize(series: DistanceSeries, expected_side_m: float,
 
 
 def _fit_slope(stamps: np.ndarray, values: np.ndarray) -> float:
-    if len(stamps) < 2:
-        return 0.0
     t = stamps - stamps.mean()
     denom = float((t * t).sum())
     if denom == 0.0:
@@ -561,9 +537,8 @@ def side_windows(spec: ExperimentSpec) -> dict[str, list[tuple[float, float]]]:
 def analyze_bag(path, base: GeodeticCoord = DEFAULT_BASE,
                 expected_side_m: float = DEFAULT_SIDE_M,
                 windows: Mapping[str, Sequence[tuple[float, float]]] | None = None,
-                convergence_s: float = CONVERGENCE_S,
-                corners: Mapping[str, str] | None = None) -> tuple[DistanceSeries, Report]:
-    series = side_distances(load_bag_fixes(path), base, corners=corners)
+                convergence_s: float = CONVERGENCE_S) -> tuple[DistanceSeries, Report]:
+    series = side_distances(load_bag_fixes(path), base)
     return series, summarize(series, expected_side_m, windows, convergence_s)
 
 

@@ -207,15 +207,16 @@ class Bus:
     """In-process bus shared by every participant; the only common substrate.
 
     All handle operations are safe to call from multiple threads. Ordering is
-    guaranteed per publisher-subscriber pair only.
+    guaranteed per publisher-subscriber pair only. ``set_fault_injector``
+    installs the one fault injector, which may drop best-effort deliveries.
     """
 
-    def __init__(self, fault_injector: FaultInjector | None = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._nodes: dict[str, NodeHandle] = {}
         self._publishers: dict[str, list[PublisherHandle]] = {}
         self._subscriptions: dict[str, list[SubscriptionHandle]] = {}
-        self._fault_injector = fault_injector
+        self._fault_injector: FaultInjector | None = None
         self._seq = 0
         self._publish_hooks: tuple[Callable[[Message], None], ...] = ()
 

@@ -1,5 +1,6 @@
 """Geolocation pipeline: geodetic/ECEF/ENU conversions anchored at a fixed
-RTK base, its correction stream on the bus, and a stochastic rover fix model.
+RTK base, its correction stream on the bus, and a stochastic rover fix model
+with one noise table, ``GRADE_SIGMAS``, and one disturbance decay time.
 
 Conversions use the WGS84 closed forms (a = 6378137 m, f = 1/298.257223563);
 the inverse is Bowring's start refined by a short fixed-point iteration. The
@@ -78,6 +79,9 @@ class FixQuality(Enum):
 
 
 _QUALITY_ORDER = (FixQuality.SINGLE, FixQuality.FLOAT, FixQuality.FIXED)
+# the rover's Gaussian noise per grade: (horizontal, vertical) sigma in meters
+GRADE_SIGMAS = {FixQuality.SINGLE: (1.5, 3.0), FixQuality.FLOAT: (0.25, 0.50),
+                FixQuality.FIXED: (0.01, 0.02)}
 
 
 @dataclass(frozen=True)
@@ -344,16 +348,15 @@ def read_fix_csv(path) -> list[RtkFix]:
         if missing:
             raise ValueError(f"fix CSV {path} is missing columns {sorted(missing)}")
         for n, row in enumerate(reader, start=1):
-            stamp = float(row["stamp_s"])
-            if not math.isfinite(stamp):
-                raise ValueError(f"fix CSV {path} row {n}: stamp {stamp} is not finite")
-            fixes.append(RtkFix(
-                row["rover_id"],
-                GeodeticCoord(float(row["lat_deg"]), float(row["lon_deg"]),
-                              float(row["alt_m"])),
-                FixQuality(row["quality"]),
-                stamp,
-            ))
+            try:  # a bad cell or a short row: name the file and the row
+                stamp = float(row["stamp_s"])
+                if not math.isfinite(stamp):
+                    raise ValueError(f"stamp {stamp} is not finite")
+                position = GeodeticCoord(float(row["lat_deg"]), float(row["lon_deg"]),
+                                         float(row["alt_m"]))
+                fixes.append(RtkFix(row["rover_id"], position, FixQuality(row["quality"]), stamp))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"fix CSV {path} row {n}: {exc}") from None
     return fixes
 
 
@@ -361,58 +364,24 @@ def read_fix_csv(path) -> list[RtkFix]:
 
 
 @dataclass(frozen=True)
-class RoverConfig:
-    """Error model of one simulated RTK rover.
-
-    Horizontal/vertical sigmas are per fix-quality grade; ``bias_en`` pins the
-    constant horizontal bias (east, north) or, when None, draws magnitude
-    uniformly from [0, 0.20] m in a random direction.
-    """
-
-    fixed_sigma_h: float = 0.01
-    fixed_sigma_v: float = 0.02
-    float_sigma_h: float = 0.25
-    float_sigma_v: float = 0.50
-    single_sigma_h: float = 1.5
-    single_sigma_v: float = 3.0
-    bias_en: tuple[float, float] | None = None
-
-    def sigmas(self, quality: FixQuality) -> tuple[float, float]:
-        if quality is FixQuality.FIXED:
-            return self.fixed_sigma_h, self.fixed_sigma_v
-        if quality is FixQuality.FLOAT:
-            return self.float_sigma_h, self.float_sigma_v
-        return self.single_sigma_h, self.single_sigma_v
-
-    @classmethod
-    def noiseless(cls, **overrides) -> "RoverConfig":
-        params = dict(fixed_sigma_h=0.0, fixed_sigma_v=0.0, float_sigma_h=0.0,
-                      float_sigma_v=0.0, single_sigma_h=0.0, single_sigma_v=0.0,
-                      bias_en=(0.0, 0.0))
-        params.update(overrides)
-        return cls(**params)
-
-
-@dataclass(frozen=True)
 class DisturbanceWindow:
     """Additive position-error pulse: full offset inside [start, end], then a
-    linear decay to zero over ``decay_s``."""
+    linear decay to zero over ``DISTURBANCE_DECAY_S``."""
 
     start_s: float
     end_s: float
     offset_enu: tuple[float, float, float]
-    decay_s: float = DISTURBANCE_DECAY_S
 
     def __post_init__(self) -> None:
         if self.end_s < self.start_s:
             raise ValueError("disturbance window ends before it starts")
 
     def envelope(self, t: float) -> float:
-        if t < self.start_s or t > self.end_s + self.decay_s:
+        if t < self.start_s or t > self.end_s + DISTURBANCE_DECAY_S:
             return 0.0
         if t <= self.end_s:
             return 1.0
-        return 1.0 - (t - self.end_s) / self.decay_s
+        return 1.0 - (t - self.end_s) / DISTURBANCE_DECAY_S
 
 
 class CorrectionLink:
@@ -452,29 +421,35 @@ def take_corrections(bus: Bus, sub: SubscriptionHandle) -> list[CorrectionMsg]:
 
 class Rover:
     """One mobile receiver: correction-freshness-driven fix quality plus a
-    seeded error model (constant bias, per-grade Gaussian noise, transients).
+    seeded error model (constant bias, per-grade Gaussian noise with
+    ``GRADE_SIGMAS``, transients).
 
-    The reported position offsets the true position by the ENU error vector in
-    the local tangent plane at the true position. Quality moves at most one
-    grade per fix, toward `fixed` while corrections stay fresher than the
-    timeout and down one grade per additional timeout elapsed.
+    ``bias_en`` pins the constant horizontal bias (east, north); when None,
+    its magnitude is drawn uniformly from [0, 0.20] m in a random direction.
+    A ``noiseless`` rover has no bias and no noise; its disturbances still
+    apply. The reported position offsets the true position by the ENU error
+    vector in the local tangent plane at the true position. Quality moves at
+    most one grade per fix, toward `fixed` while corrections stay fresher than
+    the timeout and down one grade per additional timeout elapsed.
     """
 
-    def __init__(self, rover_id: str, config: RoverConfig | None = None,
-                 seed: int | np.random.SeedSequence = 0,
-                 disturbances: Sequence[DisturbanceWindow] = ()) -> None:
+    def __init__(self, rover_id: str, seed: int | np.random.SeedSequence = 0,
+                 disturbances: Sequence[DisturbanceWindow] = (),
+                 bias_en: tuple[float, float] | None = None, noiseless: bool = False) -> None:
         self.rover_id = rover_id
-        self.config = config if config is not None else RoverConfig()
         self._rng = np.random.default_rng(seed)
-        if self.config.bias_en is None:
+        if noiseless:
+            bias_en = (0.0, 0.0)
+        if bias_en is None:
             magnitude = self._rng.uniform(0.0, 0.20)
             angle = self._rng.uniform(0.0, 2.0 * math.pi)
             self._bias = np.array([magnitude * math.cos(angle),
                                    magnitude * math.sin(angle), 0.0])
         else:
-            self._bias = np.array([*self.config.bias_en, 0.0])
+            self._bias = np.array([*bias_en, 0.0])
         # (east, north, up) noise sigmas per quality code
-        self._sigmas = np.array([[h, h, v] for h, v in map(self.config.sigmas, _QUALITY_ORDER)])
+        self._sigmas = (np.zeros((3, 3)) if noiseless else
+                        np.array([[h, h, v] for h, v in map(GRADE_SIGMAS.get, _QUALITY_ORDER)]))
         self._disturbances = tuple(disturbances)
         self._code = 0  # fix quality, as an index into _QUALITY_ORDER
         self._last_corr_stamp: float | None = None

@@ -192,7 +192,7 @@ def test_criterion_6_disturbance_transients(tmp_path):
 
 
 def test_criterion_7_rotation_obstruction(tmp_path):
-    spec = bench.rotation_spec(seed=1, obstruction_peaks_m=(1.4, 1.5))
+    spec = bench.rotation_spec(seed=1)
     path = bench.run_experiment(spec, tmp_path / "rotation.bag")
     series, report = bench.analyze_bag(path, spec.base, spec.side_m,
                                        windows=bench.side_windows(spec),

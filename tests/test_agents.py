@@ -16,7 +16,7 @@ from hmas.agents import (DEAD_BAND_M, FOLLOW_GAIN, HEADING_BASELINE_S, HEADING_M
                          UnknownAgentError, World, load_scenario, run_scenario)
 from hmas.bag import read_bag, record
 from hmas.bus import SeededDropInjector
-from hmas.geo import (CORRECTION_TOPIC, EnuCoord, FixQuality, GeodeticCoord, RoverConfig,
+from hmas.geo import (CORRECTION_TOPIC, EnuCoord, FixQuality, GeodeticCoord,
                       decode_fix, enu_to_geodetic, take_corrections)
 from hmas.tf import TfError
 
@@ -29,7 +29,7 @@ def ground(name, max_speed=1.5):
 
 
 def noiseless_world(**kwargs):
-    return World(BASE, rover_config=RoverConfig.noiseless(), **kwargs)
+    return World(BASE, noiseless=True, **kwargs)
 
 
 class TestSpec:
@@ -168,6 +168,15 @@ class TestSpawn:
             world.spawn_agent(ground("spot"), start)
         assert world.bus.discover().nodes == {"/hmas/display", "/hmas/rtk_base"}
         world.spawn_agent(ground("spot"), (0.0, 0.0, 0.0))
+
+
+    @pytest.mark.parametrize("start", [(1.0, 2.0), (1.0, 2.0, 0.0, 0.0), None],
+                             ids=["two", "four", "none"])
+    def test_start_must_be_three_numbers(self, start):
+        world = noiseless_world()
+        with pytest.raises(SpawnError, match="3 finite numbers"):
+            world.spawn_agent(ground("spot"), start)
+        assert world.bus.discover().nodes == {"/hmas/display", "/hmas/rtk_base"}
 
 
 class TestCorrections:

@@ -191,7 +191,8 @@ class TestRecorder:
 
     def test_recording_is_lossless_despite_lossy_live_qos(self, tmp_path):
         from hmas.bus import SeededDropInjector
-        bus = Bus(fault_injector=SeededDropInjector(0.9, seed=5))
+        bus = Bus()
+        bus.set_fault_injector(SeededDropInjector(0.9, seed=5))
         pub = make_agent(bus, "spot")  # best-effort publisher
         node = bus.create_node("viewer", "ui")
         lossy = bus.subscribe(node, "/spot/gps/fix")
@@ -395,7 +396,8 @@ def test_recorded_bags_equal_writer_fed_in_publish_order(tmp_path_factory, early
     """Oracle: each recorder's bag equals a BagWriter fed the matching
     messages in publish order, whatever the drops, ties and late topics."""
     tmp = tmp_path_factory.mktemp("oracle")
-    bus = Bus(fault_injector=SeededDropInjector(drop_rate, seed))
+    bus = Bus()
+    bus.set_fault_injector(SeededDropInjector(drop_rate, seed))
     pubs, last_stamps, published = [], [], []
 
     def advertise(topic_index):

@@ -168,7 +168,8 @@ class TestPublish:
         assert (report.matched, report.enqueued) == (2, 2)
 
     def test_seeded_drop_sequence_matches_oracle_replay(self):
-        bus = Bus(fault_injector=SeededDropInjector(0.5, seed=42))
+        bus = Bus()
+        bus.set_fault_injector(SeededDropInjector(0.5, seed=42))
         node = bus.create_node("spot", "driver")
         pub = bus.advertise(node, "t")
         bus.subscribe(node, "t")
@@ -178,7 +179,8 @@ class TestPublish:
         assert enqueued == expected
 
     def test_reliable_subscriber_never_dropped(self):
-        bus = Bus(fault_injector=SeededDropInjector(1.0, seed=0))
+        bus = Bus()
+        bus.set_fault_injector(SeededDropInjector(1.0, seed=0))
         node = bus.create_node("spot", "driver")
         pub = bus.advertise(node, "t")  # best effort publisher
         lossy = bus.subscribe(node, "t")

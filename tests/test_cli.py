@@ -94,6 +94,21 @@ class TestBenchCli:
         assert err == (f"hmas: error: fix CSV {csv_in} row {len(fixes)}: "
                        f"stamp {stamp} is not finite\n")
 
+    @pytest.mark.parametrize("row, detail", [
+        ("0.071429,top_left,nan,6.15,220.0,fixed", "latitude nan outside [-90, 90]"),
+        (",top_left,48.7,6.15,220.0,fixed", "could not convert string to float: ''"),
+        ("0.071429,top_left,48.7,6.15,220.0,rtk", "'rtk' is not a valid FixQuality"),
+        ("0.071429,top_left", "float() argument must be"),
+    ], ids=["nan_latitude", "empty_stamp", "unknown_quality", "short_row"])
+    def test_analyze_names_the_bad_fix_row(self, tmp_path, capsys, row, detail):
+        csv_in = tmp_path / "fixes.csv"
+        csv_in.write_text("stamp_s,rover_id,lat_deg,lon_deg,alt_m,quality\n" + row + "\n")
+        code = run_cli("bench", "analyze", "--fixes", csv_in)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"hmas: error: fix CSV {csv_in} row 1: {detail}")
+        assert err.count("\n") == 1
+
     def test_rotation_kind_excludes_its_windows(self, tmp_path, capsys):
         out = tmp_path / "rot.bag"
         run_cli("bench", "run", "--kind", "rotation", "--seed", "1", "--out", out)

@@ -262,6 +262,22 @@ class TestFixCodec:
         with pytest.raises(ValueError, match=f"row 2: stamp {stamp} is not finite"):
             geo.read_fix_csv(path)
 
+    @pytest.mark.parametrize("row, detail", [
+        ("0.5,r1,nan,6.15,220.0,fixed", "latitude nan outside"),
+        (",r1,48.7,6.15,220.0,fixed", "could not convert"),
+        ("0.5,r1,48.7,6.15,220.0,rtk", "'rtk' is not a valid FixQuality"),
+        ("0.5,r1,48.7", "float() argument"),
+    ], ids=["nan_latitude", "empty_stamp", "unknown_quality", "short_row"])
+    def test_csv_bad_row_names_file_and_row(self, tmp_path, row, detail):
+        path = tmp_path / "fixes.csv"
+        fix = RtkFix("r1", GeodeticCoord(48.7, 6.15, 220.0), FixQuality.FIXED, 0.5)
+        geo.write_fix_csv(path, [fix])
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(ValueError) as err:
+            geo.read_fix_csv(path)
+        assert str(err.value).startswith(f"fix CSV {path} row 2: ")
+        assert detail in str(err.value)
+
 
 # -- the ENU rotations against their formulas, written out ---------------------
 

@@ -6,7 +6,7 @@ import pytest
 
 from hmas.bus import Bus, QosProfile, SeededDropInjector
 from hmas.geo import (CORRECTION_QOS, CORRECTION_TOPIC, CorrectionMsg, DisturbanceWindow,
-                      FixQuality, GeodeticCoord, Rover, RoverConfig, geodetic_to_enu,
+                      GRADE_SIGMAS, FixQuality, GeodeticCoord, Rover, geodetic_to_enu,
                       rtk_base, take_corrections)
 
 BASE = GeodeticCoord(48.70, 6.15, 220.0)
@@ -23,7 +23,8 @@ def rtk_feed(qos=CORRECTION_QOS, drop_rate=0.0, seed=0, rovers=1):
     """A bus whose SeededDropInjector drops ``drop_rate`` of the droppable
     deliveries, an RTK base on it, and ``rovers`` correction subscriptions
     with ``qos``: (bus, link, subscriptions)."""
-    bus = Bus(SeededDropInjector(drop_rate, seed))
+    bus = Bus()
+    bus.set_fault_injector(SeededDropInjector(drop_rate, seed))
     link = rtk_base(bus)
     subs = [bus.subscribe(bus.create_node(f"rover_{i}", "gps"), CORRECTION_TOPIC.full, qos)
             for i in range(rovers)]
@@ -31,7 +32,7 @@ def rtk_feed(qos=CORRECTION_QOS, drop_rate=0.0, seed=0, rovers=1):
 
 
 def test_noiseless_fixes_equal_truth_exactly():
-    rover = Rover("r", RoverConfig.noiseless(), seed=3)
+    rover = Rover("r", seed=3, noiseless=True)
     truth = GeodeticCoord(48.7001, 6.1501, 221.5)
     for i in range(1, 50):
         fix = rover.step(truth, FRESH if i == 1 else (), i / 14.0)
@@ -40,7 +41,7 @@ def test_noiseless_fixes_equal_truth_exactly():
 
 
 def test_quality_climbs_stepwise_and_never_regresses_when_fresh():
-    rover = Rover("r", RoverConfig.noiseless(), seed=0)
+    rover = Rover("r", seed=0, noiseless=True)
     truth = BASE
     seen = []
     bus, link, (sub,) = rtk_feed()
@@ -62,8 +63,7 @@ def test_quality_climbs_stepwise_and_never_regresses_when_fresh():
 
 
 def test_quality_degrades_stepwise_when_corrections_withheld():
-    config = RoverConfig.noiseless()
-    rover = Rover("r", config, seed=0)
+    rover = Rover("r", seed=0, noiseless=True)
     # reach fixed with a fresh correction, then starve it
     rover.step(BASE, corrections_at(1, 0.0), 1 / 14.0)
     rover.step(BASE, (), 2 / 14.0)
@@ -80,21 +80,20 @@ def test_quality_degrades_stepwise_when_corrections_withheld():
 
 
 def test_degraded_mode_sigma_rises_to_single_value():
-    config = RoverConfig(bias_en=(0.0, 0.0))
-    rover = Rover("r", config, seed=7)
+    rover = Rover("r", seed=7, bias_en=(0.0, 0.0))
     errors = []
     for i in range(1, 2001):
         fix = rover.step(BASE, (), i / 14.0)  # never corrected: single mode
         e = geodetic_to_enu(fix.position, BASE)
         errors.append((e.east, e.north))
     errors = np.array(errors)
-    assert np.std(errors[:, 0]) == pytest.approx(config.single_sigma_h, rel=0.15)
-    assert np.std(errors[:, 1]) == pytest.approx(config.single_sigma_h, rel=0.15)
+    sigma_h, _ = GRADE_SIGMAS[FixQuality.SINGLE]
+    assert np.std(errors[:, 0]) == pytest.approx(sigma_h, rel=0.15)
+    assert np.std(errors[:, 1]) == pytest.approx(sigma_h, rel=0.15)
 
 
 def test_fixed_mode_noise_statistics_match_configured_sigma():
-    config = RoverConfig(bias_en=(0.0, 0.0))
-    rover = Rover("r", config, seed=42)
+    rover = Rover("r", seed=42, bias_en=(0.0, 0.0))
     bus, link, (sub,) = rtk_feed()
     samples = []
     for i in range(1, 1101):
@@ -106,14 +105,15 @@ def test_fixed_mode_noise_statistics_match_configured_sigma():
             samples.append((e.east, e.north, e.up))
     samples = np.array(samples[:1000])
     assert len(samples) == 1000
-    assert np.std(samples[:, 0]) == pytest.approx(config.fixed_sigma_h, rel=0.15)
-    assert np.std(samples[:, 1]) == pytest.approx(config.fixed_sigma_h, rel=0.15)
-    assert np.std(samples[:, 2]) == pytest.approx(config.fixed_sigma_v, rel=0.15)
+    sigma_h, sigma_v = GRADE_SIGMAS[FixQuality.FIXED]
+    assert np.std(samples[:, 0]) == pytest.approx(sigma_h, rel=0.15)
+    assert np.std(samples[:, 1]) == pytest.approx(sigma_h, rel=0.15)
+    assert np.std(samples[:, 2]) == pytest.approx(sigma_v, rel=0.15)
 
 
 def test_same_seed_reproduces_fixes_exactly():
     def run():
-        rover = Rover("r", RoverConfig(), seed=99)
+        rover = Rover("r", seed=99)
         bus, link, (sub,) = rtk_feed()
         out = []
         for i in range(1, 200):
@@ -127,12 +127,12 @@ def test_same_seed_reproduces_fixes_exactly():
 
 def test_default_bias_draw_is_bounded():
     for seed in range(30):
-        rover = Rover("r", RoverConfig(), seed=seed)
+        rover = Rover("r", seed=seed)
         assert math.hypot(*rover.bias_en) <= 0.20
 
 
 def test_fix_stamps_sit_on_the_rate_grid():
-    rover = Rover("r", RoverConfig.noiseless(), seed=0)
+    rover = Rover("r", seed=0, noiseless=True)
     stamps = []
     for i in range(1, 141):
         fix = rover.step(BASE, (), i / 140.0)  # step 10x faster than the fix rate
@@ -142,14 +142,14 @@ def test_fix_stamps_sit_on_the_rate_grid():
 
 
 def test_time_going_backwards_rejected():
-    rover = Rover("r", RoverConfig.noiseless(), seed=0)
+    rover = Rover("r", seed=0, noiseless=True)
     rover.step(BASE, (), 1.0)
     with pytest.raises(ValueError, match="backwards"):
         rover.step(BASE, (), 0.5)
 
 
 def test_correction_epoch_must_increase():
-    rover = Rover("r", RoverConfig.noiseless(), seed=0)
+    rover = Rover("r", seed=0, noiseless=True)
     rover.receive_correction(CorrectionMsg(5, 1.0))
     with pytest.raises(ValueError, match="epoch"):
         rover.receive_correction(CorrectionMsg(5, 2.0))
@@ -198,7 +198,7 @@ class TestCorrectionLink:
         # a 40 s outage drawn per delivery: each rover's ladder falls and
         # climbs on its own
         bus, link, subs = rtk_feed(BEST_EFFORT, drop_rate=0.8, seed=3, rovers=2)
-        rovers = [Rover(f"r{i}", RoverConfig.noiseless(), seed=i) for i in range(2)]
+        rovers = [Rover(f"r{i}", seed=i, noiseless=True) for i in range(2)]
         kept = [[], []]
         ladders = [[], []]
         for i in range(1, 14 * 40 + 1):
@@ -215,7 +215,7 @@ class TestCorrectionLink:
 
 class TestDisturbance:
     def test_envelope_shape(self):
-        w = DisturbanceWindow(10.0, 12.0, (1.0, 0.0, 0.0), decay_s=3.0)
+        w = DisturbanceWindow(10.0, 12.0, (1.0, 0.0, 0.0))
         assert w.envelope(9.9) == 0.0
         assert w.envelope(10.0) == 1.0
         assert w.envelope(12.0) == 1.0
@@ -223,9 +223,8 @@ class TestDisturbance:
         assert w.envelope(15.1) == 0.0
 
     def test_pulse_offsets_reported_position(self):
-        config = RoverConfig.noiseless()
-        rover = Rover("r", config, seed=0,
-                      disturbances=[DisturbanceWindow(1.0, 2.0, (0.5, 0.0, 0.0))])
+        rover = Rover("r", seed=0, disturbances=[DisturbanceWindow(1.0, 2.0, (0.5, 0.0, 0.0))],
+                      noiseless=True)
         inside = rover.step(BASE, (), 1.5)
         e = geodetic_to_enu(inside.position, BASE)
         assert e.east == pytest.approx(0.5, abs=1e-9)
@@ -238,7 +237,7 @@ class TestDisturbance:
 
 class TestStepBatch:
     WINDOWS = (DisturbanceWindow(2.0, 3.0, (0.4, -0.2, 0.1)),
-               DisturbanceWindow(2.5, 2.6, (0.0, 0.3, 0.0), decay_s=0.5),
+               DisturbanceWindow(2.5, 2.6, (0.0, 0.3, 0.0)),
                DisturbanceWindow(8.0, 9.0, (-0.3, 0.0, 0.2)))
 
     @staticmethod
@@ -267,7 +266,7 @@ class TestStepBatch:
         truth = self.truth_at(stamps.tolist())
 
         def rover():
-            return Rover("r", RoverConfig(), seed=8, disturbances=self.WINDOWS)
+            return Rover("r", seed=8, disturbances=self.WINDOWS)
 
         scalar = rover()
         expected = [self.fields(scalar.step(GeodeticCoord(*truth[i]), polled[i], s))
@@ -284,7 +283,7 @@ class TestStepBatch:
         assert batched.quality is scalar.quality is FixQuality.SINGLE
 
     def test_stamps_must_be_the_next_fix_stamps(self):
-        rover = Rover("r", RoverConfig(), seed=1)
+        rover = Rover("r", seed=1)
         rover.step(BASE, (), 1 / 14.0)
         stamps = np.arange(3, 6) / 14.0  # skips fix 2
         with pytest.raises(ValueError, match="next fix stamps"):
@@ -294,7 +293,7 @@ class TestStepBatch:
             rover.step_batch(self.truth_at(stamps), stamps, [()] * 2)
 
     def test_corrections_between_fixes_count_at_the_next_fix(self):
-        rover = Rover("r", RoverConfig.noiseless(), seed=1)
+        rover = Rover("r", seed=1, noiseless=True)
         assert not rover.fix_due(0.05)
         assert rover.step(BASE, FRESH, 0.05) is None  # no fix due; corrections still ingested
         assert rover.fix_due(1 / 14.0)
