@@ -4,12 +4,17 @@ File layout (little-endian): magic ``HBAG``, u16 format version, then per
 record u32 topic length, topic bytes, f64 stamp, u32 payload length, payload.
 Records are stored sorted by stamp, ties broken by write order.
 
-A ``Recorder`` is not a bus node: the bus calls it with each message as it is
-published, so recording is lossless by construction. The run is held once, in
-the ``BagWriter``, as ``(stamp, topic, payload)`` tuples, until
-``Recorder.stop()`` sorts them and writes them in fixed-size chunks of
-``_CHUNK_RECORDS`` records. Recording 1,000,001 empty-payload messages peaks at
-137 MB RSS, against 244 MB when each record was held as a ``BagRecord``.
+A ``Recorder`` is not a bus node: it is a bus publish hook, called as
+``(topic, stamp, payload)`` for each publish, in publish order and before fault
+injection, so recording is lossless by construction and needs no ``Message``.
+The run is held once, in the ``BagWriter``, as ``(stamp, topic, payload)``
+tuples, until ``Recorder.stop()`` sorts them and writes them in fixed-size
+chunks of ``_CHUNK_RECORDS`` records. Recording 1,000,001 empty-payload
+messages peaks at 137 MB RSS, against 244 MB when each record was held as a
+frozen dataclass.
+
+``read_bag`` returns ``BagRecord`` named tuples, and decodes each distinct
+topic's bytes once.
 """
 from __future__ import annotations
 
@@ -20,10 +25,10 @@ import time
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .bus import (Bus, DuplicateNodeError, Message, PublisherHandle, QosProfile,
-                  QualifiedName, Reliability)
+from .bus import (Bus, DuplicateNodeError, PublisherHandle, QosProfile, QualifiedName,
+                  Reliability)
 
 MAGIC = b"HBAG"
 FORMAT_VERSION = 1
@@ -43,8 +48,7 @@ class BagFormatError(BagError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class BagRecord:
+class BagRecord(NamedTuple):
     topic: str  # full form, e.g. "/spot/gps/fix"
     stamp: float
     payload: bytes
@@ -120,6 +124,8 @@ def read_bag(path) -> list[BagRecord]:
         raise BagFormatError(f"unsupported format version {version}", 4)
     records: list[BagRecord] = []
     append = records.append
+    new_record = tuple.__new__  # BagRecord(...) without its Python-level __new__
+    topics: dict[bytes, str] = {}  # topic bytes -> decoded topic
     unpack_len = _U32.unpack_from
     unpack_stamp_len = _STAMP_LEN.unpack_from
     off = _HEADER.size
@@ -132,16 +138,19 @@ def read_bag(path) -> list[BagRecord]:
         off += 4
         if off + topic_len + 12 > total:
             raise BagFormatError("truncated record", start)
-        try:
-            topic = data[off:off + topic_len].decode()
-        except UnicodeDecodeError:
-            raise BagFormatError("topic is not valid UTF-8", off) from None
+        raw = data[off:off + topic_len]
+        topic = topics.get(raw)
+        if topic is None:
+            try:
+                topic = topics[raw] = raw.decode()
+            except UnicodeDecodeError:
+                raise BagFormatError("topic is not valid UTF-8", off) from None
         off += topic_len
         stamp, payload_len = unpack_stamp_len(data, off)
         off += 12
         if off + payload_len > total:
             raise BagFormatError("truncated payload", start)
-        append(BagRecord(topic, stamp, data[off:off + payload_len]))
+        append(new_record(BagRecord, (topic, stamp, data[off:off + payload_len])))
         off += payload_len
     return records
 
@@ -161,11 +170,12 @@ class Recorder:
     """Writes every message published on a topic that matches the filter
     patterns into the sink bag.
 
-    The recorder is not a bus node and holds no subscription: the bus hands it
-    each message as it is published, before fault injection and delivery, so
-    recording is lossless by construction, at any message count and whatever
-    the live QoS profiles. Topics advertised after start are recorded too. The
-    run is held once, in the bag writer, until ``stop()`` writes it out.
+    The recorder is not a bus node and holds no subscription: it is a publish
+    hook, so the bus hands it each publish's ``(topic, stamp, payload)`` before
+    fault injection and delivery, and recording is lossless by construction,
+    at any message count and whatever the live QoS profiles. Topics advertised
+    after start are recorded too. The run is held once, in the bag writer,
+    until ``stop()`` writes it out.
     """
 
     def __init__(self, bus: Bus, patterns: Sequence[str], sink) -> None:
@@ -175,6 +185,7 @@ class Recorder:
         self._patterns = list(patterns)
         self._matched: dict[str, bool] = {}  # topic -> matches a pattern
         self._writer = BagWriter(sink)
+        self._append = self._writer.append
         bus.add_publish_hook(self._on_publish)
 
     @property
@@ -184,13 +195,13 @@ class Recorder:
     def matches(self, topic: str) -> bool:
         return any(fnmatch.fnmatchcase(topic, pat) for pat in self._patterns)
 
-    def _on_publish(self, msg: Message) -> None:
-        topic = msg.topic.full
-        matched = self._matched.get(topic)
+    def _on_publish(self, topic: QualifiedName, stamp: float, payload: bytes) -> None:
+        full = topic.full
+        matched = self._matched.get(full)
         if matched is None:
-            matched = self._matched[topic] = self.matches(topic)
+            matched = self._matched[full] = self.matches(full)
         if matched:
-            self._writer.append(topic, msg.stamp, msg.payload)
+            self._append(full, stamp, payload)
 
     def stop(self) -> Path:
         """Detach from the bus and write the bag; later calls only return its path."""
@@ -231,6 +242,7 @@ def replay(path, bus: Bus, rate: float | None = None, fast: bool = False) -> Rep
     if rate is None:
         fast = True
     records = read_bag(path)
+    publish = bus.publish
     nodes = {}
     pubs: dict[str, PublisherHandle] = {}
     counts: dict[str, int] = {}
@@ -238,19 +250,20 @@ def replay(path, bus: Bus, rate: float | None = None, fast: bool = False) -> Rep
     try:
         start_wall = time.monotonic()
         first_stamp = records[0].stamp if records else 0.0
-        for r in records:
-            if r.topic not in pubs:
-                name = QualifiedName.parse(r.topic)
+        for topic, stamp, payload in records:
+            pub = pubs.get(topic)
+            if pub is None:
+                name = QualifiedName.parse(topic)
                 if name.namespace not in nodes:
                     nodes[name.namespace] = _replay_node(bus, name.namespace)
-                pubs[r.topic] = bus.advertise(nodes[name.namespace], name.local, replay_qos)
+                pub = pubs[topic] = bus.advertise(nodes[name.namespace], name.local, replay_qos)
             if not fast:
-                target = start_wall + (r.stamp - first_stamp) / rate
+                target = start_wall + (stamp - first_stamp) / rate
                 delay = target - time.monotonic()
                 if delay > 0.0:
                     time.sleep(delay)
-            pubs[r.topic].publish(r.stamp, r.payload)
-            counts[r.topic] = counts.get(r.topic, 0) + 1
+            publish(pub, stamp, payload)
+            counts[topic] = counts.get(topic, 0) + 1
     finally:
         for node in nodes.values():
             node.close()

@@ -92,6 +92,11 @@ class RotationTimeline:
     ccw_end_s: float = 50.0
     lift_height_m: float = 1.0
 
+    @property
+    def min_run_s(self) -> float:
+        """The shortest rotation run: it ends once the board is back down."""
+        return self.ccw_end_s + 1.0
+
 
 @dataclass(frozen=True)
 class TranslationLegs:
@@ -133,7 +138,7 @@ class ExperimentSpec:
             raise ValueError(f"duration must be finite and above 0, got {self.duration_s}")
         if not 0.0 < self.side_m < math.inf:  # NaN fails too
             raise ValueError(f"board side must be finite and above 0, got {self.side_m}")
-        min_rotation_s = self.rotation.ccw_end_s + 1.0  # the board is back down
+        min_rotation_s = self.rotation.min_run_s
         if self.kind == "rotation" and self.duration_s < min_rotation_s:
             raise ValueError(f"a rotation run needs at least {min_rotation_s:g} s, "
                              f"got {self.duration_s:g} s")
@@ -207,6 +212,11 @@ _SPEC_BUILDERS = {
     "rotation": rotation_spec,
     "translation_square": translation_spec,
 }
+
+
+def shortest_run_s(kind: str) -> float:
+    """The shortest duration ``make_spec(kind, ...)`` accepts (0 for no limit)."""
+    return RotationTimeline().min_run_s if kind == "rotation" else 0.0
 
 
 def make_spec(kind: str, seed: int, **kwargs) -> ExperimentSpec:

@@ -5,6 +5,12 @@ advertised with relative names and resolve to ``/<namespace>/<topic>``.
 Delivery is pull-based (``take``) with keep-last history queues, so a slow
 consumer can never block a publisher. Each publisher's stamps must be finite,
 non-negative and non-decreasing.
+
+Publish hooks (``add_publish_hook``) are called as ``hook(topic, stamp,
+payload)``, with the topic's ``QualifiedName``, for every accepted publish, in
+publish order and before fault injection and delivery. A ``Message`` is built
+only for subscription queues: a publish on a topic with no subscription
+allocates none.
 """
 from __future__ import annotations
 
@@ -117,6 +123,11 @@ def _delivery_report(matched: int, enqueued: int) -> DeliveryReport:
     return DeliveryReport(matched, enqueued)
 
 
+_NO_DELIVERY = _delivery_report(0, 0)
+
+PublishHook = Callable[[QualifiedName, float, bytes], None]
+
+
 class FaultInjector(Protocol):
     """Per-delivery drop decision, standing in for a lossy wireless link."""
 
@@ -188,7 +199,8 @@ class _Endpoint:
 class PublisherHandle(_Endpoint):
     def __init__(self, *args) -> None:
         super().__init__(*args)
-        self._last_stamp = -1.0
+        # the lowest stamp the next publish may carry: stamps are non-negative
+        self._last_stamp = 0.0
 
     def publish(self, stamp: float, payload: bytes) -> DeliveryReport:
         return self._bus.publish(self, stamp, payload)
@@ -201,6 +213,15 @@ class SubscriptionHandle(_Endpoint):
 
     def take(self) -> Message | None:
         return self._bus.take(self)
+
+
+def _reject(pub: PublisherHandle, stamp: float) -> None:
+    """Raise the error for a publish that the fast check in ``Bus.publish`` refused."""
+    if pub._closed:
+        raise ClosedHandleError(f"publisher on {pub.topic.full} is closed")
+    if not 0.0 <= stamp < math.inf:
+        raise StampOrderError(f"stamp {stamp} is not finite and non-negative")
+    raise StampOrderError(f"stamp {stamp} precedes {pub._last_stamp} on {pub.topic.full}")
 
 
 class Bus:
@@ -218,7 +239,7 @@ class Bus:
         self._subscriptions: dict[str, list[SubscriptionHandle]] = {}
         self._fault_injector: FaultInjector | None = None
         self._seq = 0
-        self._publish_hooks: tuple[Callable[[Message], None], ...] = ()
+        self._publish_hooks: tuple[PublishHook, ...] = ()
 
     def set_fault_injector(self, injector: FaultInjector | None) -> None:
         with self._lock:
@@ -261,13 +282,14 @@ class Bus:
             node._endpoints.append(endpoint)
         return endpoint
 
-    def add_publish_hook(self, hook: Callable[[Message], None]) -> None:
-        """Invoke hook with every future message, in publish order, before
-        fault injection and delivery; used by recorders."""
+    def add_publish_hook(self, hook: PublishHook) -> None:
+        """Call ``hook(topic, stamp, payload)`` for every future accepted
+        publish, in publish order, before fault injection and delivery; used
+        by recorders. ``topic`` is the ``QualifiedName``, ``payload`` bytes."""
         with self._lock:
             self._publish_hooks += (hook,)
 
-    def remove_publish_hook(self, hook: Callable[[Message], None]) -> None:
+    def remove_publish_hook(self, hook: PublishHook) -> None:
         with self._lock:
             self._publish_hooks = tuple(h for h in self._publish_hooks if h != hook)
 
@@ -275,19 +297,19 @@ class Bus:
 
     def publish(self, pub: PublisherHandle, stamp: float, payload: bytes) -> DeliveryReport:
         with self._lock:
-            if pub._closed:
-                raise ClosedHandleError(f"publisher on {pub.topic.full} is closed")
-            if not 0.0 <= stamp < math.inf:
-                raise StampOrderError(f"stamp {stamp} is not finite and non-negative")
-            if stamp < pub._last_stamp:
-                raise StampOrderError(
-                    f"stamp {stamp} precedes {pub._last_stamp} on {pub.topic.full}")
+            # _last_stamp starts at 0, so one chained comparison rejects a NaN,
+            # infinite, negative or decreasing stamp
+            if pub._closed or not pub._last_stamp <= stamp < math.inf:
+                _reject(pub, stamp)
             pub._last_stamp = stamp
-            msg = Message(pub.topic, stamp, bytes(payload))
+            topic = pub.topic
+            payload = bytes(payload)
             for hook in self._publish_hooks:
-                hook(msg)
-            subs = self._subscriptions.get(pub.topic.full, ())
-            matched = len(subs)
+                hook(topic, stamp, payload)
+            subs = self._subscriptions.get(topic.full)
+            if not subs:
+                return _NO_DELIVERY
+            msg = Message(topic, stamp, payload)
             enqueued = 0
             best_effort_pub = pub.qos.reliability is Reliability.BEST_EFFORT
             for sub in subs:
@@ -295,12 +317,12 @@ class Bus:
                 # a reliable subscription is never starved.
                 droppable = best_effort_pub and sub.qos.reliability is Reliability.BEST_EFFORT
                 if droppable and self._fault_injector is not None \
-                        and self._fault_injector.should_drop(pub.topic):
+                        and self._fault_injector.should_drop(topic):
                     continue
                 self._seq += 1
                 sub._queue.append((self._seq, msg))
                 enqueued += 1
-            return _delivery_report(matched, enqueued)
+            return _delivery_report(len(subs), enqueued)
 
     def take(self, sub: SubscriptionHandle) -> Message | None:
         with self._lock:

@@ -141,8 +141,12 @@ def _cmd_bench_analyze(args) -> int:
     series = bench.side_distances(fixes, args.base)
     windows = None
     if args.kind not in (None, "square"):  # square runs have no disturbance windows
+        kind = _CLI_KINDS[args.kind]
         end = max(fix.stamp for group in fixes.values() for fix in group)
-        windows = bench.side_windows(bench.make_spec(_CLI_KINDS[args.kind], 0, duration_s=end))
+        # a log may be shorter than the shortest run of its kind; windows that
+        # start after the log's end fall outside it either way
+        duration = max(end, bench.shortest_run_s(kind))
+        windows = bench.side_windows(bench.make_spec(kind, 0, duration_s=duration))
     report = bench.summarize(series, args.expected_side, windows, args.convergence_s)
     if args.csv:
         bench.emit_csv(series, args.csv)
@@ -158,6 +162,7 @@ def _cmd_bench_analyze(args) -> int:
 
 def _cmd_bag_record(args) -> int:
     if args.source:
+        bag.read_bag(args.source)  # a missing or corrupt source fails before -o is opened
         bus = Bus()
         recorder = bag.record(bus, args.filters, args.out)
         bag.replay(args.source, bus, fast=True)

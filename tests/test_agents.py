@@ -674,7 +674,7 @@ def _fleet(seed):
     world.spawn_agent(AgentSpec("anafi", "aerial", 4.0, altitude_range=(2.0, 30.0),
                                 sensors=GPS), (-2.0, 1.0, 10.0))
     fixes = []
-    world.bus.add_publish_hook(lambda msg: fixes.append((msg.topic, msg.stamp, msg.payload)))
+    world.bus.add_publish_hook(lambda topic, stamp, payload: fixes.append((topic, stamp, payload)))
     return world, fixes
 
 

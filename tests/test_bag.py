@@ -114,6 +114,38 @@ class TestFormat:
             read_bag(path)
         assert err.value.offset == 6 + len(good) + 4
 
+    def test_invalid_utf8_topic_after_decoded_topics_reports_its_own_offset(self, tmp_path):
+        """Topics are decoded once per distinct byte string: a bad topic of
+        the same length as topics already read is still checked, and
+        reported at its own offset."""
+        path = tmp_path / "utf8.bag"
+
+        def rec(topic: bytes, stamp: float) -> bytes:
+            return struct.pack("<I", len(topic)) + topic + struct.pack("<dI", stamp, 1) + b"x"
+
+        good = rec(b"/a/t", 1.0) + rec(b"/b/t", 2.0) + rec(b"/a/t", 3.0)
+        path.write_bytes(b"HBAG\x01\x00" + good + rec(b"/a\xff\xfe", 4.0) + rec(b"/b/t", 5.0))
+        with pytest.raises(BagFormatError) as err:
+            read_bag(path)
+        assert err.value.offset == 6 + len(good) + 4
+        assert "not valid UTF-8" in str(err.value)
+
+    def test_records_are_immutable_named_tuples(self, tmp_path):
+        path = tmp_path / "t.bag"
+        with BagWriter(path) as writer:
+            writer.append("/a/t", 1.0, b"x")
+            writer.append("/b/t", 2.0, b"")
+            writer.append("/a/t", 3.0, b"y")
+        records = read_bag(path)
+        assert records == [BagRecord("/a/t", 1.0, b"x"), BagRecord("/b/t", 2.0, b""),
+                           BagRecord("/a/t", 3.0, b"y")]
+        assert all(type(r) is BagRecord for r in records)
+        assert records[0].topic is records[2].topic  # one decoded string per topic
+        assert records[1]._asdict() == {"topic": "/b/t", "stamp": 2.0, "payload": b""}
+        for field in ("topic", "stamp", "payload", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(records[0], field, None)
+
     def test_closed_writer_rejects_records_and_closes_once(self, tmp_path):
         path = tmp_path / "t.bag"
         writer = BagWriter(path)

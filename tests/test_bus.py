@@ -2,6 +2,7 @@
 import math
 import random
 import threading
+from collections import deque
 from functools import partial
 
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from hmas.bag import read_bag, record
 from hmas.bus import (Bus, ClosedHandleError, DuplicateNodeError,
-                      InvalidNameError, QosProfile, QualifiedName, Reliability,
+                      InvalidNameError, Message, QosProfile, QualifiedName, Reliability,
                       SeededDropInjector, StampOrderError)
 
 RELIABLE = QosProfile(reliability=Reliability.RELIABLE, history_depth=100)
@@ -210,6 +212,104 @@ class TestPublish:
         bus.subscribe(node, "t", QosProfile(history_depth=1))
         for i in range(10_000):
             pub.publish(float(i), b"x")  # bounded queue: never blocks
+
+
+def _publish_error(closed: bool, stamp: float, last: float, topic: str):
+    """The error class and message the publish checks give, in their order."""
+    if closed:
+        return ClosedHandleError, f"publisher on {topic} is closed"
+    if not 0.0 <= stamp < math.inf:
+        return StampOrderError, f"stamp {stamp} is not finite and non-negative"
+    if stamp < last:
+        return StampOrderError, f"stamp {stamp} precedes {last} on {topic}"
+    return None
+
+
+_BAD_STAMPS = ("nan", "inf", "-inf", "negative", "below")
+_publish_op = st.tuples(
+    st.just("publish"), st.integers(0, 3),
+    st.one_of(st.floats(0.0, 3.0), st.sampled_from(_BAD_STAMPS)),
+    st.one_of(st.binary(max_size=3), st.binary(max_size=3).map(bytearray)))
+
+
+@given(ops=st.lists(st.one_of(_publish_op,
+                              st.tuples(st.just("take"), st.integers(0, 3)),
+                              st.tuples(st.just("close"), st.integers(0, 3))),
+                    max_size=60),
+       drop_seed=st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+def test_publish_checks_hooks_and_delivery_match_a_model(tmp_path_factory, ops, drop_seed):
+    """Random publishes on topics without and with reliable and best-effort
+    subscriptions, with a recorder and a plain hook attached. A rejected
+    publish raises the first failing check's error, reaches no hook and no
+    queue, and keeps the publisher's last stamp. Accepted publishes reach the
+    hook once each in publish order, the bag holds them sorted by stamp, and
+    take() returns what a model of the delivery rules holds."""
+    bus = Bus()
+    bus.set_fault_injector(SeededDropInjector(0.5, drop_seed))
+    oracle_rng = random.Random(drop_seed)
+    node = bus.create_node("spot", "driver")
+    best, reliable = QosProfile(history_depth=2), QosProfile(Reliability.RELIABLE, 3)
+    pubs = [bus.advertise(node, "none"), bus.advertise(node, "mixed"),
+            bus.advertise(node, "lossy"), bus.advertise(node, "lossy", reliable)]
+    subs = [bus.subscribe(node, "mixed", reliable), bus.subscribe(node, "mixed", best),
+            bus.subscribe(node, "lossy", best), bus.subscribe(node, "/spot/lossy", reliable)]
+    queues = {id(sub): deque(maxlen=sub.qos.history_depth) for sub in subs}
+    seen = []
+    bus.add_publish_hook(lambda topic, stamp, payload: seen.append((topic, stamp, payload)))
+    path = tmp_path_factory.mktemp("bag") / "run.bag"
+    recorder = record(bus, ["/spot/*"], path)
+    accepted = []
+    last = [-1.0] * len(pubs)  # last accepted stamp per publisher (-1: none yet)
+    closed = [False] * len(pubs)
+    for op in ops:
+        if op[0] == "take":
+            sub = subs[op[1]]
+            model = queues[id(sub)]
+            assert sub.take() == (model.popleft() if model else None)
+            continue
+        i = op[1]
+        pub = pubs[i]
+        if op[0] == "close":
+            pub.close()
+            closed[i] = True
+            continue
+        _, _, choice, payload = op
+        base = max(last[i], 0.0)
+        if isinstance(choice, str):
+            stamp = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+                     "negative": -0.5 - base, "below": base - 0.25}[choice]
+        else:
+            stamp = base + choice
+        error = _publish_error(closed[i], stamp, last[i], pub.topic.full)
+        before = pub._last_stamp
+        lengths = [len(sub._queue) for sub in subs]
+        if error is not None:
+            with pytest.raises(error[0]) as info:
+                pub.publish(stamp, payload)
+            assert str(info.value) == error[1]
+            assert pub._last_stamp == before
+            assert [len(sub._queue) for sub in subs] == lengths
+            assert len(seen) == len(accepted)
+            continue
+        report = pub.publish(stamp, payload)
+        last[i] = stamp
+        accepted.append((pub.topic, stamp, bytes(payload)))
+        matched = [sub for sub in subs if sub.topic == pub.topic]
+        enqueued = 0
+        for sub in matched:
+            droppable = (pub.qos.reliability is Reliability.BEST_EFFORT
+                         and sub.qos.reliability is Reliability.BEST_EFFORT)
+            if droppable and oracle_rng.random() < 0.5:
+                continue
+            queues[id(sub)].append(Message(pub.topic, stamp, bytes(payload)))
+            enqueued += 1
+        assert (report.matched, report.enqueued) == (len(matched), enqueued)
+    assert seen == accepted
+    assert all(type(payload) is bytes for _, _, payload in seen)
+    recorder.stop()
+    in_bag = sorted(accepted, key=lambda m: m[1])  # stable: ties keep publish order
+    assert [(r.topic, r.stamp, r.payload) for r in read_bag(path)] == [(t.full, s, p) for t, s, p in in_bag]
 
 
 class TestDiscovery:

@@ -116,6 +116,20 @@ class TestBenchCli:
                        "--convergence-s", "5")
         assert code == 0
 
+    def test_rotation_kind_judges_a_log_shorter_than_a_rotation_run(self, tmp_path, capsys):
+        """A 20 s log is shorter than the 51 s a rotation run needs; its
+        windows come from the shortest rotation run, which has none before
+        51 s, so the log gets a verdict and the same report as without --kind."""
+        out = tmp_path / "short.bag"
+        bench.run_experiment(bench.static_spec(1, duration_s=20.0), out)
+        with_kind, without = tmp_path / "k.csv", tmp_path / "n.csv"
+        code = run_cli("bench", "analyze", out, "--kind", "rotation", "--convergence-s", "5",
+                       "--report", with_kind)
+        assert code in (0, 1)
+        assert capsys.readouterr().err == ""
+        run_cli("bench", "analyze", out, "--convergence-s", "5", "--report", without)
+        assert with_kind.read_bytes() == without.read_bytes()
+
     def test_kind_windows_follow_the_run_duration(self, tmp_path, capsys):
         """A 400 s disturbed run keeps obstructing top_left until 400 s; its
         windows come from the input's last fix, not the default 300 s run."""
@@ -269,6 +283,28 @@ class TestBagCli:
         info = bag.bag_info(filtered)
         assert set(info.topics) == {"/top_left/gps/fix", "/top_right/gps/fix"}
         assert info.record_count == 56
+
+    @pytest.mark.parametrize("source", ["missing", "corrupt"])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_record_from_a_bad_source_leaves_the_output_alone(self, tmp_path, capsys,
+                                                              source, existing):
+        """The source is read before -o is opened: no empty bag is left behind,
+        and a bag already at -o keeps its bytes."""
+        bad = tmp_path / f"{source}.bag"
+        if source == "corrupt":
+            bad.write_bytes(b"HBAG\x01\x00\x05\x00")
+        out = tmp_path / "out.bag"
+        before = self.make_bag(tmp_path).read_bytes() if existing else None
+        if existing:
+            out.write_bytes(before)
+        code = run_cli("bag", "record", "--filter", "/*/gps/fix", "-o", out, "--source", bad)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("hmas: error: ") and err.count("\n") == 1
+        if existing:
+            assert out.read_bytes() == before
+        else:
+            assert not out.exists()
 
     def test_record_from_scenario(self, tmp_path, scenario_file):
         out = tmp_path / "scn.bag"
