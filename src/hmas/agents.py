@@ -5,17 +5,19 @@ transform tree and the RTK rover model.
 Control is estimation-only: follow commands act on the latest published
 fixes, never on simulator ground truth.
 
-The step path runs on Python floats: agents keep position, velocity and
-odometry as 3-float tuples, and ``Agent.position``, ``velocity`` and
-``odom_position`` copy in both directions (a read returns a fresh array, an
-assignment copies any 3-vector). Arithmetic keeps numpy's operation order,
-norms and the standoff dot product are fixed-order float sums, and every speed
-clamp still runs, since a clamped vector's norm can round above the limit. A
-target's heading is cached until its next fix. A rover is stepped only when its
-fix is due, with what its own correction subscription holds: a correction moves
-the grade only at a fix stamp, so taking it at the next fix changes no bit.
+Every vector that enters (a spec's, a spawn's, a setter's or ``set_velocity``'s)
+passes one rule, ``_finite_floats``. The step path runs on Python floats: agents
+keep position, velocity and odometry as 3-float tuples, and ``Agent.position``,
+``velocity`` and ``odom_position`` copy in both directions (a read returns a
+fresh array). Arithmetic keeps numpy's operation order, norms and the standoff
+dot product are fixed-order float sums, and every speed clamp still runs, since
+a clamped vector's norm can round above the limit. A target's heading is cached
+until its next fix. A rover is stepped only when its fix is due, with what its
+own correction subscription holds: a correction moves the grade only at a fix
+stamp, so taking it at the next fix changes no bit.
 ``World(noiseless=True)`` gives every rover no bias and no noise, and
-``run_scenario`` steps the world at a tenth of the fix period.
+``run_scenario`` steps the world at ``CONTROL_DT_S``, a tenth of the fix period,
+for a scenario of one control step to ``MAX_RUN_S`` (24 h).
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bus import Bus, QosProfile, QualifiedName
-from .geo import (CORRECTION_QOS, CORRECTION_TOPIC, DEFAULT_FIX_RATE_HZ, EnuCoord,
+from .geo import (CORRECTION_QOS, CORRECTION_TOPIC, FIX_PERIOD_S, MAX_RUN_S, EnuCoord,
                   GeodeticCoord, Rover, encode_fix, decode_fix, geodetic_to_enu,
                   enu_to_geodetic, rtk_base, take_corrections)
 from .tf import TransformTree, _transform
@@ -42,6 +44,8 @@ DEAD_BAND_M = 0.25
 STALE_FIX_PERIODS = 5.0
 HEADING_BASELINE_S = 0.35  # min fix spacing for target heading estimation
 HEADING_MIN_MOVE_M = 0.05
+CONTROL_DT_S = FIX_PERIOD_S / 10.0  # run_scenario's step
+_FLOAT64 = np.dtype(np.float64)  # tolist() of such an array gives floats: no float() pass
 
 
 class AgentError(Exception):
@@ -60,13 +64,17 @@ class SpawnError(AgentError):
     pass
 
 
-def _finite_floats(value, n: int) -> tuple[float, ...] | None:
-    """``value`` as ``n`` finite floats, or None if it is not that."""
+def _finite_floats(value, n: int, what: str, error: type = ValueError) -> tuple[float, ...]:
+    """``value``, a flat vector of ``n`` finite numbers (an ndarray through ``tolist()``), as
+    floats, or else ``error`` naming ``what``: ``math.isfinite`` refuses any other entry."""
+    is_array = isinstance(value, np.ndarray)
+    items = value.tolist() if is_array else value
     try:
-        floats = tuple(map(float, value))
-    except (TypeError, ValueError):
-        return None
-    return floats if len(floats) == n and all(map(math.isfinite, floats)) else None
+        if len(items) == n and all(map(math.isfinite, items)):
+            return tuple(items if is_array and value.dtype is _FLOAT64 else map(float, items))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{what} must be {n} finite numbers, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -76,11 +84,8 @@ class SensorSpec:
     mount: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
-        mount = _finite_floats(self.mount, 3)
-        if mount is None:
-            raise ValueError(f"sensor {self.name!r} mount must be 3 finite numbers, "
-                             f"got {self.mount!r}")
-        object.__setattr__(self, "mount", mount)
+        object.__setattr__(self, "mount",
+                           _finite_floats(self.mount, 3, f"sensor {self.name!r} mount"))
 
 
 @dataclass(frozen=True)
@@ -119,53 +124,43 @@ class FollowCommand:
     def __post_init__(self) -> None:
         if not 0.0 < self.standoff < math.inf:  # NaN fails too
             raise ValueError(f"standoff must be finite and above 0, got {self.standoff}")
-        offset = _finite_floats(self.offset, 2)
-        if offset is None:
-            raise ValueError(f"offset must be 2 finite numbers, got {self.offset!r}")
-        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "offset", _finite_floats(self.offset, 2, "offset"))
         if isinstance(self.target, str):
             if self.target == self.follower:
                 raise ValueError("an agent cannot follow itself")
         else:
-            target = _finite_floats(self.target, 3)
-            if target is None:
-                raise ValueError(f"a point target must be 3 finite numbers, got {self.target!r}")
-            object.__setattr__(self, "target", target)
-
-
-def _vec3(value) -> quat.Vec3:
-    """Any 3-vector as a tuple of 3 Python floats."""
-    return tuple(np.asarray(value, dtype=float).reshape(3).tolist())
+            object.__setattr__(self, "target", _finite_floats(self.target, 3, "a point target"))
 
 
 def _vector(attr: str, doc: str, optional: bool = False) -> property:
-    """An ``Agent`` vector kept as a float tuple in ``attr``: a read returns a
-    fresh float64 array, an assignment copies any 3-vector (or None, if
-    ``optional``)."""
+    """An ``Agent`` vector kept as a float tuple in ``attr``, ``_`` + its name: a
+    read returns a fresh float64 array, an assignment copies any finite 3-vector
+    (or None, if ``optional``)."""
     def get(self):
         value = getattr(self, attr)
         return None if value is None else np.array(value)
 
     def set_(self, value) -> None:
-        setattr(self, attr, None if optional and value is None else _vec3(value))
+        setattr(self, attr, None if optional and value is None
+                else _finite_floats(value, 3, attr[1:]))
     return property(get, set_, doc=doc)
 
 
 class Agent:
     position = _vector("_position", "Ground truth, ENU meters.")
     velocity = _vector("_velocity", "Commanded velocity, ENU m/s.")
-    odom_position = _vector("_odom", "Controller-side state: the last fix dead-reckoned with "
-                            "the agent's own commands, never touched by ground truth.",
-                            optional=True)
+    odom_position = _vector("_odom_position", "Controller-side state: the last fix "
+                            "dead-reckoned with the agent's own commands, never touched "
+                            "by ground truth.", optional=True)
 
-    def __init__(self, spec: AgentSpec, position) -> None:
+    def __init__(self, spec: AgentSpec, position: quat.Vec3) -> None:
         self.spec = spec
-        self._position = _vec3(position)
+        self._position = position  # the 3 floats World.spawn_agent checked
         self._velocity = (0.0, 0.0, 0.0)
         self.rover: Rover | None = None
         self.fix_pub = None
         self.rtk_sub = None
-        self._odom: quat.Vec3 | None = None
+        self._odom_position: quat.Vec3 | None = None
         self.odom_stamp: float | None = None
 
     @property
@@ -202,18 +197,12 @@ class World:
     def agents(self) -> dict[str, Agent]:
         return self._agents
 
-    def fix_period(self) -> float:
-        return 1.0 / DEFAULT_FIX_RATE_HZ
-
     # -- population -----------------------------------------------------
 
     def spawn_agent(self, spec: AgentSpec, start) -> Agent:
         if spec.name in self._agents:
             raise DuplicateAgentError(f"agent {spec.name!r} already exists")
-        position = _finite_floats(start, 3)
-        if position is None:
-            raise SpawnError(f"start must be 3 finite numbers, got {start!r}")
-        x, y, z = position
+        x, y, z = position = _finite_floats(start, 3, "start", SpawnError)
         if max(abs(x), abs(y)) > self.bounds_m:
             raise SpawnError(f"start {position} outside the {self.bounds_m} m world bounds")
         if spec.category == "aerial":
@@ -252,7 +241,8 @@ class World:
 
     def set_velocity(self, name: str, velocity) -> None:
         agent = self._require(name)
-        agent._velocity = _clamp_speed(_vec3(velocity), agent.spec.max_speed)
+        agent._velocity = _clamp_speed(_finite_floats(velocity, 3, "velocity"),
+                                       agent.spec.max_speed)
 
     def estimated_state(self, name: str) -> tuple[float, np.ndarray] | None:
         """Latest published-fix position (stamp, ENU array) for an agent, if
@@ -273,10 +263,10 @@ class World:
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         follower = self._require(cmd.follower)
-        stale_after = STALE_FIX_PERIODS * self.fix_period()
-        if follower._odom is None or self._time - follower.odom_stamp > stale_after:
+        stale_after = STALE_FIX_PERIODS * FIX_PERIOD_S
+        if follower._odom_position is None or self._time - follower.odom_stamp > stale_after:
             return np.zeros(3)
-        fx, fy, fz = follower._odom
+        fx, fy, fz = follower._odom_position
         if isinstance(cmd.target, str):
             self._require(cmd.target)
             hist = self._estimates[cmd.target]
@@ -351,9 +341,9 @@ class World:
             dx, dy, dz = vx * dt, vy * dt, vz * dt
             px, py, pz = agent._position
             px, py, pz = agent._position = self._clamp_point(agent, px + dx, py + dy, pz + dz)
-            if agent._odom is not None:
-                ox, oy, oz = agent._odom
-                agent._odom = self._clamp_point(agent, ox + dx, oy + dy, oz + dz)
+            if agent._odom_position is not None:
+                ox, oy, oz = agent._odom_position
+                agent._odom_position = self._clamp_point(agent, ox + dx, oy + dy, oz + dz)
             rover = agent.rover
             if rover is None:
                 continue
@@ -365,7 +355,7 @@ class World:
                 self.fix_counts[agent.name] += 1
                 est = geodetic_to_enu(fix.position, self.base)
                 est_pos = (est.east, est.north, est.up)
-                agent._odom = est_pos
+                agent._odom_position = est_pos
                 agent.odom_stamp = fix.stamp
                 self._set_pose_edges(agent, est_pos, fix.stamp)
         self._drain_fixes()
@@ -436,13 +426,10 @@ class ScenarioAgent:
     def __post_init__(self) -> None:
         if not 0.0 < self.speed < math.inf:  # NaN fails too
             raise ValueError(f"script speed must be finite and above 0, got {self.speed}")
-        start = _finite_floats(self.start, 3)
-        waypoints = tuple(_finite_floats(w, 3) for w in self.waypoints)
-        if start is None or None in waypoints:
-            raise ValueError(f"start and waypoints of {self.spec.name!r} must be 3 finite "
-                             f"numbers each, got {self.start!r} and {self.waypoints!r}")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "waypoints", waypoints)
+        name = self.spec.name
+        object.__setattr__(self, "start", _finite_floats(self.start, 3, f"start of {name!r}"))
+        object.__setattr__(self, "waypoints", tuple(
+            _finite_floats(w, 3, f"each waypoint of {name!r}") for w in self.waypoints))
 
 
 @dataclass(frozen=True)
@@ -455,8 +442,10 @@ class Scenario:
     noiseless: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.duration_s < math.inf:  # NaN fails too
-            raise ValueError(f"duration_s must be finite and above 0, got {self.duration_s}")
+        if not CONTROL_DT_S <= self.duration_s <= MAX_RUN_S:  # NaN fails too
+            raise ValueError(f"duration_s must be finite and within [{CONTROL_DT_S:.6g}, "
+                             f"{MAX_RUN_S:g}] s (one control step to 24 h), "
+                             f"got {self.duration_s}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.noiseless, bool):
@@ -493,7 +482,7 @@ def run_scenario(scenario: Scenario, on_step: Callable[[World], None] | None = N
     world = World(scenario.base, seed=scenario.seed, noiseless=scenario.noiseless)
     if on_world is not None:
         on_world(world)
-    dt = world.fix_period() / 10.0
+    dt = CONTROL_DT_S
     scripts: dict[str, _WaypointScript] = {}
     for entry in scenario.agents:
         world.spawn_agent(entry.spec, entry.start)

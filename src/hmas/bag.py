@@ -64,7 +64,7 @@ class BagInfo:
 
 class BagWriter:
     """Collects records and writes them stamp-sorted (stable) on close, one
-    ``write`` per chunk, so the encoded bytes of the whole run never exist at
+    file write per chunk, so the encoded bytes of the whole run never exist at
     once.
 
     The sink is opened immediately so an unwritable path fails fast.
@@ -76,9 +76,6 @@ class BagWriter:
         self._fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION))
         self._records: list[tuple[float, str, bytes]] = []
         self._closed = False
-
-    def write(self, record: BagRecord) -> None:
-        self.append(record.topic, record.stamp, record.payload)
 
     def append(self, topic: str, stamp: float, payload: bytes) -> None:
         if self._closed:
@@ -192,14 +189,12 @@ class Recorder:
     def path(self) -> Path:
         return self._writer.path
 
-    def matches(self, topic: str) -> bool:
-        return any(fnmatch.fnmatchcase(topic, pat) for pat in self._patterns)
-
     def _on_publish(self, topic: QualifiedName, stamp: float, payload: bytes) -> None:
         full = topic.full
         matched = self._matched.get(full)
         if matched is None:
-            matched = self._matched[full] = self.matches(full)
+            matched = self._matched[full] = any(
+                fnmatch.fnmatchcase(full, pat) for pat in self._patterns)
         if matched:
             self._append(full, stamp, payload)
 

@@ -18,10 +18,10 @@ import numpy as np
 
 from .bag import read_bag, record
 from .bus import Bus
-from .geo import (CORRECTION_QOS, CORRECTION_TOPIC, DEFAULT_FIX_RATE_HZ,
-                  DISTURBANCE_DECAY_S, DisturbanceWindow, GeodeticCoord, Rover,
-                  RtkFix, decode_fix, encode_fixes, enu_to_geodetic_array,
-                  geodetic_to_enu_array, rtk_base, take_corrections)
+from .geo import (CORRECTION_QOS, CORRECTION_TOPIC, DEFAULT_FIX_RATE_HZ, DISTURBANCE_DECAY_S,
+                  FIX_PERIOD_S, MAX_RUN_S, DisturbanceWindow, GeodeticCoord, Rover, RtkFix,
+                  decode_fix, encode_fixes, enu_to_geodetic_array, geodetic_to_enu_array,
+                  rtk_base, take_corrections)
 # The per-fix scalar functions stay importable from this module, where the
 # span tracer in perfbench/ patches them.
 from .geo import encode_fix, enu_to_geodetic  # noqa: F401
@@ -134,8 +134,9 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if not 0.0 < self.duration_s < math.inf:  # NaN fails too
-            raise ValueError(f"duration must be finite and above 0, got {self.duration_s}")
+        if not FIX_PERIOD_S <= self.duration_s <= MAX_RUN_S:  # NaN fails too
+            raise ValueError(f"duration must be finite and within [{FIX_PERIOD_S:.6g}, "
+                             f"{MAX_RUN_S:g}] s (one fix period to 24 h), got {self.duration_s}")
         if not 0.0 < self.side_m < math.inf:  # NaN fails too
             raise ValueError(f"board side must be finite and above 0, got {self.side_m}")
         min_rotation_s = self.rotation.min_run_s
@@ -267,13 +268,11 @@ def corner_positions(spec: ExperimentSpec, t: np.ndarray) -> dict[str, np.ndarra
 # -- running ---------------------------------------------------------------
 
 
-def _draw_biases(spec: ExperimentSpec,
-                 ss: np.random.SeedSequence) -> dict[str, tuple[float, float]]:
+def _draw_biases(ss: np.random.SeedSequence) -> dict[str, tuple[float, float]]:
     """Seeded per-rover constant biases, structured so one or two board sides
-    carry a persistent sub-20 cm offset and the rest sit near the true side."""
+    carry a persistent sub-20 cm offset and the rest sit near the true side.
+    A noiseless ``Rover`` ignores its bias."""
     biases = {corner: (0.0, 0.0) for corner in CORNERS}
-    if spec.noiseless:
-        return biases
     rng = np.random.default_rng(ss)
     corner = CORNERS[int(rng.integers(0, 4))]
     mode = int(rng.integers(0, 3))
@@ -293,7 +292,7 @@ def board_rovers(spec: ExperimentSpec) -> dict[str, Rover]:
     """One seeded rover per corner."""
     root = np.random.SeedSequence(spec.seed)
     bias_ss, _old_link_ss, *rover_ss = root.spawn(2 + len(CORNERS))
-    biases = _draw_biases(spec, bias_ss)
+    biases = _draw_biases(bias_ss)
 
     windows: dict[str, list[DisturbanceWindow]] = {c: [] for c in CORNERS}
     if not spec.noiseless:  # noiseless = every injected error source off
@@ -324,7 +323,8 @@ def run_experiment(spec: ExperimentSpec, out) -> Path:
     pubs = [bus.advertise(node, "gps/fix") for node in nodes]
     subs = [bus.subscribe(node, CORRECTION_TOPIC.full, CORRECTION_QOS) for node in nodes]
     recorder = record(bus, ["/*/gps/fix"], out)
-    steps = round(spec.duration_s * DEFAULT_FIX_RATE_HZ)
+    # the stamps k / 14 Hz up to the duration, k from 1 (the spec makes it at least 1)
+    steps = math.floor(spec.duration_s * DEFAULT_FIX_RATE_HZ + 1e-9)
     for first in range(1, steps + 1, _BATCH_STEPS):
         t = np.arange(first, min(first + _BATCH_STEPS, steps + 1)) / DEFAULT_FIX_RATE_HZ
         stamps = t.tolist()

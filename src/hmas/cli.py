@@ -2,18 +2,18 @@
 
 Exit codes: 0 on success, 1 when ``hmas bench analyze`` finds that the 20 cm
 relative-accuracy verdict fails, and 2 on bad input or an error, which prints
-one ``hmas: error: ...`` line on stderr.
+one ``hmas: error: ...`` line on stderr. Argument values are checked only by
+the library code that owns them (``ExperimentSpec``, ``summarize``, ``replay``).
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import agents, bag, bench
 from .bus import Bus
-from .geo import GeodeticCoord, read_fix_csv
+from .geo import MAX_RUN_S, GeodeticCoord, read_fix_csv
 
 _CLI_KINDS = {
     "static": "static",
@@ -30,17 +30,6 @@ def _parse_base(text: str) -> GeodeticCoord:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"base must be 'lat,lon,alt', got {text!r} ({exc})") from None
-
-
-def _positive_float(text: str) -> float:
-    """argparse type of lengths, rates and durations: a finite number above 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number above 0")
-    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--kind", choices=sorted(_CLI_KINDS), required=True)
     p_run.add_argument("--seed", type=int, default=1)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--duration", type=_positive_float, default=None,
+    p_run.add_argument("--duration", type=float, default=None,
                        help="override run duration in seconds")
     p_run.add_argument("--noiseless", action="store_true")
     p_run.set_defaults(handler=_cmd_bench_run)
@@ -71,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--fixes", help="rover fix CSV instead of a bag")
     p_an.add_argument("--base", type=_parse_base, default=bench.DEFAULT_BASE,
                       help="ENU anchor as lat,lon,alt (default: the bench base)")
-    p_an.add_argument("--expected-side", type=_positive_float, default=bench.DEFAULT_SIDE_M)
+    p_an.add_argument("--expected-side", type=float, default=bench.DEFAULT_SIDE_M)
     p_an.add_argument("--convergence-s", type=float, default=bench.CONVERGENCE_S)
     p_an.add_argument("--kind", choices=sorted(_CLI_KINDS),
                       help="experiment kind, to exclude its disturbance windows "
@@ -94,9 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = bag_sub.add_parser("replay", help="republish a bag onto a fresh bus")
     p_rep.add_argument("bagfile")
-    speed = p_rep.add_mutually_exclusive_group()
-    speed.add_argument("--rate", type=_positive_float, help="realtime factor r > 0")
-    speed.add_argument("--fast", action="store_true", help="as fast as possible")
+    p_rep.add_argument("--rate", type=float, help="realtime factor r > 0")
+    p_rep.add_argument("--fast", action="store_true", help="as fast as possible")
     p_rep.set_defaults(handler=_cmd_bag_replay)
 
     p_info = bag_sub.add_parser("info", help="record count, topics, time span")
@@ -143,9 +131,9 @@ def _cmd_bench_analyze(args) -> int:
     if args.kind not in (None, "square"):  # square runs have no disturbance windows
         kind = _CLI_KINDS[args.kind]
         end = max(fix.stamp for group in fixes.values() for fix in group)
-        # a log may be shorter than the shortest run of its kind; windows that
-        # start after the log's end fall outside it either way
-        duration = max(end, bench.shortest_run_s(kind))
+        # a log may be shorter than the shortest run of its kind, or longer than the
+        # longest (MAX_RUN_S); windows that start after the log's end fall outside it
+        duration = min(max(end, bench.shortest_run_s(kind)), MAX_RUN_S)
         windows = bench.side_windows(bench.make_spec(kind, 0, duration_s=duration))
     report = bench.summarize(series, args.expected_side, windows, args.convergence_s)
     if args.csv:

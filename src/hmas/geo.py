@@ -30,6 +30,8 @@ WGS84_B = WGS84_A * (1.0 - WGS84_F)
 _EP2 = WGS84_E2 / (1.0 - WGS84_E2)  # second eccentricity squared
 
 DEFAULT_FIX_RATE_HZ = 14.0
+FIX_PERIOD_S = 1.0 / DEFAULT_FIX_RATE_HZ
+MAX_RUN_S = 86_400.0  # 24 h: the longest board run or scenario
 DEFAULT_CORRECTION_TIMEOUT_S = 5.0
 CORRECTION_INTERVAL_S = 1.0
 CORRECTION_TOPIC = QualifiedName("hmas", "rtk/corrections")

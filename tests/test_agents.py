@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmas import quat
-from hmas.agents import (DEAD_BAND_M, FOLLOW_GAIN, HEADING_BASELINE_S, HEADING_MIN_MOVE_M,
-                         STALE_FIX_PERIODS,
+from hmas.agents import (CONTROL_DT_S, DEAD_BAND_M, FIX_PERIOD_S, FOLLOW_GAIN,
+                         HEADING_BASELINE_S, HEADING_MIN_MOVE_M, STALE_FIX_PERIODS,
                          AgentSpec, DuplicateAgentError, FollowCommand,
                          Scenario, ScenarioAgent, SensorSpec, SpawnError,
                          UnknownAgentError, World, load_scenario, run_scenario)
 from hmas.bag import read_bag, record
 from hmas.bus import SeededDropInjector
-from hmas.geo import (CORRECTION_TOPIC, EnuCoord, FixQuality, GeodeticCoord,
+from hmas.geo import (CORRECTION_TOPIC, MAX_RUN_S, EnuCoord, FixQuality, GeodeticCoord,
                       decode_fix, enu_to_geodetic, take_corrections)
 from hmas.tf import TfError
 
@@ -110,14 +110,19 @@ class TestSpec:
         lambda: Scenario(BASE, 1, math.inf, (), ()),
         lambda: Scenario(BASE, 1, 0.0, (), ()),
         lambda: Scenario(BASE, 1, -5.0, (), ()),
+        lambda: Scenario(BASE, 1, CONTROL_DT_S * 0.999, (), ()),
+        lambda: Scenario(BASE, 1, 0.001, (), ()),
+        lambda: Scenario(BASE, 1, MAX_RUN_S * 1.0001, (), ()),
+        lambda: Scenario(BASE, 1, 1e300, (), ()),
         lambda: Scenario(BASE, 1.5, 1.0, (), ()),
         lambda: Scenario(BASE, True, 1.0, (), ()),
         lambda: Scenario(BASE, -1, 1.0, (), ()),
         lambda: Scenario(BASE, 1, 1.0, (), (), noiseless="no"),
         lambda: Scenario(BASE, 1, 1.0, (), (), noiseless=1),
     ], ids=["start_2", "start_nan", "waypoint_inf", "waypoint_2", "duration_nan",
-            "duration_inf", "duration_0", "duration_negative", "seed_float", "seed_bool",
-            "seed_negative", "noiseless_str", "noiseless_int"])
+            "duration_inf", "duration_0", "duration_negative", "duration_under_one_step",
+            "duration_1ms", "duration_over_the_cap", "duration_1e300", "seed_float",
+            "seed_bool", "seed_negative", "noiseless_str", "noiseless_int"])
     def test_scenario_inputs_rejected(self, build):
         with pytest.raises(ValueError):
             build()
@@ -584,7 +589,7 @@ def test_follow_step_tracks_a_changing_fix_history(seed, dt, legs, offset):
     world.spawn_agent(AgentSpec("operator", "human", 1.5, sensors=GPS), (0.0, 0.0, 0.0))
     follower = world.spawn_agent(ground("spot", max_speed=2.0), (-2.0, -1.0, 0.0))
     cmd = FollowCommand("spot", "operator", offset)
-    stale_after = STALE_FIX_PERIODS * world.fix_period()
+    stale_after = STALE_FIX_PERIODS * FIX_PERIOD_S
     steps = round(4.0 / dt)
     compared = 0
     for k in range(steps):
@@ -767,3 +772,119 @@ def test_a_lossy_scenario_repeats_bit_for_bit_in_one_process():
 
     assert _lossy_team(3, alongside=step_other) == first
     assert _lossy_team(3) == first
+
+
+# -- the one vector rule ----------------------------------------------------------
+
+vector_number = st.one_of(signed_zero, st.floats(-1e9, 1e9), st.integers(-10**9, 10**9))
+vector_non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+# entries that are not finite numbers: non-finite floats, strings, None, nested vectors
+vector_junk = st.one_of(vector_non_finite, st.text(max_size=3), st.none(),
+                        vector_number.map(lambda x: [x]),
+                        vector_number.map(lambda x: np.array([x])))
+
+
+@st.composite
+def vectors(draw):
+    """(value, the floats it stands for, or None if it is not a flat vector of
+    finite numbers): tuples, lists and ndarrays of 2 to 4 entries."""
+    size = draw(st.integers(2, 4))
+    form = draw(st.sampled_from(["tuple", "list", "array", "nested array", "string array"]))
+    if form in ("tuple", "list"):
+        items = draw(st.lists(st.one_of(vector_number, vector_number, vector_junk),
+                              min_size=size, max_size=size))
+        value = tuple(items) if form == "tuple" else items
+    else:
+        items = draw(st.lists(st.one_of(vector_number, vector_number, vector_non_finite),
+                              min_size=size, max_size=size))
+        value = np.array(items, dtype=float)
+        if form == "nested array":
+            value = value.reshape(draw(st.sampled_from([(size, 1), (1, size)])))
+        elif form == "string array":
+            value = value.astype(str)
+    flat = form in ("tuple", "list", "array")
+    numbers = flat and all(type(x) in (int, float) and math.isfinite(x) for x in items)
+    return value, tuple(float(x) for x in items) if numbers else None
+
+
+def _flier():
+    return AgentSpec("spot", "aerial", 1e12, altitude_range=(-1e10, 1e10))
+
+
+def _held_by_agent(attr, assign):
+    """An entry point that assigns through ``assign(world, agent, value)`` and
+    returns what the agent's ``attr`` then holds; a refusal must leave it as it was."""
+    def enter(value):
+        world = World(BASE, bounds_m=1e10)
+        agent = world.spawn_agent(_flier(), (1.0, 2.0, 3.0))
+        agent.velocity = agent.odom_position = (4.0, -5.0, 6.0)
+        before = _bits(getattr(agent, attr))
+        try:
+            assign(world, agent, value)
+        except ValueError:
+            assert _bits(getattr(agent, attr)) == before
+            raise
+        return tuple(getattr(agent, attr).tolist())
+    return enter
+
+
+# entry point -> (vector length, error on refusal, enter(value) -> the floats kept)
+VECTOR_ENTRIES = {
+    "sensor_mount": (3, ValueError, lambda v: SensorSpec("cam", mount=v).mount),
+    "follow_offset": (2, ValueError,
+                      lambda v: FollowCommand("spot", "operator", offset=v).offset),
+    "point_target": (3, ValueError, lambda v: FollowCommand("spot", v).target),
+    "spawn_start": (3, SpawnError, lambda v: tuple(
+        World(BASE, bounds_m=1e10).spawn_agent(_flier(), v).position.tolist())),
+    "script_start": (3, ValueError, lambda v: ScenarioAgent(ground("spot"), v).start),
+    "script_waypoint": (3, ValueError, lambda v: ScenarioAgent(
+        ground("spot"), (0.0, 0.0, 0.0), waypoints=((1.0, 2.0, 0.0), v)).waypoints[1]),
+    **{attr: (3, ValueError, _held_by_agent(
+        attr, lambda w, a, v, attr=attr: setattr(a, attr, v)))
+       for attr in ("position", "velocity", "odom_position")},
+    "set_velocity": (3, ValueError, _held_by_agent(
+        "velocity", lambda w, a, v: w.set_velocity("spot", v))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(VECTOR_ENTRIES))
+@given(vector=vectors())
+@settings(max_examples=60, deadline=None)
+def test_every_vector_input_passes_one_rule(entry, vector):
+    """Every vector that enters the agent layer is accepted, as floats bit-equal
+    to ``float(x)`` of its entries, exactly when it is a flat vector of the
+    right number of finite numbers; anything else raises the entry's error."""
+    n, error, enter = VECTOR_ENTRIES[entry]
+    value, floats = vector
+    if floats is not None and len(floats) == n:
+        kept = enter(value)
+        assert type(kept) is tuple and all(type(v) is float for v in kept)
+        assert _bits(kept) == _bits(floats)
+    else:
+        with pytest.raises(error, match=f"must be {n} finite numbers"):
+            enter(value)
+
+
+@pytest.mark.parametrize("velocity", [(math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0),
+                                      np.array([0.0, -math.inf, 0.0]), [0.0, 0.0, math.nan]],
+                         ids=["nan", "inf", "minus_inf_array", "nan_list"])
+def test_non_finite_velocity_refused_at_the_call(velocity):
+    """A non-finite command used to be kept (inf clamped to NaN) and to crash
+    ``World.step`` at the agent's next fix; now the call refuses it and the
+    agent keeps its last command."""
+    world = World(BASE)
+    world.spawn_agent(ground("spot"), (0.0, 0.0, 0.0))
+    world.set_velocity("spot", (1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="velocity must be 3 finite numbers"):
+        world.set_velocity("spot", velocity)
+    assert world.agents["spot"].velocity.tolist() == [1.0, 0.0, 0.0]
+    for _ in range(15):  # past the first fix, at the tenth step
+        world.step(CONTROL_DT_S)
+    assert world.fix_counts["spot"] == 1
+    assert all(map(math.isfinite, world.agents["spot"].position))
+
+
+def test_scenario_of_one_control_step_runs_one_step():
+    assert Scenario(BASE, 1, MAX_RUN_S, (), ()).duration_s == MAX_RUN_S
+    scenario = Scenario(BASE, 1, CONTROL_DT_S, (ScenarioAgent(ground("spot"), (0, 0, 0)),), ())
+    assert run_scenario(scenario).time == CONTROL_DT_S

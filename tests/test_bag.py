@@ -37,7 +37,7 @@ class TestFormat:
         ]
         with BagWriter(path) as writer:
             for r in records:
-                writer.write(r)
+                writer.append(*r)
         assert read_bag(path) == records
 
     def test_empty_bag(self, tmp_path):
@@ -153,8 +153,6 @@ class TestFormat:
         writer.close()
         data = path.read_bytes()
         with pytest.raises(BagError):
-            writer.write(BagRecord("/a/t", 2.0, b"y"))
-        with pytest.raises(BagError):
             writer.append("/a/t", 2.0, b"y")
         writer.close()  # a no-op
         assert path.read_bytes() == data
@@ -165,8 +163,6 @@ class TestFormat:
         with BagWriter(path) as writer:
             with pytest.raises(BagError):
                 writer.append("/a/t", math.nan, b"x")
-            with pytest.raises(BagError):
-                writer.write(BagRecord("/a/t", math.nan, b"x"))
             for stamp in (math.inf, -1e9, -math.inf):
                 writer.append("/a/t", stamp, b"")
         assert [r.stamp for r in read_bag(path)] == [-math.inf, -1e9, math.inf]
@@ -486,7 +482,6 @@ writer_records = st.lists(st.tuples(
     st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.0]),
               st.floats(-1e9, 1e9, allow_nan=False)),
     st.one_of(st.just(b""), st.binary(max_size=24)),
-    st.booleans(),  # written as a BagRecord, else appended
 ), max_size=40)
 
 
@@ -499,9 +494,6 @@ def test_writer_bytes_equal_v1_encoder(tmp_path_factory, records, chunk):
     path = tmp_path_factory.mktemp("v1") / "w.bag"
     with mock.patch.object(bag_module, "_CHUNK_RECORDS", chunk):
         with BagWriter(path) as writer:
-            for topic, stamp, payload, as_record in records:
-                if as_record:
-                    writer.write(BagRecord(topic, stamp, payload))
-                else:
-                    writer.append(topic, stamp, payload)
-    assert path.read_bytes() == _v1_bag([r[:3] for r in records])
+            for record in records:
+                writer.append(*record)
+    assert path.read_bytes() == _v1_bag(records)

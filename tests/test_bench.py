@@ -67,6 +67,15 @@ class TestSpecs:
             run_experiment(ExperimentSpec("static", duration_s, 1), path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("duration_s", [0.01, 0.999 / 14.0, geo.MAX_RUN_S * 1.0001, 1e300],
+                             ids=["10ms", "under_one_fix", "over_the_cap", "1e300"])
+    def test_duration_outside_one_fix_period_to_the_cap_rejected(self, duration_s):
+        with pytest.raises(ValueError, match="duration must be finite and within"):
+            ExperimentSpec("static", duration_s, 1)
+        for kind in ("static", "static_disturbed", "rotation"):
+            with pytest.raises(ValueError, match="duration"):
+                make_spec(kind, 1, duration_s=duration_s)
+
     def test_displacement_solve_hits_target_side_errors(self):
         side = 0.9
         dx, dy = corner_displacement_for_peaks(side, "top_right", (1.4, 1.5))
@@ -93,6 +102,16 @@ class TestSpecs:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("duration_s, steps", [(1.0 / 14.0, 1), (1.04, 14), (21.25, 297),
+                                                   (TranslationLegs().duration_s(), 2891)])
+    def test_a_run_records_the_fix_stamps_up_to_its_end(self, tmp_path, duration_s, steps):
+        """Fixes are stamped k / 14 Hz for every k >= 1 with k / 14 <= duration
+        (to 1e-9 s), so no fix lies after the run's end."""
+        spec = static_spec(1, duration_s=duration_s, noiseless=True)
+        records = bag.read_bag(run_experiment(spec, tmp_path / "run.bag"))
+        assert len(records) == 4 * steps
+        assert sorted({r.stamp for r in records}) == [k / 14.0 for k in range(1, steps + 1)]
+
     def test_static_fix_count(self, tmp_path):
         spec = static_spec(seed=1, duration_s=30.0)
         path = run_experiment(spec, tmp_path / "s.bag")
@@ -165,7 +184,7 @@ def _scalar_loop_bag(spec, path):
     subs = {c: live.subscribe(node, geo.CORRECTION_TOPIC.full, geo.CORRECTION_QOS)
             for c, node in nodes.items()}
     recorder = bag.record(live, ["/*/gps/fix"], path)
-    for i in range(1, round(spec.duration_s * geo.DEFAULT_FIX_RATE_HZ) + 1):
+    for i in range(1, math.floor(spec.duration_s * geo.DEFAULT_FIX_RATE_HZ + 1e-9) + 1):
         t = i / geo.DEFAULT_FIX_RATE_HZ
         link.poll(t)
         positions = bench.corner_positions(spec, np.array([t]))

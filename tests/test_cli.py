@@ -1,11 +1,13 @@
 """End-to-end CLI coverage through hmas.cli.main."""
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from hmas import agents, bag, bench
 from hmas.cli import main
+from hmas.geo import MAX_RUN_S, write_fix_csv
 
 SCENARIO = {
     "base": {"lat": 48.70, "lon": 6.15, "alt": 220.0},
@@ -130,6 +132,19 @@ class TestBenchCli:
         run_cli("bench", "analyze", out, "--convergence-s", "5", "--report", without)
         assert with_kind.read_bytes() == without.read_bytes()
 
+    def test_kind_judges_a_log_longer_than_the_longest_run(self, tmp_path, capsys):
+        """A log may outlast the 24 h cap on a run: --kind takes its windows
+        from a run of the cap's length."""
+        out = tmp_path / "run.bag"
+        bench.run_experiment(bench.static_spec(1, duration_s=130.0), out)
+        groups = bench.load_bag_fixes(out).values()
+        csv_in = tmp_path / "long.csv"
+        write_fix_csv(csv_in, [f for group in groups for f in group]
+                      + [replace(f, stamp=f.stamp + MAX_RUN_S) for group in groups for f in group])
+        for kind in ("static", "disturbed", "rotation"):
+            assert run_cli("bench", "analyze", "--fixes", csv_in, "--kind", kind) in (0, 1)
+            assert capsys.readouterr().err == ""
+
     def test_kind_windows_follow_the_run_duration(self, tmp_path, capsys):
         """A 400 s disturbed run keeps obstructing top_left until 400 s; its
         windows come from the input's last fix, not the default 300 s run."""
@@ -244,9 +259,13 @@ class TestExitCodes:
         ("bench", "analyze", "{bag}", "--base", "nan,6.15,220"),
         ("bench", "analyze", "{bag}", "--no-such-option"),
         ("bench",),
+        ("bag", "replay", "{bag}", "--rate", "2", "--fast"),
+        ("bench", "run", "--kind", "static", "--duration", "0.05", "--out", "{out}"),
+        ("bench", "run", "--kind", "static", "--duration", "1e300", "--out", "{out}"),
     ], ids=["rate-nan", "rate-inf", "rate-abc", "side-nan", "side-negative",
             "convergence-negative", "convergence-inf", "duration-nan", "duration-abc",
-            "base-nan", "unknown-option", "missing-subcommand"])
+            "base-nan", "unknown-option", "missing-subcommand", "rate-and-fast",
+            "duration-under-one-fix", "duration-over-the-cap"])
     def test_bad_argument_exits_2_with_one_line(self, short_bag, tmp_path, capsys, argv):
         code = run_cli(*(a.format(bag=short_bag, out=tmp_path / "out.bag") for a in argv))
         out, err = capsys.readouterr()
@@ -342,8 +361,11 @@ class TestScenarioCli:
         lambda s: s.update(seed=1.5),
         lambda s: s.update(seed=True),
         lambda s: s["commands"][0].update(target=[10, 0]),
+        lambda s: s.update(duration_s=0.001),
+        lambda s: s["agents"][0].update(start=["1", 0, 0]),
     ], ids=["noiseless-string", "waypoint-nan", "duration-negative", "start-2",
-            "waypoint-2", "seed-float", "seed-bool", "target-2"])
+            "waypoint-2", "seed-float", "seed-bool", "target-2", "duration-under-one-step",
+            "start-string"])
     def test_bad_scenario_exits_2_with_one_line(self, tmp_path, capsys, edit):
         scenario = json.loads(json.dumps(SCENARIO))
         edit(scenario)
