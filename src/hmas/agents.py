@@ -12,12 +12,14 @@ keep position, velocity and odometry as 3-float tuples, and ``Agent.position``,
 fresh array). Arithmetic keeps numpy's operation order, norms and the standoff
 dot product are fixed-order float sums, and every speed clamp still runs, since
 a clamped vector's norm can round above the limit. A target's heading is cached
-until its next fix. A rover is stepped only when its fix is due, with what its
-own correction subscription holds: a correction moves the grade only at a fix
-stamp, so taking it at the next fix changes no bit.
+until its next fix. The world's one clock counts control steps of
+``CONTROL_DT_S``, a tenth of the fix period, so ``World.time`` is exactly the
+stamp k/14 on every ``STEPS_PER_FIX``-th step and exactly j after j seconds,
+when the RTK base sends epoch j. Only on such a fix step is a rover stepped, at
+that stamp, with what its own correction subscription holds: a correction moves
+the grade only at a fix stamp, so taking it at the next fix changes no bit.
 ``World(noiseless=True)`` gives every rover no bias and no noise, and
-``run_scenario`` steps the world at ``CONTROL_DT_S``, a tenth of the fix period,
-for a scenario of one control step to ``MAX_RUN_S`` (24 h).
+``run_scenario`` runs a scenario of one control step to ``MAX_RUN_S`` (24 h).
 """
 from __future__ import annotations
 
@@ -31,9 +33,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bus import Bus, QosProfile, QualifiedName
-from .geo import (CORRECTION_QOS, CORRECTION_TOPIC, FIX_PERIOD_S, MAX_RUN_S, EnuCoord,
-                  GeodeticCoord, Rover, encode_fix, decode_fix, geodetic_to_enu,
-                  enu_to_geodetic, rtk_base, take_corrections)
+from .geo import (CORRECTION_QOS, CORRECTION_TOPIC, DEFAULT_FIX_RATE_HZ, FIX_PERIOD_S,
+                  MAX_RUN_S, EnuCoord, GeodeticCoord, Rover, encode_fix, decode_fix,
+                  geodetic_to_enu, enu_to_geodetic, rtk_base, take_corrections)
 from .tf import TransformTree, _transform
 from . import quat
 
@@ -44,7 +46,8 @@ DEAD_BAND_M = 0.25
 STALE_FIX_PERIODS = 5.0
 HEADING_BASELINE_S = 0.35  # min fix spacing for target heading estimation
 HEADING_MIN_MOVE_M = 0.05
-CONTROL_DT_S = FIX_PERIOD_S / 10.0  # run_scenario's step
+STEPS_PER_FIX = 10  # control steps per fix period
+CONTROL_DT_S = FIX_PERIOD_S / STEPS_PER_FIX  # World.step's one step
 _FLOAT64 = np.dtype(np.float64)  # tolist() of such an array gives floats: no float() pass
 
 
@@ -187,11 +190,12 @@ class World:
         self._estimates: dict[str, deque] = {}  # name -> deque[(stamp, (e, n, u))]
         self._headings: dict[str, tuple[float, float]] = {}  # name -> heading of its estimates
         self.fix_counts: dict[str, int] = {}
-        self._time = 0.0
+        self._steps = 0  # the world's one clock, in control steps
 
     @property
     def time(self) -> float:
-        return self._time
+        """The step count over the control rate: a correctly rounded quotient."""
+        return self._steps / (DEFAULT_FIX_RATE_HZ * STEPS_PER_FIX)
 
     @property
     def agents(self) -> dict[str, Agent]:
@@ -224,7 +228,7 @@ class World:
                     topic = f"/{spec.name}/{sensor.name}/fix"
                     self._fix_subs[spec.name] = self.bus.subscribe(
                         self._display, topic, QosProfile(history_depth=8))
-        self._set_pose_edges(agent, position, self._time)
+        self._set_pose_edges(agent, position, self.time)
         self._agents[spec.name] = agent
         self._estimates[spec.name] = deque(maxlen=8)
         self.fix_counts[spec.name] = 0
@@ -253,25 +257,24 @@ class World:
         stamp, position = hist[-1]
         return stamp, np.array(position)
 
-    def follow_step(self, cmd: FollowCommand, dt: float) -> np.ndarray:
-        """Velocity command steering the follower toward the offset goal.
+    def follow_step(self, cmd: FollowCommand) -> quat.Vec3:
+        """Velocity command (3 floats) steering the follower toward the offset goal.
 
         Operates on published fixes only (the follower's dead-reckoned from
         its last fix with its own commands); a stale or missing fix on either
         side yields a hold-position (zero) command.
         """
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
         follower = self._require(cmd.follower)
+        now = self.time
         stale_after = STALE_FIX_PERIODS * FIX_PERIOD_S
-        if follower._odom_position is None or self._time - follower.odom_stamp > stale_after:
-            return np.zeros(3)
+        if follower._odom_position is None or now - follower.odom_stamp > stale_after:
+            return 0.0, 0.0, 0.0
         fx, fy, fz = follower._odom_position
         if isinstance(cmd.target, str):
             self._require(cmd.target)
             hist = self._estimates[cmd.target]
-            if not hist or self._time - hist[-1][0] > stale_after:
-                return np.zeros(3)
+            if not hist or now - hist[-1][0] > stale_after:
+                return 0.0, 0.0, 0.0
             tx, ty, tz = hist[-1][1]
             hx, hy = self._target_heading(cmd.target)
         else:
@@ -288,8 +291,8 @@ class World:
         else:
             velocity = _clamp_speed((FOLLOW_GAIN * ex, FOLLOW_GAIN * ey, FOLLOW_GAIN * ez),
                                     follower.spec.max_speed)
-        velocity = self._enforce_standoff(velocity, fx - tx, fy - ty, fz - tz, cmd.standoff, dt)
-        return np.array(_clamp_speed(velocity, follower.spec.max_speed))
+        velocity = self._enforce_standoff(velocity, fx - tx, fy - ty, fz - tz, cmd.standoff)
+        return _clamp_speed(velocity, follower.spec.max_speed)
 
     def _target_heading(self, name: str) -> tuple[float, float]:
         """Unit horizontal heading from the target's fix history (east
@@ -313,16 +316,16 @@ class World:
 
     @staticmethod
     def _enforce_standoff(velocity: quat.Vec3, sx: float, sy: float, sz: float,
-                          standoff: float, dt: float) -> quat.Vec3:
+                          standoff: float) -> quat.Vec3:
         """``velocity`` with its approach along (sx, sy, sz) (follower minus
-        target) cut so the next ``dt`` ends no closer than ``standoff``."""
+        target) cut so the next control step ends no closer than ``standoff``."""
         dist = math.sqrt(sx * sx + sy * sy + sz * sz)
         if dist < 1e-9:
             return velocity
         rx, ry, rz = sx / dist, sy / dist, sz / dist
         vx, vy, vz = velocity
         approach = -(vx * rx + vy * ry + vz * rz)
-        max_approach = (dist - standoff) / dt
+        max_approach = (dist - standoff) / CONTROL_DT_S
         if approach > max_approach:
             cut = approach - max_approach
             velocity = vx + cut * rx, vy + cut * ry, vz + cut * rz
@@ -330,36 +333,35 @@ class World:
 
     # -- stepping ---------------------------------------------------------
 
-    def step(self, dt: float) -> None:
-        """Advance kinematics, rovers, fix publishing, and TF by ``dt``."""
-        if not 0.0 < dt <= 1.0:
-            raise ValueError(f"dt must be in (0, 1] s, got {dt}")
-        now = self._time + dt
+    def step(self) -> None:
+        """Advance kinematics, rovers, fix publishing, and TF by ``CONTROL_DT_S``."""
+        self._steps += 1
+        now = self.time
+        fix_step = self._steps % STEPS_PER_FIX == 0
         self._link.poll(now)
         for agent in self._agents.values():
             vx, vy, vz = agent._velocity = _clamp_speed(agent._velocity, agent.spec.max_speed)
-            dx, dy, dz = vx * dt, vy * dt, vz * dt
+            dx, dy, dz = vx * CONTROL_DT_S, vy * CONTROL_DT_S, vz * CONTROL_DT_S
             px, py, pz = agent._position
             px, py, pz = agent._position = self._clamp_point(agent, px + dx, py + dy, pz + dz)
             if agent._odom_position is not None:
                 ox, oy, oz = agent._odom_position
                 agent._odom_position = self._clamp_point(agent, ox + dx, oy + dy, oz + dz)
             rover = agent.rover
-            if rover is None:
+            if rover is None or not fix_step:
                 continue
-            if rover.fix_due(now):
-                # the rover reads the truth only on a step that emits a fix
-                truth = enu_to_geodetic(EnuCoord(px, py, pz), self.base)
-                fix = rover.step(truth, take_corrections(self.bus, agent.rtk_sub), now)
-                agent.fix_pub.publish(fix.stamp, encode_fix(fix))
-                self.fix_counts[agent.name] += 1
-                est = geodetic_to_enu(fix.position, self.base)
-                est_pos = (est.east, est.north, est.up)
-                agent._odom_position = est_pos
-                agent.odom_stamp = fix.stamp
-                self._set_pose_edges(agent, est_pos, fix.stamp)
-        self._drain_fixes()
-        self._time = now
+            # the rover reads the truth only on a fix step
+            truth = enu_to_geodetic(EnuCoord(px, py, pz), self.base)
+            fix = rover.step(truth, take_corrections(self.bus, agent.rtk_sub), now)
+            agent.fix_pub.publish(fix.stamp, encode_fix(fix))
+            self.fix_counts[agent.name] += 1
+            est = geodetic_to_enu(fix.position, self.base)
+            est_pos = (est.east, est.north, est.up)
+            agent._odom_position = est_pos
+            agent.odom_stamp = fix.stamp
+            self._set_pose_edges(agent, est_pos, fix.stamp)
+        if fix_step:  # a fix topic's one publisher, its sensor node, sends only on fix steps
+            self._drain_fixes()
 
     def _clamp_point(self, agent: Agent, x: float, y: float, z: float
                      ) -> tuple[float, float, float]:
@@ -482,19 +484,18 @@ def run_scenario(scenario: Scenario, on_step: Callable[[World], None] | None = N
     world = World(scenario.base, seed=scenario.seed, noiseless=scenario.noiseless)
     if on_world is not None:
         on_world(world)
-    dt = CONTROL_DT_S
     scripts: dict[str, _WaypointScript] = {}
     for entry in scenario.agents:
         world.spawn_agent(entry.spec, entry.start)
         if entry.waypoints:
             scripts[entry.spec.name] = _WaypointScript(entry.waypoints, entry.speed)
-    steps = round(scenario.duration_s / dt)
+    steps = round(scenario.duration_s / CONTROL_DT_S)
     for _ in range(steps):
         for name, script in scripts.items():
-            world.set_velocity(name, script.velocity(world.agents[name]._position, dt))
+            world.set_velocity(name, script.velocity(world.agents[name]._position))
         for cmd in scenario.commands:
-            world.set_velocity(cmd.follower, world.follow_step(cmd, dt))
-        world.step(dt)
+            world.set_velocity(cmd.follower, world.follow_step(cmd))
+        world.step()
         if on_step is not None:
             on_step(world)
     return world
@@ -508,13 +509,13 @@ class _WaypointScript:
         self._speed = speed
         self._index = 0
 
-    def velocity(self, position: quat.Vec3, dt: float) -> quat.Vec3:
+    def velocity(self, position: quat.Vec3) -> quat.Vec3:
         px, py, pz = position
         while self._index < len(self._waypoints):
             wx, wy, wz = self._waypoints[self._index]
             gx, gy, gz = wx - px, wy - py, wz - pz
             dist = math.sqrt(gx * gx + gy * gy + gz * gz)  # quat.norm, written out
-            if dist > self._speed * dt:
+            if dist > self._speed * CONTROL_DT_S:
                 scale = self._speed / dist
                 return gx * scale, gy * scale, gz * scale
             self._index += 1

@@ -7,7 +7,8 @@ the inverse is Bowring's start refined by a short fixed-point iteration. The
 ENU rotations are written once, as fixed-order float sums that take floats
 (per-point functions) or numpy columns (array functions). A base's frame, its
 ECEF origin and ENU basis rows, comes from one helper on Python floats, and
-``Rover.step`` converts its one fix's error as Python floats too.
+``Rover.step`` converts its one fix's error as Python floats too. Neither the
+base nor a rover keeps a clock: each sends or fixes at the time its caller gives.
 """
 from __future__ import annotations
 
@@ -397,6 +398,8 @@ class CorrectionLink:
 
     def poll(self, now: float) -> int:
         """Publish every epoch due by ``now``; returns how many went out."""
+        if not math.isfinite(now):
+            raise ValueError(f"correction poll time must be finite, got {now}")
         first = self._next_epoch
         while (send_t := self._next_epoch * CORRECTION_INTERVAL_S) <= now:
             self.pub.publish(send_t, _EPOCH.pack(self._next_epoch))
@@ -456,8 +459,7 @@ class Rover:
         self._code = 0  # fix quality, as an index into _QUALITY_ORDER
         self._last_corr_stamp: float | None = None
         self._last_epoch = 0
-        self._next_fix_index = 1
-        self._last_now: float | None = None
+        self._last_stamp = -math.inf  # the last fix's; the next must be later
 
     @property
     def quality(self) -> FixQuality:
@@ -475,30 +477,15 @@ class Rover:
         if self._last_corr_stamp is None or msg.stamp > self._last_corr_stamp:
             self._last_corr_stamp = msg.stamp
 
-    def fix_due(self, now: float) -> bool:
-        """Whether ``step(..., now)`` would emit a fix."""
-        return self._next_fix_index / DEFAULT_FIX_RATE_HZ <= now + 1e-9
-
     def step(self, true_position: GeodeticCoord,
-             corrections: Iterable[CorrectionMsg], now: float) -> RtkFix | None:
-        """Ingest corrections and emit the fix due by ``now``, if any.
-
-        ``now`` must be monotone. Stepping slower than the fix period emits
-        only the latest due epoch.
-        """
-        if self._last_now is not None and now < self._last_now:
-            raise ValueError(f"time went backwards: {now} < {self._last_now}")
-        self._last_now = now
-        for msg in corrections:
-            self.receive_correction(msg)
-        stamp = None
-        while self.fix_due(now):
-            stamp = self._next_fix_index / DEFAULT_FIX_RATE_HZ
-            self._next_fix_index += 1
-        if stamp is None:
-            return None
-        self._update_quality(stamp)
-        error = self._errors([stamp], np.array([self._code]))[0].tolist()
+             corrections: Iterable[CorrectionMsg], stamp: float) -> RtkFix:
+        """Ingest corrections and emit the fix at ``stamp``, which must be
+        finite and later than the last fix's."""
+        if not self._last_stamp < stamp < math.inf:  # NaN fails too
+            raise ValueError(f"fix stamp {stamp} must be finite and later than the "
+                             f"last fix's, {self._last_stamp}")
+        (code,) = self._ladder([stamp], [corrections])
+        error = self._errors([stamp], np.array([code]))[0].tolist()
         if any(error):
             measured = enu_to_geodetic(EnuCoord(*error), true_position)
         else:
@@ -508,10 +495,10 @@ class Rover:
     def step_batch(self, true_positions: np.ndarray, stamps: np.ndarray,
                    corrections: Sequence[Iterable[CorrectionMsg]]
                    ) -> tuple[np.ndarray, np.ndarray]:
-        """The next n fixes at once, equal to n ``step`` calls at ``stamps``.
+        """n fixes at once, equal to n ``step`` calls at ``stamps``.
 
-        ``stamps`` must be the rover's next n fix stamps, ``true_positions``
-        the (n, 3) geodetic truth at them, and ``corrections[k]`` the
+        ``stamps`` increase and each meets ``step``'s rule, ``true_positions``
+        are the (n, 3) geodetic truth at them, and ``corrections[k]`` the
         corrections taken at ``stamps[k]``. Returns the measured (n, 3)
         geodetic positions and the quality codes (indexes into single, float,
         fixed), and leaves the rover in the state those n steps would.
@@ -521,28 +508,31 @@ class Rover:
         truth = _as_points(true_positions)
         if len(truth) != n or len(corrections) != n:
             raise ValueError(f"{n} stamps need {n} true positions and {n} correction lists")
-        due = (self._next_fix_index + np.arange(n)) / DEFAULT_FIX_RATE_HZ
-        if not np.array_equal(stamps, due):
-            raise ValueError("stamps must be the rover's next fix stamps")
         if n == 0:
             return truth.copy(), np.zeros(0, dtype=np.uint8)
+        if not (self._last_stamp < stamps[0] and stamps[-1] < math.inf
+                and np.all(np.diff(stamps) > 0.0)):  # NaN fails too
+            raise ValueError(f"fix stamps must be finite, increasing and later than the "
+                             f"last fix's, {self._last_stamp}")
         stamp_list = stamps.tolist()
-        ladder = []
-        for stamp, msgs in zip(stamp_list, corrections):
-            for msg in msgs:
-                self.receive_correction(msg)
-            self._update_quality(stamp)
-            ladder.append(self._code)
-        codes = np.array(ladder, dtype=np.uint8)
-        self._next_fix_index += n
-        self._last_now = stamp_list[-1]
-
+        codes = np.array(self._ladder(stamp_list, corrections), dtype=np.uint8)
         error = self._errors(stamp_list, codes)
         measured = truth.copy()
         moved = np.any(error, axis=1)
         if np.any(moved):
             measured[moved] = enu_to_geodetic_array(error[moved], truth[moved])
         return measured, codes
+
+    def _ladder(self, stamps: list[float], corrections) -> list[int]:
+        """Each fix's quality code, with ``corrections[k]`` ingested before fix k."""
+        ladder = []
+        for stamp, msgs in zip(stamps, corrections):
+            for msg in msgs:
+                self.receive_correction(msg)
+            self._update_quality(stamp)
+            ladder.append(self._code)
+        self._last_stamp = stamps[-1]
+        return ladder
 
     def _update_quality(self, now: float) -> None:
         if self._last_corr_stamp is None:

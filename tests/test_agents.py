@@ -32,6 +32,12 @@ def noiseless_world(**kwargs):
     return World(BASE, noiseless=True, **kwargs)
 
 
+def advance(world, steps):
+    """Step ``world`` ``steps`` times: 7 steps of CONTROL_DT_S make 0.05 s."""
+    for _ in range(steps):
+        world.step()
+
+
 class TestSpec:
     def test_aerial_requires_altitude_range(self):
         with pytest.raises(ValueError):
@@ -201,8 +207,8 @@ class TestCorrections:
         world = run_scenario(scenario, on_world=lambda w: recorders.append(
             record(w.bus, [CORRECTION_TOPIC.full], tmp_path / "rtk.bag")))
         records = read_bag(recorders[0].stop())
-        k = math.floor(world.time)  # the summed world clock ends just below 4 s
-        assert k == 3
+        k = math.floor(world.time)  # the step clock ends at 4 s exactly: epoch 4 is sent
+        assert world.time == 4.0 and k == 4
         assert [r.topic for r in records] == [CORRECTION_TOPIC.full] * k
         assert [int.from_bytes(r.payload, "little") for r in records] == list(range(1, k + 1))
         assert [r.stamp for r in records] == [float(e) for e in range(1, k + 1)]
@@ -212,24 +218,15 @@ class TestStepping:
     def test_zero_velocity_holds_positions(self):
         world = noiseless_world()
         world.spawn_agent(ground("spot"), (1.0, 2.0, 0.0))
-        for _ in range(10):
-            world.step(0.1)
+        advance(world, 10 * 14)
         np.testing.assert_array_equal(world.agents["spot"].position, [1.0, 2.0, 0.0])
 
     def test_constant_velocity_integrates_exactly(self):
         world = noiseless_world()
         world.spawn_agent(ground("spot"), (0.0, 0.0, 0.0))
         world.set_velocity("spot", (1.5, 0.0, 0.0))
-        for _ in range(8):
-            world.step(0.25)  # 2 s total at max speed
+        advance(world, 280)  # 2 s total at max speed
         assert world.agents["spot"].position[0] == pytest.approx(3.0, abs=1e-9)
-
-    def test_dt_bounds(self):
-        world = noiseless_world()
-        with pytest.raises(ValueError):
-            world.step(0.0)
-        with pytest.raises(ValueError):
-            world.step(1.5)
 
     def test_velocity_clamped_to_max_speed(self):
         world = noiseless_world()
@@ -241,7 +238,7 @@ class TestStepping:
         world = noiseless_world()
         world.spawn_agent(ground("spot"), (0, 0, 0))
         world.set_velocity("spot", (0.0, 0.0, 1.0))
-        world.step(0.5)
+        advance(world, 70)
         assert world.agents["spot"].position[2] == 0.0
 
     def test_aerial_altitude_clamped(self):
@@ -249,15 +246,13 @@ class TestStepping:
         spec = AgentSpec("anafi", "aerial", 10.0, altitude_range=(1.0, 5.0), sensors=GPS)
         world.spawn_agent(spec, (0, 0, 3.0))
         world.set_velocity("anafi", (0.0, 0.0, 10.0))
-        for _ in range(5):
-            world.step(0.5)
+        advance(world, 5 * 70)
         assert world.agents["anafi"].position[2] == 5.0
 
     def test_fourteen_fixes_per_second(self):
         world = noiseless_world()
         world.spawn_agent(ground("spot"), (0, 0, 0))
-        for _ in range(140):
-            world.step(1.0 / 140.0)
+        advance(world, 140)
         assert world.fix_counts["spot"] == 14
 
     def test_fix_payloads_decode_to_truth_when_noiseless(self):
@@ -265,8 +260,7 @@ class TestStepping:
         world.spawn_agent(ground("spot"), (3.0, -2.0, 0.0))
         node = world.bus.create_node("probe", "sink")
         sub = world.bus.subscribe(node, "/spot/gps/fix")
-        for _ in range(20):
-            world.step(0.05)
+        advance(world, 20 * 7)
         fix = decode_fix(world.bus.take(sub).payload)
         assert fix.rover_id == "spot"
         est = world.estimated_state("spot")
@@ -277,11 +271,48 @@ class TestStepping:
         world = noiseless_world()
         world.spawn_agent(ground("spot"), (0.0, 0.0, 0.0))
         world.set_velocity("spot", (1.0, 0.0, 0.0))
-        for _ in range(28):
-            world.step(0.05)  # 1.4 s
+        advance(world, 28 * 7)  # 1.4 s
         stamp, est = world.estimated_state("spot")
         out = world.tree.lookup("world", "spot/base", stamp)
         np.testing.assert_allclose(out.translation, est, atol=1e-9)
+
+
+    def test_an_agent_spawned_late_fixes_on_the_world_grid(self):
+        world = noiseless_world()
+        advance(world, 71)
+        assert world.time == 71 / 140.0  # just past 0.5 s
+        world.spawn_agent(ground("spot"), (1.0, 0.0, 0.0))
+        advance(world, 8)
+        assert world.fix_counts["spot"] == 0
+        world.step()
+        stamp, _ = world.estimated_state("spot")
+        assert world.fix_counts["spot"] == 1 and stamp == world.time == 8 / 14.0
+
+    def test_every_fix_carries_the_truth_at_its_stamp(self):
+        """One clock over a long run: each fix of a noiseless walker is
+        bit-equal to the truth at the step whose time is its stamp, and the
+        clock ends on the duration. The run is long enough (past 1,174.7 s)
+        for a float clock summed from 1/140 s steps to drift by a step."""
+        walker = ScenarioAgent(AgentSpec("walker", "human", 1.5, sensors=GPS),
+                               (0.0, 0.0, 0.0), waypoints=((5000.0, 0.0, 0.0),), speed=1.0)
+        truth, fixes = {}, []
+
+        def on_world(world):
+            world.bus.add_publish_hook(lambda topic, stamp, payload: fixes.append(payload)
+                                       if topic.full == "/walker/gps/fix" else None)
+
+        def on_step(world):
+            truth[world.time] = tuple(world.agents["walker"].position.tolist())
+
+        world = run_scenario(Scenario(BASE, 1, 1200.0, (walker,), (), noiseless=True),
+                             on_step, on_world)
+        assert world.time == 1200.0
+        assert len(fixes) == world.fix_counts["walker"] == 14 * 1200
+        for payload in fixes:
+            fix = decode_fix(payload)
+            position = truth[fix.stamp]
+            assert fix.position == enu_to_geodetic(EnuCoord(*position), BASE)
+            assert abs(position[0] - fix.stamp) < 1e-6  # 1 m/s east from the origin
 
 
 class TestFollow:
@@ -290,8 +321,7 @@ class TestFollow:
         world.spawn_agent(ground("spot"), (0.0, 0.0, 0.0))
         world.spawn_agent(AgentSpec("operator", "human", 1.5, sensors=GPS),
                           (10.0, 0.0, 0.0))
-        for _ in range(10):
-            world.step(0.05)  # let fixes arrive
+        advance(world, 10 * 7)  # let fixes arrive
         return world
 
     def test_zero_velocity_at_goal(self):
@@ -299,42 +329,40 @@ class TestFollow:
         world.spawn_agent(ground("spot"), (10.0, 0.0, 0.0))
         world.spawn_agent(AgentSpec("operator", "human", 1.5, sensors=GPS),
                           (10.0, 0.0, 0.0))
-        for _ in range(10):
-            world.step(0.05)
+        advance(world, 10 * 7)
         cmd = FollowCommand("spot", (10.0, 0.0, 0.0), offset=(0.0, 0.0), standoff=0.1)
-        np.testing.assert_array_equal(world.follow_step(cmd, 0.05), np.zeros(3))
+        assert world.follow_step(cmd) == (0.0, 0.0, 0.0)
 
     def test_saturates_toward_distant_goal(self):
         world = self.converged_world()
         cmd = FollowCommand("spot", "operator", offset=(0.0, 0.0), standoff=0.5)
-        v = world.follow_step(cmd, 0.05)
+        v = world.follow_step(cmd)
         assert np.linalg.norm(v) == pytest.approx(1.5, abs=1e-9)
         assert v[0] == pytest.approx(1.5, abs=1e-6)
 
     def test_unknown_agents_rejected(self):
         world = self.converged_world()
         with pytest.raises(UnknownAgentError):
-            world.follow_step(FollowCommand("ghost", "operator"), 0.05)
+            world.follow_step(FollowCommand("ghost", "operator"))
         with pytest.raises(UnknownAgentError):
-            world.follow_step(FollowCommand("spot", "ghost"), 0.05)
+            world.follow_step(FollowCommand("spot", "ghost"))
 
     def test_stale_fix_holds_position(self):
         world = self.converged_world()
         cmd = FollowCommand("spot", "operator")
         world.agents["operator"].rover = None  # silence its fixes
         world.agents["spot"].rover = None
-        for _ in range(20):
-            world.step(0.05)  # 1 s without fixes > 5 periods
-        np.testing.assert_array_equal(world.follow_step(cmd, 0.05), np.zeros(3))
+        advance(world, 20 * 7)  # 1 s without fixes > 5 periods
+        assert world.follow_step(cmd) == (0.0, 0.0, 0.0)
 
     def test_command_is_function_of_fixes_not_truth(self):
         world = self.converged_world()
         cmd = FollowCommand("spot", "operator", offset=(0.0, -1.0))
-        before = world.follow_step(cmd, 0.05)
+        before = world.follow_step(cmd)
         world.agents["operator"].position = world.agents["operator"].position + 500.0
         world.agents["spot"].position = world.agents["spot"].position - 500.0
-        after = world.follow_step(cmd, 0.05)  # no step, no new fixes
-        np.testing.assert_array_equal(before, after)
+        after = world.follow_step(cmd)  # no step, no new fixes
+        assert before == after
 
     def test_standoff_never_violated_noiseless(self):
         gps = GPS
@@ -354,6 +382,21 @@ class TestFollow:
 
         run_scenario(sc, on_step=watch)
         assert min_sep[0] >= 1.0 - 1e-6
+
+    def test_each_epoch_goes_out_before_the_fixes_at_its_second(self, tmp_path):
+        """Epoch k is published on the step whose time is k s, before that
+        step's fixes, so the fix stamped k takes it; a 30 s run sends all 30."""
+        scenario = Scenario(BASE, 1, 30.0, (ScenarioAgent(ground("spot"), (0.0, 0.0, 0.0)),), ())
+        recorders = []
+        run_scenario(scenario, on_world=lambda w: recorders.append(
+            record(w.bus, [CORRECTION_TOPIC.full, "/*/gps/fix"], tmp_path / "run.bag")))
+        order = [(r.topic, r.stamp) for r in read_bag(recorders[0].stop())]
+        assert [stamp for topic, stamp in order if topic == CORRECTION_TOPIC.full] == [
+            float(k) for k in range(1, 31)]
+        for k in range(1, 31):
+            sent = order.index((CORRECTION_TOPIC.full, float(k)))
+            fixed = [i for i, entry in enumerate(order) if entry == ("/spot/gps/fix", k)]
+            assert fixed and min(fixed) > sent
 
     def test_line_follow_tracks_offset_path(self):
         gps = GPS
@@ -400,7 +443,7 @@ class TestScenarioIO:
         assert scenario.seed == 7
         assert scenario.commands[0].offset == (0.0, -1.0)
         world = run_scenario(scenario)
-        assert world.time == pytest.approx(2.0, abs=1e-6)
+        assert world.time == 2.0
         assert world.fix_counts["operator"] == 28
         assert world.agents["operator"].position[0] == pytest.approx(2.0, abs=1e-6)
 
@@ -510,10 +553,10 @@ def moving_agents(draw):
 vector_forms = st.sampled_from([np.array, list, tuple])
 
 
-@given(moving_agents(), st.sampled_from([5.0, 100.0, 10_000.0]),
-       st.floats(1e-3, 1.0), st.integers(1, 4), vector_forms)
+@given(moving_agents(), st.sampled_from([5.0, 100.0, 10_000.0]), st.integers(1, 4),
+       vector_forms)
 @settings(max_examples=300, deadline=None)
-def test_world_step_kinematics_match_numpy_reference(agent, bounds, dt, steps, form):
+def test_world_step_kinematics_match_numpy_reference(agent, bounds, steps, form):
     spec, position, odom, velocity = agent
     world = World(BASE, bounds_m=bounds)
     start = (0.0, 0.0, spec.altitude_range[0] if spec.altitude_range else 0.0)
@@ -523,9 +566,9 @@ def test_world_step_kinematics_match_numpy_reference(agent, bounds, dt, steps, f
     moved.odom_position = None if odom is None else form(odom)
     ref = (np.array(velocity), np.array(position), None if odom is None else np.array(odom))
     for _ in range(steps):
-        world.step(dt)
+        world.step()
         v, p, o = ref
-        ref = _ref_kinematics(spec, bounds, p, o, v, dt)
+        ref = _ref_kinematics(spec, bounds, p, o, v, CONTROL_DT_S)
         assert _bits(moved.velocity, moved.position, moved.odom_position) == _bits(*ref)
         assert moved.position.dtype == np.float64 and moved.position.flags.writeable
 
@@ -549,14 +592,14 @@ def follow_cases(draw):
     offset = draw(st.tuples(st.one_of(signed_zero, st.integers(-3, 3), st.floats(-3.0, 3.0)),
                             st.one_of(signed_zero, st.integers(-3, 3), st.floats(-3.0, 3.0))))
     cmd = FollowCommand("spot", target, offset, draw(st.floats(0.05, 3.0)))
-    return f_pos, list(zip(stamps, positions)), cmd, draw(st.floats(1e-3, 1.0))
+    return f_pos, list(zip(stamps, positions)), cmd
 
 
 @given(follow_cases(), st.sampled_from(["ground", "aerial"]), st.floats(0.1, 6.0),
        vector_forms)
 @settings(max_examples=200, deadline=None)
 def test_follow_step_matches_numpy_reference(case, category, max_speed, form):
-    f_pos, hist, cmd, dt = case
+    f_pos, hist, cmd = case
     world = World(BASE)
     altitude = (0.0, 50.0) if category == "aerial" else None
     follower = world.spawn_agent(AgentSpec("spot", category, max_speed,
@@ -570,18 +613,18 @@ def test_follow_step_matches_numpy_reference(case, category, max_speed, form):
         t_pos, heading = ref_hist[-1][1], _ref_heading(ref_hist)
     else:
         t_pos, heading = np.array(cmd.target, dtype=float), np.array([1.0, 0.0])
-    expected = _ref_follow(np.array(f_pos), t_pos, heading, cmd, dt, max_speed)
-    command = world.follow_step(cmd, dt)
+    expected = _ref_follow(np.array(f_pos), t_pos, heading, cmd, CONTROL_DT_S, max_speed)
+    command = world.follow_step(cmd)
     assert _bits(command) == _bits(expected)
-    assert command.dtype == np.float64 and command.flags.writeable
-    assert _bits(world.follow_step(cmd, dt)) == _bits(expected)  # the heading, cached
+    assert type(command) is tuple and all(type(v) is float for v in command)
+    assert _bits(world.follow_step(cmd)) == _bits(expected)  # the heading, cached
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0 / 140.0, 0.02, 0.05]),
+@given(st.integers(0, 2**32 - 1),
        st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)), min_size=1, max_size=6),
        st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
 @settings(max_examples=25, deadline=None)
-def test_follow_step_tracks_a_changing_fix_history(seed, dt, legs, offset):
+def test_follow_step_tracks_a_changing_fix_history(seed, legs, offset):
     """The target's heading is cached until its next fix. Every command of a
     world whose target keeps moving still equals the numpy reference with the
     heading recomputed from the fix history at every step."""
@@ -590,22 +633,22 @@ def test_follow_step_tracks_a_changing_fix_history(seed, dt, legs, offset):
     follower = world.spawn_agent(ground("spot", max_speed=2.0), (-2.0, -1.0, 0.0))
     cmd = FollowCommand("spot", "operator", offset)
     stale_after = STALE_FIX_PERIODS * FIX_PERIOD_S
-    steps = round(4.0 / dt)
+    steps = round(4.0 / CONTROL_DT_S)
     compared = 0
     for k in range(steps):
         world.set_velocity("operator", (*legs[k * len(legs) // steps], 0.0))
         hist = [(stamp, np.array(pos)) for stamp, pos in world._estimates["operator"]]
-        command = world.follow_step(cmd, dt)
+        command = world.follow_step(cmd)
         if (follower.odom_position is None or world.time - follower.odom_stamp > stale_after
                 or not hist or world.time - hist[-1][0] > stale_after):
             expected = np.zeros(3)
         else:
             expected = _ref_follow(follower.odom_position, hist[-1][1], _ref_heading(hist),
-                                   cmd, dt, 2.0)
+                                   cmd, CONTROL_DT_S, 2.0)
             compared += 1
         assert _bits(command) == _bits(expected)
         world.set_velocity("spot", command)
-        world.step(dt)
+        world.step()
     assert compared > steps // 2
 
 
@@ -666,8 +709,7 @@ def test_set_velocity_keeps_its_own_copy():
 def test_estimated_state_is_a_copy():
     world = noiseless_world()
     world.spawn_agent(ground("spot"), (3.0, -2.0, 0.0))
-    for _ in range(2):
-        world.step(0.05)
+    advance(world, 2 * 7)
     stamp, est = world.estimated_state("spot")
     est[0] = 99.0
     assert world.estimated_state("spot")[1][0] != 99.0
@@ -683,25 +725,24 @@ def _fleet(seed):
     return world, fixes
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0 / 140.0, 0.01, 0.05, 0.3]))
+@given(st.integers(0, 2**32 - 1))
 @settings(max_examples=12, deadline=None)
-def test_skipping_idle_rover_steps_changes_no_fix(seed, dt):
-    """World steps a rover only when its fix is due, with the corrections its
+def test_skipping_idle_rover_steps_changes_no_fix(seed):
+    """World steps a rover only on a fix step, with the corrections its
     subscription holds by then. A world whose rovers also take and ingest
-    their corrections on every other step, as they arrive, publishes the same
+    their corrections after every step, as they arrive, publishes the same
     fixes and leaves the rovers in the same grade."""
     lean, lean_fixes = _fleet(seed)
     every, every_fixes = _fleet(seed)
-    for k in range(round(12.0 / dt)):
+    for k in range(round(12.0 / CONTROL_DT_S)):
         velocity = (math.cos(0.01 * k), math.sin(0.01 * k), 0.5 * math.sin(0.02 * k))
         for world in (lean, every):
             world.set_velocity("operator", velocity)
             world.set_velocity("anafi", velocity)
-            world.step(dt)
+            world.step()
         for agent in every.agents.values():
-            truth = enu_to_geodetic(EnuCoord(*agent.position), BASE)
-            corrections = take_corrections(every.bus, agent.rtk_sub)
-            assert agent.rover.step(truth, corrections, every.time) is None
+            for msg in take_corrections(every.bus, agent.rtk_sub):
+                agent.rover.receive_correction(msg)
     assert lean_fixes and lean_fixes == every_fixes
     for name in lean.agents:
         # corrections arrived: both climbed the ladder to fixed
@@ -763,12 +804,13 @@ def test_a_lossy_scenario_repeats_bit_for_bit_in_one_process():
     other.spawn_agent(AgentSpec("operator", "human", 1.5, sensors=GPS), (5.0, 5.0, 0.0))
     other.spawn_agent(ground("ground", max_speed=2.0), (0.0, 0.0, 0.0))
     chase = FollowCommand("ground", "operator", (1.0, 0.5))
+    advance(other, 3)  # so its fixes arrive on other steps than the team's
 
     def step_other():
         k = other.time
         other.set_velocity("operator", (math.cos(0.7 * k), math.sin(0.3 * k), 0.0))
-        other.set_velocity("ground", other.follow_step(chase, 1.0 / 90.0))
-        other.step(1.0 / 90.0)  # its fixes arrive on other steps than the team's
+        other.set_velocity("ground", other.follow_step(chase))
+        other.step()
 
     assert _lossy_team(3, alongside=step_other) == first
     assert _lossy_team(3) == first
@@ -878,8 +920,7 @@ def test_non_finite_velocity_refused_at_the_call(velocity):
     with pytest.raises(ValueError, match="velocity must be 3 finite numbers"):
         world.set_velocity("spot", velocity)
     assert world.agents["spot"].velocity.tolist() == [1.0, 0.0, 0.0]
-    for _ in range(15):  # past the first fix, at the tenth step
-        world.step(CONTROL_DT_S)
+    advance(world, 15)  # past the first fix, at the tenth step
     assert world.fix_counts["spot"] == 1
     assert all(map(math.isfinite, world.agents["spot"].position))
 

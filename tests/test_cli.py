@@ -337,7 +337,9 @@ class TestBagCli:
 class TestScenarioCli:
     def test_run_reports_summary(self, scenario_file, capsys):
         assert run_cli("scenario", "run", scenario_file) == 0
-        summary = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert '"duration_s": 2.0' in out  # the step clock ends on the duration exactly
+        summary = json.loads(out)
         assert summary["agents"]["operator"]["fixes"] == 28
         assert summary["agents"]["operator"]["position_enu"][0] == pytest.approx(2.0, abs=0.01)
 

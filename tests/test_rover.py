@@ -131,21 +131,44 @@ def test_default_bias_draw_is_bounded():
         assert math.hypot(*rover.bias_en) <= 0.20
 
 
-def test_fix_stamps_sit_on_the_rate_grid():
+def test_fix_is_stamped_as_its_caller_says():
     rover = Rover("r", seed=0, noiseless=True)
-    stamps = []
-    for i in range(1, 141):
-        fix = rover.step(BASE, (), i / 140.0)  # step 10x faster than the fix rate
-        if fix is not None:
-            stamps.append(fix.stamp)
-    assert stamps == [k / 14.0 for k in range(1, 15)]
+    stamps = [0.05, 0.3, 1 / 14.0 * 7, 100.0]  # off the 14 Hz grid and far apart
+    assert [rover.step(BASE, (), s).stamp for s in stamps] == stamps
 
 
 def test_time_going_backwards_rejected():
     rover = Rover("r", seed=0, noiseless=True)
     rover.step(BASE, (), 1.0)
-    with pytest.raises(ValueError, match="backwards"):
+    with pytest.raises(ValueError, match="later than the last fix's, 1.0"):
         rover.step(BASE, (), 0.5)
+
+
+BAD_STAMPS = {"nan": math.nan, "inf": math.inf, "minus_inf": -math.inf,
+              "equal": 1.0, "decreasing": 0.5}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_STAMPS))
+def test_step_refuses_a_stamp_not_finite_and_later(bad):
+    """One stamp rule for ``step`` and ``step_batch``: finite and later than
+    the last fix's (1 s here). A refused stamp ingests nothing and moves no state."""
+    def rover():
+        r = Rover("r", seed=4)
+        r.step(BASE, (), 1.0)
+        return r
+
+    scalar, batched, reference = rover(), rover(), rover()
+    stamp = BAD_STAMPS[bad]
+    with pytest.raises(ValueError, match="finite and later than the last fix's"):
+        scalar.step(BASE, corrections_at(1, 0.5), stamp)
+    # bad against the last fix, or against its neighbour 1.5 inside the batch
+    for stamps in ([stamp], [stamp, 2.0], [1.5, stamp + 0.5, 3.0]):
+        truth = np.array([[BASE.lat, BASE.lon, BASE.alt]] * len(stamps))
+        with pytest.raises(ValueError, match="finite, increasing and later than the last fix's"):
+            batched.step_batch(truth, np.array(stamps), [corrections_at(1, 0.5)] * len(stamps))
+    want = reference.step(BASE, (), 2.0)
+    assert scalar.step(BASE, (), 2.0) == want
+    assert batched.step(BASE, (), 2.0) == want
 
 
 def test_correction_epoch_must_increase():
@@ -166,6 +189,16 @@ class TestCorrectionLink:
         assert [m.epoch for m in take_corrections(bus, sub)] == [4]
         assert link.poll(4.5) == 0
         assert take_corrections(bus, sub) == []
+
+    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_time_refused(self, now):
+        """A non-finite time raises: no epoch is ever due at NaN, and every one at inf."""
+        bus, link, (sub,) = rtk_feed(QosProfile(history_depth=8))
+        with pytest.raises(ValueError, match=f"must be finite, got {now}"):
+            link.poll(now)
+        assert take_corrections(bus, sub) == []
+        assert link.poll(2.0) == 2
 
     def test_full_drop(self):
         bus, link, (sub,) = rtk_feed(BEST_EFFORT, drop_rate=1.0, seed=1)
@@ -282,21 +315,24 @@ class TestStepBatch:
         assert set(codes.tolist()) == {0, 1, 2}
         assert batched.quality is scalar.quality is FixQuality.SINGLE
 
-    def test_stamps_must_be_the_next_fix_stamps(self):
+    def test_stamps_must_increase_past_the_last_fix(self):
         rover = Rover("r", seed=1)
         rover.step(BASE, (), 1 / 14.0)
-        stamps = np.arange(3, 6) / 14.0  # skips fix 2
-        with pytest.raises(ValueError, match="next fix stamps"):
-            rover.step_batch(self.truth_at(stamps), stamps, [()] * 3)
+        for stamps in (np.arange(1, 4) / 14.0, np.array([3.0, 2.0, 4.0])):
+            with pytest.raises(ValueError, match="increasing and later"):
+                rover.step_batch(self.truth_at(stamps), stamps, [()] * 3)
         stamps = np.arange(2, 5) / 14.0
         with pytest.raises(ValueError, match="3 stamps"):
             rover.step_batch(self.truth_at(stamps), stamps, [()] * 2)
+        stamps = np.array([0.2, 0.75, 3.0])  # any increasing stamps, on no grid
+        measured, codes = rover.step_batch(self.truth_at(stamps), stamps, [()] * 3)
+        assert measured.shape == (3, 3) and codes.tolist() == [0, 0, 0]
+        with pytest.raises(ValueError, match="later than the last fix's, 3.0"):
+            rover.step(BASE, (), 3.0)
 
     def test_corrections_between_fixes_count_at_the_next_fix(self):
         rover = Rover("r", seed=1, noiseless=True)
-        assert not rover.fix_due(0.05)
-        assert rover.step(BASE, FRESH, 0.05) is None  # no fix due; corrections still ingested
-        assert rover.fix_due(1 / 14.0)
+        rover.receive_correction(FRESH[0])  # taken between fixes
         fix = rover.step(BASE, (), 1 / 14.0)
         assert fix.position == BASE and fix.quality is FixQuality.FLOAT
 
