@@ -6,7 +6,7 @@ Control is estimation-only: follow commands act on the latest published
 fixes, never on simulator ground truth.
 
 Every vector that enters (a spec's, a spawn's, a setter's or ``set_velocity``'s)
-passes one rule, ``_finite_floats``. The step path runs on Python floats: agents
+passes one rule, ``geo._finite_floats``. The step path runs on Python floats: agents
 keep position, velocity and odometry as 3-float tuples, and ``Agent.position``,
 ``velocity`` and ``odom_position`` copy in both directions (a read returns a
 fresh array). Arithmetic keeps numpy's operation order, norms and the standoff
@@ -15,9 +15,10 @@ a clamped vector's norm can round above the limit. A target's heading is cached
 until its next fix. The world's one clock counts control steps of
 ``CONTROL_DT_S``, a tenth of the fix period, so ``World.time`` is exactly the
 stamp k/14 on every ``STEPS_PER_FIX``-th step and exactly j after j seconds,
-when the RTK base sends epoch j. Only on such a fix step is a rover stepped, at
-that stamp, with what its own correction subscription holds: a correction moves
-the grade only at a fix stamp, so taking it at the next fix changes no bit.
+when the RTK base sends epoch j. Only on such a fix step is the base polled and
+a rover stepped, at that stamp, with what its own correction subscription
+holds: a correction moves the grade only at a fix stamp, so taking it at the
+next fix changes no bit.
 ``World(noiseless=True)`` gives every rover no bias and no noise, and
 ``run_scenario`` runs a scenario of one control step to ``MAX_RUN_S`` (24 h).
 """
@@ -34,8 +35,8 @@ import numpy as np
 
 from .bus import Bus, QosProfile, QualifiedName
 from .geo import (CORRECTION_QOS, CORRECTION_TOPIC, DEFAULT_FIX_RATE_HZ, FIX_PERIOD_S,
-                  MAX_RUN_S, EnuCoord, GeodeticCoord, Rover, encode_fix, decode_fix,
-                  geodetic_to_enu, enu_to_geodetic, rtk_base, take_corrections)
+                  MAX_RUN_S, EnuCoord, GeodeticCoord, Rover, _finite_floats, encode_fix,
+                  decode_fix, geodetic_to_enu, enu_to_geodetic, rtk_base, take_corrections)
 from .tf import TransformTree, _transform
 from . import quat
 
@@ -48,7 +49,6 @@ HEADING_BASELINE_S = 0.35  # min fix spacing for target heading estimation
 HEADING_MIN_MOVE_M = 0.05
 STEPS_PER_FIX = 10  # control steps per fix period
 CONTROL_DT_S = FIX_PERIOD_S / STEPS_PER_FIX  # World.step's one step
-_FLOAT64 = np.dtype(np.float64)  # tolist() of such an array gives floats: no float() pass
 
 
 class AgentError(Exception):
@@ -65,19 +65,6 @@ class DuplicateAgentError(AgentError):
 
 class SpawnError(AgentError):
     pass
-
-
-def _finite_floats(value, n: int, what: str, error: type = ValueError) -> tuple[float, ...]:
-    """``value``, a flat vector of ``n`` finite numbers (an ndarray through ``tolist()``), as
-    floats, or else ``error`` naming ``what``: ``math.isfinite`` refuses any other entry."""
-    is_array = isinstance(value, np.ndarray)
-    items = value.tolist() if is_array else value
-    try:
-        if len(items) == n and all(map(math.isfinite, items)):
-            return tuple(items if is_array and value.dtype is _FLOAT64 else map(float, items))
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise error(f"{what} must be {n} finite numbers, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -236,10 +223,10 @@ class World:
 
     def _set_pose_edges(self, agent: Agent, position, stamp: float) -> None:
         base_frame = f"{agent.name}/base"
-        self.tree.set_transform(_transform("world", base_frame, position, _IDENTITY, stamp))
+        self.tree.set_transform(_transform("world", base_frame, position, quat.IDENTITY, stamp))
         for sensor in agent.spec.sensors:
             self.tree.set_transform(_transform(base_frame, f"{agent.name}/{sensor.name}",
-                                               sensor.mount, _IDENTITY, stamp))
+                                               sensor.mount, quat.IDENTITY, stamp))
 
     # -- control --------------------------------------------------------
 
@@ -338,7 +325,8 @@ class World:
         self._steps += 1
         now = self.time
         fix_step = self._steps % STEPS_PER_FIX == 0
-        self._link.poll(now)
+        if fix_step:  # an epoch falls on a whole second, which is a fix step
+            self._link.poll(now)
         for agent in self._agents.values():
             vx, vy, vz = agent._velocity = _clamp_speed(agent._velocity, agent.spec.max_speed)
             dx, dy, dz = vx * CONTROL_DT_S, vy * CONTROL_DT_S, vz * CONTROL_DT_S
@@ -399,9 +387,6 @@ class World:
             return self._agents[name]
         except KeyError:
             raise UnknownAgentError(f"no agent named {name!r}") from None
-
-
-_IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
 def _clamp_speed(velocity: quat.Vec3, max_speed: float) -> quat.Vec3:

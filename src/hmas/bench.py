@@ -59,6 +59,23 @@ STABLE_SLOPE_LIMIT = 0.001 / 60.0  # 1 mm per minute, in m/s
 PEAK_SIGMA_FACTOR = 2.0
 PEAK_MIN_SAMPLES = 2
 
+# the narrated rotation run: lift, a full turn clockwise, a pause, a full turn back
+ROTATION_LIFT_END_S = 20.0
+ROTATION_CW_END_S = 33.0
+ROTATION_PAUSE_END_S = 43.0
+ROTATION_CCW_END_S = 50.0
+ROTATION_LIFT_M = 1.0
+ROTATION_MIN_RUN_S = ROTATION_CCW_END_S + 1.0  # the board is down again
+# the narrated translation run, 1 m up: a line east, a hold, a square, an overshoot
+LINE_LENGTH_M = 30.0
+LINE_DURATION_S = 45.0
+HOLD_S = 10.0
+SQUARE_SIDE_M = 25.0
+OVERSHOOT_M = 1.0
+WALK_SPEED_MPS = LINE_LENGTH_M / LINE_DURATION_S
+SQUARE_RUN_S = (LINE_DURATION_S + HOLD_S
+                + (3.0 * SQUARE_SIDE_M + SQUARE_SIDE_M + OVERSHOOT_M) / WALK_SPEED_MPS)
+
 
 # -- specs and board truth ------------------------------------------------
 
@@ -84,38 +101,6 @@ class RoverWindow:
         return self.magnitude_m * direction[0], self.magnitude_m * direction[1]
 
 
-@dataclass(frozen=True)
-class RotationTimeline:
-    lift_end_s: float = 20.0
-    cw_end_s: float = 33.0
-    pause_end_s: float = 43.0
-    ccw_end_s: float = 50.0
-    lift_height_m: float = 1.0
-
-    @property
-    def min_run_s(self) -> float:
-        """The shortest rotation run: it ends once the board is back down."""
-        return self.ccw_end_s + 1.0
-
-
-@dataclass(frozen=True)
-class TranslationLegs:
-    line_length_m: float = 30.0
-    line_duration_s: float = 45.0
-    hold_s: float = 10.0
-    square_side_m: float = 25.0
-    overshoot_m: float = 1.0
-    walk_speed_mps: float = 30.0 / 45.0
-
-    def path_length_m(self) -> float:
-        return self.line_length_m + 4.0 * self.square_side_m + self.overshoot_m
-
-    def duration_s(self) -> float:
-        square = (3.0 * self.square_side_m
-                  + self.square_side_m + self.overshoot_m) / self.walk_speed_mps
-        return self.line_duration_s + self.hold_s + square
-
-
 EXPERIMENT_KINDS = ("static", "static_disturbed", "rotation", "translation_square")
 
 
@@ -128,8 +113,6 @@ class ExperimentSpec:
     base: GeodeticCoord = DEFAULT_BASE
     noiseless: bool = False
     disturbances: tuple[RoverWindow, ...] = ()
-    rotation: RotationTimeline = RotationTimeline()
-    legs: TranslationLegs = TranslationLegs()
 
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
@@ -139,9 +122,8 @@ class ExperimentSpec:
                              f"{MAX_RUN_S:g}] s (one fix period to 24 h), got {self.duration_s}")
         if not 0.0 < self.side_m < math.inf:  # NaN fails too
             raise ValueError(f"board side must be finite and above 0, got {self.side_m}")
-        min_rotation_s = self.rotation.min_run_s
-        if self.kind == "rotation" and self.duration_s < min_rotation_s:
-            raise ValueError(f"a rotation run needs at least {min_rotation_s:g} s, "
+        if self.kind == "rotation" and self.duration_s < ROTATION_MIN_RUN_S:
+            raise ValueError(f"a rotation run needs at least {ROTATION_MIN_RUN_S:g} s, "
                              f"got {self.duration_s:g} s")
         for w in self.disturbances:
             if w.rover_id not in CORNERS:
@@ -203,8 +185,7 @@ def rotation_spec(seed: int, duration_s: float = 60.0, noiseless: bool = False) 
 
 
 def translation_spec(seed: int, noiseless: bool = False) -> ExperimentSpec:
-    return ExperimentSpec("translation_square", TranslationLegs().duration_s(), seed,
-                          noiseless=noiseless)
+    return ExperimentSpec("translation_square", SQUARE_RUN_S, seed, noiseless=noiseless)
 
 
 _SPEC_BUILDERS = {
@@ -217,7 +198,7 @@ _SPEC_BUILDERS = {
 
 def shortest_run_s(kind: str) -> float:
     """The shortest duration ``make_spec(kind, ...)`` accepts (0 for no limit)."""
-    return RotationTimeline().min_run_s if kind == "rotation" else 0.0
+    return ROTATION_MIN_RUN_S if kind == "rotation" else 0.0
 
 
 def make_spec(kind: str, seed: int, **kwargs) -> ExperimentSpec:
@@ -234,23 +215,19 @@ def corner_positions(spec: ExperimentSpec, t: np.ndarray) -> dict[str, np.ndarra
     z = 0.0
     yaw = np.zeros(len(t))
     if spec.kind == "rotation":
-        r = spec.rotation
-        yaw = np.interp(t, [0.0, r.lift_end_s, r.cw_end_s, r.pause_end_s, r.ccw_end_s,
-                            spec.duration_s],
+        yaw = np.interp(t, [0.0, ROTATION_LIFT_END_S, ROTATION_CW_END_S, ROTATION_PAUSE_END_S,
+                            ROTATION_CCW_END_S, spec.duration_s],
                         [0.0, 0.0, -2.0 * math.pi, -2.0 * math.pi, 0.0, 0.0])
-        z = np.interp(t, [0.0, r.lift_end_s - 2.0, r.lift_end_s, r.ccw_end_s,
-                          r.ccw_end_s + 1.0, spec.duration_s],
-                      [0.0, 0.0, r.lift_height_m, r.lift_height_m, 0.0, 0.0])
+        z = np.interp(t, [0.0, ROTATION_LIFT_END_S - 2.0, ROTATION_LIFT_END_S, ROTATION_CCW_END_S,
+                          ROTATION_MIN_RUN_S, spec.duration_s],
+                      [0.0, 0.0, ROTATION_LIFT_M, ROTATION_LIFT_M, 0.0, 0.0])
     elif spec.kind == "translation_square":
-        legs = spec.legs
-        side = legs.square_side_m
-        t1 = legs.line_duration_s + legs.hold_s
-        leg_t = side / legs.walk_speed_mps
-        times = [0.0, legs.line_duration_s, t1, t1 + leg_t, t1 + 2 * leg_t, t1 + 3 * leg_t,
-                 t1 + 3 * leg_t + (side + legs.overshoot_m) / legs.walk_speed_mps]
-        ln = legs.line_length_m
-        x = x + np.interp(t, times, [0.0, ln, ln, ln, ln - side, ln - side,
-                                     ln + legs.overshoot_m])
+        side, ln = SQUARE_SIDE_M, LINE_LENGTH_M
+        t1 = LINE_DURATION_S + HOLD_S
+        leg_t = side / WALK_SPEED_MPS
+        times = [0.0, LINE_DURATION_S, t1, t1 + leg_t, t1 + 2 * leg_t, t1 + 3 * leg_t,
+                 t1 + 3 * leg_t + (side + OVERSHOOT_M) / WALK_SPEED_MPS]
+        x = x + np.interp(t, times, [0.0, ln, ln, ln, ln - side, ln - side, ln + OVERSHOOT_M])
         y = y + np.interp(t, times, [0.0, 0.0, 0.0, side, side, 0.0, 0.0])
         z = 1.0
     center = np.stack(np.broadcast_arrays(x, y, z), axis=-1)

@@ -97,8 +97,9 @@ class QosProfile:
     history_depth: int = 1
 
     def __post_init__(self) -> None:
-        if self.history_depth < 1:
-            raise ValueError(f"history_depth must be positive, got {self.history_depth}")
+        depth = self.history_depth
+        if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
+            raise ValueError(f"history_depth must be an integer of at least 1, got {depth!r}")
 
 
 DEFAULT_QOS = QosProfile()

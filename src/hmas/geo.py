@@ -38,6 +38,20 @@ CORRECTION_INTERVAL_S = 1.0
 CORRECTION_TOPIC = QualifiedName("hmas", "rtk/corrections")
 CORRECTION_QOS = QosProfile(Reliability.RELIABLE, history_depth=1)
 DISTURBANCE_DECAY_S = 3.0
+_FLOAT64 = np.dtype(np.float64)  # tolist() of such an array gives floats: no float() pass
+
+
+def _finite_floats(value, n: int, what: str, error: type = ValueError) -> tuple[float, ...]:
+    """``value``, a flat vector of ``n`` finite numbers (an ndarray through ``tolist()``), as
+    floats, or else ``error`` naming ``what``: ``math.isfinite`` refuses any other entry."""
+    is_array = isinstance(value, np.ndarray)
+    items = value.tolist() if is_array else value
+    try:
+        if len(items) == n and all(map(math.isfinite, items)):
+            return tuple(items if is_array and value.dtype is _FLOAT64 else map(float, items))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{what} must be {n} finite numbers, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -376,8 +390,13 @@ class DisturbanceWindow:
     offset_enu: tuple[float, float, float]
 
     def __post_init__(self) -> None:
+        for name, value in (("start_s", self.start_s), ("end_s", self.end_s)):
+            if not -math.inf < value < math.inf:  # NaN fails too
+                raise ValueError(f"disturbance {name} must be finite, got {value}")
         if self.end_s < self.start_s:
-            raise ValueError("disturbance window ends before it starts")
+            raise ValueError(f"disturbance end_s {self.end_s} is before start_s {self.start_s}")
+        object.__setattr__(self, "offset_enu",
+                           _finite_floats(self.offset_enu, 3, "disturbance offset_enu"))
 
     def envelope(self, t: float) -> float:
         if t < self.start_s or t > self.end_s + DISTURBANCE_DECAY_S:

@@ -1,25 +1,23 @@
-"""Unit-quaternion helpers, (w, x, y, z) component order.
+"""Unit-quaternion kernels on Python floats, (w, x, y, z) component order.
 
-Each operation has one private kernel on Python float tuples (``_mul``,
-``_conjugate``, ``_rotate``, ``_canonicalize``, ``_slerp``); the public
-functions wrap it and return ``np.ndarray``. One arithmetic rule holds across
-the package: every reduction (a dot product, a norm, a rotation) is a sum of
-Python floats in a fixed order, left to right, as ``inner`` writes it. None
-goes through BLAS (``ndarray.dot``, ``@``, ``numpy.linalg``), whose summation
-order depends on the CPU, the OpenBLAS kernel and the thread count, nor
-through the built-in ``sum``, compensated since Python 3.12. So the same
-inputs give the same bits on every host.
+Each operation is written once, on float sequences (tuples, lists,
+``ndarray.tolist()``), and returns a float tuple; ``IDENTITY`` is the tuple
+``(1.0, 0.0, 0.0, 0.0)``. One arithmetic rule holds across the package: every
+reduction (a dot product, a norm, a rotation) is a sum of Python floats in a
+fixed order, left to right, as ``inner`` writes it. None goes through BLAS
+(``ndarray.dot``, ``@``, ``numpy.linalg``), whose summation order depends on
+the CPU, the OpenBLAS kernel and the thread count, nor through the built-in
+``sum``, compensated since Python 3.12. So the same inputs give the same bits
+on every host.
 """
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
-
 Quat = tuple[float, float, float, float]
 Vec3 = tuple[float, float, float]
+
+IDENTITY: Quat = (1.0, 0.0, 0.0, 0.0)
 
 
 def inner(a, b) -> float:
@@ -37,7 +35,7 @@ def norm(v) -> float:
     return math.sqrt(inner(v, v))
 
 
-def _mul(q1, q2) -> Quat:
+def mul(q1, q2) -> Quat:
     w1, x1, y1, z1 = q1
     w2, x2, y2, z2 = q2
     return (
@@ -48,11 +46,12 @@ def _mul(q1, q2) -> Quat:
     )
 
 
-def _conjugate(q) -> Quat:
+def conjugate(q) -> Quat:
     return (q[0], -q[1], -q[2], -q[3])
 
 
-def _rotate(q, v) -> Vec3:
+def rotate(q, v) -> Vec3:
+    """Rotate 3-vector v by unit quaternion q."""
     w, x, y, z = q
     vx, vy, vz = v
     # q * (0, v)
@@ -68,7 +67,9 @@ def _rotate(q, v) -> Vec3:
     )
 
 
-def _canonicalize(q) -> Quat:
+def canonicalize(q) -> Quat:
+    """Flip sign so w >= 0 (w == 0: first nonzero component positive)."""
+    q = tuple(q)
     for c in q:
         if c > 0.0:
             return q
@@ -77,7 +78,8 @@ def _canonicalize(q) -> Quat:
     return q
 
 
-def _slerp(q1, q2, t: float) -> Quat:
+def slerp(q1, q2, t: float) -> Quat:
+    """Shortest-arc spherical interpolation between unit quaternions."""
     w1, x1, y1, z1 = q1
     w2, x2, y2, z2 = q2
     dot = inner(q1, q2)
@@ -96,49 +98,3 @@ def _slerp(q1, q2, t: float) -> Quat:
     s2 = math.sin(theta) / math.sin(theta0)
     s1 = math.cos(theta) - dot * s2
     return (s1 * w1 + s2 * w2, s1 * x1 + s2 * x2, s1 * y1 + s2 * y2, s1 * z1 + s2 * z2)
-
-
-def canonicalize(q: np.ndarray) -> np.ndarray:
-    """Flip sign so w >= 0 (w == 0: first nonzero component positive)."""
-    return np.array(_canonicalize(q))
-
-
-def mul(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    return np.array(_mul(q1, q2))
-
-
-def conjugate(q: np.ndarray) -> np.ndarray:
-    return np.array(_conjugate(q))
-
-
-def rotate(q: np.ndarray, v) -> np.ndarray:
-    """Rotate 3-vector v by unit quaternion q."""
-    return np.array(_rotate(q, v))
-
-
-def slerp(q1: np.ndarray, q2: np.ndarray, t: float) -> np.ndarray:
-    """Shortest-arc spherical interpolation between unit quaternions."""
-    return np.array(_slerp(np.asarray(q1, dtype=float).tolist(),
-                           np.asarray(q2, dtype=float).tolist(), t))
-
-
-def from_axis_angle(axis, angle_rad: float) -> np.ndarray:
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / norm(axis.tolist())
-    half = 0.5 * angle_rad
-    return np.concatenate(([math.cos(half)], math.sin(half) * axis))
-
-
-def from_yaw(yaw_rad: float) -> np.ndarray:
-    """Rotation about +z (up), right-handed."""
-    return np.array([math.cos(0.5 * yaw_rad), 0.0, 0.0, math.sin(0.5 * yaw_rad)])
-
-
-def to_matrix(q: np.ndarray) -> np.ndarray:
-    """3x3 rotation matrix of unit quaternion q."""
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])

@@ -80,7 +80,8 @@ class Transform:
 
     def apply(self, point) -> np.ndarray:
         """Map a point expressed in the child frame into the parent frame."""
-        return quat.rotate(self.rotation, np.asarray(point, dtype=float)) + self.translation
+        point = np.asarray(point, dtype=float).tolist()
+        return self.translation + quat.rotate(self.rotation.tolist(), point)
 
     @classmethod
     def identity(cls, parent: str, child: str | None = None, stamp: float = 0.0) -> "Transform":
@@ -104,15 +105,16 @@ def compose(a: Transform, b: Transform) -> Transform:
         raise FrameMismatchError(f"cannot compose {a.parent}->{a.child} with {b.parent}->{b.child}")
     return Transform(
         a.parent, b.child,
-        a.translation + quat.rotate(a.rotation, b.translation),
-        quat.mul(a.rotation, b.rotation),
+        a.translation + quat.rotate(a.rotation.tolist(), b.translation.tolist()),
+        quat.mul(a.rotation.tolist(), b.rotation.tolist()),
         max(a.stamp, b.stamp),
     )
 
 
 def invert(a: Transform) -> Transform:
-    qc = quat.conjugate(a.rotation)
-    return Transform(a.child, a.parent, -quat.rotate(qc, a.translation), qc, a.stamp)
+    qc = quat.conjugate(a.rotation.tolist())
+    x, y, z = quat.rotate(qc, a.translation.tolist())
+    return Transform(a.child, a.parent, (-x, -y, -z), qc, a.stamp)
 
 
 @dataclass
@@ -169,7 +171,7 @@ class TransformTree:
             if stamps and t.stamp < stamps[-1] - self._horizon:
                 raise TimeBoundsError(
                     f"stamp {t.stamp} is older than the {self._horizon}s buffer horizon")
-            sample = (translation, quat._canonicalize(tuple(t.rotation.tolist())))
+            sample = (translation, quat.canonicalize(t.rotation.tolist()))
             i = bisect_left(stamps, t.stamp)
             if i < len(stamps) and stamps[i] == t.stamp:
                 edge.samples[i] = sample
@@ -216,9 +218,9 @@ class TransformTree:
                     f"frames {target!r} and {source!r} live in different trees")
             q_t, p_t = self._to_ancestor(target, ancestor, at)
             q_s, p_s = self._to_ancestor(source, ancestor, at)
-            q_ti = quat._conjugate(q_t)
-            rotation = quat._canonicalize(quat._mul(q_ti, q_s))
-            translation = quat._rotate(
+            q_ti = quat.conjugate(q_t)
+            rotation = quat.canonicalize(quat.mul(q_ti, q_s))
+            translation = quat.rotate(
                 q_ti, (p_s[0] - p_t[0], p_s[1] - p_t[1], p_s[2] - p_t[2]))
             self._memo[target, source] = (at, translation, rotation)
             return _transform(target, source, translation, rotation, at)
@@ -232,14 +234,14 @@ class TransformTree:
 
     def _to_ancestor(self, frame: str, ancestor: str, at: float) -> tuple[quat.Quat, quat.Vec3]:
         """Accumulated (rotation, translation) mapping ``frame`` coords into ``ancestor``."""
-        q_acc = (1.0, 0.0, 0.0, 0.0)
+        q_acc = quat.IDENTITY
         p_acc = (0.0, 0.0, 0.0)
         node = frame
         while node != ancestor:
             edge = self._edges[node]
             eq, ep = self._sample(edge, node, at)
-            q_acc = quat._mul(eq, q_acc)
-            r = quat._rotate(eq, p_acc)
+            q_acc = quat.mul(eq, q_acc)
+            r = quat.rotate(eq, p_acc)
             p_acc = (ep[0] + r[0], ep[1] + r[1], ep[2] + r[2])
             node = edge.parent
         return q_acc, p_acc
@@ -259,7 +261,7 @@ class TransformTree:
         alpha = (at - stamps[i - 1]) / (stamps[i] - stamps[i - 1])
         beta = 1.0 - alpha
         translation = (beta * x0 + alpha * x1, beta * y0 + alpha * y1, beta * z0 + alpha * z1)
-        return quat._slerp(q0, q1, alpha), translation
+        return quat.slerp(q0, q1, alpha), translation
 
     # -- export ---------------------------------------------------------
 

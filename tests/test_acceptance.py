@@ -14,6 +14,8 @@ from hmas.bus import Bus, QosProfile, Reliability
 from hmas.geo import EnuCoord, GeodeticCoord
 from hmas.tf import Transform, TransformTree, compose, invert
 
+from quat_oracle import from_axis_angle, to_matrix
+
 BASE = GeodeticCoord(48.70, 6.15, 220.0)
 GPS = (SensorSpec("gps", "gnss"),)
 
@@ -89,7 +91,7 @@ def test_criterion_3_qos_semantics(rng):
 
 def _random_quat(rng):
     axis = rng.normal(size=3)
-    return quat.from_axis_angle(axis, float(rng.uniform(-math.pi, math.pi)))
+    return from_axis_angle(axis, float(rng.uniform(-math.pi, math.pi)))
 
 
 def test_criterion_4_tf_correctness(rng):
@@ -111,11 +113,11 @@ def test_criterion_4_tf_correctness(rng):
         via = compose(tree.lookup(a, b, at), tree.lookup(b, c, at))
         worst = max(worst, float(np.max(np.abs(via.translation - direct.translation))))
         worst = max(worst, float(np.max(np.abs(
-            quat.to_matrix(via.rotation) - quat.to_matrix(direct.rotation)))))
+            to_matrix(via.rotation) - to_matrix(direct.rotation)))))
         rev = invert(tree.lookup(c, a, at))
         worst = max(worst, float(np.max(np.abs(rev.translation - direct.translation))))
         worst = max(worst, float(np.max(np.abs(
-            quat.to_matrix(rev.rotation) - quat.to_matrix(direct.rotation)))))
+            to_matrix(rev.rotation) - to_matrix(direct.rotation)))))
     assert worst <= 1e-9
 
     # interpolation endpoints reproduce stored samples
@@ -135,12 +137,12 @@ def test_criterion_4_tf_correctness(rng):
         ta = Transform("x", "y", rng.uniform(-5, 5, 3), _random_quat(rng))
         tb = Transform("y", "z", rng.uniform(-5, 5, 3), _random_quat(rng))
         got = np.eye(4)
-        got[:3, :3] = quat.to_matrix(compose(ta, tb).rotation)
+        got[:3, :3] = to_matrix(compose(ta, tb).rotation)
         got[:3, 3] = compose(ta, tb).translation
         ma, mb = np.eye(4), np.eye(4)
-        ma[:3, :3] = quat.to_matrix(ta.rotation)
+        ma[:3, :3] = to_matrix(ta.rotation)
         ma[:3, 3] = ta.translation
-        mb[:3, :3] = quat.to_matrix(tb.rotation)
+        mb[:3, :3] = to_matrix(tb.rotation)
         mb[:3, 3] = tb.translation
         worst_m = max(worst_m, float(np.max(np.abs(got - ma @ mb))))
     assert worst_m <= 1e-9
@@ -230,7 +232,8 @@ def test_criterion_8_translation_run(tmp_path):
         centroid = pts if centroid is None else centroid + pts
     centroid /= 4.0
     length = float(np.linalg.norm(np.diff(centroid, axis=0), axis=1).sum())
-    expected = noiseless.legs.path_length_m()  # 30 m line + square + 1 m overshoot
+    # the 30 m line, the 25 m square and the 1 m overshoot
+    expected = bench.LINE_LENGTH_M + 4.0 * bench.SQUARE_SIDE_M + bench.OVERSHOOT_M
     assert abs(length - expected) < 0.1
 
     noisy = bench.translation_spec(seed=1)

@@ -16,8 +16,8 @@ from hmas.agents import (CONTROL_DT_S, DEAD_BAND_M, FIX_PERIOD_S, FOLLOW_GAIN,
                          UnknownAgentError, World, load_scenario, run_scenario)
 from hmas.bag import read_bag, record
 from hmas.bus import SeededDropInjector
-from hmas.geo import (CORRECTION_TOPIC, MAX_RUN_S, EnuCoord, FixQuality, GeodeticCoord,
-                      decode_fix, enu_to_geodetic, take_corrections)
+from hmas.geo import (CORRECTION_TOPIC, MAX_RUN_S, CorrectionLink, EnuCoord, FixQuality,
+                      GeodeticCoord, decode_fix, enu_to_geodetic, take_corrections)
 from hmas.tf import TfError
 
 BASE = GeodeticCoord(48.70, 6.15, 220.0)
@@ -212,6 +212,25 @@ class TestCorrections:
         assert [r.topic for r in records] == [CORRECTION_TOPIC.full] * k
         assert [int.from_bytes(r.payload, "little") for r in records] == list(range(1, k + 1))
         assert [r.stamp for r in records] == [float(e) for e in range(1, k + 1)]
+
+    def test_the_base_is_polled_on_fix_steps_only(self, monkeypatch):
+        """An epoch falls on a whole second, which is a fix step: a 30 s world
+        polls its base on its 420 fix steps, not on all 4,200 control steps,
+        and still sends its 30 epochs."""
+        polls, sent = [], []
+        poll = CorrectionLink.poll
+
+        def counting_poll(link, now):
+            polls.append(now)
+            sent.append(poll(link, now))
+            return sent[-1]
+
+        monkeypatch.setattr(CorrectionLink, "poll", counting_poll)
+        run_scenario(Scenario(BASE, 1, 30.0, (ScenarioAgent(ground("spot"), (0.0, 0.0, 0.0)),),
+                              ()))
+        assert len(polls) == 420
+        assert polls == [k / 14.0 for k in range(1, 421)]
+        assert sum(sent) == 30
 
 
 class TestStepping:
@@ -791,11 +810,13 @@ def _lossy_team(seed, duration_s=30.0, alongside=None):
 def test_a_lossy_scenario_repeats_bit_for_bit_in_one_process():
     """Guards the fleet benchmark's own checks: each run publishes 420 fixes
     per agent, no TF lookup fails after the first second, and every run of
-    one seed hashes the same. World state must not leak between worlds: a
+    one seed hashes the same, the hash pinned so that every agent state and
+    TF lookup keeps its bits. World state must not leak between worlds: a
     shorter run, a run of another seed and a second world stepped alongside
     change nothing."""
     _lossy_team(3, duration_s=1.0)
     first = _lossy_team(3)
+    assert first[0] == "73bf941d666f4ea47fa6b29a043ab932922bc96dfbb3499d8782c181c79d3250"
     assert first[1] == {"operator": 420, "ground": 420, "aerial": 420}
     assert first[2] == []
     assert _lossy_team(4)[0] != first[0]

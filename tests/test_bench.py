@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from hmas import bag, bench, geo
 from hmas.bench import (CORNERS, EXPERIMENT_KINDS, SIDES, DistanceSeries,
-                        ExperimentSpec, RotationTimeline, RoverWindow,
-                        TranslationLegs, corner_displacement_for_peaks,
+                        ExperimentSpec, RoverWindow, corner_displacement_for_peaks,
                         disturbed_spec, emit_csv, load_bag_fixes, make_spec,
                         rotation_spec, run_experiment, side_distances,
                         side_windows, static_spec, summarize, translation_spec)
@@ -76,6 +75,12 @@ class TestSpecs:
             with pytest.raises(ValueError, match="duration"):
                 make_spec(kind, 1, duration_s=duration_s)
 
+    def test_a_rotation_run_lasts_until_the_board_is_down(self):
+        assert bench.shortest_run_s("rotation") == bench.ROTATION_MIN_RUN_S == 51.0
+        assert make_spec("rotation", 1, duration_s=51.0).duration_s == 51.0
+        with pytest.raises(ValueError, match="at least 51 s"):
+            make_spec("rotation", 1, duration_s=50.9)
+
     def test_displacement_solve_hits_target_side_errors(self):
         side = 0.9
         dx, dy = corner_displacement_for_peaks(side, "top_right", (1.4, 1.5))
@@ -103,7 +108,7 @@ class TestSpecs:
 
 class TestRunExperiment:
     @pytest.mark.parametrize("duration_s, steps", [(1.0 / 14.0, 1), (1.04, 14), (21.25, 297),
-                                                   (TranslationLegs().duration_s(), 2891)])
+                                                   (bench.SQUARE_RUN_S, 2891)])
     def test_a_run_records_the_fix_stamps_up_to_its_end(self, tmp_path, duration_s, steps):
         """Fixes are stamped k / 14 Hz for every k >= 1 with k / 14 <= duration
         (to 1e-9 s), so no fix lies after the run's end."""
@@ -144,15 +149,15 @@ class TestRunExperiment:
         spec = rotation_spec(seed=1, noiseless=True)
         path = run_experiment(spec, tmp_path / "rot.bag")
         fixes = load_bag_fixes(path)
-        mid = spec.rotation.lift_end_s + (spec.rotation.cw_end_s
-                                          - spec.rotation.lift_end_s) / 2.0
+        mid = bench.ROTATION_LIFT_END_S + (bench.ROTATION_CW_END_S
+                                           - bench.ROTATION_LIFT_END_S) / 2.0
         fix = next(f for f in fixes["top_left"] if abs(f.stamp - mid) < 1e-9)
         e = geo.geodetic_to_enu(fix.position, spec.base)
         # half a clockwise turn: top_left sits at bottom_right's start slot
         cx, cy = bench.BOARD_CENTER_EN
         h = spec.side_m / 2.0
         assert (e.east, e.north) == pytest.approx((cx + h, cy - h), abs=1e-6)
-        assert e.up == pytest.approx(spec.rotation.lift_height_m, abs=1e-6)
+        assert e.up == pytest.approx(bench.ROTATION_LIFT_M, abs=1e-6)
 
     def test_noiseless_translation_path_length(self, tmp_path):
         spec = translation_spec(seed=1, noiseless=True)
@@ -164,11 +169,12 @@ class TestRunExperiment:
             centroid = pts if centroid is None else centroid + pts
         centroid /= 4.0
         length = float(np.linalg.norm(np.diff(centroid, axis=0), axis=1).sum())
-        assert abs(length - spec.legs.path_length_m()) < 0.1
+        assert abs(length - (bench.LINE_LENGTH_M + 4.0 * bench.SQUARE_SIDE_M
+                             + bench.OVERSHOOT_M)) < 0.1
         # finishes one overshoot past the square's start corner
         end = centroid[-1]
         assert end[0] == pytest.approx(
-            bench.BOARD_CENTER_EN[0] + spec.legs.line_length_m + spec.legs.overshoot_m, abs=0.05)
+            bench.BOARD_CENTER_EN[0] + bench.LINE_LENGTH_M + bench.OVERSHOOT_M, abs=0.05)
         assert end[1] == pytest.approx(bench.BOARD_CENTER_EN[1], abs=0.05)
 
 
@@ -195,8 +201,6 @@ def _scalar_loop_bag(spec, path):
     return recorder.stop()
 
 
-SHORT_LEGS = TranslationLegs(line_length_m=3.0, line_duration_s=4.5, hold_s=1.0,
-                             square_side_m=2.5, overshoot_m=0.5, walk_speed_mps=3.0 / 4.5)
 SHORT_SPECS = {
     "static": lambda seed, **kw: static_spec(seed, duration_s=20.0, **kw),
     "static_disturbed": lambda seed, **kw: ExperimentSpec(
@@ -204,13 +208,9 @@ SHORT_SPECS = {
         disturbances=(RoverWindow("top_right", 3.0, 4.5, 0.10),
                       RoverWindow("top_right", 4.0, 6.0, 0.05, (0.0, 1.0)),
                       RoverWindow("top_left", 8.0, 20.0, 0.12)), **kw),
-    # the full run's obstruction, moved to 15-17 s
-    "rotation": lambda seed, **kw: ExperimentSpec(
-        "rotation", 20.0, seed,
-        disturbances=(replace(rotation_spec(seed).disturbances[0], start_s=15.0, end_s=17.0),),
-        rotation=RotationTimeline(4.0, 8.0, 10.0, 13.0, 1.0), **kw),
-    "translation_square": lambda seed, **kw: ExperimentSpec(
-        "translation_square", SHORT_LEGS.duration_s(), seed, legs=SHORT_LEGS, **kw),
+    # the narrated timelines: the full rotation run and the full square run
+    "rotation": rotation_spec,
+    "translation_square": translation_spec,
 }
 
 

@@ -151,6 +151,11 @@ class TestHistory:
         with pytest.raises(ValueError):
             QosProfile(history_depth=0)
 
+    @pytest.mark.parametrize("depth", [2.5, True, "3"], ids=["float", "bool", "str"])
+    def test_depth_must_be_an_integer_refused_at_construction(self, depth):
+        with pytest.raises(ValueError, match="history_depth"):
+            QosProfile(history_depth=depth)
+
 
 class TestPublish:
     def test_no_subscribers(self):

@@ -255,6 +255,27 @@ class TestDisturbance:
         assert w.envelope(13.5) == pytest.approx(0.5)
         assert w.envelope(15.1) == 0.0
 
+    @pytest.mark.parametrize("start_s, end_s, field", [
+        (math.nan, 1.0, "start_s"), (-math.inf, 1.0, "start_s"),
+        (0.0, math.nan, "end_s"), (0.0, math.inf, "end_s"), (2.0, 1.0, "end_s")])
+    def test_window_bounds_must_be_finite_and_ordered(self, start_s, end_s, field):
+        """A NaN start would make a window that is always on."""
+        with pytest.raises(ValueError, match=field):
+            DisturbanceWindow(start_s, end_s, (0.1, 0.0, 0.0))
+
+    @pytest.mark.parametrize("offset", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.1, 0.0),
+                                        (0.1, 0.0, 0.0, 0.0), ("0.1", 0.0, 0.0), None],
+                             ids=["nan", "inf", "two", "four", "str", "none"])
+    def test_window_offset_must_be_three_finite_numbers(self, offset):
+        """Refused at construction, not inside ``Rover.step``."""
+        with pytest.raises(ValueError, match="offset_enu"):
+            DisturbanceWindow(1.0, 2.0, offset)
+
+    def test_window_offset_is_kept_as_floats(self):
+        w = DisturbanceWindow(1.0, 2.0, np.array([1, 0, 0]))
+        assert w.offset_enu == (1.0, 0.0, 0.0)
+        assert all(type(c) is float for c in w.offset_enu)
+
     def test_pulse_offsets_reported_position(self):
         rover = Rover("r", seed=0, disturbances=[DisturbanceWindow(1.0, 2.0, (0.5, 0.0, 0.0))],
                       noiseless=True)

@@ -1,4 +1,5 @@
 """Transform tree: composition laws, interpolation, lookup over random forests."""
+import hashlib
 import math
 import threading
 from bisect import bisect_left
@@ -13,10 +14,12 @@ from hmas.tf import (CycleError, DisconnectedFramesError, TfError, TimeBoundsErr
                      Transform, TransformTree, UnknownFrameError, _transform, compose,
                      invert)
 
+from quat_oracle import from_axis_angle, from_yaw, to_matrix
+
 
 def random_quat(rng):
     axis = rng.normal(size=3)
-    return quat.from_axis_angle(axis, rng.uniform(-math.pi, math.pi))
+    return from_axis_angle(axis, rng.uniform(-math.pi, math.pi))
 
 
 def random_transform(rng, parent="a", child="b", stamp=0.0):
@@ -25,36 +28,42 @@ def random_transform(rng, parent="a", child="b", stamp=0.0):
 
 def homogeneous(t: Transform) -> np.ndarray:
     m = np.eye(4)
-    m[:3, :3] = quat.to_matrix(t.rotation)
+    m[:3, :3] = to_matrix(t.rotation)
     m[:3, 3] = t.translation
     return m
 
 
 class TestQuatHelpers:
+    def test_kernels_take_float_sequences_and_return_float_tuples(self, rng):
+        q1, q2 = random_quat(rng).tolist(), tuple(random_quat(rng).tolist())
+        for out in (quat.mul(q1, q2), quat.conjugate(q1), quat.rotate(q1, [1.0, 2.0, 3.0]),
+                    quat.canonicalize(q2), quat.slerp(q1, q2, 0.3), quat.IDENTITY):
+            assert type(out) is tuple and all(type(c) is float for c in out)
+
     def test_mul_matches_matrix_product(self, rng):
         for _ in range(200):
             q1, q2 = random_quat(rng), random_quat(rng)
-            np.testing.assert_allclose(quat.to_matrix(quat.mul(q1, q2)),
-                                       quat.to_matrix(q1) @ quat.to_matrix(q2),
+            np.testing.assert_allclose(to_matrix(quat.mul(q1, q2)),
+                                       to_matrix(q1) @ to_matrix(q2),
                                        atol=1e-12)
 
     def test_rotate_matches_matrix(self, rng):
         for _ in range(200):
             q = random_quat(rng)
             v = rng.uniform(-3, 3, 3)
-            np.testing.assert_allclose(quat.rotate(q, v), quat.to_matrix(q) @ v,
+            np.testing.assert_allclose(quat.rotate(q, v), to_matrix(q) @ v,
                                        atol=1e-12)
 
     def test_slerp_midpoint_of_yaw(self):
-        mid = quat.slerp(quat.from_yaw(0.0), quat.from_yaw(math.pi / 2), 0.5)
-        np.testing.assert_allclose(mid, quat.from_yaw(math.pi / 4), atol=1e-12)
+        mid = quat.slerp(from_yaw(0.0), from_yaw(math.pi / 2), 0.5)
+        np.testing.assert_allclose(mid, from_yaw(math.pi / 4), atol=1e-12)
 
     def test_slerp_takes_shortest_arc(self):
-        q0 = quat.from_yaw(0.0)
-        q1 = -quat.from_yaw(0.2)  # antipodal representation of the same rotation
+        q0 = from_yaw(0.0)
+        q1 = -from_yaw(0.2)  # antipodal representation of the same rotation
         mid = quat.slerp(q0, q1, 0.5)
-        np.testing.assert_allclose(quat.to_matrix(mid),
-                                   quat.to_matrix(quat.from_yaw(0.1)), atol=1e-9)
+        np.testing.assert_allclose(to_matrix(mid),
+                                   to_matrix(from_yaw(0.1)), atol=1e-9)
 
 
 class TestTransform:
@@ -93,8 +102,8 @@ class TestTransform:
             compose(random_transform(rng, "a", "b"), random_transform(rng, "c", "d"))
 
     def test_yaw_then_translate_matches_matrix_oracle(self):
-        yaw90 = Transform("w", "m", np.zeros(3), quat.from_yaw(math.pi / 2))
-        shift = Transform("m", "b", np.array([1.0, 0.0, 0.0]), quat.IDENTITY.copy())
+        yaw90 = Transform("w", "m", np.zeros(3), from_yaw(math.pi / 2))
+        shift = Transform("m", "b", np.array([1.0, 0.0, 0.0]), quat.IDENTITY)
         combined = compose(yaw90, shift)
         point = np.array([0.0, 1.0, 0.0])
         oracle = (homogeneous(yaw90) @ homogeneous(shift) @ np.array([*point, 1.0]))[:3]
@@ -114,7 +123,7 @@ class TestTreeBasics:
     def test_single_edge_lookup(self):
         tree = TransformTree()
         tree.set_transform(Transform("world", "spot/base", np.array([1.0, 2.0, 0.0]),
-                                     quat.IDENTITY.copy(), 0.0))
+                                     quat.IDENTITY, 0.0))
         out = tree.lookup("world", "spot/base", 0.0)
         np.testing.assert_array_equal(out.translation, [1.0, 2.0, 0.0])
         np.testing.assert_array_equal(out.rotation, quat.IDENTITY)
@@ -136,9 +145,9 @@ class TestTreeBasics:
     def test_chain_composition(self):
         tree = TransformTree()
         tree.set_transform(Transform("world", "a", np.array([1.0, 0, 0]),
-                                     quat.IDENTITY.copy(), 0.0))
+                                     quat.IDENTITY, 0.0))
         tree.set_transform(Transform("a", "b", np.array([2.0, 0, 0]),
-                                     quat.IDENTITY.copy(), 0.0))
+                                     quat.IDENTITY, 0.0))
         out = tree.lookup("world", "b", 0.0)
         np.testing.assert_allclose(out.translation, [3.0, 0, 0], atol=1e-12)
 
@@ -176,16 +185,16 @@ class TestTreeBasics:
 class TestTimeBuffer:
     def make_moving_edge(self):
         tree = TransformTree()
-        tree.set_transform(Transform("world", "a", np.zeros(3), quat.IDENTITY.copy(), 0.0))
+        tree.set_transform(Transform("world", "a", np.zeros(3), quat.IDENTITY, 0.0))
         tree.set_transform(Transform("world", "a", np.array([10.0, 0, 0]),
-                                     quat.from_yaw(math.pi / 2), 10.0))
+                                     from_yaw(math.pi / 2), 10.0))
         return tree
 
     def test_linear_interpolation_closed_form(self):
         tree = self.make_moving_edge()
         out = tree.lookup("world", "a", 4.0)
         np.testing.assert_allclose(out.translation, [4.0, 0, 0], atol=1e-12)
-        np.testing.assert_allclose(out.rotation, quat.from_yaw(0.4 * math.pi / 2),
+        np.testing.assert_allclose(out.rotation, from_yaw(0.4 * math.pi / 2),
                                     atol=1e-12)
 
     def test_exact_stamp_reproduces_stored_sample(self, rng):
@@ -260,7 +269,7 @@ class TestTreeProperties:
             via = compose(tree.lookup(a, b, at), tree.lookup(b, c, at))
             np.testing.assert_allclose(via.translation, direct.translation, atol=1e-9)
             np.testing.assert_allclose(
-                quat.to_matrix(via.rotation), quat.to_matrix(direct.rotation), atol=1e-9)
+                to_matrix(via.rotation), to_matrix(direct.rotation), atol=1e-9)
 
     def test_inverse_symmetry(self, rng):
         tree, frames = build_random_tree(rng, 40)
@@ -271,7 +280,7 @@ class TestTreeProperties:
             rev = invert(tree.lookup(b, a, at))
             np.testing.assert_allclose(fwd.translation, rev.translation, atol=1e-9)
             np.testing.assert_allclose(
-                quat.to_matrix(fwd.rotation), quat.to_matrix(rev.rotation), atol=1e-9)
+                to_matrix(fwd.rotation), to_matrix(rev.rotation), atol=1e-9)
 
     def test_lookup_preserves_distances(self, rng):
         tree, frames = build_random_tree(rng, 25)
@@ -314,7 +323,7 @@ def test_one_writer_many_readers():
         r.start()
     for i in range(1, 300):
         tree.set_transform(Transform("world", "a", np.array([float(i), 0, 0]),
-                                     quat.IDENTITY.copy(), float(i)))
+                                     quat.IDENTITY, float(i)))
     stop.set()
     for r in readers:
         r.join()
@@ -350,28 +359,28 @@ def test_norm_is_bit_identical_to_numpy(pair):
 @pytest.mark.parametrize("field", ["translation", "rotation"])
 def test_tree_keeps_its_own_copy_of_each_sample(field):
     tree = TransformTree()
-    p, q = np.array([1.0, 2.0, 3.0]), quat.from_yaw(0.3)
+    p, q = np.array([1.0, 2.0, 3.0]), from_yaw(0.3)
     tree.set_transform(Transform("world", "a", p, q, 0.0))
     if field == "translation":
         p[0] = 99.0
     else:
-        q[:] = quat.from_yaw(1.2)
+        q[:] = from_yaw(1.2)
     out = tree.lookup("world", "a", 0.0)
     np.testing.assert_array_equal(out.translation, [1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(out.rotation, quat.from_yaw(0.3))
+    np.testing.assert_array_equal(out.rotation, from_yaw(0.3))
 
 
 @pytest.mark.parametrize("field", ["translation", "rotation"])
 def test_transform_keeps_its_own_copy_of_its_arrays(field):
-    p, q = np.array([1.0, 2.0, 3.0]), quat.from_yaw(0.3)
+    p, q = np.array([1.0, 2.0, 3.0]), from_yaw(0.3)
     t = Transform("w", "a", p, q)
-    u = Transform("a", "b", np.array([0.5, -1.0, 2.0]), quat.from_yaw(-0.7))
+    u = Transform("a", "b", np.array([0.5, -1.0, 2.0]), from_yaw(-0.7))
     before = [t, compose(t, u), invert(t)]
     expected = [(x.translation.copy(), x.rotation.copy()) for x in before]
     if field == "translation":
         p[0] = 99.0
     else:
-        q[:] = quat.from_yaw(1.2)
+        q[:] = from_yaw(1.2)
     for x, (tr, rot) in zip([t, compose(t, u), invert(t)], expected):
         np.testing.assert_array_equal(x.translation, tr)
         np.testing.assert_array_equal(x.rotation, rot)
@@ -405,7 +414,7 @@ class _ReferenceTree:
         _, stamps, ts, qs = self.edges.setdefault(child, (parent, [], [], []))
         if stamps and stamp < stamps[-1] - self.horizon:
             raise TimeBoundsError("too old")
-        translation, rotation = translation.copy(), quat.canonicalize(rotation)
+        translation, rotation = translation.copy(), np.array(quat.canonicalize(rotation))
         i = bisect_left(stamps, stamp)
         if i < len(stamps) and stamps[i] == stamp:
             ts[i], qs[i] = translation, rotation
@@ -450,7 +459,7 @@ class _ReferenceTree:
         if target not in known or source not in known:
             raise UnknownFrameError("unknown")
         if target == source:
-            return np.zeros(3), quat.IDENTITY.copy()
+            return np.zeros(3), np.array(quat.IDENTITY)
         t_chain = set(self._chain(target))
         ancestor = next((f for f in self._chain(source) if f in t_chain), None)
         if ancestor is None:
@@ -458,7 +467,8 @@ class _ReferenceTree:
         q_t, p_t = self._to_ancestor(target, ancestor, at)
         q_s, p_s = self._to_ancestor(source, ancestor, at)
         q_ti = quat.conjugate(q_t)
-        return quat.rotate(q_ti, p_s - p_t), quat.canonicalize(quat.mul(q_ti, q_s))
+        return (np.array(quat.rotate(q_ti, p_s - p_t)),
+                np.array(quat.canonicalize(quat.mul(q_ti, q_s))))
 
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
@@ -487,7 +497,7 @@ forests = st.fixed_dictionaries({
 def _unit(components):
     q = np.array(components)
     n = np.linalg.norm(q)
-    return q / n if n > 0.1 else quat.IDENTITY.copy()
+    return q / n if n > 0.1 else np.array(quat.IDENTITY)
 
 
 def _edges_and_firsts(forest):
@@ -626,7 +636,7 @@ def test_set_transform_rejects_non_finite_samples(translation, stamp):
 def test_parent_only_and_unknown_frames():
     tree = TransformTree()
     tree.set_transform(Transform("world", "a", np.array([1.0, 0.0, 0.0]),
-                                 quat.IDENTITY.copy(), 0.0))
+                                 quat.IDENTITY, 0.0))
     assert tree.frames() == {"world", "a"}
     out = tree.lookup("world", "world", 5.0)  # a parent-only frame is known
     np.testing.assert_array_equal(out.translation, np.zeros(3))
@@ -641,7 +651,7 @@ def test_parent_only_and_unknown_frames():
 
 
 def test_private_constructor_equals_checked_one():
-    translation, rotation = (1.5, -0.0, 2.25), tuple(quat.from_yaw(0.7).tolist())
+    translation, rotation = (1.5, -0.0, 2.25), tuple(from_yaw(0.7).tolist())
     fast = _transform("w", "a", translation, rotation, 0.5)
     checked = Transform("w", "a", translation, rotation, 0.5)
     assert type(fast) is Transform
@@ -675,8 +685,8 @@ def test_set_transform_checks_unchecked_transforms(translation, stamp):
 
 def _moving_edge_tree(x1=2.0):
     tree = TransformTree()
-    tree.set_transform(Transform("world", "a", np.zeros(3), quat.IDENTITY.copy(), 0.0))
-    tree.set_transform(Transform("world", "a", np.array([x1, 0.0, 0.0]), quat.from_yaw(1.0), 1.0))
+    tree.set_transform(Transform("world", "a", np.zeros(3), quat.IDENTITY, 0.0))
+    tree.set_transform(Transform("world", "a", np.array([x1, 0.0, 0.0]), from_yaw(1.0), 1.0))
     return tree
 
 
@@ -699,7 +709,7 @@ def test_failed_lookup_succeeds_once_a_write_covers_its_time():
         with pytest.raises(TimeBoundsError):
             tree.lookup("world", "a", 1.5)
     tree.set_transform(Transform("world", "a", np.array([4.0, 0.0, 0.0]),
-                                 quat.IDENTITY.copy(), 2.0))
+                                 quat.IDENTITY, 2.0))
     out = tree.lookup("world", "a", 1.5)
     np.testing.assert_array_equal(out.translation, [3.0, 0.0, 0.0])
     assert out.stamp == 1.5
@@ -710,3 +720,40 @@ def test_trees_do_not_share_a_memo():
     for _ in range(2):
         np.testing.assert_array_equal(near.lookup("world", "a", 0.5).translation, [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(far.lookup("world", "a", 0.5).translation, [4.0, 0.0, 0.0])
+
+
+def test_transform_arithmetic_keeps_its_bits():
+    """2,000 seeded ``compose``, ``invert``, ``apply`` and ``lookup`` results,
+    with rotations far from the identity, hash to one pinned value: a change
+    to the arithmetic of any quaternion kernel shows here."""
+    rng = np.random.default_rng(12345)
+
+    def unit_quat():
+        while True:
+            q = rng.normal(size=4)
+            n = math.sqrt(sum(x * x for x in q.tolist()))
+            if n > 0.1:
+                q = q / n
+                if abs(math.sqrt(sum(x * x for x in q.tolist())) - 1.0) <= 1e-9:
+                    return q
+
+    digest = hashlib.sha256()
+    for _ in range(500):
+        a = Transform("w", "a", rng.normal(size=3) * 10, unit_quat(), float(rng.uniform(0, 5)))
+        b = Transform("a", "b", rng.normal(size=3) * 10, unit_quat(), float(rng.uniform(0, 5)))
+        c, d = compose(a, b), invert(a)
+        digest.update(c.translation.tobytes() + c.rotation.tobytes() + repr(c.stamp).encode())
+        digest.update(d.translation.tobytes() + d.rotation.tobytes())
+        digest.update(np.asarray(a.apply(rng.normal(size=3) * 5)).tobytes())
+    tree, frames = TransformTree(), ["world"]
+    for k in range(12):
+        parent = frames[int(rng.integers(0, len(frames)))]
+        frames.append(f"f{k}")
+        for stamp in range(6):
+            tree.set_transform(Transform(parent, f"f{k}", rng.normal(size=3) * 3, unit_quat(),
+                                         float(stamp)))
+    for _ in range(500):
+        target, source = (frames[int(j)] for j in rng.integers(0, len(frames), 2))
+        out = tree.lookup(target, source, float(rng.uniform(0, 5)))
+        digest.update(out.translation.tobytes() + out.rotation.tobytes())
+    assert digest.hexdigest() == "00e683318429a1a37e2aa4409e927a66767637e85164075e2025f911763ada8b"
