@@ -5,13 +5,13 @@ transform tree and the RTK rover model.
 Control is estimation-only: follow commands act on the latest published
 fixes, never on simulator ground truth.
 
-Every vector that enters (a spec's, a spawn's, a setter's or ``set_velocity``'s)
-passes one rule, ``geo._finite_floats``. The step path runs on Python floats: agents
-keep position, velocity and odometry as 3-float tuples, and ``Agent.position``,
-``velocity`` and ``odom_position`` copy in both directions (a read returns a
-fresh array). Arithmetic keeps numpy's operation order, norms and the standoff
-dot product are fixed-order float sums, and every speed clamp still runs, since
-a clamped vector's norm can round above the limit. A target's heading is cached
+Every vector is a ``quat.Vec3`` of Python floats, and every vector that enters
+(a spec's, a spawn's, a setter's or ``set_velocity``'s) passes the one rule,
+``quat._finite_floats``. ``Agent.position``, ``velocity``, ``odom_position``
+and ``World.estimated_state`` return the tuples held. Arithmetic keeps numpy's
+operation order, norms and the standoff dot product are fixed-order float sums,
+and every speed clamp still runs, since a clamped vector's norm can round above
+the limit. A target's heading is cached
 until its next fix. The world's one clock counts control steps of
 ``CONTROL_DT_S``, a tenth of the fix period, so ``World.time`` is exactly the
 stamp k/14 on every ``STEPS_PER_FIX``-th step and exactly j after j seconds,
@@ -20,7 +20,7 @@ a rover stepped, at that stamp, with what its own correction subscription
 holds: a correction moves the grade only at a fix stamp, so taking it at the
 next fix changes no bit.
 ``World(noiseless=True)`` gives every rover no bias and no noise, and
-``run_scenario`` runs a scenario of one control step to ``MAX_RUN_S`` (24 h).
+``run_scenario`` runs the control steps up to its duration (one step to 24 h).
 """
 from __future__ import annotations
 
@@ -35,8 +35,9 @@ import numpy as np
 
 from .bus import Bus, QosProfile, QualifiedName
 from .geo import (CORRECTION_QOS, CORRECTION_TOPIC, DEFAULT_FIX_RATE_HZ, FIX_PERIOD_S,
-                  MAX_RUN_S, EnuCoord, GeodeticCoord, Rover, _finite_floats, encode_fix,
-                  decode_fix, geodetic_to_enu, enu_to_geodetic, rtk_base, take_corrections)
+                  MAX_RUN_S, EnuCoord, GeodeticCoord, Rover, encode_fix, decode_fix,
+                  geodetic_to_enu, enu_to_geodetic, rtk_base, steps_within, take_corrections)
+from .quat import _finite_floats
 from .tf import TransformTree, _transform
 from . import quat
 
@@ -124,16 +125,12 @@ class FollowCommand:
 
 def _vector(attr: str, doc: str, optional: bool = False) -> property:
     """An ``Agent`` vector kept as a float tuple in ``attr``, ``_`` + its name: a
-    read returns a fresh float64 array, an assignment copies any finite 3-vector
+    read returns that tuple, an assignment takes any finite 3-vector as floats
     (or None, if ``optional``)."""
-    def get(self):
-        value = getattr(self, attr)
-        return None if value is None else np.array(value)
-
     def set_(self, value) -> None:
         setattr(self, attr, None if optional and value is None
                 else _finite_floats(value, 3, attr[1:]))
-    return property(get, set_, doc=doc)
+    return property(lambda self: getattr(self, attr), set_, doc=doc)
 
 
 class Agent:
@@ -235,14 +232,10 @@ class World:
         agent._velocity = _clamp_speed(_finite_floats(velocity, 3, "velocity"),
                                        agent.spec.max_speed)
 
-    def estimated_state(self, name: str) -> tuple[float, np.ndarray] | None:
-        """Latest published-fix position (stamp, ENU array) for an agent, if
-        any; the array is a fresh copy."""
+    def estimated_state(self, name: str) -> tuple[float, quat.Vec3] | None:
+        """Latest published-fix position (stamp, ENU floats) for an agent, if any."""
         hist = self._estimates.get(name)
-        if not hist:
-            return None
-        stamp, position = hist[-1]
-        return stamp, np.array(position)
+        return hist[-1] if hist else None
 
     def follow_step(self, cmd: FollowCommand) -> quat.Vec3:
         """Velocity command (3 floats) steering the follower toward the offset goal.
@@ -462,8 +455,8 @@ def load_scenario(path) -> Scenario:
 
 def run_scenario(scenario: Scenario, on_step: Callable[[World], None] | None = None,
                  on_world: Callable[[World], None] | None = None) -> World:
-    """Run a scenario to completion in control steps of a tenth of the fix
-    period; scripted agents walk their waypoints, commanded agents follow.
+    """Run a scenario's control steps up to its duration; scripted agents walk
+    their waypoints, commanded agents follow.
     ``on_world`` fires once before any agent spawns (e.g. to attach a
     recorder); returns the finished world."""
     world = World(scenario.base, seed=scenario.seed, noiseless=scenario.noiseless)
@@ -474,7 +467,7 @@ def run_scenario(scenario: Scenario, on_step: Callable[[World], None] | None = N
         world.spawn_agent(entry.spec, entry.start)
         if entry.waypoints:
             scripts[entry.spec.name] = _WaypointScript(entry.waypoints, entry.speed)
-    steps = round(scenario.duration_s / CONTROL_DT_S)
+    steps = steps_within(scenario.duration_s, DEFAULT_FIX_RATE_HZ * STEPS_PER_FIX)
     for _ in range(steps):
         for name, script in scripts.items():
             world.set_velocity(name, script.velocity(world.agents[name]._position))

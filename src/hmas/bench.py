@@ -21,7 +21,7 @@ from .bus import Bus
 from .geo import (CORRECTION_QOS, CORRECTION_TOPIC, DEFAULT_FIX_RATE_HZ, DISTURBANCE_DECAY_S,
                   FIX_PERIOD_S, MAX_RUN_S, DisturbanceWindow, GeodeticCoord, Rover, RtkFix,
                   decode_fix, encode_fixes, enu_to_geodetic_array, geodetic_to_enu_array,
-                  rtk_base, take_corrections)
+                  rtk_base, steps_within, take_corrections)
 # The per-fix scalar functions stay importable from this module, where the
 # span tracer in perfbench/ patches them.
 from .geo import encode_fix, enu_to_geodetic  # noqa: F401
@@ -301,7 +301,7 @@ def run_experiment(spec: ExperimentSpec, out) -> Path:
     subs = [bus.subscribe(node, CORRECTION_TOPIC.full, CORRECTION_QOS) for node in nodes]
     recorder = record(bus, ["/*/gps/fix"], out)
     # the stamps k / 14 Hz up to the duration, k from 1 (the spec makes it at least 1)
-    steps = math.floor(spec.duration_s * DEFAULT_FIX_RATE_HZ + 1e-9)
+    steps = steps_within(spec.duration_s, DEFAULT_FIX_RATE_HZ)
     for first in range(1, steps + 1, _BATCH_STEPS):
         t = np.arange(first, min(first + _BATCH_STEPS, steps + 1)) / DEFAULT_FIX_RATE_HZ
         stamps = t.tolist()

@@ -18,11 +18,13 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .bus import Bus, PublisherHandle, QosProfile, QualifiedName, Reliability, SubscriptionHandle
+from .quat import _finite_floats
 
 WGS84_A = 6378137.0
 WGS84_F = 1.0 / 298.257223563
@@ -38,20 +40,12 @@ CORRECTION_INTERVAL_S = 1.0
 CORRECTION_TOPIC = QualifiedName("hmas", "rtk/corrections")
 CORRECTION_QOS = QosProfile(Reliability.RELIABLE, history_depth=1)
 DISTURBANCE_DECAY_S = 3.0
-_FLOAT64 = np.dtype(np.float64)  # tolist() of such an array gives floats: no float() pass
 
 
-def _finite_floats(value, n: int, what: str, error: type = ValueError) -> tuple[float, ...]:
-    """``value``, a flat vector of ``n`` finite numbers (an ndarray through ``tolist()``), as
-    floats, or else ``error`` naming ``what``: ``math.isfinite`` refuses any other entry."""
-    is_array = isinstance(value, np.ndarray)
-    items = value.tolist() if is_array else value
-    try:
-        if len(items) == n and all(map(math.isfinite, items)):
-            return tuple(items if is_array and value.dtype is _FLOAT64 else map(float, items))
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise error(f"{what} must be {n} finite numbers, got {value!r}")
+def steps_within(duration_s: float, rate_hz: float) -> int:
+    """The steps k >= 1 of a ``rate_hz`` clock whose time k / rate_hz is at most
+    ``duration_s``, with 1e-9 of slack for a duration on that grid."""
+    return math.floor(duration_s * rate_hz + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -391,8 +385,8 @@ class DisturbanceWindow:
 
     def __post_init__(self) -> None:
         for name, value in (("start_s", self.start_s), ("end_s", self.end_s)):
-            if not -math.inf < value < math.inf:  # NaN fails too
-                raise ValueError(f"disturbance {name} must be finite, got {value}")
+            if isinstance(value, bool) or not (isinstance(value, Real) and math.isfinite(value)):
+                raise ValueError(f"disturbance {name} must be a finite number, got {value!r}")
         if self.end_s < self.start_s:
             raise ValueError(f"disturbance end_s {self.end_s} is before start_s {self.start_s}")
         object.__setattr__(self, "offset_enu",

@@ -1,14 +1,16 @@
-"""Unit-quaternion kernels on Python floats, (w, x, y, z) component order.
+"""The package's one vector type and one vector rule, and its unit-quaternion
+kernels on Python floats, (w, x, y, z) component order. No numpy here.
 
-Each operation is written once, on float sequences (tuples, lists,
-``ndarray.tolist()``), and returns a float tuple; ``IDENTITY`` is the tuple
-``(1.0, 0.0, 0.0, 0.0)``. One arithmetic rule holds across the package: every
-reduction (a dot product, a norm, a rotation) is a sum of Python floats in a
-fixed order, left to right, as ``inner`` writes it. None goes through BLAS
-(``ndarray.dot``, ``@``, ``numpy.linalg``), whose summation order depends on
-the CPU, the OpenBLAS kernel and the thread count, nor through the built-in
-``sum``, compensated since Python 3.12. So the same inputs give the same bits
-on every host.
+Every per-point vector the package stores or returns is a float tuple, a
+``Vec3`` or a ``Quat``; every vector that enters passes ``_finite_floats``.
+Each quaternion operation is written once, on float sequences, and returns a
+float tuple; ``IDENTITY`` is ``(1.0, 0.0, 0.0, 0.0)``. One arithmetic rule
+holds across the package: every reduction (a dot product, a norm, a rotation)
+is a sum of Python floats in a fixed order, left to right, as ``inner`` writes
+it. None goes through BLAS (``ndarray.dot``, ``@``, ``numpy.linalg``), whose
+summation order depends on the CPU, the OpenBLAS kernel and the thread count,
+nor through the built-in ``sum``, compensated since Python 3.12. So the same
+inputs give the same bits on every host.
 """
 from __future__ import annotations
 
@@ -18,6 +20,18 @@ Quat = tuple[float, float, float, float]
 Vec3 = tuple[float, float, float]
 
 IDENTITY: Quat = (1.0, 0.0, 0.0, 0.0)
+
+
+def _finite_floats(value, n: int, what: str, error: type = ValueError) -> tuple[float, ...]:
+    """``value``, a flat vector of ``n`` finite numbers (an ndarray through ``tolist()``), as
+    floats, or else ``error`` naming ``what``: a bool, or any entry ``math.isfinite`` refuses."""
+    items = value.tolist() if hasattr(value, "tolist") else value
+    try:
+        if len(items) == n and bool not in map(type, items) and all(map(math.isfinite, items)):
+            return tuple(map(float, items))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{what} must be {n} finite numbers, got {value!r}")
 
 
 def inner(a, b) -> float:

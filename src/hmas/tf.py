@@ -4,10 +4,12 @@ Frames form a forest; each edge keeps a sliding time buffer of samples and
 lookups compose interpolated edges along the unique tree path. The "world"
 frame is conventionally the RTK base anchor.
 
-``Transform(...)`` checks what it is given: a finite translation and stamp
-and a unit rotation. Transforms whose values the package has just computed
-as floats (a lookup's result, an agent's pose edges) are built by
-``_transform``, which makes owned float64 arrays and skips those checks;
+A ``Transform`` holds float tuples, a ``quat.Vec3`` and a ``quat.Quat``, so it
+compares and hashes by value and shares nothing with its caller; no numpy here.
+``Transform(...)`` checks what it is given: a translation and a rotation that
+pass ``quat._finite_floats``, a finite stamp and a unit rotation. Transforms of
+float tuples the package has just computed (a lookup's result, an agent's pose
+edges) are built by ``_transform``, which skips those checks;
 ``TransformTree.set_transform`` still rejects a non-finite stamp or
 translation, whichever way a transform was built.
 
@@ -22,8 +24,6 @@ import math
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import quat
 
@@ -62,40 +62,38 @@ class Transform:
 
     parent: str
     child: str
-    translation: np.ndarray
-    rotation: np.ndarray  # unit quaternion, (w, x, y, z)
+    translation: quat.Vec3
+    rotation: quat.Quat  # unit quaternion, (w, x, y, z)
     stamp: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.parent or not self.child:
             raise UnknownFrameError("frame names must be non-empty")
-        t = np.array(self.translation, dtype=float).reshape(3)  # copies: owns its arrays
-        q = np.array(self.rotation, dtype=float).reshape(4)
-        if not (math.isfinite(self.stamp) and all(map(math.isfinite, t.tolist()))):
-            raise ValueError(f"non-finite stamp {self.stamp} or translation {t}")
-        if not abs(quat.norm(q.tolist()) - 1.0) <= QUAT_NORM_TOL:  # NaN fails too
-            raise ValueError(f"rotation is not a unit quaternion: {q}")
-        object.__setattr__(self, "translation", t)
-        object.__setattr__(self, "rotation", q)
+        for name, n in (("translation", 3), ("rotation", 4)):
+            object.__setattr__(self, name, quat._finite_floats(getattr(self, name), n, name))
+        if not math.isfinite(self.stamp):
+            raise ValueError(f"non-finite stamp {self.stamp}")
+        if not abs(quat.norm(self.rotation) - 1.0) <= QUAT_NORM_TOL:
+            raise ValueError(f"rotation is not a unit quaternion: {self.rotation}")
 
-    def apply(self, point) -> np.ndarray:
+    def apply(self, point) -> quat.Vec3:
         """Map a point expressed in the child frame into the parent frame."""
-        point = np.asarray(point, dtype=float).tolist()
-        return self.translation + quat.rotate(self.rotation.tolist(), point)
+        tx, ty, tz = self.translation
+        x, y, z = quat.rotate(self.rotation, tuple(map(float, point)))
+        return tx + x, ty + y, tz + z
 
     @classmethod
     def identity(cls, parent: str, child: str | None = None, stamp: float = 0.0) -> "Transform":
         return cls(parent, child if child is not None else parent,
-                   np.zeros(3), quat.IDENTITY, stamp)
+                   (0.0, 0.0, 0.0), quat.IDENTITY, stamp)
 
 
 def _transform(parent: str, child: str, translation, rotation, stamp: float) -> Transform:
-    """A ``Transform`` of values the package has just computed (3 and 4 finite
-    floats, the rotation unit-norm): owned float64 arrays, no checks."""
+    """A ``Transform`` of float tuples the package has just computed (3 and 4
+    finite floats, the rotation unit-norm), kept as they are: no checks."""
     t = object.__new__(Transform)
-    t.__dict__.update(parent=parent, child=child,
-                      translation=np.array(translation, dtype=float),
-                      rotation=np.array(rotation, dtype=float), stamp=stamp)
+    t.__dict__.update(parent=parent, child=child, translation=translation,
+                      rotation=rotation, stamp=stamp)
     return t
 
 
@@ -103,17 +101,13 @@ def compose(a: Transform, b: Transform) -> Transform:
     """a then b: result maps b.child coordinates into a.parent."""
     if a.child != b.parent:
         raise FrameMismatchError(f"cannot compose {a.parent}->{a.child} with {b.parent}->{b.child}")
-    return Transform(
-        a.parent, b.child,
-        a.translation + quat.rotate(a.rotation.tolist(), b.translation.tolist()),
-        quat.mul(a.rotation.tolist(), b.rotation.tolist()),
-        max(a.stamp, b.stamp),
-    )
+    return Transform(a.parent, b.child, a.apply(b.translation),
+                     quat.mul(a.rotation, b.rotation), max(a.stamp, b.stamp))
 
 
 def invert(a: Transform) -> Transform:
-    qc = quat.conjugate(a.rotation.tolist())
-    x, y, z = quat.rotate(qc, a.translation.tolist())
+    qc = quat.conjugate(a.rotation)
+    x, y, z = quat.rotate(qc, a.translation)
     return Transform(a.child, a.parent, (-x, -y, -z), qc, a.stamp)
 
 
@@ -151,9 +145,8 @@ class TransformTree:
     # -- writing ------------------------------------------------------
 
     def set_transform(self, t: Transform) -> None:
-        translation = tuple(t.translation.tolist())
-        if not all(map(math.isfinite, (t.stamp, *translation))):
-            raise ValueError(f"non-finite stamp {t.stamp} or translation {translation}")
+        if not all(map(math.isfinite, (t.stamp, *t.translation))):
+            raise ValueError(f"non-finite stamp {t.stamp} or translation {t.translation}")
         with self._lock:
             self._memo.clear()
             edge = self._edges.get(t.child)
@@ -171,7 +164,7 @@ class TransformTree:
             if stamps and t.stamp < stamps[-1] - self._horizon:
                 raise TimeBoundsError(
                     f"stamp {t.stamp} is older than the {self._horizon}s buffer horizon")
-            sample = (translation, quat.canonicalize(t.rotation.tolist()))
+            sample = (t.translation, quat.canonicalize(t.rotation))
             i = bisect_left(stamps, t.stamp)
             if i < len(stamps) and stamps[i] == t.stamp:
                 edge.samples[i] = sample

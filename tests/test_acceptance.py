@@ -111,11 +111,13 @@ def test_criterion_4_tf_correctness(rng):
         at = float(rng.uniform(0, 10))
         direct = tree.lookup(a, c, at)
         via = compose(tree.lookup(a, b, at), tree.lookup(b, c, at))
-        worst = max(worst, float(np.max(np.abs(via.translation - direct.translation))))
+        worst = max(worst, float(np.max(np.abs(np.subtract(via.translation,
+                                                           direct.translation)))))
         worst = max(worst, float(np.max(np.abs(
             to_matrix(via.rotation) - to_matrix(direct.rotation)))))
         rev = invert(tree.lookup(c, a, at))
-        worst = max(worst, float(np.max(np.abs(rev.translation - direct.translation))))
+        worst = max(worst, float(np.max(np.abs(np.subtract(rev.translation,
+                                                           direct.translation)))))
         worst = max(worst, float(np.max(np.abs(
             to_matrix(rev.rotation) - to_matrix(direct.rotation)))))
     assert worst <= 1e-9
@@ -129,7 +131,8 @@ def test_criterion_4_tf_correctness(rng):
     for s in stored:
         out = probe.lookup("w", "x", s.stamp)
         assert np.array_equal(out.translation, s.translation)
-        assert float(np.max(np.abs(out.rotation - quat.canonicalize(s.rotation)))) <= 1e-12
+        assert float(np.max(np.abs(np.subtract(out.rotation,
+                                               quat.canonicalize(s.rotation))))) <= 1e-12
 
     # composition against the homogeneous-matrix brute-force oracle
     worst_m = 0.0
@@ -297,8 +300,8 @@ def test_criterion_10_follow_behavior():
         errs, min_sep = [], [math.inf]
 
         def watch(world):
-            op = world.agents["operator"].position
-            sp = world.agents["spot"].position
+            op = np.array(world.agents["operator"].position)
+            sp = np.array(world.agents["spot"].position)
             min_sep[0] = min(min_sep[0], float(np.linalg.norm(sp - op)))
             if world.time > 10.0:
                 goal = op + np.array([0.0, -1.0, 0.0])

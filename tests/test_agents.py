@@ -17,7 +17,8 @@ from hmas.agents import (CONTROL_DT_S, DEAD_BAND_M, FIX_PERIOD_S, FOLLOW_GAIN,
 from hmas.bag import read_bag, record
 from hmas.bus import SeededDropInjector
 from hmas.geo import (CORRECTION_TOPIC, MAX_RUN_S, CorrectionLink, EnuCoord, FixQuality,
-                      GeodeticCoord, decode_fix, enu_to_geodetic, take_corrections)
+                      GeodeticCoord, decode_fix, enu_to_geodetic, steps_within,
+                      take_corrections)
 from hmas.tf import TfError
 
 BASE = GeodeticCoord(48.70, 6.15, 220.0)
@@ -60,7 +61,8 @@ class TestSpec:
 
     @pytest.mark.parametrize("mount", [(0.0, 0.3), (0.0, 0.0, 0.3, 1.0), (),
                                        (math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
-                                       (0.0, 0.0, -math.inf), ("up", 0.0, 0.0), 0.3, None])
+                                       (0.0, 0.0, -math.inf), ("up", 0.0, 0.0), 0.3, None,
+                                       (True, False, 0.0), np.array([True, False, False])])
     def test_sensor_mount_rejected(self, mount):
         with pytest.raises(ValueError, match="mount"):
             SensorSpec("gps", "gnss", mount)
@@ -112,6 +114,7 @@ class TestSpec:
         lambda: ScenarioAgent(ground("spot"), (math.nan, 0.0, 0.0)),
         lambda: ScenarioAgent(ground("spot"), (0.0, 0.0, 0.0), waypoints=((1.0, math.inf, 0.0),)),
         lambda: ScenarioAgent(ground("spot"), (0.0, 0.0, 0.0), waypoints=((1.0, 0.0),)),
+        lambda: ScenarioAgent(ground("spot"), (True, 0, 0)),
         lambda: Scenario(BASE, 1, math.nan, (), ()),
         lambda: Scenario(BASE, 1, math.inf, (), ()),
         lambda: Scenario(BASE, 1, 0.0, (), ()),
@@ -125,7 +128,7 @@ class TestSpec:
         lambda: Scenario(BASE, -1, 1.0, (), ()),
         lambda: Scenario(BASE, 1, 1.0, (), (), noiseless="no"),
         lambda: Scenario(BASE, 1, 1.0, (), (), noiseless=1),
-    ], ids=["start_2", "start_nan", "waypoint_inf", "waypoint_2", "duration_nan",
+    ], ids=["start_2", "start_nan", "waypoint_inf", "waypoint_2", "start_bool", "duration_nan",
             "duration_inf", "duration_0", "duration_negative", "duration_under_one_step",
             "duration_1ms", "duration_over_the_cap", "duration_1e300", "seed_float",
             "seed_bool", "seed_negative", "noiseless_str", "noiseless_int"])
@@ -181,8 +184,9 @@ class TestSpawn:
         world.spawn_agent(ground("spot"), (0.0, 0.0, 0.0))
 
 
-    @pytest.mark.parametrize("start", [(1.0, 2.0), (1.0, 2.0, 0.0, 0.0), None],
-                             ids=["two", "four", "none"])
+    @pytest.mark.parametrize("start", [(1.0, 2.0), (1.0, 2.0, 0.0, 0.0), None, (True, 0, 0),
+                                       (0.0, False, 0.0)],
+                             ids=["two", "four", "none", "true", "false"])
     def test_start_must_be_three_numbers(self, start):
         world = noiseless_world()
         with pytest.raises(SpawnError, match="3 finite numbers"):
@@ -321,7 +325,7 @@ class TestStepping:
                                        if topic.full == "/walker/gps/fix" else None)
 
         def on_step(world):
-            truth[world.time] = tuple(world.agents["walker"].position.tolist())
+            truth[world.time] = world.agents["walker"].position
 
         world = run_scenario(Scenario(BASE, 1, 1200.0, (walker,), (), noiseless=True),
                              on_step, on_world)
@@ -378,8 +382,8 @@ class TestFollow:
         world = self.converged_world()
         cmd = FollowCommand("spot", "operator", offset=(0.0, -1.0))
         before = world.follow_step(cmd)
-        world.agents["operator"].position = world.agents["operator"].position + 500.0
-        world.agents["spot"].position = world.agents["spot"].position - 500.0
+        world.agents["operator"].position = np.array(world.agents["operator"].position) + 500.0
+        world.agents["spot"].position = np.array(world.agents["spot"].position) - 500.0
         after = world.follow_step(cmd)  # no step, no new fixes
         assert before == after
 
@@ -395,8 +399,8 @@ class TestFollow:
         min_sep = [math.inf]
 
         def watch(world):
-            sep = np.linalg.norm(world.agents["spot"].position
-                                 - world.agents["operator"].position)
+            sep = np.linalg.norm(np.subtract(world.agents["spot"].position,
+                                             world.agents["operator"].position))
             min_sep[0] = min(min_sep[0], sep)
 
         run_scenario(sc, on_step=watch)
@@ -429,8 +433,8 @@ class TestFollow:
 
         def watch(world):
             if world.time > 10.0:
-                goal = world.agents["operator"].position + np.array([0.0, -1.0, 0.0])
-                errs.append(np.linalg.norm(world.agents["spot"].position - goal))
+                goal = np.array(world.agents["operator"].position) + np.array([0.0, -1.0, 0.0])
+                errs.append(np.linalg.norm(np.array(world.agents["spot"].position) - goal))
 
         run_scenario(sc, on_step=watch)
         assert np.mean(errs) < 0.5
@@ -589,7 +593,7 @@ def test_world_step_kinematics_match_numpy_reference(agent, bounds, steps, form)
         v, p, o = ref
         ref = _ref_kinematics(spec, bounds, p, o, v, CONTROL_DT_S)
         assert _bits(moved.velocity, moved.position, moved.odom_position) == _bits(*ref)
-        assert moved.position.dtype == np.float64 and moved.position.flags.writeable
+        assert type(moved.position) is tuple and all(type(c) is float for c in moved.position)
 
 
 @st.composite
@@ -662,8 +666,8 @@ def test_follow_step_tracks_a_changing_fix_history(seed, legs, offset):
                 or not hist or world.time - hist[-1][0] > stale_after):
             expected = np.zeros(3)
         else:
-            expected = _ref_follow(follower.odom_position, hist[-1][1], _ref_heading(hist),
-                                   cmd, CONTROL_DT_S, 2.0)
+            expected = _ref_follow(np.array(follower.odom_position), hist[-1][1],
+                                   _ref_heading(hist), cmd, CONTROL_DT_S, 2.0)
             compared += 1
         assert _bits(command) == _bits(expected)
         world.set_velocity("spot", command)
@@ -673,22 +677,24 @@ def test_follow_step_tracks_a_changing_fix_history(seed, legs, offset):
 
 @given(st.sampled_from(["position", "velocity", "odom_position"]), vec3, vector_forms)
 @settings(max_examples=100, deadline=None)
-def test_agent_vectors_copy_in_both_directions(attr, value, form):
-    """A read is a fresh, writeable float64 array; writing into it does not
-    move the agent, assigning it (or any 3-vector) does."""
+def test_agent_vectors_are_immutable_float_tuples(attr, value, form):
+    """A read is the float tuple the agent holds, which nothing can write
+    into; changing the assigned array afterwards does not move the agent,
+    assigning it (or any 3-vector) does."""
     agent = World(BASE).spawn_agent(ground("spot"), (0.0, 0.0, 0.0))
     source = form(value)
     setattr(agent, attr, source)
     if form is not tuple:
-        source[0] = 99.0  # the agent keeps its own copy
+        source[0] = 99.0  # the agent holds its own floats
     read = getattr(agent, attr)
-    assert type(read) is np.ndarray and read.dtype == np.float64 and read.flags.writeable
-    assert read is not getattr(agent, attr)
+    assert type(read) is tuple and all(type(c) is float for c in read)
     assert _bits(read) == _bits(value)
-    read += 1.0
+    with pytest.raises(TypeError):
+        read[0] = 99.0
+    moved = np.array(read) + 1.0
     assert _bits(getattr(agent, attr)) == _bits(value)
-    setattr(agent, attr, read)
-    assert _bits(getattr(agent, attr)) == _bits(read)
+    setattr(agent, attr, moved)
+    assert _bits(getattr(agent, attr)) == _bits(moved)
 
 
 def test_agent_vector_assignment_checks_its_shape():
@@ -725,13 +731,18 @@ def test_set_velocity_keeps_its_own_copy():
     np.testing.assert_array_equal(world.agents["spot"].velocity, [1.0, 0.0, 0.0])
 
 
-def test_estimated_state_is_a_copy():
+def test_estimated_state_is_an_immutable_float_tuple():
     world = noiseless_world()
     world.spawn_agent(ground("spot"), (3.0, -2.0, 0.0))
     advance(world, 2 * 7)
-    stamp, est = world.estimated_state("spot")
-    est[0] = 99.0
-    assert world.estimated_state("spot")[1][0] != 99.0
+    state = world.estimated_state("spot")
+    stamp, est = state
+    assert type(stamp) is float and type(est) is tuple and all(type(c) is float for c in est)
+    with pytest.raises(TypeError):
+        est[0] = 99.0
+    with pytest.raises(TypeError):
+        state[1] = (99.0, 0.0, 0.0)
+    assert world.estimated_state("spot") == (stamp, est)
 
 
 def _fleet(seed):
@@ -794,7 +805,8 @@ def _lossy_team(seed, duration_s=30.0, alongside=None):
             latest = agent.odom_stamp if agent.odom_stamp is not None else 0.0
             try:
                 out = world.tree.lookup("world", f"{name}/gps", latest - 0.5 / 14.0)
-                digest.update(out.translation.tobytes() + out.rotation.tobytes())
+                digest.update(np.array(out.translation).tobytes()
+                              + np.array(out.rotation).tobytes())
             except TfError:
                 if world.time > 1.0:
                     late_failures.append((world.time, name))
@@ -841,8 +853,9 @@ def test_a_lossy_scenario_repeats_bit_for_bit_in_one_process():
 
 vector_number = st.one_of(signed_zero, st.floats(-1e9, 1e9), st.integers(-10**9, 10**9))
 vector_non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
-# entries that are not finite numbers: non-finite floats, strings, None, nested vectors
-vector_junk = st.one_of(vector_non_finite, st.text(max_size=3), st.none(),
+# entries that are not finite numbers: non-finite floats, bools, strings, None,
+# nested vectors
+vector_junk = st.one_of(vector_non_finite, st.booleans(), st.text(max_size=3), st.none(),
                         vector_number.map(lambda x: [x]),
                         vector_number.map(lambda x: np.array([x])))
 
@@ -887,7 +900,7 @@ def _held_by_agent(attr, assign):
         except ValueError:
             assert _bits(getattr(agent, attr)) == before
             raise
-        return tuple(getattr(agent, attr).tolist())
+        return getattr(agent, attr)
     return enter
 
 
@@ -897,8 +910,8 @@ VECTOR_ENTRIES = {
     "follow_offset": (2, ValueError,
                       lambda v: FollowCommand("spot", "operator", offset=v).offset),
     "point_target": (3, ValueError, lambda v: FollowCommand("spot", v).target),
-    "spawn_start": (3, SpawnError, lambda v: tuple(
-        World(BASE, bounds_m=1e10).spawn_agent(_flier(), v).position.tolist())),
+    "spawn_start": (3, SpawnError,
+                    lambda v: World(BASE, bounds_m=1e10).spawn_agent(_flier(), v).position),
     "script_start": (3, ValueError, lambda v: ScenarioAgent(ground("spot"), v).start),
     "script_waypoint": (3, ValueError, lambda v: ScenarioAgent(
         ground("spot"), (0.0, 0.0, 0.0), waypoints=((1.0, 2.0, 0.0), v)).waypoints[1]),
@@ -940,7 +953,7 @@ def test_non_finite_velocity_refused_at_the_call(velocity):
     world.set_velocity("spot", (1.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="velocity must be 3 finite numbers"):
         world.set_velocity("spot", velocity)
-    assert world.agents["spot"].velocity.tolist() == [1.0, 0.0, 0.0]
+    assert world.agents["spot"].velocity == (1.0, 0.0, 0.0)
     advance(world, 15)  # past the first fix, at the tenth step
     assert world.fix_counts["spot"] == 1
     assert all(map(math.isfinite, world.agents["spot"].position))
@@ -950,3 +963,21 @@ def test_scenario_of_one_control_step_runs_one_step():
     assert Scenario(BASE, 1, MAX_RUN_S, (), ()).duration_s == MAX_RUN_S
     scenario = Scenario(BASE, 1, CONTROL_DT_S, (ScenarioAgent(ground("spot"), (0, 0, 0)),), ())
     assert run_scenario(scenario).time == CONTROL_DT_S
+
+
+# -- one run-length rule --------------------------------------------------------
+
+
+@given(st.integers(1, round(MAX_RUN_S * 140)), st.integers(1, round(MAX_RUN_S * 14)))
+@settings(max_examples=500, deadline=None)
+def test_a_duration_on_the_step_grid_runs_its_own_steps(k_control, k_fix):
+    """k/140 s is k control steps and k/14 s is k fix steps, up to 24 h."""
+    assert steps_within(k_control / 140.0, 140.0) == k_control
+    assert steps_within(k_fix / 14.0, 14.0) == k_fix
+
+
+def test_a_scenario_never_runs_past_its_duration():
+    """1.006 s holds 140 control steps (1.0 s); the 141st would end at 1.00714 s."""
+    scenario = Scenario(BASE, 1, 1.006, (ScenarioAgent(ground("spot"), (0, 0, 0)),), ())
+    world = run_scenario(scenario)
+    assert world.time == 1.0 and world.fix_counts["spot"] == 14

@@ -379,6 +379,19 @@ class TestScenarioCli:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "reshape" not in err and "SeedSequence" not in err
 
+    def test_a_bool_start_exits_2_naming_start(self, tmp_path, capsys):
+        """The README's scenario, cut to 2 s, with ``"start": [true, 0, 0]``: a
+        bool is not a number, so it does not start the operator at (1, 0, 0)."""
+        scenario = json.loads(json.dumps(SCENARIO))
+        scenario["agents"][0]["start"] = [True, 0, 0]
+        path = tmp_path / "bool_start.json"
+        path.write_text(json.dumps(scenario))
+        assert '"start": [true, 0, 0]' in path.read_text()
+        assert run_cli("scenario", "run", path) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("hmas: error: start of 'operator' must be 3 finite")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_integer_mount_reaches_the_sensor_frame(self, tmp_path):
         scenario = json.loads(json.dumps(SCENARIO))
         scenario["agents"][1]["sensors"][0]["mount"] = [0, 0, 1]
@@ -386,4 +399,4 @@ class TestScenarioCli:
         path.write_text(json.dumps(scenario))
         world = agents.run_scenario(agents.load_scenario(path))
         out = world.tree.lookup("spot/base", "spot/gps", world.agents["spot"].odom_stamp)
-        assert out.translation.tolist() == [0.0, 0.0, 1.0]
+        assert out.translation == (0.0, 0.0, 1.0)

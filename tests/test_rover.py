@@ -257,15 +257,20 @@ class TestDisturbance:
 
     @pytest.mark.parametrize("start_s, end_s, field", [
         (math.nan, 1.0, "start_s"), (-math.inf, 1.0, "start_s"),
-        (0.0, math.nan, "end_s"), (0.0, math.inf, "end_s"), (2.0, 1.0, "end_s")])
+        (0.0, math.nan, "end_s"), (0.0, math.inf, "end_s"), (2.0, 1.0, "end_s"),
+        ("0", 1.0, "start_s"), (None, 1.0, "start_s"), (True, 1.0, "start_s"),
+        (0.0, "1", "end_s"), (0.0, None, "end_s"), (0.0, False, "end_s")])
     def test_window_bounds_must_be_finite_and_ordered(self, start_s, end_s, field):
-        """A NaN start would make a window that is always on."""
+        """A NaN start would make a window that is always on; a string or None
+        bound is a ValueError naming it, not a bare comparison error, and a
+        bool is not a number."""
         with pytest.raises(ValueError, match=field):
             DisturbanceWindow(start_s, end_s, (0.1, 0.0, 0.0))
 
     @pytest.mark.parametrize("offset", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.1, 0.0),
-                                        (0.1, 0.0, 0.0, 0.0), ("0.1", 0.0, 0.0), None],
-                             ids=["nan", "inf", "two", "four", "str", "none"])
+                                        (0.1, 0.0, 0.0, 0.0), ("0.1", 0.0, 0.0), None,
+                                        (True, False, 0.0)],
+                             ids=["nan", "inf", "two", "four", "str", "none", "bool"])
     def test_window_offset_must_be_three_finite_numbers(self, offset):
         """Refused at construction, not inside ``Rover.step``."""
         with pytest.raises(ValueError, match="offset_enu"):

@@ -1,4 +1,5 @@
 """Transform tree: composition laws, interpolation, lookup over random forests."""
+import dataclasses
 import hashlib
 import math
 import threading
@@ -80,8 +81,31 @@ class TestTransform:
         ([0.0, 0.0, 0.0], math.inf), ([0.0, 0.0, 0.0], -math.inf),
     ])
     def test_non_finite_translation_or_stamp_rejected(self, translation, stamp):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="finite"):
             Transform("w", "a", translation, quat.IDENTITY, stamp)
+
+    @pytest.mark.parametrize("translation, rotation, field", [
+        ((True, 0.0, 0.0), quat.IDENTITY, "translation"),
+        ((0.0, 0.0, 0.0), (True, False, False, False), "rotation"),
+        (("1", 0.0, 0.0), quat.IDENTITY, "translation"),
+        ((0.0, 0.0), quat.IDENTITY, "translation"),
+        ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), "rotation"),
+        (np.zeros((1, 3)), quat.IDENTITY, "translation"),
+    ], ids=["bool_translation", "bool_rotation", "str_translation", "two_translation",
+            "three_rotation", "nested_translation"])
+    def test_translation_and_rotation_pass_the_vector_rule(self, translation, rotation, field):
+        """A bool is not a number here, as in the agent layer."""
+        n = 3 if field == "translation" else 4
+        with pytest.raises(ValueError, match=f"{field} must be {n} finite numbers"):
+            Transform("w", "a", translation, rotation)
+
+    def test_equal_transforms_compare_equal_and_hash_alike(self):
+        a = Transform("w", "a", np.array([1.0, 2.0, 3.0]), from_yaw(0.3), 0.5)
+        b = Transform("w", "a", [1, 2, 3], tuple(from_yaw(0.3).tolist()), 0.5)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != Transform("w", "a", (1.0, 2.0, 3.5), from_yaw(0.3), 0.5)
+        assert a != Transform("w", "b", (1.0, 2.0, 3.0), from_yaw(0.3), 0.5)
 
     def test_compose_with_identity(self, rng):
         t = random_transform(rng)
@@ -208,7 +232,7 @@ class TestTimeBuffer:
             assert out.translation[1] == s.translation[1]
             assert out.translation[2] == s.translation[2]
             stored = quat.canonicalize(s.rotation)
-            assert np.max(np.abs(out.rotation - stored)) < 1e-12
+            assert np.max(np.abs(np.subtract(out.rotation, stored))) < 1e-12
 
     def test_lookup_outside_span_errors(self):
         tree = self.make_moving_edge()
@@ -289,7 +313,7 @@ class TestTreeProperties:
             t = tree.lookup(a, b, float(rng.uniform(0, 10)))
             p1, p2 = rng.uniform(-100, 100, 3), rng.uniform(-100, 100, 3)
             d_before = np.linalg.norm(p1 - p2)
-            d_after = np.linalg.norm(t.apply(p1) - t.apply(p2))
+            d_after = np.linalg.norm(np.subtract(t.apply(p1), t.apply(p2)))
             assert abs(d_after - d_before) <= 1e-9 * max(1.0, d_before)
 
 
@@ -372,18 +396,25 @@ def test_tree_keeps_its_own_copy_of_each_sample(field):
 
 @pytest.mark.parametrize("field", ["translation", "rotation"])
 def test_transform_keeps_its_own_copy_of_its_arrays(field):
+    """A transform holds its own float tuples: changing the caller's arrays
+    after construction changes nothing, and nothing can write into them."""
     p, q = np.array([1.0, 2.0, 3.0]), from_yaw(0.3)
     t = Transform("w", "a", p, q)
     u = Transform("a", "b", np.array([0.5, -1.0, 2.0]), from_yaw(-0.7))
     before = [t, compose(t, u), invert(t)]
-    expected = [(x.translation.copy(), x.rotation.copy()) for x in before]
+    expected = [(x.translation, x.rotation) for x in before]
     if field == "translation":
         p[0] = 99.0
     else:
         q[:] = from_yaw(1.2)
+    assert (t.translation, t.rotation) == ((1.0, 2.0, 3.0), tuple(from_yaw(0.3).tolist()))
     for x, (tr, rot) in zip([t, compose(t, u), invert(t)], expected):
-        np.testing.assert_array_equal(x.translation, tr)
-        np.testing.assert_array_equal(x.rotation, rot)
+        assert (x.translation, x.rotation) == (tr, rot)
+    for x in before:
+        with pytest.raises(TypeError):
+            getattr(x, field)[0] = 99.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, field, (0.0, 0.0, 0.0))
 
 
 def _numpy_slerp(q1, q2, t):
@@ -541,8 +572,8 @@ def _lookup_both(tree, ref, target, source, at):
         return
     got = tree.lookup(target, source, at)
     assert (got.parent, got.child, got.stamp) == (target, source, at)
-    assert got.translation.tobytes() == want[0].tobytes()
-    assert got.rotation.tobytes() == want[1].tobytes()
+    assert np.array(got.translation).tobytes() == want[0].tobytes()
+    assert np.array(got.rotation).tobytes() == want[1].tobytes()
 
 
 @given(forests)
@@ -659,15 +690,19 @@ def test_private_constructor_equals_checked_one():
         assert getattr(fast, field) == getattr(checked, field)
     for field in ("translation", "rotation"):
         got, want = getattr(fast, field), getattr(checked, field)
-        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert type(got) is tuple and all(type(c) is float for c in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert fast == checked and hash(fast) == hash(checked)
 
 
-def test_private_constructor_owns_its_arrays():
-    p = np.array([1.0, 2.0, 3.0])
+def test_private_constructor_keeps_the_float_tuples_it_is_given():
+    """The package hands ``_transform`` float tuples it has just computed; it
+    keeps them as they are, since nothing can write into them."""
+    p = (1.0, 2.0, 3.0)
     t = _transform("w", "a", p, quat.IDENTITY, 0.0)
-    p[0] = 99.0
-    np.testing.assert_array_equal(t.translation, [1.0, 2.0, 3.0])
-    assert t.rotation is not quat.IDENTITY
+    assert t.translation is p and t.rotation is quat.IDENTITY
+    with pytest.raises(TypeError):
+        t.translation[0] = 99.0
 
 
 @pytest.mark.parametrize("translation, stamp", [
@@ -690,17 +725,45 @@ def _moving_edge_tree(x1=2.0):
     return tree
 
 
-def test_repeated_lookup_owns_its_arrays():
+def test_repeated_lookup_returns_immutable_tuples():
+    """No caller can write into a lookup's answer, so a memo hit, which hands
+    out the walk's tuples again, always has the walk's bits."""
     tree = _moving_edge_tree()
     first = tree.lookup("world", "a", 0.25)
-    translation, rotation = first.translation.copy(), first.rotation.copy()
-    first.translation[:] = 99.0
-    first.rotation[:] = 0.0
+    for field in ("translation", "rotation"):
+        with pytest.raises(TypeError):
+            getattr(first, field)[0] = 99.0
     again = tree.lookup("world", "a", 0.25)
-    assert again.translation.tobytes() == translation.tobytes()
-    assert again.rotation.tobytes() == rotation.tobytes()
-    again.translation[0] = -5.0
-    assert tree.lookup("world", "a", 0.25).translation.tobytes() == translation.tobytes()
+    walked = _moving_edge_tree().lookup("world", "a", 0.25)
+    assert again == first == walked
+    for field in ("translation", "rotation"):
+        assert np.array(getattr(again, field)).tobytes() == np.array(
+            getattr(walked, field)).tobytes()
+
+
+def _is_float_tuple(value, n):
+    return type(value) is tuple and len(value) == n and all(type(c) is float for c in value)
+
+
+def test_every_transform_holds_float_tuples():
+    """The checked constructor (from int, float32 and float64 arrays and from
+    lists), ``_transform``, ``identity``, ``compose``, ``invert``, a lookup
+    that walks the tree, a memo hit and a same-frame lookup all hold a
+    ``quat.Vec3`` and a ``quat.Quat``, and ``apply`` returns a ``quat.Vec3``."""
+    t = Transform("w", "a", np.array([1, 2, 3]), from_yaw(0.3), 0.0)
+    u = Transform("a", "b", np.array([0.5, -1.0, 2.0], dtype=np.float32), [1, 0, 0, 0], 0.0)
+    tree = TransformTree()
+    tree.set_transform(t)
+    tree.set_transform(u)
+    made = [t, u, Transform("w", "c", [0, 1, 2], (1, 0, 0, 0)),
+            _transform("w", "d", (1.0, 2.0, 3.0), quat.IDENTITY, 0.0),
+            Transform.identity("w"), compose(t, u), invert(t),
+            tree.lookup("w", "b", 0.0), tree.lookup("w", "b", 0.0), tree.lookup("b", "b", 0.0)]
+    for x in made:
+        assert _is_float_tuple(x.translation, 3) and _is_float_tuple(x.rotation, 4)
+    for point in ([1, 2, 3], np.array([0.5, -1.0, 2.0]), (0.0, 0.0, 0.0)):
+        assert _is_float_tuple(t.apply(point), 3)
+    assert u.translation == (0.5, -1.0, 2.0)
 
 
 def test_failed_lookup_succeeds_once_a_write_covers_its_time():
@@ -742,8 +805,9 @@ def test_transform_arithmetic_keeps_its_bits():
         a = Transform("w", "a", rng.normal(size=3) * 10, unit_quat(), float(rng.uniform(0, 5)))
         b = Transform("a", "b", rng.normal(size=3) * 10, unit_quat(), float(rng.uniform(0, 5)))
         c, d = compose(a, b), invert(a)
-        digest.update(c.translation.tobytes() + c.rotation.tobytes() + repr(c.stamp).encode())
-        digest.update(d.translation.tobytes() + d.rotation.tobytes())
+        digest.update(np.array(c.translation).tobytes() + np.array(c.rotation).tobytes()
+                      + repr(c.stamp).encode())
+        digest.update(np.array(d.translation).tobytes() + np.array(d.rotation).tobytes())
         digest.update(np.asarray(a.apply(rng.normal(size=3) * 5)).tobytes())
     tree, frames = TransformTree(), ["world"]
     for k in range(12):
@@ -755,5 +819,5 @@ def test_transform_arithmetic_keeps_its_bits():
     for _ in range(500):
         target, source = (frames[int(j)] for j in rng.integers(0, len(frames), 2))
         out = tree.lookup(target, source, float(rng.uniform(0, 5)))
-        digest.update(out.translation.tobytes() + out.rotation.tobytes())
+        digest.update(np.array(out.translation).tobytes() + np.array(out.rotation).tobytes())
     assert digest.hexdigest() == "00e683318429a1a37e2aa4409e927a66767637e85164075e2025f911763ada8b"
