@@ -1,6 +1,7 @@
 """Experiment harness: four desk-scale RTK accuracy experiments on a rigid
-square board of rovers, plus analysis of recorded fixes into per-side
-distance series and summary verdicts.
+square board of rovers, plus analysis of recorded fixes, read as per-rover
+columns with no object per fix, into per-side distance series and verdicts.
+One converter, ``fix_columns``, gives ``RtkFix`` input (a fix CSV) the same.
 
 A spec builder takes a seed, a duration (not for the square run) and
 ``noiseless``; the narrated timeline fixes the rest. The board rests at
@@ -10,7 +11,7 @@ fully deterministic given their seed: same spec, same seed, byte-identical bag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -20,11 +21,11 @@ from .bag import read_bag, record
 from .bus import Bus
 from .geo import (CORRECTION_QOS, CORRECTION_TOPIC, DEFAULT_FIX_RATE_HZ, DISTURBANCE_DECAY_S,
                   FIX_PERIOD_S, MAX_RUN_S, DisturbanceWindow, GeodeticCoord, Rover, RtkFix,
-                  decode_fix, encode_fixes, enu_to_geodetic_array, geodetic_to_enu_array,
-                  rtk_base, steps_within, take_corrections)
+                  _FIX_DTYPE, _QUALITY_CODE, encode_fixes, enu_to_geodetic_array,
+                  geodetic_to_enu_array, rtk_base, steps_within, take_corrections)
 # The per-fix scalar functions stay importable from this module, where the
 # span tracer in perfbench/ patches them.
-from .geo import encode_fix, enu_to_geodetic  # noqa: F401
+from .geo import decode_fix, encode_fix, enu_to_geodetic  # noqa: F401
 
 DEFAULT_BASE = GeodeticCoord(48.70, 6.15, 220.0)
 DEFAULT_SIDE_M = 0.90
@@ -319,17 +320,57 @@ def run_experiment(spec: ExperimentSpec, out) -> Path:
     return recorder.stop()
 
 
-def group_fixes(fixes: Iterable[RtkFix]) -> dict[str, list[RtkFix]]:
-    """Fixes grouped by rover id, each group in input order."""
-    out: dict[str, list[RtkFix]] = {}
-    for fix in fixes:
-        out.setdefault(fix.rover_id, []).append(fix)
+@dataclass(frozen=True, eq=False)
+class FixColumns:
+    """A rover's fixes: ``stamps``, ``lla`` (n, 3) and ``quality`` 0-2 (single/float/fixed)."""
+
+    stamps: np.ndarray
+    lla: np.ndarray
+    quality: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.stamps)
+
+
+def fix_columns(fixes: Iterable[RtkFix]) -> dict[str, FixColumns]:
+    """Fixes grouped by rover id as columns, each group in input order."""
+    rows: dict[str, list[tuple]] = {}
+    for f in fixes:
+        rows.setdefault(f.rover_id, []).append((f.stamp, *astuple(f.position),
+                                                _QUALITY_CODE[f.quality]))
+    return {rover_id: FixColumns(a[:, 0], a[:, 1:4], a[:, 4].astype(np.uint8))
+            for rover_id, a in zip(rows, map(np.array, rows.values()))}
+
+
+def load_bag_fixes(path) -> dict[str, FixColumns]:
+    """A bag's fixes as columns per rover id, in bag (stamp) order, read at once per
+    payload length; a payload ``encode_fix`` could not write raises naming its record."""
+    payloads = [rec.payload for rec in read_bag(path)]
+    lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
+    where = f"bag {path} record {{}} is not a fix:"
+    out = {}
+    for size in np.unique(lengths).tolist():
+        index, tail = np.flatnonzero(lengths == size), size - _FIX_DTYPE.itemsize
+        if tail < 0:
+            raise ValueError(f"{where.format(index[0])} a {size}-byte payload is too short")
+        rec = np.frombuffer(b"".join([payloads[i] for i in index.tolist()]),
+                            _FIX_DTYPE.descr + [("id", f"V{tail}")])
+        lat, lon, alt = rec["lla"].T  # GeodeticCoord's ranges; NaN fails too
+        wrong = ((rec["quality"] > 2) | (rec["id_len"] != tail) | ~(np.abs(lat) <= 90.0)
+                 | ~((-180.0 < lon) & (lon <= 180.0)) | ~np.isfinite(alt))
+        if wrong.any():
+            i = wrong.argmax()
+            raise ValueError(f"{where.format(index[i])} quality code {rec['quality'][i]} (0-2), "
+                             f"rover id length {rec['id_len'][i]} ({tail}), lla {rec['lla'][i]}")
+        ids, inverse = np.unique(rec["id"], return_inverse=True)
+        for j, raw in enumerate(ids):
+            sel = inverse == j
+            try:
+                rover_id = raw.tobytes().decode()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{where.format(index[sel.argmax()])} rover id {exc}") from None
+            out[rover_id] = FixColumns(rec["stamp"][sel], rec["lla"][sel], rec["quality"][sel])
     return out
-
-
-def load_bag_fixes(path) -> dict[str, list[RtkFix]]:
-    """All fixes in a bag, grouped by rover id (bag order, i.e. stamp order)."""
-    return group_fixes(decode_fix(rec.payload) for rec in read_bag(path))
 
 
 # -- analysis ----------------------------------------------------------------
@@ -368,26 +409,19 @@ def _pair_tolerance(stamps: np.ndarray) -> float:
     return 0.5 * float(np.median(np.diff(stamps))) if len(stamps) > 1 else 0.0
 
 
-def side_distances(fixes: Mapping[str, Sequence[RtkFix]], base: GeodeticCoord) -> DistanceSeries:
-    """Per-side 3D rover distances about ``base``, from fixes keyed by rover
-    id, which is the corner name. Each fix of a side's first rover pairs with
-    the second rover's nearest-stamp fix (a tie goes to the later stamp) when
-    that lies within half the first rover's median fix period, or at the same
-    stamp when the first rover has a single fix; unpaired fixes are left out.
+def side_distances(fixes: Mapping[str, FixColumns], base: GeodeticCoord) -> DistanceSeries:
+    """Per-side 3D rover distances about ``base``, from fix columns keyed by
+    rover id, which is the corner name. Each fix of a side's first rover pairs
+    with the second rover's nearest-stamp fix (a tie goes to the later stamp)
+    when that lies within half the first rover's median fix period, or at the
+    same stamp when the first rover has a single fix; unpaired fixes are left out.
     """
     tracks: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for corner in CORNERS:
-        series = fixes.get(corner, ())
-        if len(series) == 0:
+        if len(columns := fixes.get(corner, ())) == 0:
             raise ValueError(f"no fixes for rover {corner!r} (rover ids are corner names)")
-        stamps = np.array([f.stamp for f in series])
-        order = np.argsort(stamps, kind="stable")
-        stamps = stamps[order]
-        enu = geodetic_to_enu_array(
-            [series[i].position.lat for i in order],
-            [series[i].position.lon for i in order],
-            [series[i].position.alt for i in order], base)
-        tracks[corner] = (stamps, enu)
+        order = np.argsort(columns.stamps, kind="stable")
+        tracks[corner] = (columns.stamps[order], geodetic_to_enu_array(*columns.lla[order].T, base))
 
     sides: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for side in SIDES:
@@ -396,16 +430,15 @@ def side_distances(fixes: Mapping[str, Sequence[RtkFix]], base: GeodeticCoord) -
         sb, eb = tracks[cb]
         tol = _pair_tolerance(sa)
         nearest, ok = _nearest(sa, sb, tol)
-        # collapse duplicate stamps defensively (strictly increasing output)
-        if np.any(ok):
-            keep = np.ones(int(np.count_nonzero(ok)), dtype=bool)
-            stamps_ok = sa[ok]
-            keep[1:] = np.diff(stamps_ok) > 0.0
-            d = np.sqrt(np.square(ea[ok][keep] - eb[nearest[ok]][keep]).sum(axis=1))
-            sides[side] = (stamps_ok[keep], d)
-        else:
+        if not np.any(ok):
             raise ValueError(f"rovers {ca!r} and {cb!r} have no overlapping fixes "
                              f"within {tol} s (side {side})")
+        # collapse duplicate stamps defensively (strictly increasing output)
+        keep = np.ones(int(np.count_nonzero(ok)), dtype=bool)
+        stamps_ok = sa[ok]
+        keep[1:] = np.diff(stamps_ok) > 0.0
+        d = np.sqrt(np.square(ea[ok][keep] - eb[nearest[ok]][keep]).sum(axis=1))
+        sides[side] = (stamps_ok[keep], d)
     return DistanceSeries(sides)
 
 

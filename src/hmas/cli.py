@@ -124,13 +124,13 @@ def _cmd_bench_run(args) -> int:
 def _cmd_bench_analyze(args) -> int:
     if bool(args.bagfile) == bool(args.fixes):
         raise ValueError("analyze needs exactly one of: a bag file or --fixes CSV")
-    fixes = (bench.group_fixes(read_fix_csv(args.fixes)) if args.fixes
+    fixes = (bench.fix_columns(read_fix_csv(args.fixes)) if args.fixes
              else bench.load_bag_fixes(args.bagfile))
     series = bench.side_distances(fixes, args.base)
     windows = None
     if args.kind not in (None, "square"):  # square runs have no disturbance windows
         kind = _CLI_KINDS[args.kind]
-        end = max(fix.stamp for group in fixes.values() for fix in group)
+        end = max(float(columns.stamps.max()) for columns in fixes.values())
         # a log may be shorter than the shortest run of its kind, or longer than the
         # longest (MAX_RUN_S); windows that start after the log's end fall outside it
         duration = min(max(end, bench.shortest_run_s(kind)), MAX_RUN_S)

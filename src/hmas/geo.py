@@ -304,6 +304,9 @@ def geodetic_to_enu_array(lats, lons, alts, base: GeodeticCoord) -> np.ndarray:
 # -- fix wire/file formats ----------------------------------------------
 
 _FIX_HEAD = struct.Struct("<ddddB")
+# that head and the rover id's u32 byte length, for numpy reads; the id's bytes follow
+_FIX_DTYPE = np.dtype([("stamp", "<f8"), ("lla", "<f8", (3,)), ("quality", "u1"),
+                       ("id_len", "<u4")])
 _QUALITY_CODE = {q: i for i, q in enumerate(_QUALITY_ORDER)}
 
 FIX_CSV_HEADER = ["stamp_s", "rover_id", "lat_deg", "lon_deg", "alt_m", "quality"]

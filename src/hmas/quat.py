@@ -15,6 +15,7 @@ inputs give the same bits on every host.
 from __future__ import annotations
 
 import math
+from operator import neg
 
 Quat = tuple[float, float, float, float]
 Vec3 = tuple[float, float, float]
@@ -24,10 +25,11 @@ IDENTITY: Quat = (1.0, 0.0, 0.0, 0.0)
 
 def _finite_floats(value, n: int, what: str, error: type = ValueError) -> tuple[float, ...]:
     """``value``, a flat vector of ``n`` finite numbers (an ndarray through ``tolist()``), as
-    floats, or else ``error`` naming ``what``: a bool, or any entry ``math.isfinite`` refuses."""
+    floats, or else ``error`` naming ``what``: a bool (numpy's too), or an entry not finite."""
     items = value.tolist() if hasattr(value, "tolist") else value
     try:
-        if len(items) == n and bool not in map(type, items) and all(map(math.isfinite, items)):
+        if (len(items) == n and bool not in map(type, items)
+                and all(map(math.isfinite, map(neg, items)))):  # numpy's bool has no neg
             return tuple(map(float, items))
     except (TypeError, ValueError, OverflowError):
         pass

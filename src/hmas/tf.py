@@ -7,11 +7,11 @@ frame is conventionally the RTK base anchor.
 A ``Transform`` holds float tuples, a ``quat.Vec3`` and a ``quat.Quat``, so it
 compares and hashes by value and shares nothing with its caller; no numpy here.
 ``Transform(...)`` checks what it is given: a translation and a rotation that
-pass ``quat._finite_floats``, a finite stamp and a unit rotation. Transforms of
-float tuples the package has just computed (a lookup's result, an agent's pose
-edges) are built by ``_transform``, which skips those checks;
-``TransformTree.set_transform`` still rejects a non-finite stamp or
-translation, whichever way a transform was built.
+pass ``quat._finite_floats``, a stamp that is a finite number and not a bool,
+and a unit rotation. Transforms of float tuples the package has just computed
+(a lookup's result, an agent's pose edges) are built by ``_transform``, which
+skips those checks; ``TransformTree.set_transform`` still rejects a non-finite
+stamp or translation, whichever way a transform was built.
 
 A tree remembers each frame pair's last lookup. Asked for the same pair at the
 same time again, it answers from that memo without walking the edges, and any
@@ -24,6 +24,7 @@ import math
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from numbers import Real
 
 from . import quat
 
@@ -71,8 +72,8 @@ class Transform:
             raise UnknownFrameError("frame names must be non-empty")
         for name, n in (("translation", 3), ("rotation", 4)):
             object.__setattr__(self, name, quat._finite_floats(getattr(self, name), n, name))
-        if not math.isfinite(self.stamp):
-            raise ValueError(f"non-finite stamp {self.stamp}")
+        if not isinstance(t := self.stamp, Real) or type(t) is bool or not math.isfinite(t):
+            raise ValueError(f"stamp must be a finite number, got {t!r}")
         if not abs(quat.norm(self.rotation) - 1.0) <= QUAT_NORM_TOL:
             raise ValueError(f"rotation is not a unit quaternion: {self.rotation}")
 

@@ -14,6 +14,7 @@ from hmas.bus import Bus, QosProfile, Reliability
 from hmas.geo import EnuCoord, GeodeticCoord
 from hmas.tf import Transform, TransformTree, compose, invert
 
+from fix_oracle import decoded_fixes
 from quat_oracle import from_axis_angle, to_matrix
 
 BASE = GeodeticCoord(48.70, 6.15, 220.0)
@@ -224,7 +225,7 @@ def test_criterion_7_rotation_obstruction(tmp_path):
 def test_criterion_8_translation_run(tmp_path):
     noiseless = bench.translation_spec(seed=1, noiseless=True)
     path = bench.run_experiment(noiseless, tmp_path / "square_nl.bag")
-    fixes = bench.load_bag_fixes(path)
+    fixes = decoded_fixes(path)
     centroid = None
     for corner in bench.CORNERS:
         series = fixes[corner]

@@ -853,9 +853,10 @@ def test_a_lossy_scenario_repeats_bit_for_bit_in_one_process():
 
 vector_number = st.one_of(signed_zero, st.floats(-1e9, 1e9), st.integers(-10**9, 10**9))
 vector_non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
-# entries that are not finite numbers: non-finite floats, bools, strings, None,
-# nested vectors
-vector_junk = st.one_of(vector_non_finite, st.booleans(), st.text(max_size=3), st.none(),
+# entries that are not finite numbers: non-finite floats, bools (numpy's too),
+# strings, None, nested vectors
+vector_junk = st.one_of(vector_non_finite, st.booleans(), st.sampled_from([np.True_, np.False_]),
+                        st.text(max_size=3), st.none(),
                         vector_number.map(lambda x: [x]),
                         vector_number.map(lambda x: np.array([x])))
 
@@ -939,6 +940,17 @@ def test_every_vector_input_passes_one_rule(entry, vector):
     else:
         with pytest.raises(error, match=f"must be {n} finite numbers"):
             enter(value)
+
+
+def test_the_vector_rule_refuses_numpy_bools_and_keeps_numpy_numbers():
+    """A numpy bool is not a ``numbers.Real``; it used to pass as 1.0 or 0.0."""
+    for entry in (np.True_, np.False_):
+        with pytest.raises(ValueError, match="v must be 3 finite numbers"):
+            quat._finite_floats([entry, 0, 0], 3, "v")
+    kept = quat._finite_floats([np.float64(1.5), np.int64(-2), np.float32(0.25)], 3, "v")
+    assert kept == (1.5, -2.0, 0.25) and all(type(v) is float for v in kept)
+    with pytest.raises(ValueError, match="start of 'spot' must be 3 finite numbers"):
+        ScenarioAgent(ground("spot"), [np.True_, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("velocity", [(math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0),

@@ -10,11 +10,18 @@ from hypothesis import strategies as st
 from hmas import bag, bench, geo
 from hmas.bench import (CORNERS, EXPERIMENT_KINDS, SIDES, DistanceSeries,
                         ExperimentSpec, RoverWindow, corner_displacement_for_peaks,
-                        disturbed_spec, emit_csv, load_bag_fixes, make_spec,
+                        disturbed_spec, emit_csv, fix_columns, load_bag_fixes, make_spec,
                         rotation_spec, run_experiment, side_distances,
                         side_windows, static_spec, summarize, translation_spec)
 from hmas.bus import Bus
 from hmas.geo import FixQuality, RtkFix
+
+from fix_oracle import bad_payloads, decoded_fixes, write_bag_with_bad_fix
+
+
+def columns(groups):
+    """``fix_columns`` of every fix in ``groups`` (rover id -> fixes)."""
+    return fix_columns(f for group in groups.values() for f in group)
 
 
 def fixes_at(rover_id, points, t0=0.0, dt=1.0 / 14.0, base=bench.DEFAULT_BASE):
@@ -148,7 +155,7 @@ class TestRunExperiment:
     def test_noiseless_rotation_traces_commanded_turn(self, tmp_path):
         spec = rotation_spec(seed=1, noiseless=True)
         path = run_experiment(spec, tmp_path / "rot.bag")
-        fixes = load_bag_fixes(path)
+        fixes = decoded_fixes(path)
         mid = bench.ROTATION_LIFT_END_S + (bench.ROTATION_CW_END_S
                                            - bench.ROTATION_LIFT_END_S) / 2.0
         fix = next(f for f in fixes["top_left"] if abs(f.stamp - mid) < 1e-9)
@@ -162,7 +169,7 @@ class TestRunExperiment:
     def test_noiseless_translation_path_length(self, tmp_path):
         spec = translation_spec(seed=1, noiseless=True)
         path = run_experiment(spec, tmp_path / "trn.bag")
-        fixes = load_bag_fixes(path)
+        fixes = decoded_fixes(path)
         centroid = None
         for corner in CORNERS:
             pts = np.array([[*_enu(f, spec.base)] for f in fixes[corner]])
@@ -240,19 +247,19 @@ class TestSideDistances:
     def test_two_known_points(self):
         fixes = {c: fixes_at(c, [(0.0, 0.0, 0.0)]) for c in CORNERS}
         fixes["top_right"] = fixes_at("top_right", [(0.0, 0.9, 0.0)])
-        series = side_distances(fixes, bench.DEFAULT_BASE)
+        series = side_distances(columns(fixes), bench.DEFAULT_BASE)
         assert series.sides["top"][1][0] == pytest.approx(0.9, abs=1e-9)
 
     def test_missing_rover_rejected(self):
         fixes = {c: fixes_at(c, [(0, 0, 0)]) for c in CORNERS[:3]}
         with pytest.raises(ValueError, match="no fixes"):
-            side_distances(fixes, bench.DEFAULT_BASE)
+            side_distances(columns(fixes), bench.DEFAULT_BASE)
 
     def test_non_overlapping_spans_rejected(self):
         fixes = {c: fixes_at(c, [(0, 0, 0)] * 10) for c in CORNERS}
         fixes["top_right"] = fixes_at("top_right", [(0, 0, 0)] * 10, t0=100.0)
         with pytest.raises(ValueError, match="overlapping"):
-            side_distances(fixes, bench.DEFAULT_BASE)
+            side_distances(columns(fixes), bench.DEFAULT_BASE)
 
     def test_disturbance_locality_outside_windows(self, tmp_path):
         """Pulses consume no randomness: outside the declared windows (+ decay)
@@ -276,7 +283,7 @@ class TestSideDistances:
     def test_noisy_translation_centroid_tracks_noiseless(self, tmp_path):
         def centroid_of(spec, name):
             path = run_experiment(spec, tmp_path / name)
-            fixes = load_bag_fixes(path)
+            fixes = decoded_fixes(path)
             total = None
             for corner in CORNERS:
                 pts = np.array([[*_enu(f, spec.base)] for f in fixes[corner]])
@@ -462,9 +469,9 @@ def test_side_distances_pair_nearest_stamp_ties_to_later(sets):
                           for stamp, i, j in pairs if j is not None]
     if not all(expected.values()):
         with pytest.raises(ValueError, match="overlapping"):
-            side_distances(fixes, base)
+            side_distances(columns(fixes), base)
         return
-    series = side_distances(fixes, base)
+    series = side_distances(columns(fixes), base)
     for side in SIDES:
         stamps, dists = series.sides[side]
         assert stamps.tolist() == [stamp for stamp, _ in expected[side]]
@@ -504,11 +511,78 @@ def test_single_fix_pairs_only_with_an_equal_stamp():
     far = _one_fix_per_corner({"top_left": 0.0, "top_right": 100.0,
                                "bottom_right": 0.0, "bottom_left": 100.0})
     with pytest.raises(ValueError, match="overlapping fixes within 0.0 s"):
-        side_distances(far, bench.DEFAULT_BASE)
+        side_distances(columns(far), bench.DEFAULT_BASE)
 
     same = _one_fix_per_corner({c: 5.0 for c in CORNERS})
-    series = side_distances(same, bench.DEFAULT_BASE)
+    series = side_distances(columns(same), bench.DEFAULT_BASE)
     for side in SIDES:
         stamps, dists = series.sides[side]
         assert stamps.tolist() == [5.0]
         assert dists[0] == pytest.approx(0.9, abs=1e-6)
+
+
+# -- fixes as columns ----------------------------------------------------------
+
+_QUALITY_NAMES = ("single", "float", "fixed")  # quality code -> FixQuality value
+_TIED_STAMPS = st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-9])
+
+
+@st.composite
+def fix_records(draw):
+    """(topic, record stamp, fix) triples in write order. Rover ids have
+    several byte lengths, multi-byte UTF-8 and NUL among them, and need not
+    name their topic; record and fix stamps tie often."""
+    ids = draw(st.lists(st.text(max_size=6), min_size=1, max_size=4, unique=True))
+    topics = ["/top_left/gps/fix", "/b/gps/fix", "/é/x"]
+    fix = st.builds(RtkFix, st.sampled_from(ids),
+                    st.builds(geo.GeodeticCoord, st.floats(-90.0, 90.0),
+                              st.floats(-180.0, 180.0, exclude_min=True), st.floats(-1e4, 1e4)),
+                    st.sampled_from(list(FixQuality)),
+                    st.one_of(_TIED_STAMPS, st.floats(allow_nan=False)))
+    return draw(st.lists(st.tuples(st.sampled_from(topics), _TIED_STAMPS, fix), max_size=40))
+
+
+def _assert_columns_hold(cols, fixes):
+    assert len(cols) == len(fixes)
+    assert cols.stamps.dtype == cols.lla.dtype == np.float64
+    assert cols.quality.dtype == np.uint8
+    assert cols.stamps.tobytes() == np.array([f.stamp for f in fixes], dtype=float).tobytes()
+    lla = np.array([(f.position.lat, f.position.lon, f.position.alt) for f in fixes], dtype=float)
+    assert cols.lla.shape == (len(fixes), 3)
+    assert cols.lla.tobytes() == lla.reshape(-1, 3).tobytes()
+    assert cols.quality.tolist() == [_QUALITY_NAMES.index(f.quality.value) for f in fixes]
+
+
+@given(records=fix_records())
+@example(records=[("/b/gps/fix", 1.0, RtkFix("a\x00", geo.GeodeticCoord(0.0, 0.0, 0.0),
+                                              FixQuality.SINGLE, 1.0)),
+                  ("/b/gps/fix", 1.0, RtkFix("a", geo.GeodeticCoord(-0.0, 180.0, -0.0),
+                                              FixQuality.FIXED, -0.0)),
+                  ("/é/x", 0.5, RtkFix("é", geo.GeodeticCoord(1.0, 2.0, 3.0),
+                                       FixQuality.FLOAT, 0.5))])
+@settings(max_examples=150, deadline=None)
+def test_load_bag_fixes_equals_decoding_each_record(tmp_path_factory, records):
+    """The columns of every rover equal, bit for bit, its fixes decoded one
+    record at a time through ``read_bag`` and ``decode_fix``, in bag order;
+    ``fix_columns`` of those fixes gives the same columns."""
+    path = tmp_path_factory.mktemp("fixes") / "f.bag"
+    with bag.BagWriter(path) as writer:
+        for topic, stamp, fix in records:
+            writer.append(topic, stamp, geo.encode_fix(fix))
+    want = decoded_fixes(path)
+    got = load_bag_fixes(path)
+    converted = fix_columns(f for group in want.values() for f in group)
+    assert got.keys() == converted.keys() == want.keys()
+    for rover_id, fixes in want.items():
+        _assert_columns_hold(got[rover_id], fixes)
+        _assert_columns_hold(converted[rover_id], fixes)
+
+
+@pytest.mark.parametrize("case", sorted(bad_payloads()))
+def test_a_payload_that_is_not_a_fix_names_its_record(tmp_path, case):
+    payload, detail = bad_payloads()[case]
+    path = write_bag_with_bad_fix(tmp_path / "bad.bag", payload)
+    with pytest.raises(ValueError) as err:
+        load_bag_fixes(path)
+    assert str(err.value).startswith(f"bag {path} record 3 is not a fix: ")
+    assert detail in str(err.value)

@@ -9,6 +9,8 @@ from hmas import agents, bag, bench
 from hmas.cli import main
 from hmas.geo import MAX_RUN_S, write_fix_csv
 
+from fix_oracle import bad_payloads, decoded_fixes, write_bag_with_bad_fix
+
 SCENARIO = {
     "base": {"lat": 48.70, "lon": 6.15, "alt": 220.0},
     "seed": 3,
@@ -69,7 +71,7 @@ class TestBenchCli:
         spec = bench.static_spec(seed=2, duration_s=130.0)
         bagfile = tmp_path / "r.bag"
         bench.run_experiment(spec, bagfile)
-        fixes = bench.load_bag_fixes(bagfile)
+        fixes = decoded_fixes(bagfile)
         csv_in = tmp_path / "fixes.csv"
         write_fix_csv(csv_in, [f for series in fixes.values() for f in series])
         code = run_cli("bench", "analyze", "--fixes", csv_in,
@@ -83,7 +85,7 @@ class TestBenchCli:
         bagfile = tmp_path / "s.bag"
         bench.run_experiment(bench.make_spec("static", 1, duration_s=2.0, noiseless=True),
                              bagfile)
-        fixes = [f for series in bench.load_bag_fixes(bagfile).values() for f in series]
+        fixes = [f for series in decoded_fixes(bagfile).values() for f in series]
         csv_in = tmp_path / "fixes.csv"
         write_fix_csv(csv_in, fixes)
         lines = csv_in.read_text().splitlines()
@@ -109,6 +111,14 @@ class TestBenchCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"hmas: error: fix CSV {csv_in} row 1: {detail}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", sorted(bad_payloads()))
+    def test_analyze_names_the_bag_record_that_is_not_a_fix(self, tmp_path, capsys, case):
+        path = write_bag_with_bad_fix(tmp_path / "bad.bag", bad_payloads()[case][0])
+        assert run_cli("bench", "analyze", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"hmas: error: bag {path} record 3 is not a fix: ")
         assert err.count("\n") == 1
 
     def test_rotation_kind_excludes_its_windows(self, tmp_path, capsys):
@@ -137,7 +147,7 @@ class TestBenchCli:
         from a run of the cap's length."""
         out = tmp_path / "run.bag"
         bench.run_experiment(bench.static_spec(1, duration_s=130.0), out)
-        groups = bench.load_bag_fixes(out).values()
+        groups = decoded_fixes(out).values()
         csv_in = tmp_path / "long.csv"
         write_fix_csv(csv_in, [f for group in groups for f in group]
                       + [replace(f, stamp=f.stamp + MAX_RUN_S) for group in groups for f in group])
@@ -166,7 +176,7 @@ class TestBenchCli:
         # a fix CSV of the same run (rounded coordinates) gets the same verdicts
         from hmas.geo import write_fix_csv
         csv_in = tmp_path / "fixes.csv"
-        write_fix_csv(csv_in, [f for group in fixes.values() for f in group])
+        write_fix_csv(csv_in, [f for group in decoded_fixes(out).values() for f in group])
         csv_report = tmp_path / "r_csv.csv"
         run_cli("bench", "analyze", "--fixes", csv_in, "--kind", "disturbed",
                 "--report", csv_report)

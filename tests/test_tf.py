@@ -84,6 +84,14 @@ class TestTransform:
         with pytest.raises(ValueError, match="finite"):
             Transform("w", "a", translation, quat.IDENTITY, stamp)
 
+    @pytest.mark.parametrize("stamp", [True, "1", None, np.True_],
+                             ids=["bool", "str", "none", "numpy_bool"])
+    def test_a_stamp_that_is_not_a_number_is_refused(self, stamp):
+        """A bool stamp used to build a transform stamped True, and a string
+        stamp raised a bare TypeError."""
+        with pytest.raises(ValueError, match=f"stamp must be a finite number, got {stamp!r}"):
+            Transform("w", "a", (0.0, 0.0, 0.0), quat.IDENTITY, stamp)
+
     @pytest.mark.parametrize("translation, rotation, field", [
         ((True, 0.0, 0.0), quat.IDENTITY, "translation"),
         ((0.0, 0.0, 0.0), (True, False, False, False), "rotation"),
