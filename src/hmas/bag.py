@@ -13,8 +13,14 @@ chunks of ``_CHUNK_RECORDS`` records. Recording 1,000,001 empty-payload
 messages peaks at 137 MB RSS, against 244 MB when each record was held as a
 frozen dataclass.
 
-``read_bag`` returns ``BagRecord`` named tuples, and decodes each distinct
-topic's bytes once.
+``read_bag`` returns ``BagColumns``: the file's bytes and, per record, its
+topic index, stamp, payload offset and payload length. Its one Python loop
+reads each record's two length fields; numpy reads every other column from
+the bytes, and each distinct topic is decoded once. ``BagRecord`` tuples are
+built only when the columns are iterated, so ``bag_info`` and analysis build
+none. On the 2 h static bag (403,200 records, 33 MB) ``bag_info`` takes
+0.47-0.84 s at 93 MB peak RSS in a fresh process, against 0.96-1.51 s at
+142 MB when the reader built a record per entry.
 """
 from __future__ import annotations
 
@@ -22,10 +28,14 @@ import fnmatch
 import math
 import struct
 import time
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .bus import (Bus, DuplicateNodeError, PublisherHandle, QosProfile, QualifiedName,
                   Reliability)
@@ -35,7 +45,7 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sH")
 _U32 = struct.Struct("<I")
 _STAMP_LEN = struct.Struct("<dI")  # a record's f64 stamp and u32 payload length
-_CHUNK_RECORDS = 4096  # records encoded per write at close
+_CHUNK_RECORDS = 4096  # records encoded per write at close, and made per chunk on iteration
 
 
 class BagError(Exception):
@@ -110,7 +120,54 @@ class BagWriter:
         self.close()
 
 
-def read_bag(path) -> list[BagRecord]:
+@dataclass(frozen=True, eq=False)
+class BagColumns:
+    """A bag read as columns over its file's bytes, one entry per record in
+    bag order; ``BagRecord`` tuples are built only when it is iterated."""
+
+    data: bytes = field(repr=False)  # the whole file
+    topics: tuple[str, ...]  # distinct topics, in order of first appearance
+    topic_index: np.ndarray  # int64 index into ``topics``
+    stamps: np.ndarray  # float64
+    payload_start: np.ndarray  # int64 byte offset into ``data``
+    payload_len: np.ndarray  # int64
+
+    def __len__(self) -> int:
+        return len(self.stamps)
+
+    def __iter__(self) -> Iterator[BagRecord]:
+        data, topics, new_record = self.data, self.topics, tuple.__new__
+        for t, stamp, start, end in self._rows():
+            yield new_record(BagRecord, (topics[t], stamp, data[start:end]))
+
+    def _rows(self) -> Iterator[tuple[int, float, int, int]]:
+        """(topic index, stamp, payload start, payload end) per record, made
+        as Python values a chunk of records at a time."""
+        columns = (self.topic_index, self.stamps, self.payload_start,
+                   self.payload_start + self.payload_len)
+        return chain.from_iterable(
+            zip(*(c[first:first + _CHUNK_RECORDS].tolist() for c in columns))
+            for first in range(0, len(self), _CHUNK_RECORDS))
+
+    def payloads(self, index, dtype) -> np.ndarray:
+        """The payloads of the records at ``index`` read as numpy ``dtype``,
+        whose itemsize must be each of those payloads' length."""
+        dtype = np.dtype(dtype)
+        if np.any(self.payload_len[index] != dtype.itemsize):
+            raise ValueError(f"payloads read as {dtype} must be {dtype.itemsize} bytes long")
+        return _at(self.data, dtype, self.payload_start[index])
+
+
+def _at(data: bytes, dtype, offsets: np.ndarray) -> np.ndarray:
+    """One ``dtype`` item read at each byte offset of ``data``."""
+    dtype = np.dtype(dtype)
+    if len(offsets) == 0:
+        return np.empty(0, dtype)
+    every = np.ndarray((len(data) - dtype.itemsize + 1,), dtype, data, 0, (1,))
+    return every[offsets]
+
+
+def read_bag(path) -> BagColumns:
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
         raise BagFormatError("file too short for bag header", 0)
@@ -119,46 +176,70 @@ def read_bag(path) -> list[BagRecord]:
         raise BagFormatError(f"bad magic {magic!r}", 0)
     if version != FORMAT_VERSION:
         raise BagFormatError(f"unsupported format version {version}", 4)
-    records: list[BagRecord] = []
-    append = records.append
-    new_record = tuple.__new__  # BagRecord(...) without its Python-level __new__
-    topics: dict[bytes, str] = {}  # topic bytes -> decoded topic
+    # the walk reads only the two lengths of each record; a truncation ends it
+    starts = array("q")
+    append = starts.append
     unpack_len = _U32.unpack_from
-    unpack_stamp_len = _STAMP_LEN.unpack_from
     off = _HEADER.size
     total = len(data)
+    truncated = None  # (message, record start) of the first truncation
     while off < total:
-        start = off
         if off + 4 > total:
-            raise BagFormatError("truncated topic length", start)
-        (topic_len,) = unpack_len(data, off)
-        off += 4
-        if off + topic_len + 12 > total:
-            raise BagFormatError("truncated record", start)
-        raw = data[off:off + topic_len]
-        topic = topics.get(raw)
-        if topic is None:
-            try:
-                topic = topics[raw] = raw.decode()
-            except UnicodeDecodeError:
-                raise BagFormatError("topic is not valid UTF-8", off) from None
-        off += topic_len
-        stamp, payload_len = unpack_stamp_len(data, off)
-        off += 12
-        if off + payload_len > total:
-            raise BagFormatError("truncated payload", start)
-        append(new_record(BagRecord, (topic, stamp, data[off:off + payload_len])))
-        off += payload_len
-    return records
+            truncated = ("truncated topic length", off)
+            break
+        end = off + 16 + unpack_len(data, off)[0]  # past the topic, stamp and payload length
+        if end > total:
+            truncated = ("truncated record", off)
+            break
+        append(off)
+        off = end + unpack_len(data, end - 4)[0]
+    if off > total:  # the last record's payload runs past the end
+        truncated = ("truncated payload", starts[-1])
+    start = np.frombuffer(starts, dtype=np.int64)
+    topic_at = start + 4
+    topic_len = _at(data, "<u4", start).astype(np.int64)
+    stamp_at = topic_at + topic_len
+    # topics are decoded before a truncation is reported, as a record-at-a-time
+    # reader meets them; the topic of a record whose payload is cut is one of them
+    topics, topic_index = _decode_topics(data, topic_at, topic_len)
+    if truncated is not None:
+        raise BagFormatError(*truncated)
+    return BagColumns(data, topics, topic_index, _at(data, "<f8", stamp_at),
+                      stamp_at + 12, _at(data, "<u4", stamp_at + 8).astype(np.int64))
+
+
+def _decode_topics(data: bytes, topic_at: np.ndarray,
+                   topic_len: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """Each distinct topic, decoded once, in order of first appearance, and
+    each record's index into them; the first topic in file order that is not
+    UTF-8 raises at its own offset."""
+    raw: list[bytes] = []  # distinct topic bytes
+    first: list[int] = []  # the record each first appears in
+    found = np.empty(len(topic_at), dtype=np.int64)  # index into ``raw``
+    for size in np.unique(topic_len).tolist():
+        index = np.flatnonzero(topic_len == size)
+        distinct, at, inverse = np.unique(_at(data, f"V{size}", topic_at[index]),
+                                          return_index=True, return_inverse=True)
+        found[index] = inverse.reshape(-1) + len(raw)
+        raw += distinct.tolist()
+        first += index[at].tolist()
+    order = sorted(range(len(raw)), key=first.__getitem__)
+    topics = []
+    for i in order:
+        try:
+            topics.append(raw[i].decode())
+        except UnicodeDecodeError:
+            raise BagFormatError("topic is not valid UTF-8", int(topic_at[first[i]])) from None
+    rank = np.empty(len(raw), dtype=np.int64)
+    rank[order] = np.arange(len(raw))
+    return tuple(topics), rank[found]
 
 
 def bag_info(path) -> BagInfo:
     records = read_bag(path)
-    topics: dict[str, int] = {}
-    for r in records:
-        topics[r.topic] = topics.get(r.topic, 0) + 1
-    stamps = [r.stamp for r in records]
-    return BagInfo(len(records), topics,
+    counts = np.bincount(records.topic_index, minlength=len(records.topics)).tolist()
+    stamps = records.stamps.tolist()  # min/max as over floats, NaN included
+    return BagInfo(len(records), dict(zip(records.topics, counts)),
                    min(stamps) if stamps else None,
                    max(stamps) if stamps else None)
 
@@ -237,32 +318,31 @@ def replay(path, bus: Bus, rate: float | None = None, fast: bool = False) -> Rep
     if rate is None:
         fast = True
     records = read_bag(path)
-    publish = bus.publish
+    data, topics, publish = records.data, records.topics, bus.publish
     nodes = {}
-    pubs: dict[str, PublisherHandle] = {}
-    counts: dict[str, int] = {}
+    pubs: list[PublisherHandle | None] = [None] * len(topics)  # per topic index
     replay_qos = QosProfile(reliability=Reliability.RELIABLE, history_depth=1)
     try:
         start_wall = time.monotonic()
-        first_stamp = records[0].stamp if records else 0.0
-        for topic, stamp, payload in records:
-            pub = pubs.get(topic)
+        first_stamp = float(records.stamps[0]) if len(records) else 0.0
+        for t, stamp, start, end in records._rows():
+            pub = pubs[t]
             if pub is None:
-                name = QualifiedName.parse(topic)
+                name = QualifiedName.parse(topics[t])
                 if name.namespace not in nodes:
                     nodes[name.namespace] = _replay_node(bus, name.namespace)
-                pub = pubs[topic] = bus.advertise(nodes[name.namespace], name.local, replay_qos)
+                pub = pubs[t] = bus.advertise(nodes[name.namespace], name.local, replay_qos)
             if not fast:
                 target = start_wall + (stamp - first_stamp) / rate
                 delay = target - time.monotonic()
                 if delay > 0.0:
                     time.sleep(delay)
-            publish(pub, stamp, payload)
-            counts[topic] = counts.get(topic, 0) + 1
+            publish(pub, stamp, data[start:end])
     finally:
         for node in nodes.values():
             node.close()
-    return ReplayStats(len(records), counts)
+    counts = np.bincount(records.topic_index, minlength=len(topics)).tolist()
+    return ReplayStats(len(records), dict(zip(topics, counts)))
 
 
 def _replay_node(bus: Bus, namespace: str):

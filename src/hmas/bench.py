@@ -345,16 +345,15 @@ def fix_columns(fixes: Iterable[RtkFix]) -> dict[str, FixColumns]:
 def load_bag_fixes(path) -> dict[str, FixColumns]:
     """A bag's fixes as columns per rover id, in bag (stamp) order, read at once per
     payload length; a payload ``encode_fix`` could not write raises naming its record."""
-    payloads = [rec.payload for rec in read_bag(path)]
-    lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
+    records = read_bag(path)
+    lengths = records.payload_len
     where = f"bag {path} record {{}} is not a fix:"
     out = {}
     for size in np.unique(lengths).tolist():
         index, tail = np.flatnonzero(lengths == size), size - _FIX_DTYPE.itemsize
         if tail < 0:
             raise ValueError(f"{where.format(index[0])} a {size}-byte payload is too short")
-        rec = np.frombuffer(b"".join([payloads[i] for i in index.tolist()]),
-                            _FIX_DTYPE.descr + [("id", f"V{tail}")])
+        rec = records.payloads(index, _FIX_DTYPE.descr + [("id", f"V{tail}")])
         lat, lon, alt = rec["lla"].T  # GeodeticCoord's ranges; NaN fails too
         wrong = ((rec["quality"] > 2) | (rec["id_len"] != tail) | ~(np.abs(lat) <= 90.0)
                  | ~((-180.0 < lon) & (lon <= 180.0)) | ~np.isfinite(alt))

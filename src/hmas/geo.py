@@ -304,7 +304,9 @@ def geodetic_to_enu_array(lats, lons, alts, base: GeodeticCoord) -> np.ndarray:
 # -- fix wire/file formats ----------------------------------------------
 
 _FIX_HEAD = struct.Struct("<ddddB")
-# that head and the rover id's u32 byte length, for numpy reads; the id's bytes follow
+# that head and the rover id's u32 byte length, as a struct for one fix and as
+# a dtype for numpy reads; the id's bytes follow
+_FIX_HEAD_ID = struct.Struct("<ddddBI")
 _FIX_DTYPE = np.dtype([("stamp", "<f8"), ("lla", "<f8", (3,)), ("quality", "u1"),
                        ("id_len", "<u4")])
 _QUALITY_CODE = {q: i for i, q in enumerate(_QUALITY_ORDER)}
@@ -335,10 +337,16 @@ def encode_fixes(rover_id: str, stamps: np.ndarray, positions: np.ndarray,
 
 
 def decode_fix(payload: bytes) -> RtkFix:
-    stamp, lat, lon, alt, qcode = _FIX_HEAD.unpack_from(payload)
-    (rid_len,) = struct.unpack_from("<I", payload, _FIX_HEAD.size)
-    start = _FIX_HEAD.size + 4
-    rover_id = payload[start:start + rid_len].decode()
+    """The fix that ``encode_fix`` wrote as ``payload``; a payload it could
+    not have written raises ``ValueError``."""
+    try:
+        stamp, lat, lon, alt, qcode, rid_len = _FIX_HEAD_ID.unpack_from(payload)
+    except struct.error:
+        raise ValueError(f"a {len(payload)}-byte payload is too short for a fix") from None
+    if len(payload) != _FIX_HEAD_ID.size + rid_len or qcode >= len(_QUALITY_ORDER):
+        raise ValueError(f"not a fix: quality code {qcode} (0-2), rover id length {rid_len} "
+                         f"({len(payload) - _FIX_HEAD_ID.size})")
+    rover_id = payload[_FIX_HEAD_ID.size:].decode()
     return RtkFix(rover_id, GeodeticCoord(lat, lon, alt), _QUALITY_ORDER[qcode], stamp)
 
 

@@ -19,6 +19,8 @@ from hmas.bag import (BagError, BagFormatError, BagRecord, BagWriter, Recorder, 
                       read_bag, record, replay)
 from hmas.bus import Bus, QosProfile, QualifiedName, Reliability, SeededDropInjector
 
+import bag_oracle
+
 DEEP = QosProfile(reliability=Reliability.RELIABLE, history_depth=100_000)
 
 
@@ -38,12 +40,12 @@ class TestFormat:
         with BagWriter(path) as writer:
             for r in records:
                 writer.append(*r)
-        assert read_bag(path) == records
+        assert list(read_bag(path)) == records
 
     def test_empty_bag(self, tmp_path):
         path = tmp_path / "empty.bag"
         BagWriter(path).close()
-        assert read_bag(path) == []
+        assert list(read_bag(path)) == []
         info = bag_info(path)
         assert info.record_count == 0
         assert info.start_stamp is None
@@ -136,7 +138,7 @@ class TestFormat:
             writer.append("/a/t", 1.0, b"x")
             writer.append("/b/t", 2.0, b"")
             writer.append("/a/t", 3.0, b"y")
-        records = read_bag(path)
+        records = list(read_bag(path))
         assert records == [BagRecord("/a/t", 1.0, b"x"), BagRecord("/b/t", 2.0, b""),
                            BagRecord("/a/t", 3.0, b"y")]
         assert all(type(r) is BagRecord for r in records)
@@ -156,7 +158,7 @@ class TestFormat:
             writer.append("/a/t", 2.0, b"y")
         writer.close()  # a no-op
         assert path.read_bytes() == data
-        assert read_bag(path) == [BagRecord("/a/t", 1.0, b"x")]
+        assert list(read_bag(path)) == [BagRecord("/a/t", 1.0, b"x")]
 
     def test_nan_stamp_rejected_but_other_stamps_legal(self, tmp_path):
         path = tmp_path / "t.bag"
@@ -203,7 +205,7 @@ class TestRecorder:
         path = tmp_path / "none.bag"
         with record(bus, ["/ghost/*"], path):
             pub.publish(0.0, b"x")
-        assert read_bag(path) == []
+        assert list(read_bag(path)) == []
 
     def test_thousand_publishes_recorded_in_order(self, tmp_path):
         bus = Bus()
@@ -212,7 +214,7 @@ class TestRecorder:
         with record(bus, ["/spot/gps/fix"], path):
             for i in range(1000):
                 pub.publish(i / 14.0, b"%d" % i)
-        got = read_bag(path)
+        got = list(read_bag(path))
         assert len(got) == 1000
         assert [r.payload for r in got] == [b"%d" % i for i in range(1000)]
         assert all(a.stamp <= b.stamp for a, b in zip(got, got[1:]))
@@ -270,7 +272,7 @@ class TestRecorder:
         assert len(data) == 6 + n * record_size
         tail = tmp_path / "tail.bag"  # the header and the last record
         tail.write_bytes(data[:6] + data[-record_size:])
-        assert read_bag(tail) == [BagRecord("/spot/gps/fix", float(n - 1), b"")]
+        assert list(read_bag(tail)) == [BagRecord("/spot/gps/fix", float(n - 1), b"")]
 
     def test_a_million_publishes_record_in_bounded_memory(self, tmp_path):
         """The million-publish recording in a child process, whose peak RSS
@@ -304,7 +306,7 @@ class TestRecorder:
         assert len(data) == 6 + n * record_size
         tail = tmp_path / "tail.bag"  # the header and the last record
         tail.write_bytes(data[:6] + data[-record_size:])
-        assert read_bag(tail) == [BagRecord("/spot/gps/fix", float(n - 1), b"")]
+        assert list(read_bag(tail)) == [BagRecord("/spot/gps/fix", float(n - 1), b"")]
         assert peak_mb <= 180.0, f"peak RSS {peak_mb:.1f} MB"
 
     def test_recorder_is_not_a_bus_node(self, tmp_path):
@@ -465,16 +467,21 @@ def test_recorded_bags_equal_writer_fed_in_publish_order(tmp_path_factory, early
         assert path.read_bytes() == oracle.read_bytes()
 
 
-def _v1_bag(records) -> bytes:
-    """Reference encoder for format v1: header, then the records sorted by
-    stamp (stable) as u32 topic length, topic, f64 stamp, u32 payload length,
-    payload."""
+def _v1_bytes(records) -> bytes:
+    """Format v1 bytes of the records in the given order: header, then each
+    record as u32 topic length, topic, f64 stamp, u32 payload length,
+    payload. Any stamp is written, NaN included."""
     out = [b"HBAG", struct.pack("<H", 1)]
-    for topic, stamp, payload in sorted(records, key=lambda r: r[1]):
+    for topic, stamp, payload in records:
         encoded = topic.encode("utf-8")
         out += [struct.pack("<I", len(encoded)), encoded, struct.pack("<d", stamp),
                 struct.pack("<I", len(payload)), payload]
     return b"".join(out)
+
+
+def _v1_bag(records) -> bytes:
+    """Reference encoder for format v1: the records sorted by stamp (stable)."""
+    return _v1_bytes(sorted(records, key=lambda r: r[1]))
 
 
 writer_records = st.lists(st.tuples(
@@ -497,3 +504,118 @@ def test_writer_bytes_equal_v1_encoder(tmp_path_factory, records, chunk):
             for record in records:
                 writer.append(*record)
     assert path.read_bytes() == _v1_bag(records)
+
+
+def _bits(value):
+    """A stamp as its eight bytes, so that NaN compares equal to itself."""
+    return value if value is None else struct.pack("<d", value)
+
+
+def _stamp_bits(records):
+    return [(topic, _bits(stamp), payload) for topic, stamp, payload in records]
+
+
+def _outcome(read, path):
+    try:
+        return read(path), None
+    except BagFormatError as err:
+        return None, (str(err), err.offset)
+
+
+REPLAYABLE_TOPICS = ("/aa/gps/fix", "/bb/gps/fix", "/aa/cam", "/c/x_1")
+oracle_records = st.lists(st.tuples(
+    st.sampled_from(REPLAYABLE_TOPICS + ("", "/a", "/ä/ß", "/日本/話題")),
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5]), st.sampled_from([math.inf, -math.inf]),
+              st.floats(-1e9, 1e9, allow_nan=False)),
+    st.one_of(st.just(b""), st.binary(min_size=1, max_size=24)),
+), max_size=30)
+
+
+@given(records=oracle_records, tame=st.booleans(),
+       source=st.sampled_from(["writer", "hand", "noise"]),
+       nan_at=st.none() | st.integers(0, 29), noise=st.binary(max_size=48),
+       flip=st.none() | st.tuples(st.integers(0, 10**6), st.integers(0, 255)),
+       cut=st.none() | st.integers(-40, -2) | st.integers(-10**6, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_columns_agree_with_the_record_at_a_time_reader(tmp_path_factory, records, tame, source,
+                                                        nan_at, noise, flip, cut):
+    """Oracle: on written bags, hand-made bags (NaN stamps included) and
+    noise after a header, each perhaps with a byte changed inside a topic and
+    then cut at a random offset, ``read_bag``, ``bag_info`` and ``replay``
+    agree with a reader that parses one record at a time, errors included."""
+    path = tmp_path_factory.mktemp("columns") / "o.bag"
+    if tame:  # topics and stamps that a replay takes, so that it publishes every record
+        records = [(topic if topic in REPLAYABLE_TOPICS else "/aa/gps/fix",
+                    stamp if 0.0 <= stamp < math.inf else 1.0, payload)
+                   for topic, stamp, payload in records]
+    if source == "writer":
+        with BagWriter(path) as writer:
+            for record in records:
+                writer.append(*record)
+        data = path.read_bytes()
+    elif source == "hand":
+        if nan_at is not None and records:
+            topic, _, payload = records[nan_at % len(records)]
+            records[nan_at % len(records)] = (topic, math.nan, payload)
+        data = _v1_bytes(records)
+    else:
+        data = b"HBAG\x01\x00" + noise
+    if flip is not None and source != "noise":
+        path.write_bytes(data)
+        spans, off = [], 6  # the byte offsets of every topic's bytes
+        for topic, _, payload in bag_oracle.read_records(path):
+            size = len(topic.encode())
+            spans += range(off + 4, off + 4 + size)
+            off += 16 + size + len(payload)
+        if spans:
+            at = spans[flip[0] % len(spans)]
+            data = data[:at] + bytes([flip[1]]) + data[at + 1:]
+    if cut is not None:
+        data = data[:cut % (len(data) + 1)]  # a negative cut counts from the end
+    path.write_bytes(data)
+
+    want, want_error = _outcome(bag_oracle.read_records, path)
+    got, got_error = _outcome(read_bag, path)
+    assert got_error == want_error
+    if want_error is not None:
+        assert _outcome(bag_info, path)[1] == want_error
+        assert _outcome(lambda p: replay(p, Bus(), fast=True), path)[1] == want_error
+        return
+    assert len(got) == len(want)
+    listed = list(got)
+    assert all(type(r) is BagRecord for r in listed)
+    assert _stamp_bits(listed) == _stamp_bits(want)
+    topics = {}
+    assert all(topics.setdefault(r.topic, r.topic) is r.topic for r in listed)
+
+    info, expected = bag_info(path), bag_oracle.info(want)
+    assert (info.record_count, info.topics) == (expected.record_count, expected.topics)
+    assert list(info.topics) == list(expected.topics)
+    assert _bits(info.start_stamp) == _bits(expected.start_stamp)
+    assert _bits(info.end_stamp) == _bits(expected.end_stamp)
+
+    published, error = bag_oracle.replayed(want)
+    bus = Bus()
+    seen = []
+    bus.add_publish_hook(lambda topic, stamp, payload: seen.append((topic.full, stamp, payload)))
+    try:
+        replay(path, bus, fast=True)
+    except Exception as exc:
+        assert (type(exc), str(exc)) == (type(error), str(error))
+    else:
+        assert error is None
+    assert _stamp_bits(seen) == _stamp_bits(published)
+
+
+def test_bag_info_takes_stamps_as_floats_with_nan_among_them(tmp_path):
+    """A hand-written file may hold a NaN stamp; ``bag_info`` takes start and
+    end over the stamps in bag order, as Python's ``min`` and ``max`` do."""
+    path = tmp_path / "nan.bag"
+    path.write_bytes(_v1_bytes([("/a/t", 1.0, b""), ("/a/t", math.nan, b"x"),
+                                ("/b/t", 0.5, b"")]))
+    info = bag_info(path)
+    assert (info.record_count, info.topics) == (3, {"/a/t": 2, "/b/t": 1})
+    assert (info.start_stamp, info.end_stamp) == (0.5, 1.0)
+    path.write_bytes(_v1_bytes([("/a/t", math.nan, b""), ("/a/t", 1.0, b"")]))
+    info = bag_info(path)
+    assert math.isnan(info.start_stamp) and math.isnan(info.end_stamp)

@@ -11,6 +11,8 @@ from hmas.geo import (EcefCoord, EnuCoord, FixQuality, GeodeticCoord, RtkFix,
                       ecef_to_enu, ecef_to_geodetic, enu_to_ecef,
                       geodetic_to_ecef, geodetic_to_enu)
 
+from fix_oracle import bad_payloads
+
 # Frozen from a 50-digit evaluation of the same closed form (mpmath);
 # see test_frozen_oracle_values_still_match below.
 ECEF_NANCY = (4193427.803902555, 451849.748145924, 4768770.735173676)
@@ -228,6 +230,11 @@ class TestFixCodec:
                      FixQuality.FLOAT, 12.5)
         back = geo.decode_fix(geo.encode_fix(fix))
         assert back == fix
+
+    @pytest.mark.parametrize("case", sorted(bad_payloads()))
+    def test_a_payload_encode_fix_could_not_write_is_refused(self, case):
+        with pytest.raises(ValueError):
+            geo.decode_fix(bad_payloads()[case][0])
 
     def test_csv_round_trip(self, tmp_path):
         fixes = [
