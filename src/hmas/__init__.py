@@ -5,8 +5,7 @@ record/replay, and an RTK accuracy experiment harness."""
 from .bus import (Bus, BusGraph, DeliveryReport, Message, QosProfile,
                   QualifiedName, Reliability, SeededDropInjector)
 from .tf import Transform, TransformTree, compose, invert
-from .geo import (CorrectionLink, CorrectionMsg, EcefCoord, EnuCoord,
-                  FixQuality, GeodeticCoord, Rover, RtkFix,
+from .geo import (CorrectionLink, CorrectionMsg, FixQuality, GeodeticCoord, Rover, RtkFix,
                   ecef_to_enu, ecef_to_geodetic, enu_to_ecef, enu_to_geodetic,
                   geodetic_to_ecef, geodetic_to_enu)
 from .agents import AgentSpec, FollowCommand, SensorSpec, World

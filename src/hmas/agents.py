@@ -7,12 +7,12 @@ fixes, never on simulator ground truth.
 
 Every vector is a ``quat.Vec3`` of Python floats, and every vector that enters
 (a spec's, a spawn's, a setter's or ``set_velocity``'s) passes the one rule,
-``quat._finite_floats``. ``Agent.position``, ``velocity``, ``odom_position``
-and ``World.estimated_state`` return the tuples held. Arithmetic keeps numpy's
-operation order, norms and the standoff dot product are fixed-order float sums,
-and every speed clamp still runs, since a clamped vector's norm can round above
-the limit. A target's heading is cached
-until its next fix. The world's one clock counts control steps of
+``quat._finite_floats``; ``geo`` takes and returns such tuples.
+``Agent.position``, ``velocity``, ``odom_position`` and ``World.estimated_state``
+return the tuples held. Arithmetic keeps numpy's operation order, norms and the
+standoff dot product are fixed-order float sums, and every speed clamp still
+runs, since a clamped vector's norm can round above the limit. A target's
+heading is cached until its next fix. The world's one clock counts control steps of
 ``CONTROL_DT_S``, a tenth of the fix period, so ``World.time`` is exactly the
 stamp k/14 on every ``STEPS_PER_FIX``-th step and exactly j after j seconds,
 when the RTK base sends epoch j. Only on such a fix step is the base polled and
@@ -35,7 +35,7 @@ import numpy as np
 
 from .bus import Bus, QosProfile, QualifiedName
 from .geo import (CORRECTION_QOS, CORRECTION_TOPIC, DEFAULT_FIX_RATE_HZ, FIX_PERIOD_S,
-                  MAX_RUN_S, EnuCoord, GeodeticCoord, Rover, encode_fix, decode_fix,
+                  MAX_RUN_S, GeodeticCoord, Rover, encode_fix, decode_fix,
                   geodetic_to_enu, enu_to_geodetic, rtk_base, steps_within, take_corrections)
 from .quat import _finite_floats
 from .tf import TransformTree, _transform
@@ -332,13 +332,11 @@ class World:
             if rover is None or not fix_step:
                 continue
             # the rover reads the truth only on a fix step
-            truth = enu_to_geodetic(EnuCoord(px, py, pz), self.base)
+            truth = enu_to_geodetic((px, py, pz), self.base)
             fix = rover.step(truth, take_corrections(self.bus, agent.rtk_sub), now)
             agent.fix_pub.publish(fix.stamp, encode_fix(fix))
             self.fix_counts[agent.name] += 1
-            est = geodetic_to_enu(fix.position, self.base)
-            est_pos = (est.east, est.north, est.up)
-            agent._odom_position = est_pos
+            est_pos = agent._odom_position = geodetic_to_enu(fix.position, self.base)
             agent.odom_stamp = fix.stamp
             self._set_pose_edges(agent, est_pos, fix.stamp)
         if fix_step:  # a fix topic's one publisher, its sensor node, sends only on fix steps
@@ -371,8 +369,7 @@ class World:
                 if msg is None:
                     break
                 fix = decode_fix(msg.payload)
-                est = geodetic_to_enu(fix.position, self.base)
-                self._estimates[name].append((fix.stamp, (est.east, est.north, est.up)))
+                self._estimates[name].append((fix.stamp, geodetic_to_enu(fix.position, self.base)))
                 self._headings.pop(name, None)
 
     def _require(self, name: str) -> Agent:

@@ -344,7 +344,7 @@ def fix_columns(fixes: Iterable[RtkFix]) -> dict[str, FixColumns]:
 
 def load_bag_fixes(path) -> dict[str, FixColumns]:
     """A bag's fixes as columns per rover id, in bag (stamp) order, read at once per
-    payload length; a payload ``encode_fix`` could not write raises naming its record."""
+    payload length; a non-fix payload or a non-finite stamp raises naming its record."""
     records = read_bag(path)
     lengths = records.payload_len
     where = f"bag {path} record {{}} is not a fix:"
@@ -356,11 +356,13 @@ def load_bag_fixes(path) -> dict[str, FixColumns]:
         rec = records.payloads(index, _FIX_DTYPE.descr + [("id", f"V{tail}")])
         lat, lon, alt = rec["lla"].T  # GeodeticCoord's ranges; NaN fails too
         wrong = ((rec["quality"] > 2) | (rec["id_len"] != tail) | ~(np.abs(lat) <= 90.0)
-                 | ~((-180.0 < lon) & (lon <= 180.0)) | ~np.isfinite(alt))
+                 | ~((-180.0 < lon) & (lon <= 180.0)) | ~np.isfinite(alt)
+                 | ~np.isfinite(rec["stamp"]))  # the fix CSV's stamp rule
         if wrong.any():
             i = wrong.argmax()
             raise ValueError(f"{where.format(index[i])} quality code {rec['quality'][i]} (0-2), "
-                             f"rover id length {rec['id_len'][i]} ({tail}), lla {rec['lla'][i]}")
+                             f"rover id length {rec['id_len'][i]} ({tail}), lla {rec['lla'][i]}, "
+                             f"stamp {rec['stamp'][i]}")
         ids, inverse = np.unique(rec["id"], return_inverse=True)
         for j, raw in enumerate(ids):
             sel = inverse == j
@@ -420,7 +422,7 @@ def side_distances(fixes: Mapping[str, FixColumns], base: GeodeticCoord) -> Dist
         if len(columns := fixes.get(corner, ())) == 0:
             raise ValueError(f"no fixes for rover {corner!r} (rover ids are corner names)")
         order = np.argsort(columns.stamps, kind="stable")
-        tracks[corner] = (columns.stamps[order], geodetic_to_enu_array(*columns.lla[order].T, base))
+        tracks[corner] = (columns.stamps[order], geodetic_to_enu_array(columns.lla[order], base))
 
     sides: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for side in SIDES:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from pathlib import Path
 
 from . import agents, bag, bench
 from .bus import Bus
@@ -149,23 +151,27 @@ def _cmd_bench_analyze(args) -> int:
 
 
 def _cmd_bag_record(args) -> int:
-    if args.source:
-        bag.read_bag(args.source)  # a missing or corrupt source fails before -o is opened
-        bus = Bus()
-        recorder = bag.record(bus, args.filters, args.out)
-        bag.replay(args.source, bus, fast=True)
-    else:
-        scenario = agents.load_scenario(args.scenario)
-        recorder = None
+    partial = Path(f"{args.out}.{os.getpid()}.tmp")  # moved to -o only once whole
+    try:
+        if args.source:
+            bus = Bus()
+            recorder = bag.record(bus, args.filters, partial)
+            bag.replay(args.source, bus, fast=True)
+        else:
+            scenario = agents.load_scenario(args.scenario)
+            recorder = None
 
-        def attach(world) -> None:
-            nonlocal recorder
-            recorder = bag.record(world.bus, args.filters, args.out)
+            def attach(world) -> None:
+                nonlocal recorder
+                recorder = bag.record(world.bus, args.filters, partial)
 
-        agents.run_scenario(scenario, on_world=attach)
-    path = recorder.stop()
-    info = bag.bag_info(path)
-    print(f"wrote {path}: {info.record_count} records on {len(info.topics)} topics")
+            agents.run_scenario(scenario, on_world=attach)
+        recorder.stop()
+        os.replace(partial, args.out)
+    finally:
+        partial.unlink(missing_ok=True)
+    info = bag.bag_info(args.out)
+    print(f"wrote {args.out}: {info.record_count} records on {len(info.topics)} topics")
     return 0
 
 

@@ -3,12 +3,14 @@ RTK base, its correction stream on the bus, and a stochastic rover fix model
 with one noise table, ``GRADE_SIGMAS``, and one disturbance decay time.
 
 Conversions use the WGS84 closed forms (a = 6378137 m, f = 1/298.257223563);
-the inverse is Bowring's start refined by a short fixed-point iteration. The
-ENU rotations are written once, as fixed-order float sums that take floats
-(per-point functions) or numpy columns (array functions). A base's frame, its
-ECEF origin and ENU basis rows, comes from one helper on Python floats, and
-``Rover.step`` converts its one fix's error as Python floats too. Neither the
-base nor a rover keeps a clock: each sends or fixes at the time its caller gives.
+the inverse is Bowring's start refined by a short fixed-point iteration. Per
+point, ENU and ECEF points are ``quat.Vec3`` float tuples, and an ECEF point
+must be finite where a conversion takes or makes one. The ENU rotations are
+written once, as fixed-order float sums that take floats (per-point functions)
+or numpy columns (array functions). A base's frame, its ECEF origin and ENU
+basis rows, comes from one helper on Python floats, and ``Rover.step`` converts
+its one fix's error as Python floats too. Neither the base nor a rover keeps a
+clock: each sends or fixes at the time its caller gives.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bus import Bus, PublisherHandle, QosProfile, QualifiedName, Reliability, SubscriptionHandle
-from .quat import _finite_floats
+from .quat import Vec3, _finite_floats
 
 WGS84_A = 6378137.0
 WGS84_F = 1.0 / 298.257223563
@@ -65,24 +67,6 @@ class GeodeticCoord:
             raise ValueError(f"altitude {self.alt} is not finite")
 
 
-@dataclass(frozen=True)
-class EcefCoord:
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            raise ValueError("ECEF coordinates must be finite")
-
-
-@dataclass(frozen=True)
-class EnuCoord:
-    east: float
-    north: float
-    up: float
-
-
 class FixQuality(Enum):
     SINGLE = "single"
     FLOAT = "float"
@@ -112,13 +96,20 @@ class CorrectionMsg:
 # -- conversions -------------------------------------------------------
 
 
-def geodetic_to_ecef(g: GeodeticCoord) -> EcefCoord:
-    return EcefCoord(*_frame(g)[0])
+def _finite_ecef(p: Vec3) -> Vec3:
+    x, y, z = p
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError("ECEF coordinates must be finite")
+    return p
 
 
-def ecef_to_geodetic(p: EcefCoord) -> GeodeticCoord:
+def geodetic_to_ecef(g: GeodeticCoord) -> Vec3:
+    return _frame(g)[0]
+
+
+def ecef_to_geodetic(p: Vec3) -> GeodeticCoord:
     """Bowring's starting latitude refined by <= 5 fixed-point iterations."""
-    x, y, z = p.x, p.y, p.z
+    x, y, z = _finite_ecef(p)
     rho = math.hypot(x, y)
     if rho < 1e-12 and abs(z) < 1e-12:
         raise ValueError("ECEF point at Earth center has no geodetic image")
@@ -176,22 +167,23 @@ def _frame(g: GeodeticCoord):
     return origin, _enu_rows(sp, cp, sl, cl)
 
 
-def ecef_to_enu(p: EcefCoord, base: GeodeticCoord) -> EnuCoord:
+def ecef_to_enu(p: Vec3, base: GeodeticCoord) -> Vec3:
+    x, y, z = _finite_ecef(p)
     (ox, oy, oz), rows = _frame(base)
-    return EnuCoord(*_to_enu(rows, p.x - ox, p.y - oy, p.z - oz))
+    return _to_enu(rows, x - ox, y - oy, z - oz)
 
 
-def enu_to_ecef(e: EnuCoord, base: GeodeticCoord) -> EcefCoord:
+def enu_to_ecef(e: Vec3, base: GeodeticCoord) -> Vec3:
     (ox, oy, oz), rows = _frame(base)
-    dx, dy, dz = _from_enu(rows, e.east, e.north, e.up)
-    return EcefCoord(ox + dx, oy + dy, oz + dz)
+    dx, dy, dz = _from_enu(rows, *e)
+    return _finite_ecef((ox + dx, oy + dy, oz + dz))
 
 
-def geodetic_to_enu(g: GeodeticCoord, base: GeodeticCoord) -> EnuCoord:
+def geodetic_to_enu(g: GeodeticCoord, base: GeodeticCoord) -> Vec3:
     return ecef_to_enu(geodetic_to_ecef(g), base)
 
 
-def enu_to_geodetic(e: EnuCoord, base: GeodeticCoord) -> GeodeticCoord:
+def enu_to_geodetic(e: Vec3, base: GeodeticCoord) -> GeodeticCoord:
     return ecef_to_geodetic(enu_to_ecef(e, base))
 
 
@@ -294,18 +286,17 @@ def enu_to_geodetic_array(enu, base: GeodeticCoord | np.ndarray) -> np.ndarray:
     return ecef_to_geodetic_array(geodetic_to_ecef_array(base) + d)
 
 
-def geodetic_to_enu_array(lats, lons, alts, base: GeodeticCoord) -> np.ndarray:
-    """Geodetic columns -> ENU (N, 3) about ``base``."""
-    x, y, z = geodetic_to_ecef_array(np.array([lats, lons, alts], dtype=float).T).T
+def geodetic_to_enu_array(lla, base: GeodeticCoord) -> np.ndarray:
+    """``geodetic_to_enu`` over the rows of ``lla``."""
+    x, y, z = geodetic_to_ecef_array(lla).T
     (ox, oy, oz), rows = _frame(base)
     return np.stack(_to_enu(rows, x - ox, y - oy, z - oz), axis=1)
 
 
 # -- fix wire/file formats ----------------------------------------------
 
-_FIX_HEAD = struct.Struct("<ddddB")
-# that head and the rover id's u32 byte length, as a struct for one fix and as
-# a dtype for numpy reads; the id's bytes follow
+# a fix's stamp, lat, lon, alt, quality code and its rover id's u32 byte length,
+# as a struct for one fix and as a dtype for numpy reads; the id's bytes follow
 _FIX_HEAD_ID = struct.Struct("<ddddBI")
 _FIX_DTYPE = np.dtype([("stamp", "<f8"), ("lla", "<f8", (3,)), ("quality", "u1"),
                        ("id_len", "<u4")])
@@ -314,24 +305,19 @@ _QUALITY_CODE = {q: i for i, q in enumerate(_QUALITY_ORDER)}
 FIX_CSV_HEADER = ["stamp_s", "rover_id", "lat_deg", "lon_deg", "alt_m", "quality"]
 
 
-def _fix_tail(rover_id: str) -> bytes:
-    rid = rover_id.encode()
-    return struct.pack("<I", len(rid)) + rid
-
-
 def encode_fix(fix: RtkFix) -> bytes:
-    head = _FIX_HEAD.pack(fix.stamp, fix.position.lat, fix.position.lon,
-                          fix.position.alt, _QUALITY_CODE[fix.quality])
-    return head + _fix_tail(fix.rover_id)
+    rid = fix.rover_id.encode()
+    return _FIX_HEAD_ID.pack(fix.stamp, fix.position.lat, fix.position.lon,
+                             fix.position.alt, _QUALITY_CODE[fix.quality], len(rid)) + rid
 
 
 def encode_fixes(rover_id: str, stamps: np.ndarray, positions: np.ndarray,
                  codes: np.ndarray) -> list[bytes]:
     """``encode_fix`` for each of one rover's fixes, given as stamps, (n, 3)
     geodetic positions and quality codes (as ``Rover.step_batch`` returns)."""
-    tail = _fix_tail(rover_id)
-    pack = _FIX_HEAD.pack
-    return [pack(stamp, lat, lon, alt, code) + tail
+    rid = rover_id.encode()
+    pack, n = _FIX_HEAD_ID.pack, len(rid)
+    return [pack(stamp, lat, lon, alt, code, n) + rid
             for stamp, (lat, lon, alt), code in zip(np.asarray(stamps).tolist(),
                                                     positions.tolist(), codes.tolist())]
 
@@ -511,7 +497,7 @@ class Rover:
         (code,) = self._ladder([stamp], [corrections])
         error = self._errors([stamp], np.array([code]))[0].tolist()
         if any(error):
-            measured = enu_to_geodetic(EnuCoord(*error), true_position)
+            measured = enu_to_geodetic(error, true_position)
         else:
             measured = true_position
         return RtkFix(self.rover_id, measured, self.quality, stamp)

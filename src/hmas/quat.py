@@ -2,15 +2,17 @@
 kernels on Python floats, (w, x, y, z) component order. No numpy here.
 
 Every per-point vector the package stores or returns is a float tuple, a
-``Vec3`` or a ``Quat``; every vector that enters passes ``_finite_floats``.
-Each quaternion operation is written once, on float sequences, and returns a
-float tuple; ``IDENTITY`` is ``(1.0, 0.0, 0.0, 0.0)``. One arithmetic rule
-holds across the package: every reduction (a dot product, a norm, a rotation)
-is a sum of Python floats in a fixed order, left to right, as ``inner`` writes
-it. None goes through BLAS (``ndarray.dot``, ``@``, ``numpy.linalg``), whose
-summation order depends on the CPU, the OpenBLAS kernel and the thread count,
-nor through the built-in ``sum``, compensated since Python 3.12. So the same
-inputs give the same bits on every host.
+``Vec3`` or a ``Quat``, ``geo``'s ENU and ECEF points included. Every vector
+that enters a spec, a transform or an agent passes ``_finite_floats``; ``geo``
+checks only that an ECEF point is finite. Each quaternion operation is written
+once, on float sequences, and returns a float tuple; ``IDENTITY`` is
+``(1.0, 0.0, 0.0, 0.0)``. One arithmetic rule holds across the package: every
+reduction (a dot product, a norm, a rotation) is a sum of Python floats in a
+fixed order, left to right, as ``inner`` writes it. None goes through BLAS
+(``ndarray.dot``, ``@``, ``numpy.linalg``), whose summation order depends on
+the CPU, the OpenBLAS kernel and the thread count, nor through the built-in
+``sum``, compensated since Python 3.12. So the same inputs give the same bits
+on every host.
 """
 from __future__ import annotations
 

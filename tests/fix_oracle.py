@@ -41,6 +41,16 @@ def bad_payloads() -> dict[str, tuple[bytes, str]]:
     }
 
 
+def unanalysable_payloads() -> dict[str, tuple[bytes, str]]:
+    """``bad_payloads`` and the fixes whose stamp is not finite, which
+    ``encode_fix`` writes but the bag analysis refuses, as the fix CSV does."""
+    out = bad_payloads()
+    for stamp in (math.nan, math.inf, -math.inf):
+        fix = RtkFix("top_left", GeodeticCoord(48.7, 6.15, 220.0), FixQuality.FIXED, stamp)
+        out[f"stamp_{stamp}"] = (encode_fix(fix), f", stamp {stamp}")
+    return out
+
+
 def write_bag_with_bad_fix(path, payload: bytes):
     """A board bag of five fixes whose record 3 carries ``payload``."""
     with BagWriter(path) as writer:

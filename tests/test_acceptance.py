@@ -11,7 +11,7 @@ from hmas import bag, bench, geo, quat
 from hmas.agents import (AgentSpec, FollowCommand, Scenario, ScenarioAgent,
                          SensorSpec, run_scenario)
 from hmas.bus import Bus, QosProfile, Reliability
-from hmas.geo import EnuCoord, GeodeticCoord
+from hmas.geo import GeodeticCoord
 from hmas.tf import Transform, TransformTree, compose, invert
 
 from fix_oracle import decoded_fixes
@@ -22,10 +22,10 @@ GPS = (SensorSpec("gps", "gnss"),)
 
 
 def test_criterion_1_geodesy_oracle_equivalence(rng):
-    eq = geo.geodetic_to_ecef(GeodeticCoord(0.0, 0.0, 0.0))
-    assert abs(eq.x - 6378137.0) < 1e-6 and abs(eq.y) < 1e-6 and abs(eq.z) < 1e-6
-    pole = geo.geodetic_to_ecef(GeodeticCoord(90.0, 0.0, 0.0))
-    assert abs(pole.z - 6356752.314) <= 1e-3
+    x, y, z = geo.geodetic_to_ecef(GeodeticCoord(0.0, 0.0, 0.0))
+    assert abs(x - 6378137.0) < 1e-6 and abs(y) < 1e-6 and abs(z) < 1e-6
+    _, _, pole_z = geo.geodetic_to_ecef(GeodeticCoord(90.0, 0.0, 0.0))
+    assert abs(pole_z - 6356752.314) <= 1e-3
 
     worst_deg, worst_alt = 0.0, 0.0
     for _ in range(10_000):
@@ -46,11 +46,11 @@ def test_criterion_2_enu_rigidity(rng):
     for _ in range(1_000):
         b = GeodeticCoord(float(rng.uniform(-80, 80)), float(rng.uniform(-179, 179)),
                           float(rng.uniform(-100, 3000)))
-        p1 = geo.enu_to_ecef(EnuCoord(*rng.uniform(-10_000, 10_000, 3)), b)
-        p2 = geo.enu_to_ecef(EnuCoord(*rng.uniform(-10_000, 10_000, 3)), b)
+        p1 = geo.enu_to_ecef(rng.uniform(-10_000, 10_000, 3).tolist(), b)
+        p2 = geo.enu_to_ecef(rng.uniform(-10_000, 10_000, 3).tolist(), b)
         e1, e2 = geo.ecef_to_enu(p1, b), geo.ecef_to_enu(p2, b)
-        chord = math.dist((p1.x, p1.y, p1.z), (p2.x, p2.y, p2.z))
-        enu_d = math.dist((e1.east, e1.north, e1.up), (e2.east, e2.north, e2.up))
+        chord = math.dist(p1, p2)
+        enu_d = math.dist(e1, e2)
         worst = max(worst, abs(enu_d - chord) / chord)
     assert worst <= 1e-9
     print(f"\nPASS criterion 2: 10^3 point pairs, worst relative distance "
@@ -229,10 +229,8 @@ def test_criterion_8_translation_run(tmp_path):
     centroid = None
     for corner in bench.CORNERS:
         series = fixes[corner]
-        pts = geo.geodetic_to_enu_array([f.position.lat for f in series],
-                                           [f.position.lon for f in series],
-                                           [f.position.alt for f in series],
-                                           noiseless.base)
+        pts = geo.geodetic_to_enu_array([(f.position.lat, f.position.lon, f.position.alt)
+                                            for f in series], noiseless.base)
         centroid = pts if centroid is None else centroid + pts
     centroid /= 4.0
     length = float(np.linalg.norm(np.diff(centroid, axis=0), axis=1).sum())

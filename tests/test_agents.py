@@ -16,7 +16,7 @@ from hmas.agents import (CONTROL_DT_S, DEAD_BAND_M, FIX_PERIOD_S, FOLLOW_GAIN,
                          UnknownAgentError, World, load_scenario, run_scenario)
 from hmas.bag import read_bag, record
 from hmas.bus import SeededDropInjector
-from hmas.geo import (CORRECTION_TOPIC, MAX_RUN_S, CorrectionLink, EnuCoord, FixQuality,
+from hmas.geo import (CORRECTION_TOPIC, MAX_RUN_S, CorrectionLink, FixQuality,
                       GeodeticCoord, decode_fix, enu_to_geodetic, steps_within,
                       take_corrections)
 from hmas.tf import TfError
@@ -334,7 +334,7 @@ class TestStepping:
         for payload in fixes:
             fix = decode_fix(payload)
             position = truth[fix.stamp]
-            assert fix.position == enu_to_geodetic(EnuCoord(*position), BASE)
+            assert fix.position == enu_to_geodetic(position, BASE)
             assert abs(position[0] - fix.stamp) < 1e-6  # 1 m/s east from the origin
 
 

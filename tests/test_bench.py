@@ -1,5 +1,6 @@
 """Experiment harness: board geometry, determinism, analysis, CSV output."""
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from hmas.bench import (CORNERS, EXPERIMENT_KINDS, SIDES, DistanceSeries,
 from hmas.bus import Bus
 from hmas.geo import FixQuality, RtkFix
 
-from fix_oracle import bad_payloads, decoded_fixes, write_bag_with_bad_fix
+from fix_oracle import decoded_fixes, unanalysable_payloads, write_bag_with_bad_fix
 
 
 def columns(groups):
@@ -27,7 +28,7 @@ def columns(groups):
 def fixes_at(rover_id, points, t0=0.0, dt=1.0 / 14.0, base=bench.DEFAULT_BASE):
     out = []
     for i, enu in enumerate(points):
-        g = geo.enu_to_geodetic(geo.EnuCoord(*enu), base)
+        g = geo.enu_to_geodetic(tuple(enu), base)
         out.append(RtkFix(rover_id, g, FixQuality.FIXED, t0 + i * dt))
     return out
 
@@ -159,12 +160,12 @@ class TestRunExperiment:
         mid = bench.ROTATION_LIFT_END_S + (bench.ROTATION_CW_END_S
                                            - bench.ROTATION_LIFT_END_S) / 2.0
         fix = next(f for f in fixes["top_left"] if abs(f.stamp - mid) < 1e-9)
-        e = geo.geodetic_to_enu(fix.position, spec.base)
+        east, north, up = geo.geodetic_to_enu(fix.position, spec.base)
         # half a clockwise turn: top_left sits at bottom_right's start slot
         cx, cy = bench.BOARD_CENTER_EN
         h = spec.side_m / 2.0
-        assert (e.east, e.north) == pytest.approx((cx + h, cy - h), abs=1e-6)
-        assert e.up == pytest.approx(bench.ROTATION_LIFT_M, abs=1e-6)
+        assert (east, north) == pytest.approx((cx + h, cy - h), abs=1e-6)
+        assert up == pytest.approx(bench.ROTATION_LIFT_M, abs=1e-6)
 
     def test_noiseless_translation_path_length(self, tmp_path):
         spec = translation_spec(seed=1, noiseless=True)
@@ -202,7 +203,7 @@ def _scalar_loop_bag(spec, path):
         link.poll(t)
         positions = bench.corner_positions(spec, np.array([t]))
         for corner in CORNERS:
-            truth = geo.enu_to_geodetic(geo.EnuCoord(*positions[corner][0]), spec.base)
+            truth = geo.enu_to_geodetic(positions[corner][0].tolist(), spec.base)
             fix = rovers[corner].step(truth, geo.take_corrections(live, subs[corner]), t)
             pubs[corner].publish(fix.stamp, geo.encode_fix(fix))
     return recorder.stop()
@@ -239,8 +240,7 @@ class TestBatchedRun:
 
 
 def _enu(fix, base):
-    e = geo.geodetic_to_enu(fix.position, base)
-    return e.east, e.north, e.up
+    return geo.geodetic_to_enu(fix.position, base)
 
 
 class TestSideDistances:
@@ -305,8 +305,8 @@ class TestSideDistances:
         by_rover: dict[str, dict[float, tuple[float, float, float]]] = {}
         for record in bag.read_bag(path):
             fix = geo.decode_fix(record.payload)
-            e = geo.geodetic_to_enu(fix.position, spec.base)
-            by_rover.setdefault(fix.rover_id, {})[fix.stamp] = (e.east, e.north, e.up)
+            by_rover.setdefault(fix.rover_id, {})[fix.stamp] = geo.geodetic_to_enu(fix.position,
+                                                                                    spec.base)
         for side, (ca, cb) in bench.SIDE_PAIRS.items():
             expected = []
             for stamp, pa in sorted(by_rover[ca].items()):
@@ -457,7 +457,7 @@ def test_side_distances_pair_nearest_stamp_ties_to_later(sets):
         for i, stamp in enumerate(stamps):
             enu = [0.0, 0.0, 0.0]
             enu[_CORNER_AXIS[corner]] = 0.25 * (i + 1)  # the distance names the pair
-            g = geo.enu_to_geodetic(geo.EnuCoord(*enu), base)
+            g = geo.enu_to_geodetic(enu, base)
             fixes[corner].append(RtkFix(corner, g, FixQuality.FIXED, stamp))
 
     expected = {}
@@ -560,15 +560,28 @@ def _assert_columns_hold(cols, fixes):
                                               FixQuality.FIXED, -0.0)),
                   ("/é/x", 0.5, RtkFix("é", geo.GeodeticCoord(1.0, 2.0, 3.0),
                                        FixQuality.FLOAT, 0.5))])
+@example(records=[("/b/gps/fix", 0.0, RtkFix("ab", geo.GeodeticCoord(0.0, 0.0, 0.0),
+                                              FixQuality.SINGLE, 0.0)),
+                  ("/b/gps/fix", 1.0, RtkFix("a", geo.GeodeticCoord(0.0, 0.0, 0.0),
+                                              FixQuality.FIXED, -math.inf))])
 @settings(max_examples=150, deadline=None)
 def test_load_bag_fixes_equals_decoding_each_record(tmp_path_factory, records):
     """The columns of every rover equal, bit for bit, its fixes decoded one
     record at a time through ``read_bag`` and ``decode_fix``, in bag order;
-    ``fix_columns`` of those fixes gives the same columns."""
+    ``fix_columns`` of those fixes gives the same columns. A bag holding an
+    infinite fix stamp is refused, naming a record that holds one."""
     path = tmp_path_factory.mktemp("fixes") / "f.bag"
     with bag.BagWriter(path) as writer:
         for topic, stamp, fix in records:
             writer.append(topic, stamp, geo.encode_fix(fix))
+    in_order = [geo.decode_fix(record.payload) for record in bag.read_bag(path)]
+    non_finite = [i for i, fix in enumerate(in_order) if not math.isfinite(fix.stamp)]
+    if non_finite:
+        with pytest.raises(ValueError) as err:
+            load_bag_fixes(path)
+        named = re.match(rf"bag {re.escape(str(path))} record (\d+) is not a fix: ", str(err.value))
+        assert named and int(named.group(1)) in non_finite
+        return
     want = decoded_fixes(path)
     got = load_bag_fixes(path)
     converted = fix_columns(f for group in want.values() for f in group)
@@ -578,9 +591,9 @@ def test_load_bag_fixes_equals_decoding_each_record(tmp_path_factory, records):
         _assert_columns_hold(converted[rover_id], fixes)
 
 
-@pytest.mark.parametrize("case", sorted(bad_payloads()))
+@pytest.mark.parametrize("case", sorted(unanalysable_payloads()))
 def test_a_payload_that_is_not_a_fix_names_its_record(tmp_path, case):
-    payload, detail = bad_payloads()[case]
+    payload, detail = unanalysable_payloads()[case]
     path = write_bag_with_bad_fix(tmp_path / "bad.bag", payload)
     with pytest.raises(ValueError) as err:
         load_bag_fixes(path)

@@ -9,7 +9,7 @@ from hmas import agents, bag, bench
 from hmas.cli import main
 from hmas.geo import MAX_RUN_S, write_fix_csv
 
-from fix_oracle import bad_payloads, decoded_fixes, write_bag_with_bad_fix
+from fix_oracle import decoded_fixes, unanalysable_payloads, write_bag_with_bad_fix
 
 SCENARIO = {
     "base": {"lat": 48.70, "lon": 6.15, "alt": 220.0},
@@ -113,13 +113,14 @@ class TestBenchCli:
         assert err.startswith(f"hmas: error: fix CSV {csv_in} row 1: {detail}")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("case", sorted(bad_payloads()))
+    @pytest.mark.parametrize("case", sorted(unanalysable_payloads()))
     def test_analyze_names_the_bag_record_that_is_not_a_fix(self, tmp_path, capsys, case):
-        path = write_bag_with_bad_fix(tmp_path / "bad.bag", bad_payloads()[case][0])
+        payload, detail = unanalysable_payloads()[case]
+        path = write_bag_with_bad_fix(tmp_path / "bad.bag", payload)
         assert run_cli("bench", "analyze", path) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"hmas: error: bag {path} record 3 is not a fix: ")
-        assert err.count("\n") == 1
+        assert detail in err and err.count("\n") == 1
 
     def test_rotation_kind_excludes_its_windows(self, tmp_path, capsys):
         out = tmp_path / "rot.bag"
@@ -313,27 +314,41 @@ class TestBagCli:
         assert set(info.topics) == {"/top_left/gps/fix", "/top_right/gps/fix"}
         assert info.record_count == 56
 
-    @pytest.mark.parametrize("source", ["missing", "corrupt"])
+    @pytest.mark.parametrize("source", ["missing", "corrupt", "negative_stamp", "scenario"])
     @pytest.mark.parametrize("existing", [False, True])
     def test_record_from_a_bad_source_leaves_the_output_alone(self, tmp_path, capsys,
                                                               source, existing):
-        """The source is read before -o is opened: no empty bag is left behind,
-        and a bag already at -o keeps its bytes."""
-        bad = tmp_path / f"{source}.bag"
+        """The recording goes to a file beside -o, which replaces -o only when
+        it is whole: whether the source is a bag that is missing or corrupt or
+        whose stamp the bus refuses mid-replay, or a scenario whose command
+        names a missing agent, no file is left behind, and a bag already at -o
+        keeps its bytes."""
+        flag, bad, detail = "--source", tmp_path / f"{source}.bag", ""
         if source == "corrupt":
             bad.write_bytes(b"HBAG\x01\x00\x05\x00")
+        elif source == "negative_stamp":
+            with bag.BagWriter(bad) as writer:
+                writer.append("/top_left/gps/fix", -1.0, b"")
+            detail = "stamp -1.0 is not finite and non-negative"
+        elif source == "scenario":
+            flag, bad = "--scenario", tmp_path / "scenario.json"
+            bad.write_text(json.dumps(dict(SCENARIO, agents=SCENARIO["agents"][1:])))
+            detail = "no agent named 'operator'"
         out = tmp_path / "out.bag"
         before = self.make_bag(tmp_path).read_bytes() if existing else None
         if existing:
             out.write_bytes(before)
-        code = run_cli("bag", "record", "--filter", "/*/gps/fix", "-o", out, "--source", bad)
+        files = sorted(tmp_path.iterdir())
+        code = run_cli("bag", "record", "--filter", "/*/gps/fix", "-o", out, flag, bad)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("hmas: error: ") and err.count("\n") == 1
+        assert detail in err
         if existing:
             assert out.read_bytes() == before
         else:
             assert not out.exists()
+        assert sorted(tmp_path.iterdir()) == files
 
     def test_record_from_scenario(self, tmp_path, scenario_file):
         out = tmp_path / "scn.bag"

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmas import geo
-from hmas.geo import (EcefCoord, EnuCoord, FixQuality, GeodeticCoord, RtkFix,
-                      ecef_to_enu, ecef_to_geodetic, enu_to_ecef,
+from hmas.geo import (FixQuality, GeodeticCoord, RtkFix, ecef_to_enu, ecef_to_geodetic, enu_to_ecef,
                       geodetic_to_ecef, geodetic_to_enu)
 
 from fix_oracle import bad_payloads
@@ -22,23 +21,23 @@ NANCY = GeodeticCoord(48.70, 6.15, 220.0)
 
 
 def test_equator_prime_meridian_anchor():
-    p = geodetic_to_ecef(GeodeticCoord(0.0, 0.0, 0.0))
-    assert p.x == pytest.approx(6378137.0, abs=1e-9)
-    assert p.y == pytest.approx(0.0, abs=1e-9)
-    assert p.z == pytest.approx(0.0, abs=1e-9)
+    x, y, z = geodetic_to_ecef(GeodeticCoord(0.0, 0.0, 0.0))
+    assert x == pytest.approx(6378137.0, abs=1e-9)
+    assert y == pytest.approx(0.0, abs=1e-9)
+    assert z == pytest.approx(0.0, abs=1e-9)
 
 
 def test_pole_maps_to_semi_minor_axis():
-    p = geodetic_to_ecef(GeodeticCoord(90.0, 0.0, 0.0))
-    assert abs(p.z - 6356752.314245) < 1e-3
-    assert math.hypot(p.x, p.y) < 1e-6
+    x, y, z = geodetic_to_ecef(GeodeticCoord(90.0, 0.0, 0.0))
+    assert abs(z - 6356752.314245) < 1e-3
+    assert math.hypot(x, y) < 1e-6
 
 
 def test_nancy_against_frozen_high_precision_oracle():
-    p = geodetic_to_ecef(NANCY)
-    assert p.x == pytest.approx(ECEF_NANCY[0], abs=1e-6)
-    assert p.y == pytest.approx(ECEF_NANCY[1], abs=1e-6)
-    assert p.z == pytest.approx(ECEF_NANCY[2], abs=1e-6)
+    x, y, z = geodetic_to_ecef(NANCY)
+    assert x == pytest.approx(ECEF_NANCY[0], abs=1e-6)
+    assert y == pytest.approx(ECEF_NANCY[1], abs=1e-6)
+    assert z == pytest.approx(ECEF_NANCY[2], abs=1e-6)
 
 
 def test_frozen_oracle_values_still_match():
@@ -61,7 +60,7 @@ def test_frozen_oracle_values_still_match():
 
 
 def test_ecef_on_equator_inverts_exactly():
-    g = ecef_to_geodetic(EcefCoord(6378137.0, 0.0, 0.0))
+    g = ecef_to_geodetic((6378137.0, 0.0, 0.0))
     assert g.lat == pytest.approx(0.0, abs=1e-12)
     assert g.lon == pytest.approx(0.0, abs=1e-12)
     assert g.alt == pytest.approx(0.0, abs=1e-9)
@@ -89,14 +88,14 @@ def test_round_trip_property(lat, lon, alt):
 
 
 def test_pole_inverse():
-    g = ecef_to_geodetic(EcefCoord(0.0, 0.0, SEMI_MINOR_B + 5.0))
+    g = ecef_to_geodetic((0.0, 0.0, SEMI_MINOR_B + 5.0))
     assert g.lat == pytest.approx(90.0, abs=1e-9)
     assert g.alt == pytest.approx(5.0, abs=1e-6)
 
 
 def test_earth_center_rejected():
     with pytest.raises(ValueError):
-        ecef_to_geodetic(EcefCoord(0.0, 0.0, 0.0))
+        ecef_to_geodetic((0.0, 0.0, 0.0))
 
 
 def test_coordinate_range_validation():
@@ -106,61 +105,81 @@ def test_coordinate_range_validation():
         GeodeticCoord(0.0, -180.0, 0.0)
     with pytest.raises(ValueError):
         GeodeticCoord(0.0, 0.0, float("nan"))
-    with pytest.raises(ValueError):
-        EcefCoord(float("inf"), 0.0, 0.0)
+
+
+_NON_FINITE_POINTS = [tuple(bad if i == k else 1.0 for i in range(3))
+                      for bad in (math.nan, math.inf, -math.inf) for k in range(3)]
+
+
+@pytest.mark.parametrize("point", _NON_FINITE_POINTS, ids=repr)
+def test_a_non_finite_point_is_refused(point):
+    """A NaN or infinite coordinate, in any place, of an ECEF point or of an
+    ENU point (whose ECEF image is then not finite) raises."""
+    ecef = tuple(v if not math.isfinite(v) else c for v, c in zip(point, ECEF_NANCY))
+    for call in (lambda: ecef_to_geodetic(ecef), lambda: ecef_to_enu(ecef, NANCY),
+                 lambda: enu_to_ecef(point, NANCY), lambda: geo.enu_to_geodetic(point, NANCY)):
+        with pytest.raises(ValueError, match="ECEF coordinates must be finite"):
+            call()
+
+
+def test_scalar_conversions_return_tuples_of_three_floats():
+    ecef = enu_to_ecef((12.5, -3.0, 1.0), NANCY)
+    for point in (geodetic_to_ecef(NANCY), ecef, ecef_to_enu(ecef, NANCY),
+                  geodetic_to_enu(NANCY, NANCY)):
+        assert type(point) is tuple and len(point) == 3
+        assert all(type(v) is float for v in point)
 
 
 class TestEnu:
     def test_anchor_maps_to_origin(self):
-        e = ecef_to_enu(geodetic_to_ecef(NANCY), NANCY)
-        assert (e.east, e.north, e.up) == (0.0, 0.0, 0.0)
+        assert ecef_to_enu(geodetic_to_ecef(NANCY), NANCY) == (0.0, 0.0, 0.0)
 
     def test_point_straight_up_is_u_axis(self):
         above = GeodeticCoord(NANCY.lat, NANCY.lon, NANCY.alt + 1.0)
-        e = geodetic_to_enu(above, NANCY)
-        assert abs(e.east) < 1e-9
-        assert abs(e.north) < 1e-9
-        assert e.up == pytest.approx(1.0, abs=1e-9)
+        east, north, up = geodetic_to_enu(above, NANCY)
+        assert abs(east) < 1e-9
+        assert abs(north) < 1e-9
+        assert up == pytest.approx(1.0, abs=1e-9)
 
     def test_small_north_offset_against_independent_basis(self):
         offset = GeodeticCoord(NANCY.lat + 1e-5, NANCY.lon, NANCY.alt)
-        e = geodetic_to_enu(offset, NANCY)
+        e_east, e_north, _ = geodetic_to_enu(offset, NANCY)
         # independent basis computation straight from the rotation definition
         p0 = geodetic_to_ecef(NANCY)
         p1 = geodetic_to_ecef(offset)
         lam = math.radians(NANCY.lon)
         phi = math.radians(NANCY.lat)
-        d = (p1.x - p0.x, p1.y - p0.y, p1.z - p0.z)
+        d = (p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2])
         east = -math.sin(lam) * d[0] + math.cos(lam) * d[1]
         north = (-math.sin(phi) * math.cos(lam) * d[0]
                  - math.sin(phi) * math.sin(lam) * d[1] + math.cos(phi) * d[2])
-        assert abs(e.east) < 1e-6
-        assert e.east == pytest.approx(east, abs=1e-9)
-        assert e.north == pytest.approx(north, abs=1e-9)
+        assert abs(e_east) < 1e-6
+        assert e_east == pytest.approx(east, abs=1e-9)
+        assert e_north == pytest.approx(north, abs=1e-9)
         # meridian-arc sanity: M(phi) * dphi
         m = (geo.WGS84_A * (1 - geo.WGS84_E2)
              / (1 - geo.WGS84_E2 * math.sin(phi) ** 2) ** 1.5)
-        assert e.north == pytest.approx(m * math.radians(1e-5), abs=5e-4)
+        assert e_north == pytest.approx(m * math.radians(1e-5), abs=5e-4)
 
     def test_round_trip_enu(self, rng):
         for _ in range(200):
-            e = EnuCoord(*rng.uniform(-50_000, 50_000, size=2), rng.uniform(-100, 5000))
+            e = (*rng.uniform(-50_000, 50_000, size=2).tolist(), rng.uniform(-100, 5000))
             p = enu_to_ecef(e, NANCY)
             back = ecef_to_enu(p, NANCY)
-            assert back.east == pytest.approx(e.east, abs=1e-6)
-            assert back.north == pytest.approx(e.north, abs=1e-6)
-            assert back.up == pytest.approx(e.up, abs=1e-6)
+            assert back[0] == pytest.approx(e[0], abs=1e-6)
+            assert back[1] == pytest.approx(e[1], abs=1e-6)
+            assert back[2] == pytest.approx(e[2], abs=1e-6)
 
     def test_rigidity_enu_distance_equals_ecef_chord(self, rng):
         for _ in range(200):
             b = GeodeticCoord(rng.uniform(-80, 80), rng.uniform(-179, 179),
                               rng.uniform(0, 2000))
-            p1 = enu_to_ecef(EnuCoord(*rng.uniform(-10_000, 10_000, 3)), b)
-            p2 = enu_to_ecef(EnuCoord(*rng.uniform(-10_000, 10_000, 3)), b)
+            p1 = enu_to_ecef(rng.uniform(-10_000, 10_000, 3).tolist(), b)
+            p2 = enu_to_ecef(rng.uniform(-10_000, 10_000, 3).tolist(), b)
             e1 = ecef_to_enu(p1, b)
             e2 = ecef_to_enu(p2, b)
-            chord = math.dist((p1.x, p1.y, p1.z), (p2.x, p2.y, p2.z))
-            enu_d = math.dist((e1.east, e1.north, e1.up), (e2.east, e2.north, e2.up))
+            chord = math.dist(p1, p2)
+            enu_d = math.dist(e1, e2)
             assert abs(enu_d - chord) <= 1e-9 * max(chord, 1.0)
 
 
@@ -181,10 +200,10 @@ class TestArrayConversions:
         bases = [GeodeticCoord(lat, lon, alt) for lat, lon, alt, _ in rows]
         offsets = np.array([offset for *_, offset in rows])
         per_row = geo.enu_to_geodetic_array(offsets, _rows(bases))
-        expected = _rows(geo.enu_to_geodetic(EnuCoord(*e), b) for e, b in zip(offsets, bases))
+        expected = _rows(geo.enu_to_geodetic(e, b) for e, b in zip(offsets.tolist(), bases))
         assert per_row.tobytes() == expected.tobytes()
         one_base = geo.enu_to_geodetic_array(offsets, bases[0])
-        expected = _rows(geo.enu_to_geodetic(EnuCoord(*e), bases[0]) for e in offsets)
+        expected = _rows(geo.enu_to_geodetic(e, bases[0]) for e in offsets.tolist())
         assert one_base.tobytes() == expected.tobytes()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -193,23 +212,22 @@ class TestArrayConversions:
                               st.floats(-400.0, 9000.0)), min_size=1, max_size=8),
            st.sampled_from([NANCY, GeodeticCoord(-0.0, -0.0, 0.0), GeodeticCoord(0.0, 0.0, 0.0)]))
     def test_geodetic_to_enu_matches_scalar_bitwise(self, rows, base):
-        lats, lons, alts = np.array(rows).T
-        got = geo.geodetic_to_enu_array(lats, lons, alts, base)
+        got = geo.geodetic_to_enu_array(np.array(rows), base)
         expected = [geodetic_to_enu(GeodeticCoord(*row), base) for row in rows]
-        assert got.tobytes() == np.array([[e.east, e.north, e.up] for e in expected]).tobytes()
+        assert got.tobytes() == np.array(expected).tobytes()
 
     def test_special_points_match_scalar(self):
-        points = [EcefCoord(0.0, 0.0, SEMI_MINOR_B + 5.0),    # north pole
-                  EcefCoord(0.0, 0.0, -SEMI_MINOR_B - 5.0),   # south pole
-                  EcefCoord(-6378137.0, -0.0, 0.0),           # longitude -180 wraps
-                  EcefCoord(6378137.0, 0.0, 0.0),
-                  EcefCoord(*ECEF_NANCY)]
-        got = geo.ecef_to_geodetic_array([[p.x, p.y, p.z] for p in points])
+        points = [(0.0, 0.0, SEMI_MINOR_B + 5.0),    # north pole
+                  (0.0, 0.0, -SEMI_MINOR_B - 5.0),   # south pole
+                  (-6378137.0, -0.0, 0.0),           # longitude -180 wraps
+                  (6378137.0, 0.0, 0.0),
+                  ECEF_NANCY]
+        got = geo.ecef_to_geodetic_array(points)
         assert got.tobytes() == _rows(map(ecef_to_geodetic, points)).tobytes()
         assert got[2, 1] == 180.0
         back = geo.geodetic_to_ecef_array(got)
         expected = [geodetic_to_ecef(GeodeticCoord(*row)) for row in got.tolist()]
-        assert back.tolist() == [[p.x, p.y, p.z] for p in expected]
+        assert back.tolist() == [list(p) for p in expected]
 
     def test_invalid_input_rejected_like_scalar(self):
         with pytest.raises(ValueError, match="Earth center"):
@@ -295,24 +313,25 @@ def _sincos(base):
 
 
 def _ref_ecef_to_enu(p, base):
-    o = geodetic_to_ecef(base)
+    ox, oy, oz = geodetic_to_ecef(base)
     sp, cp, sl, cl = _sincos(base)
-    dx, dy, dz = p.x - o.x, p.y - o.y, p.z - o.z
-    return EnuCoord(-sl * dx + cl * dy + 0.0 * dz,
-                    -sp * cl * dx + -sp * sl * dy + cp * dz,
-                    cp * cl * dx + cp * sl * dy + sp * dz)
+    dx, dy, dz = p[0] - ox, p[1] - oy, p[2] - oz
+    return (-sl * dx + cl * dy + 0.0 * dz,
+            -sp * cl * dx + -sp * sl * dy + cp * dz,
+            cp * cl * dx + cp * sl * dy + sp * dz)
 
 
 def _ref_enu_to_ecef(e, base):
-    o = geodetic_to_ecef(base)
+    ox, oy, oz = geodetic_to_ecef(base)
     sp, cp, sl, cl = _sincos(base)
-    return EcefCoord(o.x + (-sl * e.east + -sp * cl * e.north + cp * cl * e.up),
-                     o.y + (cl * e.east + -sp * sl * e.north + cp * sl * e.up),
-                     o.z + (0.0 * e.east + cp * e.north + sp * e.up))
+    east, north, up = e
+    return (ox + (-sl * east + -sp * cl * north + cp * cl * up),
+            oy + (cl * east + -sp * sl * north + cp * sl * up),
+            oz + (0.0 * east + cp * north + sp * up))
 
 
 def _coord_bits(c):
-    return np.array([getattr(c, f) for f in c.__dataclass_fields__]).tobytes()
+    return np.array(c, dtype=float).tobytes()
 
 
 signed_zero = st.sampled_from([0.0, -0.0])
@@ -320,7 +339,7 @@ bases = st.builds(GeodeticCoord,
                   st.one_of(signed_zero, st.floats(-90.0, 90.0)),
                   st.one_of(signed_zero, st.floats(-179.999, 180.0)),
                   st.one_of(signed_zero, st.floats(-500.0, 9000.0)))
-enu_points = st.builds(EnuCoord, *[st.one_of(signed_zero, st.floats(-5e4, 5e4))] * 3)
+enu_points = st.tuples(*[st.one_of(signed_zero, st.floats(-5e4, 5e4))] * 3)
 
 
 @given(st.lists(st.tuples(bases, enu_points), min_size=1, max_size=20))

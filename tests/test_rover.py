@@ -84,8 +84,8 @@ def test_degraded_mode_sigma_rises_to_single_value():
     errors = []
     for i in range(1, 2001):
         fix = rover.step(BASE, (), i / 14.0)  # never corrected: single mode
-        e = geodetic_to_enu(fix.position, BASE)
-        errors.append((e.east, e.north))
+        east, north, _ = geodetic_to_enu(fix.position, BASE)
+        errors.append((east, north))
     errors = np.array(errors)
     sigma_h, _ = GRADE_SIGMAS[FixQuality.SINGLE]
     assert np.std(errors[:, 0]) == pytest.approx(sigma_h, rel=0.15)
@@ -101,8 +101,7 @@ def test_fixed_mode_noise_statistics_match_configured_sigma():
         link.poll(now)
         fix = rover.step(BASE, take_corrections(bus, sub), now)
         if fix.quality is FixQuality.FIXED:
-            e = geodetic_to_enu(fix.position, BASE)
-            samples.append((e.east, e.north, e.up))
+            samples.append(geodetic_to_enu(fix.position, BASE))
     samples = np.array(samples[:1000])
     assert len(samples) == 1000
     sigma_h, sigma_v = GRADE_SIGMAS[FixQuality.FIXED]
@@ -285,9 +284,9 @@ class TestDisturbance:
         rover = Rover("r", seed=0, disturbances=[DisturbanceWindow(1.0, 2.0, (0.5, 0.0, 0.0))],
                       noiseless=True)
         inside = rover.step(BASE, (), 1.5)
-        e = geodetic_to_enu(inside.position, BASE)
-        assert e.east == pytest.approx(0.5, abs=1e-9)
-        assert e.north == pytest.approx(0.0, abs=1e-9)
+        east, north, _ = geodetic_to_enu(inside.position, BASE)
+        assert east == pytest.approx(0.5, abs=1e-9)
+        assert north == pytest.approx(0.0, abs=1e-9)
         # past the decay tail the pulse is gone
         for i in range(22, 100):
             fix = rover.step(BASE, (), i / 14.0)
