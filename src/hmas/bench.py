@@ -525,22 +525,17 @@ def _fit_slope(stamps: np.ndarray, values: np.ndarray) -> float:
 
 def _find_peaks(stamps: np.ndarray, dists: np.ndarray, mu: float,
                 sigma: float) -> tuple[Peak, ...]:
+    """One peak per run of at least ``PEAK_MIN_SAMPLES`` consecutive samples
+    beyond ``PEAK_SIGMA_FACTOR`` sigma, at the run's first largest deviation."""
     dev = np.abs(dists - mu)
-    over = dev > PEAK_SIGMA_FACTOR * sigma
+    over = np.concatenate(([False], dev > PEAK_SIGMA_FACTOR * sigma, [False]))
+    edges = np.flatnonzero(over[1:] != over[:-1])  # each run's first sample, then one past its last
+    first, end = edges[0::2], edges[1::2]
+    long = end - first >= PEAK_MIN_SAMPLES
     peaks = []
-    i = 0
-    n = len(over)
-    while i < n:
-        if not over[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and over[j]:
-            j += 1
-        if j - i >= PEAK_MIN_SAMPLES:
-            k = i + int(np.argmax(dev[i:j]))
-            peaks.append(Peak(float(stamps[k]), float(dev[k])))
-        i = j
+    for i, j in zip(first[long].tolist(), end[long].tolist()):
+        k = i + int(np.argmax(dev[i:j]))
+        peaks.append(Peak(float(stamps[k]), float(dev[k])))
     return tuple(peaks)
 
 

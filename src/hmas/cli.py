@@ -168,6 +168,10 @@ def _cmd_bag_record(args) -> int:
             agents.run_scenario(scenario, on_world=attach)
         recorder.stop()
         os.replace(partial, args.out)
+    except OSError as err:
+        if str(err.filename) == str(partial):  # the recording is made beside -o, so name -o
+            raise OSError(err.errno, err.strerror, args.out) from None
+        raise
     finally:
         partial.unlink(missing_ok=True)
     info = bag.bag_info(args.out)

@@ -10,7 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hmas
@@ -606,6 +606,84 @@ def test_columns_agree_with_the_record_at_a_time_reader(tmp_path_factory, record
         assert error is None
     assert _stamp_bits(seen) == _stamp_bits(published)
 
+
+
+def _assert_agrees_with_the_record_at_a_time_reader(path):
+    """``read_bag``, ``bag_info`` and fast ``replay`` of the bag at ``path``
+    give what the record-at-a-time reader's records give, errors included."""
+    want, want_error = _outcome(bag_oracle.read_records, path)
+    got, got_error = _outcome(read_bag, path)
+    assert got_error == want_error
+    if want_error is not None:
+        assert _outcome(bag_info, path)[1] == want_error
+        assert _outcome(lambda p: replay(p, Bus(), fast=True), path)[1] == want_error
+        return
+    assert _stamp_bits(list(got)) == _stamp_bits(want)
+    info, expected = bag_info(path), bag_oracle.info(want)
+    assert info == expected and list(info.topics) == list(expected.topics)
+    published, error = bag_oracle.replayed(want)
+    bus = Bus()
+    seen = []
+    bus.add_publish_hook(lambda topic, stamp, payload: seen.append((topic.full, stamp, payload)))
+    try:
+        replay(path, bus, fast=True)
+    except Exception as exc:
+        assert (type(exc), str(exc)) == (type(error), str(error))
+    else:
+        assert error is None
+    assert _stamp_bits(seen) == _stamp_bits(published)
+
+
+# a pattern of (topic, payload length) records, from one record to more than
+# the longest period that ``read_bag`` guesses
+record_patterns = st.lists(st.tuples(st.sampled_from(REPLAYABLE_TOPICS + ("/ä/ß",)),
+                                     st.integers(0, 12)),
+                           min_size=1, max_size=bag_module._MAX_PERIOD + 3)
+
+
+@given(pattern=record_patterns, count=st.integers(100, 2500),
+       breaks=st.lists(st.tuples(st.integers(0, 2499), st.booleans()), max_size=3),
+       flip=st.none() | st.tuples(st.integers(0, 2499), st.booleans(), st.integers(0, 3),
+                                  st.integers(0, 255)),
+       cut=st.none() | st.integers(0, 10**6),
+       stretch=st.sampled_from([256, 2048, bag_module._WALK_BYTES]))
+@example(pattern=[(REPLAYABLE_TOPICS[i % 4], i) for i in range(bag_module._MAX_PERIOD + 2)],
+         count=2000, breaks=[], flip=None, cut=None, stretch=256)  # no period the walk guesses
+@example(pattern=[("/aa/gps/fix", 8), ("/bb/gps/fix", 9)], count=2500,
+         breaks=[(1000, False), (1500, True)], flip=(2000, True, 1, 7), cut=-3,
+         stretch=bag_module._WALK_BYTES)
+@settings(max_examples=200, deadline=None)
+def test_long_bags_agree_with_the_record_at_a_time_reader(tmp_path_factory, pattern, count,
+                                                          breaks, flip, cut, stretch):
+    """Oracle over bags long enough that ``read_bag`` guesses and checks
+    their period: a repeated pattern of records, perhaps broken by a record of
+    another length or a topic first seen mid-bag, with perhaps one byte of a
+    record's topic or payload length changed, then perhaps cut at a random
+    offset. The walk's first stretch is drawn too, so that short bags reach
+    the checked guesses as often as long ones."""
+    records = []
+    for i in range(count):
+        topic, size = pattern[i % len(pattern)]
+        records.append((topic, i / 14.0, bytes([i % 256]) * size))
+    for at, late_topic in breaks:
+        topic, stamp, payload = records[at % count]
+        records[at % count] = ((f"/late{at}/x", stamp, payload) if late_topic
+                               else (topic, stamp, payload + b"!"))
+    data = _v1_bytes(records)
+    if flip is not None:
+        at, in_payload_len, byte, value = flip
+        off = 6  # the start of record ``at``
+        for topic, _, payload in records[:at % count]:
+            off += 16 + len(topic.encode()) + len(payload)
+        if in_payload_len:
+            off += 12 + len(records[at % count][0].encode())
+        data = data[:off + byte] + bytes([value]) + data[off + byte + 1:]
+    if cut is not None:
+        data = data[:cut % (len(data) + 1)]
+    path = tmp_path_factory.mktemp("long") / "l.bag"
+    path.write_bytes(data)
+    with mock.patch.object(bag_module, "_WALK_BYTES", stretch):
+        _assert_agrees_with_the_record_at_a_time_reader(path)
 
 def test_bag_info_takes_stamps_as_floats_with_nan_among_them(tmp_path):
     """A hand-written file may hold a NaN stamp; ``bag_info`` takes start and

@@ -599,3 +599,48 @@ def test_a_payload_that_is_not_a_fix_names_its_record(tmp_path, case):
         load_bag_fixes(path)
     assert str(err.value).startswith(f"bag {path} record 3 is not a fix: ")
     assert detail in str(err.value)
+
+
+def _reference_peaks(stamps, dists, mu, sigma):
+    """The peak rule as one loop over the samples: one peak per run of at
+    least ``PEAK_MIN_SAMPLES`` samples beyond ``PEAK_SIGMA_FACTOR`` sigma, at
+    the run's first largest deviation."""
+    dev = np.abs(dists - mu)
+    over = dev > bench.PEAK_SIGMA_FACTOR * sigma
+    peaks = []
+    i = 0
+    n = len(over)
+    while i < n:
+        if not over[i]:
+            i += 1
+            continue
+        j = i
+        while j < n and over[j]:
+            j += 1
+        if j - i >= bench.PEAK_MIN_SAMPLES:
+            k = i + int(np.argmax(dev[i:j]))
+            peaks.append(bench.Peak(float(stamps[k]), float(dev[k])))
+        i = j
+    return tuple(peaks)
+
+
+@given(dists=st.lists(st.sampled_from([0.0, 0.05, -0.05, 0.3, -0.3]) | st.floats(-1.0, 1.0),
+                      max_size=80),
+       mu=st.sampled_from([0.0, 0.05]) | st.floats(-1.0, 1.0),
+       sigma=st.just(0.0) | st.floats(0.0, 0.5))
+@example(dists=[], mu=0.0, sigma=0.1)
+@example(dists=[0.5, 0.5, 0.0, 0.0, 0.5, 0.5], mu=0.0, sigma=0.1)  # runs touch both ends
+@example(dists=[0.0, 0.5, 0.7, 0.6, -0.7, 0.7, 0.0], mu=0.0, sigma=0.1)  # tied maxima
+@example(dists=[0.5, -0.3, 0.5, 0.2], mu=0.0, sigma=0.0)  # every sample over
+@example(dists=[0.2, 0.2, 0.2], mu=0.2, sigma=0.0)  # none over
+@example(dists=[0.0, 0.5, 0.0, 0.5, 0.0], mu=0.0, sigma=0.1)  # runs too short
+@settings(max_examples=300, deadline=None)
+def test_find_peaks_equals_the_sample_loop(dists, mu, sigma):
+    """Oracle: the run-based peaks equal the sample loop's, with sigma 0,
+    tied maxima inside a run, runs at either end, and every sample over the
+    threshold or none."""
+    stamps = np.arange(len(dists)) / 14.0
+    dists = np.array(dists, dtype=float)
+    got = bench._find_peaks(stamps, dists, mu, sigma)
+    assert got == _reference_peaks(stamps, dists, mu, sigma)
+    assert all(type(p.stamp) is float and type(p.magnitude_m) is float for p in got)

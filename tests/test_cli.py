@@ -350,6 +350,17 @@ class TestBagCli:
             assert not out.exists()
         assert sorted(tmp_path.iterdir()) == files
 
+    @pytest.mark.parametrize("flag", ["--source", "--scenario"])
+    def test_record_into_a_missing_directory_names_the_output(self, tmp_path, capsys,
+                                                              scenario_file, flag):
+        """The recording is made in a file beside -o, yet the error names -o."""
+        source = self.make_bag(tmp_path) if flag == "--source" else scenario_file
+        out = tmp_path / "nodir" / "x.bag"
+        assert run_cli("bag", "record", "--filter", "/*", "-o", out, flag, source) == 2
+        err = capsys.readouterr().err
+        assert err == f"hmas: error: [Errno 2] No such file or directory: '{out}'\n"
+        assert not out.parent.exists()
+
     def test_record_from_scenario(self, tmp_path, scenario_file):
         out = tmp_path / "scn.bag"
         assert run_cli("bag", "record", "--filter", "/spot/*",
