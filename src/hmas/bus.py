@@ -220,9 +220,15 @@ def _reject(pub: PublisherHandle, stamp: float) -> None:
     """Raise the error for a publish that the fast check in ``Bus.publish`` refused."""
     if pub._closed:
         raise ClosedHandleError(f"publisher on {pub.topic.full} is closed")
+    raise stamp_error(stamp, pub._last_stamp, pub.topic.full)
+
+
+def stamp_error(stamp: float, last: float, topic: str) -> StampOrderError:
+    """The error for publishing ``stamp`` on ``topic`` after ``last``, a stamp
+    that the bus refuses."""
     if not 0.0 <= stamp < math.inf:
-        raise StampOrderError(f"stamp {stamp} is not finite and non-negative")
-    raise StampOrderError(f"stamp {stamp} precedes {pub._last_stamp} on {pub.topic.full}")
+        return StampOrderError(f"stamp {stamp} is not finite and non-negative")
+    return StampOrderError(f"stamp {stamp} precedes {last} on {topic}")
 
 
 class Bus:

@@ -9,7 +9,7 @@ import struct
 from pathlib import Path
 
 from hmas.bag import BagFormatError, BagInfo, BagRecord
-from hmas.bus import Bus, QosProfile, QualifiedName, Reliability
+from hmas.bus import Bus, BusError, QosProfile, QualifiedName, Reliability
 
 _HEADER = struct.Struct("<4sH")
 _U32 = struct.Struct("<I")
@@ -61,23 +61,29 @@ def info(records: list[BagRecord]) -> BagInfo:
                    max(stamps) if stamps else None)
 
 
-def replayed(records: list[BagRecord]) -> tuple[list, Exception | None]:
-    """What a fast replay of ``records`` onto a fresh bus publishes, as
-    ``(topic, stamp, payload)``, and the error that stops it, if any."""
+def replayed(records: list[BagRecord], path) -> tuple[list, Exception | None]:
+    """What a fast replay of ``records``, read from the bag at ``path``, onto
+    a fresh bus publishes, as ``(topic, stamp, payload)``, and the error that
+    refuses it, if any.
+
+    The replay is all or nothing: the records are published one at a time
+    onto a scratch bus, and the bus error at the first that fails, prefixed
+    ``bag <path> record <i>: ``, refuses the whole bag, which then publishes
+    nothing."""
     bus = Bus()
     published: list = []
     bus.add_publish_hook(lambda topic, stamp, payload: published.append(
         (topic.full, stamp, payload)))
     nodes, pubs = {}, {}
     qos = QosProfile(reliability=Reliability.RELIABLE, history_depth=1)
-    try:
-        for topic, stamp, payload in records:
+    for i, (topic, stamp, payload) in enumerate(records):
+        try:
             if topic not in pubs:
                 name = QualifiedName.parse(topic)
                 if name.namespace not in nodes:
                     nodes[name.namespace] = bus.create_node(name.namespace, "replay")
                 pubs[topic] = bus.advertise(nodes[name.namespace], name.local, qos)
             bus.publish(pubs[topic], stamp, payload)
-    except Exception as exc:  # the replay under test must stop with the same error
-        return published, exc
+        except BusError as exc:  # the replay under test must refuse the bag with this error
+            return [], type(exc)(f"bag {path} record {i}: {exc}")
     return published, None

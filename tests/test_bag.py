@@ -10,14 +10,15 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hmas
 from hmas import bag as bag_module
 from hmas.bag import (BagError, BagFormatError, BagRecord, BagWriter, Recorder, bag_info,
                       read_bag, record, replay)
-from hmas.bus import Bus, QosProfile, QualifiedName, Reliability, SeededDropInjector
+from hmas.bus import (Bus, BusError, QosProfile, QualifiedName, Reliability,
+                      SeededDropInjector)
 
 import bag_oracle
 
@@ -276,7 +277,9 @@ class TestRecorder:
 
     def test_a_million_publishes_record_in_bounded_memory(self, tmp_path):
         """The million-publish recording in a child process, whose peak RSS
-        must stay under 180 MB (244 MB when each record was a BagRecord).
+        must stay under 64 MB: the writer holds one chunk, not the run
+        (137-140 MB when it held the run as tuples, 244 MB when each record
+        was a BagRecord).
 
         The child reports its own high-water mark (``VmHWM``), which starts
         afresh at ``exec``; ``getrusage(RUSAGE_CHILDREN)`` would also carry
@@ -307,7 +310,7 @@ class TestRecorder:
         tail = tmp_path / "tail.bag"  # the header and the last record
         tail.write_bytes(data[:6] + data[-record_size:])
         assert list(read_bag(tail)) == [BagRecord("/spot/gps/fix", float(n - 1), b"")]
-        assert peak_mb <= 180.0, f"peak RSS {peak_mb:.1f} MB"
+        assert peak_mb <= 64.0, f"peak RSS {peak_mb:.1f} MB"
 
     def test_recorder_is_not_a_bus_node(self, tmp_path):
         bus = Bus()
@@ -399,6 +402,23 @@ class TestReplay:
         path = self.record_sequence(tmp_path)
         with pytest.raises(ValueError, match="rate"):
             replay(path, Bus(), rate=rate)
+
+    @pytest.mark.parametrize("records, stop, reason", [
+        ([("/aa/x", 2.0), ("/bb/x", 0.5), ("/aa/x", 1.0)], 2, "stamp 1.0 precedes 2.0 on /aa/x"),
+        ([("/aa/x", 1.0), ("/Aa/x", -1.0)], 1, "invalid namespace segment 'Aa' in 'Aa'"),
+    ], ids=["went-back-on-its-topic", "topic-before-stamp"])
+    def test_a_bag_the_bus_would_refuse_publishes_nothing(self, tmp_path, records, stop, reason):
+        """A hand-written bag is refused before its first publish, naming the
+        record at which a record-at-a-time replay would stop."""
+        path = tmp_path / "hand.bag"
+        path.write_bytes(_v1_bytes([(topic, stamp, b"") for topic, stamp in records]))
+        bus = Bus()
+        seen = []
+        bus.add_publish_hook(lambda *published: seen.append(published))
+        with pytest.raises(BusError) as err:
+            replay(path, bus, fast=True)
+        assert str(err.value) == f"bag {path} record {stop}: {reason}"
+        assert seen == [] and bus.discover().nodes == frozenset()
 
     def test_corrupt_source_fails_with_offset(self, tmp_path):
         path = self.record_sequence(tmp_path)
@@ -506,6 +526,50 @@ def test_writer_bytes_equal_v1_encoder(tmp_path_factory, records, chunk):
     assert path.read_bytes() == _v1_bag(records)
 
 
+SWITCH_STAMPS = (-math.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 1.0, math.inf)
+SWITCH_TOPICS = ("/a/gps/fix", "/b/gps/fix", "/ä/ß")
+
+
+@given(chunk=st.sampled_from([1, 2, 3, 4096]), chunks=st.integers(0, 3), extra=st.integers(0, 3),
+       pool=st.lists(st.sampled_from(SWITCH_STAMPS), min_size=1, max_size=6),
+       topics=st.lists(st.sampled_from(SWITCH_TOPICS), min_size=1, max_size=3),
+       back=st.none() | st.integers(0, len(SWITCH_STAMPS) - 1),
+       tail=st.lists(st.tuples(st.sampled_from(SWITCH_TOPICS + ("/late/x",)),
+                               st.sampled_from(SWITCH_STAMPS), st.binary(max_size=8)),
+                     max_size=12))
+@example(chunk=3, chunks=1, extra=0, pool=[0.0, 1.0], topics=["/a/gps/fix"], back=0,
+         tail=[("/late/x", 0.0, b"x")])  # the switch on the very first chunk boundary
+@example(chunk=2, chunks=3, extra=1, pool=[-math.inf, 0.5, math.inf], topics=["/b/gps/fix"],
+         back=None, tail=[])  # no switch
+@settings(max_examples=150, deadline=None)
+def test_writer_switching_to_holding_equals_v1_encoder(tmp_path_factory, chunk, chunks, extra,
+                                                       pool, topics, back, tail):
+    """Oracle for the switch: a stamp-sorted prefix spanning several written
+    chunks, then a tail whose first stamp is below the last one written,
+    gives the plain v1 encoder's bytes; ties at the switch, ``0.0`` beside
+    ``-0.0``, infinite stamps and a topic first seen after the switch
+    included. With ``back`` None nothing goes back and the tail is dropped."""
+    count = max(1, chunks * chunk + extra)
+    stamps = sorted(pool[i % len(pool)] for i in range(count))
+    records = [(topics[i % len(topics)], stamp, b"%d" % i) for i, stamp in enumerate(stamps)]
+    if back is None:
+        tail = []
+    else:
+        below = [s for s in SWITCH_STAMPS if s < stamps[-1]]
+        assume(below)
+        topic = SWITCH_TOPICS[back % len(SWITCH_TOPICS)]
+        tail = [(topic, below[back % len(below)], b"back")] + tail
+    path = tmp_path_factory.mktemp("switch") / "w.bag"
+    with mock.patch.object(bag_module, "_CHUNK_RECORDS", chunk):
+        with BagWriter(path) as writer:
+            for record in records:
+                writer.append(*record)
+            for record in tail:
+                writer.append(*record)
+                assert path.read_bytes() == _v1_bytes([])  # held from the switch on
+    assert path.read_bytes() == _v1_bag(records + tail)
+
+
 def _bits(value):
     """A stamp as its eight bytes, so that NaN compares equal to itself."""
     return value if value is None else struct.pack("<d", value)
@@ -594,7 +658,7 @@ def test_columns_agree_with_the_record_at_a_time_reader(tmp_path_factory, record
     assert _bits(info.start_stamp) == _bits(expected.start_stamp)
     assert _bits(info.end_stamp) == _bits(expected.end_stamp)
 
-    published, error = bag_oracle.replayed(want)
+    published, error = bag_oracle.replayed(want, path)
     bus = Bus()
     seen = []
     bus.add_publish_hook(lambda topic, stamp, payload: seen.append((topic.full, stamp, payload)))
@@ -606,6 +670,46 @@ def test_columns_agree_with_the_record_at_a_time_reader(tmp_path_factory, record
         assert error is None
     assert _stamp_bits(seen) == _stamp_bits(published)
 
+
+
+@given(records=st.lists(st.tuples(
+    st.sampled_from(REPLAYABLE_TOPICS + ("", "/a", "/ä/ß", "/Aa/x")),
+    st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0, -1.0, math.inf, -math.inf]),
+              st.floats(-10.0, 1e9, allow_nan=False)),
+    st.binary(max_size=8)), max_size=20), tame=st.booleans(), rate=st.booleans())
+@example(records=[("/aa/gps/fix", 1.0, b""), ("/aa/gps/fix", 2.0, b""),
+                  ("/aa/gps/fix", math.inf, b"")], tame=False, rate=False)  # inf sorts last
+@settings(max_examples=200, deadline=None)
+def test_replay_of_a_written_bag_is_all_or_nothing(tmp_path_factory, records, tame, rate):
+    """Every bag that the writer accepts either replays in full, or is
+    refused before anything is published with one error: the bus's reason
+    at the record where a record-at-a-time replay would stop, prefixed
+    ``bag <path> record <i>: ``. This holds for a realtime replay too."""
+    if tame:  # topics and stamps that a replay takes, so that both outcomes are common
+        records = [(topic if topic in REPLAYABLE_TOPICS else "/aa/gps/fix",
+                    stamp if 0.0 <= stamp < math.inf else 1.0, payload)
+                   for topic, stamp, payload in records]
+    path = tmp_path_factory.mktemp("all_or_nothing") / "w.bag"
+    with BagWriter(path) as writer:
+        for record in records:
+            writer.append(*record)
+    written = list(read_bag(path))
+    published, error = bag_oracle.replayed(written, path)
+    bus = Bus()
+    seen = []
+    bus.add_publish_hook(lambda topic, stamp, payload: seen.append((topic.full, stamp, payload)))
+    try:
+        stats = replay(path, bus, rate=1e12) if rate else replay(path, bus, fast=True)
+    except Exception as exc:
+        assert error is not None
+        assert (type(exc), str(exc)) == (type(error), str(error))
+        assert str(exc).startswith(f"bag {path} record ")
+        assert seen == []
+        assert bus.discover().nodes == frozenset()
+    else:
+        assert error is None
+        assert stats.records == len(written)
+        assert _stamp_bits(seen) == _stamp_bits(written)
 
 
 def _assert_agrees_with_the_record_at_a_time_reader(path):
@@ -621,7 +725,7 @@ def _assert_agrees_with_the_record_at_a_time_reader(path):
     assert _stamp_bits(list(got)) == _stamp_bits(want)
     info, expected = bag_info(path), bag_oracle.info(want)
     assert info == expected and list(info.topics) == list(expected.topics)
-    published, error = bag_oracle.replayed(want)
+    published, error = bag_oracle.replayed(want, path)
     bus = Bus()
     seen = []
     bus.add_publish_hook(lambda topic, stamp, payload: seen.append((topic.full, stamp, payload)))

@@ -305,6 +305,19 @@ class TestBagCli:
         assert run_cli("bag", "replay", out, "--fast") == 0
         assert "replayed 112 record(s)" in capsys.readouterr().out
 
+    def test_replay_refuses_a_negative_stamp_naming_its_record(self, tmp_path, capsys):
+        """The bus refuses a -1.0 stamp, so the bag is refused before its
+        first publish, with one line naming the record."""
+        path = tmp_path / "neg.bag"
+        with bag.BagWriter(path) as writer:
+            writer.append("/top_left/gps/fix", -1.0, b"")
+            writer.append("/top_left/gps/fix", 1.0, b"")
+        assert run_cli("bag", "replay", path, "--fast") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"hmas: error: bag {path} record 0: "
+                       "stamp -1.0 is not finite and non-negative\n")
+
     def test_record_from_source_filters(self, tmp_path, capsys):
         out = self.make_bag(tmp_path)
         filtered = tmp_path / "filtered.bag"
@@ -320,9 +333,9 @@ class TestBagCli:
                                                               source, existing):
         """The recording goes to a file beside -o, which replaces -o only when
         it is whole: whether the source is a bag that is missing or corrupt or
-        whose stamp the bus refuses mid-replay, or a scenario whose command
-        names a missing agent, no file is left behind, and a bag already at -o
-        keeps its bytes."""
+        holds a stamp that the bus refuses, or a scenario whose command names
+        a missing agent, no file is left behind, and a bag already at -o keeps
+        its bytes."""
         flag, bad, detail = "--source", tmp_path / f"{source}.bag", ""
         if source == "corrupt":
             bad.write_bytes(b"HBAG\x01\x00\x05\x00")
