@@ -7,7 +7,9 @@ fixes, never on simulator ground truth.
 
 Every vector is a ``quat.Vec3`` of Python floats, and every vector that enters
 (a spec's, a spawn's, a setter's or ``set_velocity``'s) passes the one rule,
-``quat._finite_floats``; ``geo`` takes and returns such tuples.
+``quat._finite_floats``; ``geo`` takes and returns such tuples. ``run_scenario``'s
+own script and follow commands are such tuples, computed from finite state, so
+it clamps them to the agent's speed but does not re-check them.
 ``Agent.position``, ``velocity``, ``odom_position`` and ``World.estimated_state``
 return the tuples held. Arithmetic keeps numpy's operation order, norms and the
 standoff dot product are fixed-order float sums, and every speed clamp still
@@ -455,21 +457,29 @@ def run_scenario(scenario: Scenario, on_step: Callable[[World], None] | None = N
     """Run a scenario's control steps up to its duration; scripted agents walk
     their waypoints, commanded agents follow.
     ``on_world`` fires once before any agent spawns (e.g. to attach a
-    recorder); returns the finished world."""
+    recorder); returns the finished world.
+
+    Its own commands are float tuples that ``_WaypointScript.velocity`` and
+    ``World.follow_step`` compute from finite state, so they are clamped to
+    the agent's speed as ``set_velocity`` clamps them, but not re-checked."""
     world = World(scenario.base, seed=scenario.seed, noiseless=scenario.noiseless)
     if on_world is not None:
         on_world(world)
-    scripts: dict[str, _WaypointScript] = {}
+    scripts: list[tuple[Agent, _WaypointScript]] = []
     for entry in scenario.agents:
-        world.spawn_agent(entry.spec, entry.start)
+        agent = world.spawn_agent(entry.spec, entry.start)
         if entry.waypoints:
-            scripts[entry.spec.name] = _WaypointScript(entry.waypoints, entry.speed)
+            scripts.append((agent, _WaypointScript(entry.waypoints, entry.speed)))
+    agents = world.agents
     steps = steps_within(scenario.duration_s, DEFAULT_FIX_RATE_HZ * STEPS_PER_FIX)
     for _ in range(steps):
-        for name, script in scripts.items():
-            world.set_velocity(name, script.velocity(world.agents[name]._position))
+        for agent, script in scripts:
+            agent._velocity = _clamp_speed(script.velocity(agent._position),
+                                           agent.spec.max_speed)
         for cmd in scenario.commands:
-            world.set_velocity(cmd.follower, world.follow_step(cmd))
+            velocity = world.follow_step(cmd)  # checks that the follower exists
+            follower = agents[cmd.follower]
+            follower._velocity = _clamp_speed(velocity, follower.spec.max_speed)
         world.step()
         if on_step is not None:
             on_step(world)

@@ -8,9 +8,11 @@ point, ENU and ECEF points are ``quat.Vec3`` float tuples, and an ECEF point
 must be finite where a conversion takes or makes one. The ENU rotations are
 written once, as fixed-order float sums that take floats (per-point functions)
 or numpy columns (array functions). A base's frame, its ECEF origin and ENU
-basis rows, comes from one helper on Python floats, and ``Rover.step`` converts
-its one fix's error as Python floats too. Neither the base nor a rover keeps a
-clock: each sends or fixes at the time its caller gives.
+basis rows, comes from one helper on Python floats. ``Rover.step`` draws,
+combines and converts its one fix's error as Python floats too, with numpy's
+operations in numpy's order, and ``Rover.step_batch`` does the same over
+arrays. Neither the base nor a rover keeps a clock: each sends or fixes at
+the time its caller gives.
 """
 from __future__ import annotations
 
@@ -458,13 +460,12 @@ class Rover:
         if bias_en is None:
             magnitude = self._rng.uniform(0.0, 0.20)
             angle = self._rng.uniform(0.0, 2.0 * math.pi)
-            self._bias = np.array([magnitude * math.cos(angle),
-                                   magnitude * math.sin(angle), 0.0])
-        else:
-            self._bias = np.array([*bias_en, 0.0])
-        # (east, north, up) noise sigmas per quality code
-        self._sigmas = (np.zeros((3, 3)) if noiseless else
-                        np.array([[h, h, v] for h, v in map(GRADE_SIGMAS.get, _QUALITY_ORDER)]))
+            bias_en = magnitude * math.cos(angle), magnitude * math.sin(angle)
+        east, north = bias_en
+        # (east, north, up) floats: the bias, and the noise sigmas per quality code
+        self._bias = float(east), float(north), 0.0
+        self._sigmas = tuple((0.0, 0.0, 0.0) if noiseless else (h, h, v)
+                             for h, v in map(GRADE_SIGMAS.get, _QUALITY_ORDER))
         self._disturbances = tuple(disturbances)
         self._code = 0  # fix quality, as an index into _QUALITY_ORDER
         self._last_corr_stamp: float | None = None
@@ -477,7 +478,7 @@ class Rover:
 
     @property
     def bias_en(self) -> tuple[float, float]:
-        return float(self._bias[0]), float(self._bias[1])
+        return self._bias[:2]
 
     def receive_correction(self, msg: CorrectionMsg) -> None:
         if msg.epoch <= self._last_epoch:
@@ -490,12 +491,24 @@ class Rover:
     def step(self, true_position: GeodeticCoord,
              corrections: Iterable[CorrectionMsg], stamp: float) -> RtkFix:
         """Ingest corrections and emit the fix at ``stamp``, which must be
-        finite and later than the last fix's."""
+        finite and later than the last fix's.
+
+        The error is ``_errors``' for one fix, drawn and combined as Python
+        floats: one 3-normal draw takes the same stream as its ``(1, 3)`` draw,
+        and each component sees numpy's operations in numpy's order.
+        """
         if not self._last_stamp < stamp < math.inf:  # NaN fails too
             raise ValueError(f"fix stamp {stamp} must be finite and later than the "
                              f"last fix's, {self._last_stamp}")
         (code,) = self._ladder([stamp], [corrections])
-        error = self._errors([stamp], np.array([code]))[0].tolist()
+        (be, bn, bu), (se, sn, su) = self._bias, self._sigmas[code]
+        ne, nn, nu = self._rng.standard_normal(3).tolist()
+        error = be + ne * se, bn + nn * sn, bu + nu * su
+        for window in self._disturbances:
+            k = window.envelope(stamp)
+            if k > 0.0:
+                (ee, en, eu), (oe, on, ou) = error, window.offset_enu
+                error = ee + k * oe, en + k * on, eu + k * ou
         if any(error):
             measured = enu_to_geodetic(error, true_position)
         else:
@@ -564,7 +577,8 @@ class Rover:
         """(n, 3) ENU errors of n fixes at ``stamps`` with quality ``codes``:
         bias, per-grade Gaussian noise (one ``(n, 3)`` draw) and disturbances."""
         n = len(stamps)
-        error = self._bias + self._rng.standard_normal((n, 3)) * self._sigmas[codes]
+        error = (np.array(self._bias)
+                 + self._rng.standard_normal((n, 3)) * np.array(self._sigmas)[codes])
         for window in self._disturbances:
             k = np.fromiter(map(window.envelope, stamps), float, n)
             hit = k > 0.0

@@ -5,15 +5,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmas import quat
-from hmas.agents import (CONTROL_DT_S, DEAD_BAND_M, FIX_PERIOD_S, FOLLOW_GAIN,
-                         HEADING_BASELINE_S, HEADING_MIN_MOVE_M, STALE_FIX_PERIODS,
+from hmas.agents import (CONTROL_DT_S, DEAD_BAND_M, DEFAULT_FIX_RATE_HZ, FIX_PERIOD_S,
+                         FOLLOW_GAIN, HEADING_BASELINE_S, HEADING_MIN_MOVE_M,
+                         STALE_FIX_PERIODS, STEPS_PER_FIX,
                          AgentSpec, DuplicateAgentError, FollowCommand,
                          Scenario, ScenarioAgent, SensorSpec, SpawnError,
-                         UnknownAgentError, World, load_scenario, run_scenario)
+                         UnknownAgentError, World, _WaypointScript, load_scenario,
+                         run_scenario)
 from hmas.bag import read_bag, record
 from hmas.bus import SeededDropInjector
 from hmas.geo import (CORRECTION_TOPIC, MAX_RUN_S, CorrectionLink, FixQuality,
@@ -847,6 +849,89 @@ def test_a_lossy_scenario_repeats_bit_for_bit_in_one_process():
 
     assert _lossy_team(3, alongside=step_other) == first
     assert _lossy_team(3) == first
+
+
+@st.composite
+def command_scenarios(draw):
+    """A scenario of at most 2 s and 2-4 agents: a scripted operator at or
+    above its top speed, an aerial follower whose goal lies outside its
+    altitude range, and up to two ground followers of the operator or of a
+    point, some started on their goal (the dead band) or at it with a
+    standoff that binds; with or without noise."""
+    operator_speed = draw(st.floats(0.5, 3.0))
+    leg = st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0), st.just(0.0))
+    members = [ScenarioAgent(
+        AgentSpec("operator", draw(st.sampled_from(["human", "ground"])), operator_speed,
+                  sensors=GPS), (0.0, 0.0, 0.0), tuple(draw(st.lists(leg, min_size=1, max_size=3))),
+        operator_speed * draw(st.sampled_from([1.0, 1.0 + 2**-40, 1.5, 4.0])))]
+    lo = draw(st.floats(1.0, 5.0))
+    hi = lo + draw(st.floats(0.5, 5.0))
+    members.append(ScenarioAgent(
+        AgentSpec("anafi", "aerial", draw(st.floats(0.5, 4.0)), altitude_range=(lo, hi),
+                  sensors=GPS), (-2.0, 1.0, draw(st.sampled_from([lo, hi])))))
+    # a ground target pulls it down to lo, a point high above up to hi
+    commands = [FollowCommand("anafi", draw(st.sampled_from(["operator", (1.0, 2.0, hi + 10.0)])),
+                              (-1.0, 0.0), draw(st.floats(0.2, 2.0)))]
+    point = (3.0, -2.0, 0.0)
+    for name in ("spot", "rover")[:draw(st.integers(0, 2))]:
+        target, offset, start = draw(st.sampled_from([
+            (point, (2.0, 1.0), (5.0, -1.0, 0.0)),  # on its goal, outside the standoff
+            (point, (0.0, 0.0), (3.1, -2.0, 0.0)),  # inside the standoff
+            (point, (0.0, 0.0), point),  # on the point itself
+            ("operator", (0.0, 0.0), (-2.0, -1.0, 0.0)),  # runs into the standoff
+            ("operator", (0.0, -1.0), (0.0, -1.0, 0.0))]))  # on its goal at first
+        members.append(ScenarioAgent(ground(name, max_speed=draw(st.floats(0.3, 3.0))), start))
+        commands.append(FollowCommand(name, target, offset, draw(st.floats(0.2, 2.0))))
+    return Scenario(BASE, draw(st.integers(0, 2**32 - 1)), draw(st.floats(0.2, 2.0)),
+                    tuple(members), tuple(commands), draw(st.booleans()))
+
+
+def _agent_bits(world):
+    return [_bits(a.position, a.velocity, a.odom_position) for a in world.agents.values()]
+
+
+@given(command_scenarios())
+@example(Scenario(BASE, 1, 2.0, (
+    ScenarioAgent(AgentSpec("operator", "human", 1.5, sensors=GPS), (0.0, 0.0, 0.0),
+                  ((5.0, 0.0, 0.0),), 2.0),
+    ScenarioAgent(AgentSpec("anafi", "aerial", 2.0, altitude_range=(2.0, 4.0), sensors=GPS),
+                  (-2.0, 1.0, 4.0)),
+    ScenarioAgent(ground("spot", max_speed=3.0), (3.1, -2.0, 0.0)),
+    ScenarioAgent(ground("rover", max_speed=1.0), (5.0, -1.0, 0.0))), (
+    FollowCommand("anafi", "operator", (-1.0, 0.0)),
+    FollowCommand("spot", (3.0, -2.0, 0.0), standoff=1.0),
+    FollowCommand("rover", (3.0, -2.0, 0.0), (2.0, 1.0)))))
+@settings(max_examples=40, deadline=None)
+def test_run_scenario_equals_stepping_by_hand(scenario):
+    """``run_scenario`` clamps its own script and follow commands without
+    re-checking them. The same scenario stepped by hand through the public
+    ``set_velocity``, ``follow_step`` and ``step``, with 5 % fix loss, leaves
+    every agent's position, velocity and odometry with the same bits after
+    every step. The example has every case at once, and a clamp of a clamped
+    follow command that moves bits: spot, pushed out of its standoff."""
+    def lossy(world):
+        world.bus.set_fault_injector(SeededDropInjector(0.05, scenario.seed))
+
+    seen = []
+    run_scenario(scenario, on_step=lambda world: seen.append(_agent_bits(world)),
+                 on_world=lossy)
+
+    world = World(scenario.base, seed=scenario.seed, noiseless=scenario.noiseless)
+    lossy(world)
+    scripts = {}
+    for entry in scenario.agents:
+        world.spawn_agent(entry.spec, entry.start)
+        if entry.waypoints:
+            scripts[entry.spec.name] = _WaypointScript(entry.waypoints, entry.speed)
+    by_hand = []
+    for _ in range(steps_within(scenario.duration_s, DEFAULT_FIX_RATE_HZ * STEPS_PER_FIX)):
+        for name, script in scripts.items():
+            world.set_velocity(name, script.velocity(world.agents[name].position))
+        for cmd in scenario.commands:
+            world.set_velocity(cmd.follower, world.follow_step(cmd))
+        world.step()
+        by_hand.append(_agent_bits(world))
+    assert seen == by_hand
 
 
 # -- the one vector rule ----------------------------------------------------------

@@ -1,10 +1,15 @@
 """End-to-end CLI coverage through hmas.cli.main."""
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import hmas
 from hmas import agents, bag, bench
 from hmas.cli import main
 from hmas.geo import MAX_RUN_S, write_fix_csv
@@ -215,6 +220,52 @@ class TestBenchCli:
         if dropped:
             assert f"dropped {dropped} disturbance window(s)" in text
         assert bag.bag_info(out).record_count == records
+
+
+    @pytest.mark.parametrize("kind, duration", [
+        ("static", None), ("static", repr(1 / 14)),
+        ("disturbed", None), ("disturbed", repr(1 / 14)),
+        ("rotation", None), ("rotation", repr(bench.shortest_run_s("rotation"))),
+        ("square", None),  # its legs fix the duration
+    ])
+    def test_run_summary_equals_the_bags_info(self, tmp_path, capsys, kind, duration):
+        """``bench run`` prints its bag's summary from the run, without reading
+        the bag back: the line equals the one ``bag_info`` of the bag gives.
+        1/14 s is one fix per corner; rotation runs are never that short."""
+        out = tmp_path / "run.bag"
+        extra = () if duration is None else ("--duration", duration)
+        assert run_cli("bench", "run", "--kind", kind, "--out", out, *extra) == 0
+        info = bag.bag_info(out)
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"wrote {out}: {info.record_count} records on {len(info.topics)} topics, "
+            f"span [{info.start_stamp:.3f}, {info.end_stamp:.3f}] s")
+        if duration == repr(1 / 14):
+            assert info.record_count == 4
+
+    def test_a_long_run_does_not_read_its_bag_back(self, tmp_path):
+        """A 2 h static ``bench run`` in a child process peaks at 50 MB or less:
+        the writer holds one chunk and the summary line reads no bag (about
+        100 MB when the line came from ``bag_info`` of the 33 MB bag). The
+        child reports its own ``VmHWM``, which starts afresh at ``exec``."""
+        out = tmp_path / "long.bag"
+        child = (
+            "import sys\n"
+            "from hmas.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(hmas.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", child, "bench", "run", "--kind", "static",
+                               "--duration", "7200", "--out", str(out)],
+                              env=env, check=True, timeout=300, capture_output=True, text=True)
+        summary, peak_kb = done.stdout.splitlines()
+        assert summary == f"wrote {out}: 403200 records on 4 topics, span [0.071, 7200.000] s"
+        peak_mb = int(peak_kb) / 1024.0
+        assert peak_mb <= 50.0, f"peak RSS {peak_mb:.1f} MB"
 
 
 class TestExitCodes:

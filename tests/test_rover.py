@@ -1,13 +1,16 @@
 """Rover fix model: quality ladder, noise statistics, corrections on the bus."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmas.bus import Bus, QosProfile, SeededDropInjector
-from hmas.geo import (CORRECTION_QOS, CORRECTION_TOPIC, CorrectionMsg, DisturbanceWindow,
-                      GRADE_SIGMAS, FixQuality, GeodeticCoord, Rover, geodetic_to_enu,
-                      rtk_base, take_corrections)
+from hmas.geo import (CORRECTION_QOS, CORRECTION_TOPIC, DISTURBANCE_DECAY_S, CorrectionMsg,
+                      DisturbanceWindow, GRADE_SIGMAS, FixQuality, GeodeticCoord, Rover,
+                      enu_to_geodetic, geodetic_to_enu, rtk_base, take_corrections)
 
 BASE = GeodeticCoord(48.70, 6.15, 220.0)
 FRESH = [CorrectionMsg(1, 0.0)]
@@ -293,6 +296,44 @@ class TestDisturbance:
         assert fix.position == BASE
 
 
+offsets = st.tuples(*[st.floats(-0.5, 0.5)] * 3)
+
+
+@st.composite
+def rover_runs(draw):
+    """(stamps k/14 s, the number to batch first, the corrections taken at
+    each, Rover keyword arguments): a drawn seed, a pinned or drawn bias, with
+    or without noise, and 0-3 windows that tend to overlap, the first ending
+    its decay on a fix stamp when drawn so."""
+    count = draw(st.integers(1, 140))
+    windows = []
+    for i in range(draw(st.integers(0, 3))):
+        if i == 0 and draw(st.booleans()):
+            # k/14 - 3 and back is exact for k/14 in [3, 6): the decay ends on
+            # fix k, whose envelope is 0
+            k = draw(st.integers(42, 83))
+            count = max(count, k)
+            end = k / 14.0 - DISTURBANCE_DECAY_S
+            assert end + DISTURBANCE_DECAY_S == k / 14.0
+            start = end - draw(st.floats(0.0, 2.0))
+        else:
+            start = draw(st.floats(0.0, 4.0))
+            end = start + draw(st.floats(0.0, 3.0))
+        windows.append(DisturbanceWindow(start, end, draw(offsets)))
+    stamps = np.arange(1, count + 1) / 14.0
+    n = draw(st.integers(0, count))
+    bus, link, (sub,) = rtk_feed(BEST_EFFORT, drop_rate=draw(st.sampled_from([0.0, 0.5])),
+                                 seed=draw(st.integers(0, 99)))
+    silent_after = draw(st.floats(0.0, 12.0))
+    polled = []
+    for s in stamps.tolist():
+        link.poll(min(s, silent_after))
+        polled.append(take_corrections(bus, sub))
+    bias = draw(st.one_of(st.none(), st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2))))
+    return stamps, n, polled, dict(seed=draw(st.integers(0, 2**32 - 1)), disturbances=windows,
+                                   bias_en=bias, noiseless=draw(st.booleans()))
+
+
 class TestStepBatch:
     WINDOWS = (DisturbanceWindow(2.0, 3.0, (0.4, -0.2, 0.1)),
                DisturbanceWindow(2.5, 2.6, (0.0, 0.3, 0.0)),
@@ -339,6 +380,40 @@ class TestStepBatch:
         assert got == expected
         assert set(codes.tolist()) == {0, 1, 2}
         assert batched.quality is scalar.quality is FixQuality.SINGLE
+
+    @given(rover_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_any_batch_then_steps_equals_scalar_steps(self, run):
+        """``step`` draws and combines its one fix's error as floats and
+        ``step_batch`` as arrays: the same fixes, bit for bit, and the same
+        RNG state after, for any seed, bias, noise and overlapping windows.
+        Below the fixes, which round away an error's last bits, every error
+        ``step`` converts equals the batch model's for that one fix."""
+        stamps, n, polled, kwargs = run
+        truth = self.truth_at(stamps.tolist())
+        scalar = Rover("r", **kwargs)
+        converted = []
+
+        def spy(error, origin):
+            converted.append(np.array(error).tobytes())
+            return enu_to_geodetic(error, origin)
+
+        with mock.patch("hmas.geo.enu_to_geodetic", spy):
+            expected = [self.fields(scalar.step(GeodeticCoord(*truth[i]), polled[i], s))
+                        for i, s in enumerate(stamps.tolist())]
+        one_by_one = Rover("r", **kwargs)
+        errors = [one_by_one._errors([s], np.array(one_by_one._ladder([s], [msgs])))[0]
+                  for s, msgs in zip(stamps.tolist(), polled)]
+        assert converted == [e.tobytes() for e in errors if np.any(e)]
+        batched = Rover("r", **kwargs)
+        measured, codes = batched.step_batch(truth[:n], stamps[:n], polled[:n])
+        got = [(s, *p, QUALITIES[c])
+               for s, p, c in zip(stamps[:n].tolist(), measured.tolist(), codes.tolist())]
+        got += [self.fields(batched.step(GeodeticCoord(*truth[i]), polled[i], s))
+                for i, s in zip(range(n, len(stamps)), stamps[n:].tolist())]
+        assert got == expected
+        assert batched._rng.bit_generator.state == scalar._rng.bit_generator.state
+        assert batched.quality is scalar.quality
 
     def test_stamps_must_increase_past_the_last_fix(self):
         rover = Rover("r", seed=1)
