@@ -21,8 +21,9 @@ from .bag import read_bag, record
 from .bus import Bus
 from .geo import (CORRECTION_QOS, CORRECTION_TOPIC, DEFAULT_FIX_RATE_HZ, DISTURBANCE_DECAY_S,
                   FIX_PERIOD_S, MAX_RUN_S, DisturbanceWindow, GeodeticCoord, Rover, RtkFix,
-                  _FIX_DTYPE, _QUALITY_CODE, encode_fixes, enu_to_geodetic_array,
-                  geodetic_to_enu_array, rtk_base, steps_within, take_corrections)
+                  _FIX_DTYPE, _QUALITY_CODE, _in_geodetic_ranges, encode_fixes,
+                  enu_to_geodetic_array, geodetic_to_enu_array, rtk_base, steps_within,
+                  take_corrections)
 # The per-fix scalar functions stay importable from this module, where the
 # span tracer in perfbench/ patches them.
 from .geo import decode_fix, encode_fix, enu_to_geodetic  # noqa: F401
@@ -354,9 +355,8 @@ def load_bag_fixes(path) -> dict[str, FixColumns]:
         if tail < 0:
             raise ValueError(f"{where.format(index[0])} a {size}-byte payload is too short")
         rec = records.payloads(index, _FIX_DTYPE.descr + [("id", f"V{tail}")])
-        lat, lon, alt = rec["lla"].T  # GeodeticCoord's ranges; NaN fails too
-        wrong = ((rec["quality"] > 2) | (rec["id_len"] != tail) | ~(np.abs(lat) <= 90.0)
-                 | ~((-180.0 < lon) & (lon <= 180.0)) | ~np.isfinite(alt)
+        lat_ok, lon_ok, alt_ok = _in_geodetic_ranges(rec["lla"])
+        wrong = ((rec["quality"] > 2) | (rec["id_len"] != tail) | ~(lat_ok & lon_ok & alt_ok)
                  | ~np.isfinite(rec["stamp"]))  # the fix CSV's stamp rule
         if wrong.any():
             i = wrong.argmax()

@@ -158,10 +158,9 @@ class BusGraph:
 
 
 class NodeHandle:
-    def __init__(self, bus: "Bus", name: QualifiedName, parameters: dict[str, str]) -> None:
+    def __init__(self, bus: "Bus", name: QualifiedName) -> None:
         self._bus = bus
         self.name = name
-        self.parameters = parameters
         self._closed = False
         self._endpoints: list[_Endpoint] = []
 
@@ -254,15 +253,12 @@ class Bus:
 
     # -- registration -------------------------------------------------
 
-    def create_node(self, namespace: str, local_name: str,
-                    params: dict[str, str] | None = None) -> NodeHandle:
+    def create_node(self, namespace: str, local_name: str) -> NodeHandle:
         name = QualifiedName(namespace, local_name)
-        parameters = dict(params or {})
-        parameters["agent_name"] = namespace
         with self._lock:
             if name.full in self._nodes:
                 raise DuplicateNodeError(f"node {name.full} already exists")
-            node = NodeHandle(self, name, parameters)
+            node = NodeHandle(self, name)
             self._nodes[name.full] = node
         return node
 

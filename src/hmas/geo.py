@@ -208,14 +208,21 @@ def _cube(v: np.ndarray) -> np.ndarray:
     return np.fromiter(map(pow, v.tolist(), itertools.repeat(3)), float, len(v))
 
 
+def _in_geodetic_ranges(lla: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of ``lla``: whether its latitude, longitude and altitude lie in
+    GeodeticCoord's ranges; NaN lies in none."""
+    lat, lon, alt = lla.T
+    return np.abs(lat) <= 90.0, (-180.0 < lon) & (lon <= 180.0), np.isfinite(alt)
+
+
 def _check_geodetic(lla: np.ndarray) -> None:
     """GeodeticCoord's range checks, over the rows of ``lla``."""
-    lat, lon, alt = lla.T
-    if not np.all((lat >= -90.0) & (lat <= 90.0)):
+    lat_ok, lon_ok, alt_ok = _in_geodetic_ranges(lla)
+    if not lat_ok.all():
         raise ValueError("latitude outside [-90, 90]")
-    if not np.all((lon > -180.0) & (lon <= 180.0)):
+    if not lon_ok.all():
         raise ValueError("longitude outside (-180, 180]")
-    if not np.all(np.isfinite(alt)):
+    if not alt_ok.all():
         raise ValueError("altitude is not finite")
 
 

@@ -312,6 +312,43 @@ class TestRecorder:
         assert list(read_bag(tail)) == [BagRecord("/spot/gps/fix", float(n - 1), b"")]
         assert peak_mb <= 64.0, f"peak RSS {peak_mb:.1f} MB"
 
+    def test_a_million_publishes_with_a_late_one_sort_in_bounded_memory(self, tmp_path):
+        """A million in-order publishes, then one on a second topic whose
+        stamp goes back, in a child process whose peak RSS must stay under
+        180 MB: the writer reads its file back once at close and rewrites it
+        sorted (159 MB), where it once read it back into a held run of
+        tuples at the first late stamp (198 MB). The late record lands in
+        its stamp's place."""
+        n = 1_000_000
+        path = tmp_path / "late.bag"
+        child = (
+            "import sys\n"
+            "from hmas.bag import record\n"
+            "from hmas.bus import Bus\n"
+            "bus = Bus()\n"
+            "pub = bus.advertise(bus.create_node('spot', 'driver'), 'gps/fix')\n"
+            "late = bus.advertise(bus.create_node('anafi', 'driver'), 'gps/fix')\n"
+            "with record(bus, ['/*/gps/fix'], sys.argv[2]):\n"
+            "    for i in range(int(sys.argv[1])):\n"
+            "        pub.publish(float(i), b'')\n"
+            "    late.publish(0.5, b'late')\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+        )
+        src = str(Path(hmas.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", child, str(n), str(path)],
+                              env=env, check=True, timeout=300, capture_output=True, text=True)
+        peak_mb = int(done.stdout) / 1024.0  # VmHWM is in kB
+        first = _v1_bytes([("/spot/gps/fix", 0.0, b""), ("/anafi/gps/fix", 0.5, b"late"),
+                           ("/spot/gps/fix", 1.0, b"")])
+        last = _v1_bytes([("/spot/gps/fix", float(n - 1), b"")])[6:]
+        data = path.read_bytes()
+        assert len(data) == len(first) + (n - 2) * len(last)
+        assert data.startswith(first) and data.endswith(last)
+        assert peak_mb <= 180.0, f"peak RSS {peak_mb:.1f} MB"
+
     def test_recorder_is_not_a_bus_node(self, tmp_path):
         bus = Bus()
         pub = make_agent(bus, "spot")
@@ -566,7 +603,6 @@ def test_writer_switching_to_holding_equals_v1_encoder(tmp_path_factory, chunk, 
                 writer.append(*record)
             for record in tail:
                 writer.append(*record)
-                assert path.read_bytes() == _v1_bytes([])  # held from the switch on
     assert path.read_bytes() == _v1_bag(records + tail)
 
 

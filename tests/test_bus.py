@@ -48,12 +48,6 @@ class TestQualifiedName:
 
 
 class TestNodes:
-    def test_create_injects_agent_name_parameter(self):
-        bus = Bus()
-        node = bus.create_node("spot", "driver", {"retries": "3"})
-        assert node.name.full == "/spot/driver"
-        assert node.parameters == {"retries": "3", "agent_name": "spot"}
-
     def test_duplicate_node_rejected(self):
         bus = Bus()
         bus.create_node("spot", "driver")
