@@ -151,6 +151,9 @@ class Agent:
         self.rtk_sub = None
         self._odom_position: quat.Vec3 | None = None
         self.odom_stamp: float | None = None
+        # the TF frames World sets on every fix: the base, and each sensor's with its mount
+        self._base_frame = f"{spec.name}/base"
+        self._sensor_frames = tuple((f"{spec.name}/{s.name}", s.mount) for s in spec.sensors)
 
     @property
     def name(self) -> str:
@@ -221,11 +224,10 @@ class World:
         return agent
 
     def _set_pose_edges(self, agent: Agent, position, stamp: float) -> None:
-        base_frame = f"{agent.name}/base"
+        base_frame = agent._base_frame
         self.tree.set_transform(_transform("world", base_frame, position, quat.IDENTITY, stamp))
-        for sensor in agent.spec.sensors:
-            self.tree.set_transform(_transform(base_frame, f"{agent.name}/{sensor.name}",
-                                               sensor.mount, quat.IDENTITY, stamp))
+        for frame, mount in agent._sensor_frames:
+            self.tree.set_transform(_transform(base_frame, frame, mount, quat.IDENTITY, stamp))
 
     # -- control --------------------------------------------------------
 

@@ -2,8 +2,10 @@
 import dataclasses
 import hashlib
 import math
+import re
+import sys
 import threading
-from bisect import bisect_left
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,11 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmas import quat
-from hmas.tf import (CycleError, DisconnectedFramesError, TfError, TimeBoundsError,
-                     Transform, TransformTree, UnknownFrameError, _transform, compose,
-                     invert)
+from hmas.agents import (DEFAULT_FIX_RATE_HZ, AgentSpec, FollowCommand, Scenario,
+                         ScenarioAgent, SensorSpec, run_scenario)
+from hmas.bus import SeededDropInjector
+from hmas.tf import (DEFAULT_HORIZON_S, CycleError, DisconnectedFramesError, TfError,
+                     TimeBoundsError, Transform, TransformTree, UnknownFrameError,
+                     _transform, compose, invert)
 
 from quat_oracle import from_axis_angle, from_yaw, to_matrix
+from tf_oracle import _WRITTEN_DOT, _ReferenceTree
 
 
 def random_quat(rng):
@@ -365,11 +371,6 @@ def test_one_writer_many_readers():
 # -- float kernels against their formulas and numpy arithmetic -----------------
 
 finite = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e150, 1e150, allow_nan=False))
-_WRITTEN_DOT = {
-    2: lambda a, b: a[0] * b[0] + a[1] * b[1],                             # heading norm
-    3: lambda a, b: a[0] * b[0] + a[1] * b[1] + a[2] * b[2],               # standoff dot
-    4: lambda a, b: a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3],  # slerp dot
-}
 
 
 def _float_bits(x):
@@ -423,91 +424,6 @@ def test_transform_keeps_its_own_copy_of_its_arrays(field):
             getattr(x, field)[0] = 99.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(x, field, (0.0, 0.0, 0.0))
-
-
-def _numpy_slerp(q1, q2, t):
-    dot = _WRITTEN_DOT[4](q1.tolist(), q2.tolist())
-    if dot < 0.0:
-        q2 = -q2
-        dot = -dot
-    if dot > 0.9995:
-        q = q1 + t * (q2 - q1)
-        return q / math.sqrt(_WRITTEN_DOT[4](q.tolist(), q.tolist()))
-    theta0 = math.acos(min(dot, 1.0))
-    theta = theta0 * t
-    s2 = math.sin(theta) / math.sin(theta0)
-    s1 = math.cos(theta) - dot * s2
-    return s1 * q1 + s2 * q2
-
-
-class _ReferenceTree:
-    """The tree's buffering and lookup as numpy arithmetic on arrays: a
-    ``pop(0)`` trim, a frame set rebuilt per lookup, and vector slerp whose
-    dot product and norm are the sums written out."""
-
-    def __init__(self, horizon_s):
-        self.horizon = horizon_s
-        self.edges = {}  # child -> (parent, stamps, translations, rotations)
-
-    def set_transform(self, parent, child, translation, rotation, stamp):
-        _, stamps, ts, qs = self.edges.setdefault(child, (parent, [], [], []))
-        if stamps and stamp < stamps[-1] - self.horizon:
-            raise TimeBoundsError("too old")
-        translation, rotation = translation.copy(), np.array(quat.canonicalize(rotation))
-        i = bisect_left(stamps, stamp)
-        if i < len(stamps) and stamps[i] == stamp:
-            ts[i], qs[i] = translation, rotation
-        else:
-            stamps.insert(i, stamp)
-            ts.insert(i, translation)
-            qs.insert(i, rotation)
-        while stamps[0] < stamps[-1] - self.horizon:
-            stamps.pop(0)
-            ts.pop(0)
-            qs.pop(0)
-
-    def _chain(self, frame):
-        chain = [frame]
-        while frame in self.edges:
-            frame = self.edges[frame][0]
-            chain.append(frame)
-        return chain
-
-    def _sample(self, child, at):
-        _, stamps, ts, qs = self.edges[child]
-        if at < stamps[0] or at > stamps[-1]:
-            raise TimeBoundsError("outside span")
-        i = bisect_left(stamps, at)
-        if stamps[i] == at:
-            return qs[i], ts[i]
-        alpha = (at - stamps[i - 1]) / (stamps[i] - stamps[i - 1])
-        return (_numpy_slerp(qs[i - 1], qs[i], alpha),
-                (1.0 - alpha) * ts[i - 1] + alpha * ts[i])
-
-    def _to_ancestor(self, frame, ancestor, at):
-        q_acc, p_acc = quat.IDENTITY, np.zeros(3)
-        while frame != ancestor:
-            eq, ep = self._sample(frame, at)
-            q_acc = quat.mul(eq, q_acc)
-            p_acc = ep + quat.rotate(eq, p_acc)
-            frame = self.edges[frame][0]
-        return q_acc, p_acc
-
-    def lookup(self, target, source, at):
-        known = set(self.edges) | {parent for parent, *_ in self.edges.values()}
-        if target not in known or source not in known:
-            raise UnknownFrameError("unknown")
-        if target == source:
-            return np.zeros(3), np.array(quat.IDENTITY)
-        t_chain = set(self._chain(target))
-        ancestor = next((f for f in self._chain(source) if f in t_chain), None)
-        if ancestor is None:
-            raise DisconnectedFramesError("disconnected")
-        q_t, p_t = self._to_ancestor(target, ancestor, at)
-        q_s, p_s = self._to_ancestor(source, ancestor, at)
-        q_ti = quat.conjugate(q_t)
-        return (np.array(quat.rotate(q_ti, p_s - p_t)),
-                np.array(quat.canonicalize(quat.mul(q_ti, q_s))))
 
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
@@ -829,3 +745,218 @@ def test_transform_arithmetic_keeps_its_bits():
         out = tree.lookup(target, source, float(rng.uniform(0, 5)))
         digest.update(np.array(out.translation).tobytes() + np.array(out.rotation).tobytes())
     assert digest.hexdigest() == "00e683318429a1a37e2aa4409e927a66767637e85164075e2025f911763ada8b"
+
+
+# -- the lookup time, the memo's answer and the edge-path cache ------------------
+
+
+def test_a_memo_hit_returns_the_transform_the_lookup_built():
+    tree = _moving_edge_tree()
+    first = tree.lookup("world", "a", 0.25)
+    again = tree.lookup("world", "a", 0.25)
+    assert again is first and again.stamp == 0.25
+    tree.set_transform(Transform.identity("world", "b", 0.0))  # any write clears the memo
+    walked = tree.lookup("world", "a", 0.25)
+    assert walked is not first and walked == first
+
+
+@pytest.mark.parametrize("at", [np.float64(0.5), np.float32(0.5), 0.5, Fraction(1, 2), 0, 1],
+                         ids=["float64", "float32", "float", "fraction", "int0", "int1"])
+def test_a_lookup_time_is_taken_as_a_float(at):
+    """A numpy time used to build a transform of numpy scalars, which the memo
+    then handed to a later caller asking with a float."""
+    for target, source in (("world", "a"), ("a", "a")):
+        tree = _moving_edge_tree()
+        for when in (at, float(at), at):
+            out = tree.lookup(target, source, when)
+            assert type(out.stamp) is float and out.stamp == float(at)
+            assert _is_float_tuple(out.translation, 3) and _is_float_tuple(out.rotation, 4)
+        assert out == _moving_edge_tree().lookup(target, source, float(at))
+
+
+@pytest.mark.parametrize("at", [True, False, np.True_, "0.5", None, [0.5], 10**400],
+                         ids=["true", "false", "numpy_bool", "str", "none", "list", "huge_int"])
+def test_a_lookup_time_that_is_not_a_number_is_refused(at):
+    """A bool used to stamp a lookup between frames with True and raised
+    ValueError from a frame to itself; a string raised a bare TypeError."""
+    tree = _moving_edge_tree()
+    for target, source in (("world", "a"), ("a", "world"), ("a", "a"), ("world", "world")):
+        for _ in range(2):
+            with pytest.raises(TimeBoundsError,
+                               match=re.escape(f"time must be a finite number, got {at!r}")):
+                tree.lookup(target, source, at)
+    tree.lookup("world", "a", 1.0)  # True == 1.0: a memo at 1.0 does not answer True
+    with pytest.raises(TimeBoundsError):
+        tree.lookup("world", "a", True)
+
+
+def test_a_bad_time_is_refused_after_the_frames_are_checked():
+    tree = _moving_edge_tree()
+    tree.set_transform(Transform.identity("other", "b", 0.0))
+    with pytest.raises(UnknownFrameError):
+        tree.lookup("world", "ghost", "0.5")
+    with pytest.raises(DisconnectedFramesError):
+        tree.lookup("a", "b", True)
+
+
+def _bits_of(t: Transform) -> bytes:
+    return np.array(t.translation).tobytes() + np.array(t.rotation).tobytes()
+
+
+def _two_branches(tree, root="r"):
+    """``root`` -> a -> a2 and ``root`` -> b, each edge moving over [0, 1]."""
+    for parent, child, x, yaw in ((root, "a", 1.0, 0.4), ("a", "a2", -2.0, 1.1),
+                                  (root, "b", 3.0, -0.7)):
+        tree.set_transform(Transform(parent, child, (x, 0.5, 0.0), from_yaw(yaw), 0.0))
+        tree.set_transform(Transform(parent, child, (x, -1.5, 2.0), from_yaw(2 * yaw), 1.0))
+
+
+def test_a_cached_path_keeps_its_bits_when_its_root_gains_a_parent():
+    tree = TransformTree()
+    _two_branches(tree)
+    pairs = [("a2", "b"), ("b", "a2"), ("r", "a2"), ("a", "a2")]
+    before = {pair: _bits_of(tree.lookup(*pair, 0.3)) for pair in pairs}
+    tree.set_transform(Transform("top", "r", (5.0, 0.0, 0.0), from_yaw(0.2), 0.3))
+    fresh = TransformTree()
+    _two_branches(fresh)
+    fresh.set_transform(Transform("top", "r", (5.0, 0.0, 0.0), from_yaw(0.2), 0.3))
+    for pair in pairs:
+        assert _bits_of(tree.lookup(*pair, 0.3)) == before[pair]
+        assert _bits_of(fresh.lookup(*pair, 0.3)) == before[pair]
+    assert _bits_of(tree.lookup("top", "a2", 0.3)) == _bits_of(fresh.lookup("top", "a2", 0.3))
+
+
+def test_a_disconnected_pair_resolves_once_an_edge_joins_its_trees():
+    other = [Transform("s", "c", (0.0, 2.0, 0.0), from_yaw(0.9), 0.0),
+             Transform("s", "c", (1.0, 2.0, 0.0), from_yaw(0.8), 1.0)]
+    join = Transform("r", "s", (4.0, -1.0, 0.5), from_yaw(-0.3), 0.5)
+    tree, fresh = TransformTree(), TransformTree()
+    _two_branches(tree)
+    for t in other:
+        tree.set_transform(t)
+    for _ in range(2):
+        with pytest.raises(DisconnectedFramesError):
+            tree.lookup("a2", "c", 0.5)
+    tree.lookup("a2", "b", 0.5)  # cache a connected pair of the same tree
+    tree.set_transform(join)
+    _two_branches(fresh)
+    for t in other + [join]:
+        fresh.set_transform(t)
+    for pair in (("a2", "c"), ("c", "a2"), ("a2", "b")):
+        assert _bits_of(tree.lookup(*pair, 0.5)) == _bits_of(fresh.lookup(*pair, 0.5))
+
+
+def test_an_unknown_frame_still_raises_after_other_pairs_are_cached():
+    tree = TransformTree()
+    _two_branches(tree)
+    for pair in (("a2", "b"), ("r", "a"), ("b", "b")):
+        tree.lookup(*pair, 0.5)
+    for target, source in (("a2", "ghost"), ("ghost", "b"), ("ghost", "ghost")):
+        for _ in range(2):
+            with pytest.raises(UnknownFrameError, match="ghost"):
+                tree.lookup(target, source, 0.5)
+
+
+def _two_lossy_teams(base, seed, duration_s):
+    gps = (SensorSpec("gps", "gnss", (0.0, 0.0, 0.3)),)
+    members, commands = [], []
+    for team, y0 in (("a", 0.0), ("b", 30.0)):
+        members += [
+            ScenarioAgent(AgentSpec(f"operator_{team}", "human", 1.5, sensors=gps),
+                          (0.0, y0, 0.0), ((6.0, y0 + 3.0, 0.0), (-4.0, y0 - 2.0, 0.0)), 1.0),
+            ScenarioAgent(AgentSpec(f"ground_{team}", "ground", 2.0, sensors=gps),
+                          (-2.0, y0 - 1.0, 0.0)),
+            ScenarioAgent(AgentSpec(f"aerial_{team}", "aerial", 3.0, altitude_range=(2.0, 30.0),
+                                    sensors=gps), (-2.0, y0 + 1.0, 10.0))]
+        commands += [FollowCommand(f"ground_{team}", f"operator_{team}", (0.0, -1.0)),
+                     FollowCommand(f"aerial_{team}", f"operator_{team}", (-2.0, 0.0), 1.0)]
+    return Scenario(base, seed, duration_s, tuple(members), tuple(commands))
+
+
+def test_fleet_lookups_are_bit_identical_to_numpy_reference(base):
+    """A lossy two-team scenario with a TF consumer like the fleet benchmark's,
+    half a fix period behind each agent's latest fix: every lookup, memo hits
+    and misses alike, equals the reference tree fed the same writes, or both
+    raise the same error."""
+    ref = _ReferenceTree(DEFAULT_HORIZON_S)
+    last: dict[str, Transform] = {}
+    counts = {"hit": 0, "miss": 0, "failed": 0}
+
+    def on_world(world):
+        world.bus.set_fault_injector(SeededDropInjector(0.05, 3))
+        write = world.tree.set_transform
+
+        def set_transform(t):
+            write(t)
+            ref.set_transform(t.parent, t.child, np.array(t.translation), t.rotation, t.stamp)
+        world.tree.set_transform = set_transform
+
+    def on_step(world):
+        for name, agent in world.agents.items():
+            latest = agent.odom_stamp if agent.odom_stamp is not None else 0.0
+            at = latest - 0.5 / DEFAULT_FIX_RATE_HZ
+            try:
+                want = ref.lookup("world", f"{name}/gps", at)
+            except TfError as exc:
+                with pytest.raises(type(exc)):
+                    world.tree.lookup("world", f"{name}/gps", at)
+                counts["failed"] += 1
+                continue
+            got = world.tree.lookup("world", f"{name}/gps", at)
+            counts["hit" if got is last.get(name) else "miss"] += 1
+            last[name] = got
+            assert (got.parent, got.child, got.stamp) == ("world", f"{name}/gps", at)
+            assert np.array(got.translation).tobytes() == want[0].tobytes()
+            assert np.array(got.rotation).tobytes() == want[1].tobytes()
+
+    run_scenario(_two_lossy_teams(base, 11, 2.5), on_step=on_step, on_world=on_world)
+    assert sum(counts.values()) == 6 * 350
+    assert counts["hit"] > 5 * counts["miss"] > 0 and counts["failed"] > 0
+
+
+def test_readers_share_the_caches_with_a_writer():
+    """Readers looking up several pairs, hits and misses, while one writer adds
+    samples and, halfway, gives the root a parent: every answer is the closed
+    form of the samples it read. A short switch interval interleaves them."""
+    tree = TransformTree(horizon_s=1000.0)
+    pairs = [("world", "a2"), ("a2", "world"), ("a", "a2"), ("world", "a")]
+    expected = {("world", "a2"): lambda s: (s, 1.0, 0.0), ("a2", "world"): lambda s: (-s, -1.0, 0.0),
+                ("a", "a2"): lambda s: (0.0, 1.0, 0.0), ("world", "a"): lambda s: (s, 0.0, 0.0)}
+    stop, errors = threading.Event(), []
+
+    def write(stamp):
+        tree.set_transform(Transform("world", "a", (stamp, 0.0, 0.0), quat.IDENTITY, stamp))
+        tree.set_transform(Transform("a", "a2", (0.0, 1.0, 0.0), quat.IDENTITY, stamp))
+
+    def reader(k):
+        n = 0
+        while not stop.is_set():
+            pair = pairs[n % len(pairs)]
+            stamp = float((7 * n + k) % 300)
+            n += 1
+            try:
+                out = tree.lookup(*pair, stamp)
+            except TimeBoundsError:
+                continue  # not written yet
+            if (out.translation, out.rotation, out.stamp) != (
+                    expected[pair](stamp), quat.IDENTITY, stamp):
+                errors.append((pair, stamp, out))
+
+    write(0.0)
+    readers = [threading.Thread(target=reader, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for r in readers:
+            r.start()
+        for i in range(1, 300):
+            write(float(i))
+            if i == 150:
+                tree.set_transform(Transform.identity("top", "world", 0.0))
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+        for r in readers:
+            r.join(timeout=30.0)
+    assert not any(r.is_alive() for r in readers)
+    assert errors == []
