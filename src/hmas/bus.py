@@ -8,9 +8,9 @@ non-negative and non-decreasing.
 
 Publish hooks (``add_publish_hook``) are called as ``hook(topic, stamp,
 payload)``, with the topic's ``QualifiedName``, for every accepted publish, in
-publish order and before fault injection and delivery. A ``Message`` is built
-only for subscription queues: a publish on a topic with no subscription
-allocates none.
+publish order and before fault injection and delivery; a hook may itself
+publish and take on the same bus. A ``Message`` is built only for subscription
+queues: a publish on a topic with no subscription allocates none.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ import functools
 import math
 import random
 import re
-import threading
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -233,13 +232,14 @@ def stamp_error(stamp: float, last: float, topic: str) -> StampOrderError:
 class Bus:
     """In-process bus shared by every participant; the only common substrate.
 
-    All handle operations are safe to call from multiple threads. Ordering is
+    One thread owns a bus, its transform tree and the world built on them,
+    since the publish order decides which deliveries the seeded injector drops
+    and the order of a bag's records; the bus takes no lock. Ordering is
     guaranteed per publisher-subscriber pair only. ``set_fault_injector``
     installs the one fault injector, which may drop best-effort deliveries.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
         self._nodes: dict[str, NodeHandle] = {}
         self._publishers: dict[str, list[PublisherHandle]] = {}
         self._subscriptions: dict[str, list[SubscriptionHandle]] = {}
@@ -248,18 +248,16 @@ class Bus:
         self._publish_hooks: tuple[PublishHook, ...] = ()
 
     def set_fault_injector(self, injector: FaultInjector | None) -> None:
-        with self._lock:
-            self._fault_injector = injector
+        self._fault_injector = injector
 
     # -- registration -------------------------------------------------
 
     def create_node(self, namespace: str, local_name: str) -> NodeHandle:
         name = QualifiedName(namespace, local_name)
-        with self._lock:
-            if name.full in self._nodes:
-                raise DuplicateNodeError(f"node {name.full} already exists")
-            node = NodeHandle(self, name)
-            self._nodes[name.full] = node
+        if name.full in self._nodes:
+            raise DuplicateNodeError(f"node {name.full} already exists")
+        node = NodeHandle(self, name)
+        self._nodes[name.full] = node
         return node
 
     def advertise(self, node: NodeHandle, topic: str, qos: QosProfile = DEFAULT_QOS) -> PublisherHandle:
@@ -278,85 +276,78 @@ class Bus:
 
     def _attach(self, handle_cls, node: NodeHandle, topic: QualifiedName,
                 qos: QosProfile, registry: dict[str, list]) -> _Endpoint:
-        with self._lock:
-            self._check_node_live(node)
-            endpoint = handle_cls(self, node, topic, qos, registry)
-            registry.setdefault(topic.full, []).append(endpoint)
-            node._endpoints.append(endpoint)
+        self._check_node_live(node)
+        endpoint = handle_cls(self, node, topic, qos, registry)
+        registry.setdefault(topic.full, []).append(endpoint)
+        node._endpoints.append(endpoint)
         return endpoint
 
     def add_publish_hook(self, hook: PublishHook) -> None:
         """Call ``hook(topic, stamp, payload)`` for every future accepted
         publish, in publish order, before fault injection and delivery; used
         by recorders. ``topic`` is the ``QualifiedName``, ``payload`` bytes."""
-        with self._lock:
-            self._publish_hooks += (hook,)
+        self._publish_hooks += (hook,)
 
     def remove_publish_hook(self, hook: PublishHook) -> None:
-        with self._lock:
-            self._publish_hooks = tuple(h for h in self._publish_hooks if h != hook)
+        self._publish_hooks = tuple(h for h in self._publish_hooks if h != hook)
 
     # -- data path ----------------------------------------------------
 
     def publish(self, pub: PublisherHandle, stamp: float, payload: bytes) -> DeliveryReport:
-        with self._lock:
-            # _last_stamp starts at 0, so one chained comparison rejects a NaN,
-            # infinite, negative or decreasing stamp
-            if pub._closed or not pub._last_stamp <= stamp < math.inf:
-                _reject(pub, stamp)
-            pub._last_stamp = stamp
-            topic = pub.topic
-            payload = bytes(payload)
-            for hook in self._publish_hooks:
-                hook(topic, stamp, payload)
-            subs = self._subscriptions.get(topic.full)
-            if not subs:
-                return _NO_DELIVERY
-            msg = Message(topic, stamp, payload)
-            enqueued = 0
-            best_effort_pub = pub.qos.reliability is Reliability.BEST_EFFORT
-            for sub in subs:
-                # Drops only affect deliveries where both sides accept loss;
-                # a reliable subscription is never starved.
-                droppable = best_effort_pub and sub.qos.reliability is Reliability.BEST_EFFORT
-                if droppable and self._fault_injector is not None \
-                        and self._fault_injector.should_drop(topic):
-                    continue
-                self._seq += 1
-                sub._queue.append((self._seq, msg))
-                enqueued += 1
-            return _delivery_report(len(subs), enqueued)
+        # _last_stamp starts at 0, so one chained comparison rejects a NaN,
+        # infinite, negative or decreasing stamp
+        if pub._closed or not pub._last_stamp <= stamp < math.inf:
+            _reject(pub, stamp)
+        pub._last_stamp = stamp
+        topic = pub.topic
+        payload = bytes(payload)
+        for hook in self._publish_hooks:
+            hook(topic, stamp, payload)
+        subs = self._subscriptions.get(topic.full)
+        if not subs:
+            return _NO_DELIVERY
+        msg = Message(topic, stamp, payload)
+        enqueued = 0
+        best_effort_pub = pub.qos.reliability is Reliability.BEST_EFFORT
+        for sub in subs:
+            # Drops only affect deliveries where both sides accept loss;
+            # a reliable subscription is never starved.
+            droppable = best_effort_pub and sub.qos.reliability is Reliability.BEST_EFFORT
+            if droppable and self._fault_injector is not None \
+                    and self._fault_injector.should_drop(topic):
+                continue
+            self._seq += 1
+            sub._queue.append((self._seq, msg))
+            enqueued += 1
+        return _delivery_report(len(subs), enqueued)
 
     def take(self, sub: SubscriptionHandle) -> Message | None:
-        with self._lock:
-            if sub._closed:
-                raise ClosedHandleError(f"subscription on {sub.topic.full} is closed")
-            if not sub._queue:
-                return None
-            return sub._queue.popleft()[1]
+        if sub._closed:
+            raise ClosedHandleError(f"subscription on {sub.topic.full} is closed")
+        if not sub._queue:
+            return None
+        return sub._queue.popleft()[1]
 
     def take_with_seq(self, sub: SubscriptionHandle) -> tuple[int, Message] | None:
         """Like take() but exposes the bus-wide enqueue sequence number."""
-        with self._lock:
-            if sub._closed:
-                raise ClosedHandleError(f"subscription on {sub.topic.full} is closed")
-            if not sub._queue:
-                return None
-            return sub._queue.popleft()
+        if sub._closed:
+            raise ClosedHandleError(f"subscription on {sub.topic.full} is closed")
+        if not sub._queue:
+            return None
+        return sub._queue.popleft()
 
     # -- discovery ----------------------------------------------------
 
     def discover(self) -> BusGraph:
-        with self._lock:
-            publishers = {
-                topic: frozenset(p.node.name.full for p in pubs)
-                for topic, pubs in self._publishers.items() if pubs
-            }
-            subscribers = {
-                topic: frozenset(s.node.name.full for s in subs)
-                for topic, subs in self._subscriptions.items() if subs
-            }
-            return BusGraph(frozenset(self._nodes), publishers, subscribers)
+        publishers = {
+            topic: frozenset(p.node.name.full for p in pubs)
+            for topic, pubs in self._publishers.items() if pubs
+        }
+        subscribers = {
+            topic: frozenset(s.node.name.full for s in subs)
+            for topic, subs in self._subscriptions.items() if subs
+        }
+        return BusGraph(frozenset(self._nodes), publishers, subscribers)
 
     # -- teardown -----------------------------------------------------
 
@@ -365,21 +356,19 @@ class Bus:
             raise ClosedHandleError(f"node {node.name.full} is not registered")
 
     def _close_node(self, node: NodeHandle) -> None:
-        with self._lock:
-            if node._closed:
-                return
-            for endpoint in list(node._endpoints):
-                self._close_endpoint(endpoint)
-            self._nodes.pop(node.name.full, None)
-            node._closed = True
+        if node._closed:
+            return
+        for endpoint in list(node._endpoints):
+            self._close_endpoint(endpoint)
+        self._nodes.pop(node.name.full, None)
+        node._closed = True
 
     def _close_endpoint(self, endpoint: _Endpoint) -> None:
-        with self._lock:
-            if endpoint._closed:
-                return
-            peers = endpoint._registry[endpoint.topic.full]
-            peers.remove(endpoint)
-            if not peers:
-                del endpoint._registry[endpoint.topic.full]
-            endpoint.node._endpoints.remove(endpoint)
-            endpoint._closed = True
+        if endpoint._closed:
+            return
+        peers = endpoint._registry[endpoint.topic.full]
+        peers.remove(endpoint)
+        if not peers:
+            del endpoint._registry[endpoint.topic.full]
+        endpoint.node._endpoints.remove(endpoint)
+        endpoint._closed = True

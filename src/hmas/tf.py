@@ -14,7 +14,8 @@ skips those checks; ``TransformTree.set_transform`` still rejects a non-finite
 stamp or translation, whichever way a transform was built.
 
 A lookup time is a real number that is not a bool, taken as a float, as
-``Transform`` takes a stamp; any other time raises ``TimeBoundsError``.
+``Transform`` takes a stamp and ``TransformTree`` its horizon; any other time
+raises ``TimeBoundsError``. An integer too large for a float is not finite.
 
 A tree keeps two caches, and neither changes a lookup's bits:
 
@@ -43,7 +44,6 @@ per-hit ``Transform`` build that these caches replace, and the benchmark's
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from numbers import Real
@@ -94,8 +94,8 @@ class Transform:
             raise UnknownFrameError("frame names must be non-empty")
         for name, n in (("translation", 3), ("rotation", 4)):
             object.__setattr__(self, name, quat._finite_floats(getattr(self, name), n, name))
-        if not isinstance(t := self.stamp, Real) or type(t) is bool or not math.isfinite(t):
-            raise ValueError(f"stamp must be a finite number, got {t!r}")
+        if (t := _as_time(self.stamp)) is None or not math.isfinite(t):
+            raise ValueError(f"stamp must be a finite number, got {self.stamp!r}")
         if not abs(quat.norm(self.rotation) - 1.0) <= QUAT_NORM_TOL:
             raise ValueError(f"rotation is not a unit quaternion: {self.rotation}")
 
@@ -152,8 +152,8 @@ _Path = tuple[tuple[str, _Edge], ...]  # (child, edge) steps from a frame up to 
 
 
 def _as_time(at) -> float | None:
-    """A lookup time that is not a float: a real number that is not a bool, as a
-    float, as ``Transform`` takes a stamp; None for anything else."""
+    """A time (a lookup time, a stamp, a horizon) as a float: a real number that
+    is not a bool, taken as a float; None for anything else."""
     if isinstance(at, Real) and type(at) is not bool:
         try:
             return float(at)
@@ -170,15 +170,19 @@ def _bad_time(at) -> TimeBoundsError:
 
 
 class TransformTree:
-    """One-writer/many-reader forest of timestamped edges.
+    """Forest of timestamped edges.
+
+    One thread owns a tree, the bus and the world built on them, since the
+    publish order decides which deliveries the seeded injector drops and the
+    order of a bag's records; the tree takes no lock.
 
     Each edge retains ``horizon_s`` seconds of history behind its newest
     sample; lookups refuse to extrapolate outside an edge's buffered span.
     """
 
     def __init__(self, horizon_s: float = DEFAULT_HORIZON_S) -> None:
-        if not 0.0 < horizon_s < math.inf:  # NaN fails too
-            raise ValueError(f"horizon must be finite and above 0, got {horizon_s}")
+        if (h := _as_time(horizon_s)) is None or not 0.0 < h < math.inf:  # NaN fails too
+            raise ValueError(f"horizon must be finite and above 0, got {horizon_s!r}")
         self._horizon = horizon_s
         self._edges: dict[str, _Edge] = {}  # child -> edge history
         self._parents: set[str] = set()
@@ -186,40 +190,38 @@ class TransformTree:
         self._paths: dict[tuple[str, str], tuple[_Path, _Path]] = {}
         # (target, source) -> the Transform of the pair's last lookup
         self._memo: dict[tuple[str, str], Transform] = {}
-        self._lock = threading.RLock()
 
     # -- writing ------------------------------------------------------
 
     def set_transform(self, t: Transform) -> None:
         if not all(map(math.isfinite, (t.stamp, *t.translation))):
             raise ValueError(f"non-finite stamp {t.stamp} or translation {t.translation}")
-        with self._lock:
-            self._memo.clear()
-            edge = self._edges.get(t.child)
-            if edge is not None and edge.parent != t.parent:
-                raise CycleError(
-                    f"frame {t.child!r} already has parent {edge.parent!r}; "
-                    f"re-parenting to {t.parent!r} would break the forest")
-            if edge is None and self._would_cycle(t.parent, t.child):
-                raise CycleError(f"edge {t.parent}->{t.child} would create a cycle")
-            if edge is None:
-                edge = _Edge(t.parent)
-                self._edges[t.child] = edge
-                self._parents.add(t.parent)
-            stamps = edge.stamps
-            if stamps and t.stamp < stamps[-1] - self._horizon:
-                raise TimeBoundsError(
-                    f"stamp {t.stamp} is older than the {self._horizon}s buffer horizon")
-            sample = (t.translation, quat.canonicalize(t.rotation))
-            i = bisect_left(stamps, t.stamp)
-            if i < len(stamps) and stamps[i] == t.stamp:
-                edge.samples[i] = sample
-            else:
-                stamps.insert(i, t.stamp)
-                edge.samples.insert(i, sample)
-            k = bisect_left(stamps, stamps[-1] - self._horizon)
-            if k:
-                del stamps[:k], edge.samples[:k]
+        self._memo.clear()
+        edge = self._edges.get(t.child)
+        if edge is not None and edge.parent != t.parent:
+            raise CycleError(
+                f"frame {t.child!r} already has parent {edge.parent!r}; "
+                f"re-parenting to {t.parent!r} would break the forest")
+        if edge is None and self._would_cycle(t.parent, t.child):
+            raise CycleError(f"edge {t.parent}->{t.child} would create a cycle")
+        if edge is None:
+            edge = _Edge(t.parent)
+            self._edges[t.child] = edge
+            self._parents.add(t.parent)
+        stamps = edge.stamps
+        if stamps and t.stamp < stamps[-1] - self._horizon:
+            raise TimeBoundsError(
+                f"stamp {t.stamp} is older than the {self._horizon}s buffer horizon")
+        sample = (t.translation, quat.canonicalize(t.rotation))
+        i = bisect_left(stamps, t.stamp)
+        if i < len(stamps) and stamps[i] == t.stamp:
+            edge.samples[i] = sample
+        else:
+            stamps.insert(i, t.stamp)
+            edge.samples.insert(i, sample)
+        k = bisect_left(stamps, stamps[-1] - self._horizon)
+        if k:
+            del stamps[:k], edge.samples[:k]
 
     def _would_cycle(self, parent: str, child: str) -> bool:
         node = parent
@@ -232,8 +234,7 @@ class TransformTree:
     # -- reading ------------------------------------------------------
 
     def frames(self) -> set[str]:
-        with self._lock:
-            return self._parents.union(self._edges)
+        return self._parents.union(self._edges)
 
     def lookup(self, target: str, source: str, at: float) -> Transform:
         """Transform mapping source-frame coordinates into the target frame at time ``at``.
@@ -249,40 +250,39 @@ class TransformTree:
         """
         t = at if type(at) is float else _as_time(at)
         key = target, source
-        with self._lock:
-            memo = self._memo.get(key)
-            if memo is not None and memo.stamp == t:
-                return memo
-            path = self._paths.get(key)
-            if path is None:
-                for f in key:
-                    if f not in self._edges and f not in self._parents:
-                        raise UnknownFrameError(f"unknown frame {f!r}")
-                if target == source:
-                    if t is None or not math.isfinite(t):
-                        raise _bad_time(at)
-                    return Transform.identity(target, source, t)
-                path = self._paths[key] = self._path(target, source)
-            if t is None:
-                raise _bad_time(at)
-            # each half maps its frame's coordinates into the common ancestor
-            ends = []
-            for steps in path:
-                q_acc = quat.IDENTITY
-                p_acc = (0.0, 0.0, 0.0)
-                for child, edge in steps:
-                    eq, ep = self._sample(edge, child, t)
-                    q_acc = quat.mul(eq, q_acc)
-                    r = quat.rotate(eq, p_acc)
-                    p_acc = (ep[0] + r[0], ep[1] + r[1], ep[2] + r[2])
-                ends.append((q_acc, p_acc))
-            (q_t, p_t), (q_s, p_s) = ends
-            q_ti = quat.conjugate(q_t)
-            rotation = quat.canonicalize(quat.mul(q_ti, q_s))
-            translation = quat.rotate(
-                q_ti, (p_s[0] - p_t[0], p_s[1] - p_t[1], p_s[2] - p_t[2]))
-            memo = self._memo[key] = _transform(target, source, translation, rotation, t)
+        memo = self._memo.get(key)
+        if memo is not None and memo.stamp == t:
             return memo
+        path = self._paths.get(key)
+        if path is None:
+            for f in key:
+                if f not in self._edges and f not in self._parents:
+                    raise UnknownFrameError(f"unknown frame {f!r}")
+            if target == source:
+                if t is None or not math.isfinite(t):
+                    raise _bad_time(at)
+                return Transform.identity(target, source, t)
+            path = self._paths[key] = self._path(target, source)
+        if t is None:
+            raise _bad_time(at)
+        # each half maps its frame's coordinates into the common ancestor
+        ends = []
+        for steps in path:
+            q_acc = quat.IDENTITY
+            p_acc = (0.0, 0.0, 0.0)
+            for child, edge in steps:
+                eq, ep = self._sample(edge, child, t)
+                q_acc = quat.mul(eq, q_acc)
+                r = quat.rotate(eq, p_acc)
+                p_acc = (ep[0] + r[0], ep[1] + r[1], ep[2] + r[2])
+            ends.append((q_acc, p_acc))
+        (q_t, p_t), (q_s, p_s) = ends
+        q_ti = quat.conjugate(q_t)
+        rotation = quat.canonicalize(quat.mul(q_ti, q_s))
+        translation = quat.rotate(
+            q_ti, (p_s[0] - p_t[0], p_s[1] - p_t[1], p_s[2] - p_t[2]))
+        memo = self._memo[key] = _transform(target, source, translation, rotation, t)
+        return memo
 
     def _path(self, target: str, source: str) -> tuple[_Path, _Path]:
         """The (child, edge) steps from ``target`` and from ``source`` up to
@@ -325,9 +325,8 @@ class TransformTree:
 
     def to_dot(self) -> str:
         """Tree snapshot as a DOT digraph (one arrow per parent->child edge)."""
-        with self._lock:
-            lines = ["digraph transform_tree {"]
-            for child in sorted(self._edges):
-                lines.append(f'  "{self._edges[child].parent}" -> "{child}";')
-            lines.append("}")
-            return "\n".join(lines) + "\n"
+        lines = ["digraph transform_tree {"]
+        for child in sorted(self._edges):
+            lines.append(f'  "{self._edges[child].parent}" -> "{child}";')
+        lines.append("}")
+        return "\n".join(lines) + "\n"

@@ -1,7 +1,6 @@
 """Bus semantics: naming, QoS history, isolation, discovery, fault injection."""
 import math
 import random
-import threading
 from collections import deque
 from functools import partial
 
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from hmas.bag import read_bag, record
-from hmas.bus import (Bus, ClosedHandleError, DuplicateNodeError,
+from hmas.bus import (Bus, ClosedHandleError, DeliveryReport, DuplicateNodeError,
                       InvalidNameError, Message, QosProfile, QualifiedName, Reliability,
                       SeededDropInjector, StampOrderError)
 
@@ -377,32 +376,32 @@ def test_namespace_isolation_property(ns_a, ns_b, topic):
     assert sub_a.take() is None
 
 
-def test_concurrent_publish_and_take():
+def test_a_publish_hook_may_publish_and_take_on_its_own_bus():
+    """A hook on topic a publishes once on b and takes from a's subscription.
+    The inner publish reaches every hook and is delivered before the outer
+    one, which is delivered only after its hooks return."""
     bus = Bus()
     node = bus.create_node("spot", "driver")
-    pub = bus.advertise(node, "t", RELIABLE)
-    sub = bus.subscribe(node, "t", QosProfile(reliability=Reliability.RELIABLE,
-                                              history_depth=100_000))
-    per_thread = 2_000
-    threads = [threading.Thread(
-        target=lambda: [pub.publish(1.0, b"x") for _ in range(per_thread)])
-        for _ in range(4)]
-    taken = []
+    pub_a, pub_b = bus.advertise(node, "a", RELIABLE), bus.advertise(node, "b", RELIABLE)
+    sub_a, sub_b = bus.subscribe(node, "a", RELIABLE), bus.subscribe(node, "b", RELIABLE)
+    calls, inner_reports, taken = [], [], []
 
-    def consume():
-        while len(taken) < 4 * per_thread:
-            msg = sub.take()
-            if msg is not None:
-                taken.append(msg)
+    def hook(topic, stamp, payload):
+        calls.append((topic.full, stamp, payload))
+        if topic.local == "a":
+            inner_reports.append(pub_b.publish(stamp, b"echo"))
+            taken.append(sub_a.take())
 
-    consumer = threading.Thread(target=consume)
-    consumer.start()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    consumer.join(timeout=30)
-    assert len(taken) == 4 * per_thread
+    bus.add_publish_hook(hook)
+    outer_reports = [pub_a.publish(1.0, b"first"), pub_a.publish(2.0, b"second")]
+
+    assert calls == [("/spot/a", 1.0, b"first"), ("/spot/b", 1.0, b"echo"),
+                     ("/spot/a", 2.0, b"second"), ("/spot/b", 2.0, b"echo")]
+    assert outer_reports == inner_reports == [DeliveryReport(1, 1)] * 2
+    a, b = QualifiedName("spot", "a"), QualifiedName("spot", "b")
+    assert taken == [None, Message(a, 1.0, b"first")]
+    assert list(iter(sub_a.take, None)) == [Message(a, 2.0, b"second")]
+    assert list(iter(sub_b.take, None)) == [Message(b, 1.0, b"echo"), Message(b, 2.0, b"echo")]
 
 
 class BusLifecycleMachine(RuleBasedStateMachine):
