@@ -39,7 +39,7 @@ from .bus import Bus, QosProfile, QualifiedName
 from .geo import (CORRECTION_QOS, CORRECTION_TOPIC, DEFAULT_FIX_RATE_HZ, FIX_PERIOD_S,
                   MAX_RUN_S, GeodeticCoord, Rover, encode_fix, decode_fix,
                   geodetic_to_enu, enu_to_geodetic, rtk_base, steps_within, take_corrections)
-from .quat import _finite_floats
+from .quat import _finite_float, _finite_floats, _integer
 from .tf import TransformTree, _transform
 from . import quat
 
@@ -95,8 +95,11 @@ class AgentSpec:
         QualifiedName(self.name, "driver")  # validates the namespace
         if self.category not in CATEGORIES:
             raise ValueError(f"unknown category {self.category!r}")
-        if not 0.0 < self.max_speed < math.inf:  # NaN fails too
+        object.__setattr__(self, "max_speed", _finite_float(self.max_speed, "max_speed"))
+        if not self.max_speed > 0.0:
             raise ValueError(f"max_speed must be finite and above 0, got {self.max_speed}")
+        object.__setattr__(self, "altitude_range", None if self.altitude_range is None
+                           else _finite_floats(self.altitude_range, 2, "altitude_range"))
         if self.category == "aerial":
             if self.altitude_range is None or self.altitude_range[0] >= self.altitude_range[1]:
                 raise ValueError("aerial agents need altitude_range = (min, max), min < max")
@@ -115,7 +118,8 @@ class FollowCommand:
     standoff: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.standoff < math.inf:  # NaN fails too
+        object.__setattr__(self, "standoff", _finite_float(self.standoff, "standoff"))
+        if not self.standoff > 0.0:
             raise ValueError(f"standoff must be finite and above 0, got {self.standoff}")
         object.__setattr__(self, "offset", _finite_floats(self.offset, 2, "offset"))
         if isinstance(self.target, str):
@@ -168,9 +172,11 @@ class World:
         self.base = base
         self.bus = Bus()
         self.tree = TransformTree()
-        self.bounds_m = bounds_m
+        self.bounds_m = _finite_float(bounds_m, "bounds_m")
+        if not self.bounds_m > 0.0:
+            raise ValueError(f"bounds_m must be finite and above 0, got {bounds_m}")
         self.noiseless = noiseless
-        self._seed_root = np.random.SeedSequence(seed)
+        self._seed_root = np.random.SeedSequence(_integer(seed, "seed", 0))
         self._seed_root.spawn(1)  # the old correction link's seed: rover seeds stay put
         self._link = rtk_base(self.bus)
         self._agents: dict[str, Agent] = {}
@@ -405,7 +411,8 @@ class ScenarioAgent:
     speed: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.speed < math.inf:  # NaN fails too
+        object.__setattr__(self, "speed", _finite_float(self.speed, "script speed"))
+        if not self.speed > 0.0:
             raise ValueError(f"script speed must be finite and above 0, got {self.speed}")
         name = self.spec.name
         object.__setattr__(self, "start", _finite_floats(self.start, 3, f"start of {name!r}"))
@@ -423,12 +430,12 @@ class Scenario:
     noiseless: bool = False
 
     def __post_init__(self) -> None:
-        if not CONTROL_DT_S <= self.duration_s <= MAX_RUN_S:  # NaN fails too
+        object.__setattr__(self, "duration_s", _finite_float(self.duration_s, "duration_s"))
+        if not CONTROL_DT_S <= self.duration_s <= MAX_RUN_S:
             raise ValueError(f"duration_s must be finite and within [{CONTROL_DT_S:.6g}, "
                              f"{MAX_RUN_S:g}] s (one control step to 24 h), "
                              f"got {self.duration_s}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
         if not isinstance(self.noiseless, bool):
             raise ValueError(f"noiseless must be true or false, got {self.noiseless!r}")
 
@@ -450,7 +457,7 @@ def load_scenario(path) -> Scenario:
         FollowCommand(c["follower"], c["target"], c.get("offset", (0.0, 0.0)),
                       c.get("standoff", 0.5))
         for c in raw.get("commands", ()))
-    return Scenario(base, raw.get("seed", 0), float(raw["duration_s"]),
+    return Scenario(base, raw.get("seed", 0), raw["duration_s"],
                     tuple(agents), commands, raw.get("noiseless", False))
 
 

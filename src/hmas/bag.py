@@ -37,12 +37,13 @@ are iterated, so ``bag_info`` and analysis build none. On the 2 h static bag
 fresh process, against 0.47-0.68 s at 93 MB when the Python loop walked every
 record, and 0.96-1.51 s at 142 MB when the reader built a record per entry.
 
-The writer takes any stamp but NaN and any topic, and reading is as lenient,
-so ``bag_info`` shows any such file. ``replay`` publishes a bag whole or not at
-all: before its first publish it checks the columns for what the bus refuses,
-a topic that is not a bus name or a stamp outside ``0 <= stamp < inf`` or below
-the last one on its topic, and raises the bus's reason, prefixed with the bag
-and the record at which a replay of one record at a time would stop.
+The writer takes any float stamp but NaN, any other number and any topic, and
+reading is as lenient, so ``bag_info`` shows any such file. ``replay``
+publishes a bag whole or not at all: before its first publish it checks the
+columns for what the bus refuses, a topic that is not a bus name or a stamp
+outside ``0 <= stamp < inf`` or below the last one on its topic, and raises the
+bus's reason, prefixed with the bag and the record at which a replay of one
+record at a time would stop.
 """
 from __future__ import annotations
 
@@ -60,6 +61,7 @@ import numpy as np
 
 from .bus import (Bus, DuplicateNodeError, InvalidNameError, PublisherHandle, QosProfile,
                   QualifiedName, Reliability, stamp_error)
+from .quat import _finite_float
 
 MAGIC = b"HBAG"
 FORMAT_VERSION = 1
@@ -121,6 +123,8 @@ class BagWriter:
     def append(self, topic: str, stamp: float, payload: bytes) -> None:
         if self._closed:
             raise BagError(f"bag writer for {self.path} is closed")
+        if type(stamp) is not float:
+            stamp = _finite_float(stamp, "stamp", BagError)
         if not self._last <= stamp:  # NaN, or a stamp that went back
             if stamp != stamp:  # only NaN; it would break the stable stamp sort
                 raise BagError(f"NaN stamp on {topic}")
@@ -440,10 +444,10 @@ def replay(path, bus: Bus, rate: float | None = None, fast: bool = False) -> Rep
     """
     if fast and rate is not None:
         raise ValueError("pass either a realtime rate or fast, not both")
-    if rate is not None and not 0.0 < rate < math.inf:
-        raise ValueError(f"realtime rate must be positive and finite, got {rate}")
     if rate is None:
         fast = True
+    elif not (rate := _finite_float(rate, "realtime rate")) > 0.0:
+        raise ValueError(f"realtime rate must be positive and finite, got {rate}")
     records = read_bag(path)
     names = _replayable(path, records)
     data, topics, publish = records.data, records.topics, bus.publish

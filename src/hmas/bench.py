@@ -27,6 +27,7 @@ from .geo import (CORRECTION_QOS, CORRECTION_TOPIC, DEFAULT_FIX_RATE_HZ, DISTURB
 # The per-fix scalar functions stay importable from this module, where the
 # span tracer in perfbench/ patches them.
 from .geo import decode_fix, encode_fix, enu_to_geodetic  # noqa: F401
+from .quat import _finite_float, _finite_floats, _integer
 
 DEFAULT_BASE = GeodeticCoord(48.70, 6.15, 220.0)
 DEFAULT_SIDE_M = 0.90
@@ -93,6 +94,12 @@ class RoverWindow:
     magnitude_m: float
     direction_en: tuple[float, float] | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("start_s", "end_s", "magnitude_m"):
+            object.__setattr__(self, name, _finite_float(getattr(self, name), name))
+        object.__setattr__(self, "direction_en", None if self.direction_en is None
+                           else _finite_floats(self.direction_en, 2, "direction_en"))
+
     def offset_en(self) -> tuple[float, float]:
         if self.direction_en is None:
             dx, dy = _CORNER_LOCAL[self.rover_id]
@@ -119,11 +126,16 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if not FIX_PERIOD_S <= self.duration_s <= MAX_RUN_S:  # NaN fails too
+        for name, what in (("duration_s", "duration"), ("side_m", "board side")):
+            object.__setattr__(self, name, _finite_float(getattr(self, name), what))
+        if not FIX_PERIOD_S <= self.duration_s <= MAX_RUN_S:
             raise ValueError(f"duration must be finite and within [{FIX_PERIOD_S:.6g}, "
                              f"{MAX_RUN_S:g}] s (one fix period to 24 h), got {self.duration_s}")
-        if not 0.0 < self.side_m < math.inf:  # NaN fails too
+        if not self.side_m > 0.0:
             raise ValueError(f"board side must be finite and above 0, got {self.side_m}")
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
+        if not isinstance(self.noiseless, bool):
+            raise ValueError(f"noiseless must be true or false, got {self.noiseless!r}")
         if self.kind == "rotation" and self.duration_s < ROTATION_MIN_RUN_S:
             raise ValueError(f"a rotation run needs at least {ROTATION_MIN_RUN_S:g} s, "
                              f"got {self.duration_s:g} s")
@@ -479,9 +491,9 @@ def summarize(series: DistanceSeries, expected_side_m: float,
     around the quiet mean, lasting at least two samples. A side with fewer
     than two quiet samples has no slope to judge, so it is not stable.
     """
-    if not 0.0 < expected_side_m < math.inf:
+    if not (expected_side_m := _finite_float(expected_side_m, "expected side")) > 0.0:
         raise ValueError(f"expected side must be finite and above 0, got {expected_side_m}")
-    if not 0.0 <= convergence_s < math.inf:
+    if not (convergence_s := _finite_float(convergence_s, "convergence window")) >= 0.0:
         raise ValueError(f"convergence window must be finite and >= 0, got {convergence_s}")
     windows = windows or {}
     summaries: dict[str, SideSummary] = {}

@@ -3,8 +3,8 @@
 Every node lives in the namespace of the agent that owns it; topics are
 advertised with relative names and resolve to ``/<namespace>/<topic>``.
 Delivery is pull-based (``take``) with keep-last history queues, so a slow
-consumer can never block a publisher. Each publisher's stamps must be finite,
-non-negative and non-decreasing.
+consumer can never block a publisher. Each publisher's stamps must be numbers
+(``hmas.quat``), non-negative and non-decreasing, and are kept as floats.
 
 Publish hooks (``add_publish_hook``) are called as ``hook(topic, stamp,
 payload)``, with the topic's ``QualifiedName``, for every accepted publish, in
@@ -18,10 +18,13 @@ import functools
 import math
 import random
 import re
+import sys
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Protocol
+
+from .quat import _finite_float, _integer
 
 
 class BusError(Exception):
@@ -96,9 +99,8 @@ class QosProfile:
     history_depth: int = 1
 
     def __post_init__(self) -> None:
-        depth = self.history_depth
-        if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
-            raise ValueError(f"history_depth must be an integer of at least 1, got {depth!r}")
+        object.__setattr__(self, "history_depth",  # at most a deque's longest
+                           _integer(self.history_depth, "history_depth", 1, sys.maxsize))
 
 
 DEFAULT_QOS = QosProfile()
@@ -138,10 +140,10 @@ class SeededDropInjector:
     """Drops a deterministic, seed-replayable fraction of deliveries."""
 
     def __init__(self, drop_rate: float, seed: int) -> None:
-        if not 0.0 <= drop_rate <= 1.0:
+        self.drop_rate = _finite_float(drop_rate, "drop_rate")
+        if not 0.0 <= self.drop_rate <= 1.0:
             raise ValueError(f"drop_rate must be in [0, 1], got {drop_rate}")
-        self.drop_rate = drop_rate
-        self._rng = random.Random(seed)
+        self._rng = random.Random(_integer(seed, "seed", 0))
 
     def should_drop(self, topic: QualifiedName) -> bool:
         return self._rng.random() < self.drop_rate
@@ -212,13 +214,6 @@ class SubscriptionHandle(_Endpoint):
 
     def take(self) -> Message | None:
         return self._bus.take(self)
-
-
-def _reject(pub: PublisherHandle, stamp: float) -> None:
-    """Raise the error for a publish that the fast check in ``Bus.publish`` refused."""
-    if pub._closed:
-        raise ClosedHandleError(f"publisher on {pub.topic.full} is closed")
-    raise stamp_error(stamp, pub._last_stamp, pub.topic.full)
 
 
 def stamp_error(stamp: float, last: float, topic: str) -> StampOrderError:
@@ -294,10 +289,14 @@ class Bus:
     # -- data path ----------------------------------------------------
 
     def publish(self, pub: PublisherHandle, stamp: float, payload: bytes) -> DeliveryReport:
+        if type(stamp) is not float:
+            stamp = _finite_float(stamp, "stamp", StampOrderError)
         # _last_stamp starts at 0, so one chained comparison rejects a NaN,
         # infinite, negative or decreasing stamp
         if pub._closed or not pub._last_stamp <= stamp < math.inf:
-            _reject(pub, stamp)
+            if pub._closed:
+                raise ClosedHandleError(f"publisher on {pub.topic.full} is closed")
+            raise stamp_error(stamp, pub._last_stamp, pub.topic.full)
         pub._last_stamp = stamp
         topic = pub.topic
         payload = bytes(payload)

@@ -22,13 +22,12 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Real
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .bus import Bus, PublisherHandle, QosProfile, QualifiedName, Reliability, SubscriptionHandle
-from .quat import Vec3, _finite_floats
+from .quat import Vec3, _finite_float, _finite_floats
 
 WGS84_A = 6378137.0
 WGS84_F = 1.0 / 298.257223563
@@ -54,13 +53,16 @@ def steps_within(duration_s: float, rate_hz: float) -> int:
 
 @dataclass(frozen=True)
 class GeodeticCoord:
-    """Latitude/longitude in degrees, altitude in meters above the ellipsoid."""
+    """Latitude/longitude in degrees, altitude in meters above the ellipsoid, as floats."""
 
     lat: float
     lon: float
     alt: float
 
     def __post_init__(self) -> None:
+        if not (type(self.lat) is type(self.lon) is type(self.alt) is float):
+            for name, what in (("lat", "latitude"), ("lon", "longitude"), ("alt", "altitude")):
+                object.__setattr__(self, name, _finite_float(getattr(self, name), what))
         if not -90.0 <= self.lat <= 90.0:
             raise ValueError(f"latitude {self.lat} outside [-90, 90]")
         if not -180.0 < self.lon <= 180.0:
@@ -390,9 +392,8 @@ class DisturbanceWindow:
     offset_enu: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        for name, value in (("start_s", self.start_s), ("end_s", self.end_s)):
-            if isinstance(value, bool) or not (isinstance(value, Real) and math.isfinite(value)):
-                raise ValueError(f"disturbance {name} must be a finite number, got {value!r}")
+        for name in ("start_s", "end_s"):
+            object.__setattr__(self, name, _finite_float(getattr(self, name), name))
         if self.end_s < self.start_s:
             raise ValueError(f"disturbance end_s {self.end_s} is before start_s {self.start_s}")
         object.__setattr__(self, "offset_enu",
@@ -417,8 +418,7 @@ class CorrectionLink:
 
     def poll(self, now: float) -> int:
         """Publish every epoch due by ``now``; returns how many went out."""
-        if not math.isfinite(now):
-            raise ValueError(f"correction poll time must be finite, got {now}")
+        now = _finite_float(now, "correction poll time")
         first = self._next_epoch
         while (send_t := self._next_epoch * CORRECTION_INTERVAL_S) <= now:
             self.pub.publish(send_t, _EPOCH.pack(self._next_epoch))
@@ -462,15 +462,14 @@ class Rover:
                  bias_en: tuple[float, float] | None = None, noiseless: bool = False) -> None:
         self.rover_id = rover_id
         self._rng = np.random.default_rng(seed)
-        if noiseless:
-            bias_en = (0.0, 0.0)
-        if bias_en is None:
+        if bias_en is not None:
+            bias_en = _finite_floats(bias_en, 2, "bias_en")
+        elif not noiseless:
             magnitude = self._rng.uniform(0.0, 0.20)
             angle = self._rng.uniform(0.0, 2.0 * math.pi)
-            bias_en = magnitude * math.cos(angle), magnitude * math.sin(angle)
-        east, north = bias_en
+            bias_en = float(magnitude * math.cos(angle)), float(magnitude * math.sin(angle))
         # (east, north, up) floats: the bias, and the noise sigmas per quality code
-        self._bias = float(east), float(north), 0.0
+        self._bias = (0.0, 0.0, 0.0) if noiseless else (*bias_en, 0.0)
         self._sigmas = tuple((0.0, 0.0, 0.0) if noiseless else (h, h, v)
                              for h, v in map(GRADE_SIGMAS.get, _QUALITY_ORDER))
         self._disturbances = tuple(disturbances)
@@ -504,6 +503,8 @@ class Rover:
         floats: one 3-normal draw takes the same stream as its ``(1, 3)`` draw,
         and each component sees numpy's operations in numpy's order.
         """
+        if type(stamp) is not float:
+            stamp = _finite_float(stamp, "fix stamp")
         if not self._last_stamp < stamp < math.inf:  # NaN fails too
             raise ValueError(f"fix stamp {stamp} must be finite and later than the "
                              f"last fix's, {self._last_stamp}")

@@ -1,39 +1,58 @@
-"""The package's one vector type and one vector rule, and its unit-quaternion
+"""The package's one vector type, its number rules and its unit-quaternion
 kernels on Python floats, (w, x, y, z) component order. No numpy here.
 
-Every per-point vector the package stores or returns is a float tuple, a
-``Vec3`` or a ``Quat``, ``geo``'s ENU and ECEF points included. Every vector
-that enters a spec, a transform or an agent passes ``_finite_floats``; ``geo``
-checks only that an ECEF point is finite. Each quaternion operation is written
-once, on float sequences, and returns a float tuple; ``IDENTITY`` is
-``(1.0, 0.0, 0.0, 0.0)``. One arithmetic rule holds across the package: every
-reduction (a dot product, a norm, a rotation) is a sum of Python floats in a
-fixed order, left to right, as ``inner`` writes it. None goes through BLAS
-(``ndarray.dot``, ``@``, ``numpy.linalg``), whose summation order depends on
-the CPU, the OpenBLAS kernel and the thread count, nor through the built-in
-``sum``, compensated since Python 3.12. So the same inputs give the same bits
-on every host.
+A number is a real number that is not a bool (numpy's too) and is finite as a
+float. Every scalar that enters the package passes ``_finite_float`` and is
+kept as a float; its entry point checks only its range. A seed or a depth
+passes ``_integer``. Every per-point vector the package stores or returns is a
+float tuple, a ``Vec3`` or a ``Quat``, ``geo``'s ENU and ECEF points included.
+Every vector that enters a spec, a transform or an agent passes
+``_finite_floats``; ``geo`` checks only that an ECEF point is finite. Each
+quaternion operation is written once, on float sequences, and returns a float
+tuple; ``IDENTITY`` is ``(1.0, 0.0, 0.0, 0.0)``. One arithmetic rule holds
+across the package: every reduction (a dot product, a norm, a rotation) is a
+sum of Python floats in a fixed order, left to right, as ``inner`` writes it.
+None goes through BLAS (``ndarray.dot``, ``@``, ``numpy.linalg``), whose
+summation order depends on the CPU, the OpenBLAS kernel and the thread count,
+nor through the built-in ``sum``, compensated since Python 3.12. So the same
+inputs give the same bits on every host.
 """
 from __future__ import annotations
 
 import math
-from operator import neg
+from numbers import Integral, Real
 
 Quat = tuple[float, float, float, float]
 Vec3 = tuple[float, float, float]
 
 IDENTITY: Quat = (1.0, 0.0, 0.0, 0.0)
+_REAL = (float, int, Real)  # the built-in types first: the ABC check takes several times as long
+
+
+def _finite_float(value, what: str, error: type = ValueError) -> float:
+    """``value``, a number, as a float, or else ``error`` naming ``what``."""
+    try:
+        if isinstance(value, _REAL) and type(value) is not bool and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer or a fraction too large for a float
+        pass
+    raise error(f"{what} must be a finite number, got {value!r}")
+
+
+def _integer(value, what: str, least: int, most: float = math.inf) -> int:
+    """``value``, an integer (not a bool) in [``least``, ``most``], as an ``int``."""
+    if isinstance(value, Integral) and type(value) is not bool and least <= value <= most:
+        return int(value)
+    raise ValueError(f"{what} must be an integer in [{least}, {most}], got {value!r}")
 
 
 def _finite_floats(value, n: int, what: str, error: type = ValueError) -> tuple[float, ...]:
-    """``value``, a flat vector of ``n`` finite numbers (an ndarray through ``tolist()``), as
-    floats, or else ``error`` naming ``what``: a bool (numpy's too), or an entry not finite."""
+    """``value``, a flat vector of ``n`` numbers (an ndarray through ``tolist()``), as floats."""
     items = value.tolist() if hasattr(value, "tolist") else value
     try:
-        if (len(items) == n and bool not in map(type, items)
-                and all(map(math.isfinite, map(neg, items)))):  # numpy's bool has no neg
-            return tuple(map(float, items))
-    except (TypeError, ValueError, OverflowError):
+        if len(items) == n:
+            return tuple(_finite_float(x, what) for x in items)
+    except (TypeError, ValueError):  # no length, not iterable, or an entry not a number
         pass
     raise error(f"{what} must be {n} finite numbers, got {value!r}")
 

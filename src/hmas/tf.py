@@ -7,15 +7,14 @@ frame is conventionally the RTK base anchor.
 A ``Transform`` holds float tuples, a ``quat.Vec3`` and a ``quat.Quat``, so it
 compares and hashes by value and shares nothing with its caller; no numpy here.
 ``Transform(...)`` checks what it is given: a translation and a rotation that
-pass ``quat._finite_floats``, a stamp that is a finite number and not a bool,
-and a unit rotation. Transforms of float tuples the package has just computed
-(a lookup's result, an agent's pose edges) are built by ``_transform``, which
-skips those checks; ``TransformTree.set_transform`` still rejects a non-finite
-stamp or translation, whichever way a transform was built.
+pass ``quat._finite_floats``, a stamp that passes ``quat._finite_float`` (kept
+as a float), and a unit rotation. Transforms of float tuples the package has
+just computed (a lookup's result, an agent's pose edges) are built by
+``_transform``, which skips those checks; ``TransformTree.set_transform`` still
+rejects a non-finite stamp or translation, whichever way a transform was built.
 
-A lookup time is a real number that is not a bool, taken as a float, as
-``Transform`` takes a stamp and ``TransformTree`` its horizon; any other time
-raises ``TimeBoundsError``. An integer too large for a float is not finite.
+A lookup time, like a stamp or a horizon, is a number (``hmas.quat``) taken as
+a float; any other time raises ``TimeBoundsError``.
 
 A tree keeps two caches, and neither changes a lookup's bits:
 
@@ -46,7 +45,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from numbers import Real
 
 from . import quat
 
@@ -94,8 +92,7 @@ class Transform:
             raise UnknownFrameError("frame names must be non-empty")
         for name, n in (("translation", 3), ("rotation", 4)):
             object.__setattr__(self, name, quat._finite_floats(getattr(self, name), n, name))
-        if (t := _as_time(self.stamp)) is None or not math.isfinite(t):
-            raise ValueError(f"stamp must be a finite number, got {self.stamp!r}")
+        object.__setattr__(self, "stamp", quat._finite_float(self.stamp, "stamp"))
         if not abs(quat.norm(self.rotation) - 1.0) <= QUAT_NORM_TOL:
             raise ValueError(f"rotation is not a unit quaternion: {self.rotation}")
 
@@ -151,24 +148,6 @@ class _Edge:
 _Path = tuple[tuple[str, _Edge], ...]  # (child, edge) steps from a frame up to an ancestor
 
 
-def _as_time(at) -> float | None:
-    """A time (a lookup time, a stamp, a horizon) as a float: a real number that
-    is not a bool, taken as a float; None for anything else."""
-    if isinstance(at, Real) and type(at) is not bool:
-        try:
-            return float(at)
-        except OverflowError:  # an int too large for a float
-            pass
-    return None
-
-
-def _bad_time(at) -> TimeBoundsError:
-    """The error for a lookup at ``at``, which is not a finite real number."""
-    if isinstance(at, float):
-        return TimeBoundsError(f"time {at} is not finite")
-    return TimeBoundsError(f"time must be a finite number, got {at!r}")
-
-
 class TransformTree:
     """Forest of timestamped edges.
 
@@ -181,9 +160,9 @@ class TransformTree:
     """
 
     def __init__(self, horizon_s: float = DEFAULT_HORIZON_S) -> None:
-        if (h := _as_time(horizon_s)) is None or not 0.0 < h < math.inf:  # NaN fails too
+        self._horizon = quat._finite_float(horizon_s, "horizon")
+        if not self._horizon > 0.0:
             raise ValueError(f"horizon must be finite and above 0, got {horizon_s!r}")
-        self._horizon = horizon_s
         self._edges: dict[str, _Edge] = {}  # child -> edge history
         self._parents: set[str] = set()
         # (target, source) -> the pair's edge path, found on its first lookup
@@ -239,8 +218,8 @@ class TransformTree:
     def lookup(self, target: str, source: str, at: float) -> Transform:
         """Transform mapping source-frame coordinates into the target frame at time ``at``.
 
-        ``at`` is a real number that is not a bool, taken as a float; any
-        other time raises ``TimeBoundsError``. A pair's first successful
+        ``at`` is a number by the package's rule, taken as a float; any other
+        time raises ``TimeBoundsError``. A pair's first successful
         lookup between two frames caches its edge path, and every lookup
         remembers the ``Transform`` it built: asked for the same pair at a
         time equal to that answer's stamp, the tree returns that object.
@@ -248,7 +227,7 @@ class TransformTree:
         to itself at a bad time, then disconnected frames, then a bad time or
         one outside an edge's buffer.
         """
-        t = at if type(at) is float else _as_time(at)
+        t = at if type(at) is float else None  # NaN and inf lie outside every edge's span
         key = target, source
         memo = self._memo.get(key)
         if memo is not None and memo.stamp == t:
@@ -259,12 +238,11 @@ class TransformTree:
                 if f not in self._edges and f not in self._parents:
                     raise UnknownFrameError(f"unknown frame {f!r}")
             if target == source:
-                if t is None or not math.isfinite(t):
-                    raise _bad_time(at)
-                return Transform.identity(target, source, t)
+                return Transform.identity(
+                    target, source, quat._finite_float(at, "time", TimeBoundsError))
             path = self._paths[key] = self._path(target, source)
         if t is None:
-            raise _bad_time(at)
+            t = quat._finite_float(at, "time", TimeBoundsError)
         # each half maps its frame's coordinates into the common ancestor
         ends = []
         for steps in path:

@@ -70,7 +70,7 @@ class TestSpecs:
     @pytest.mark.parametrize("duration_s", [math.nan, math.inf, -math.inf])
     def test_non_finite_duration_rejected_before_any_bag(self, tmp_path, duration_s):
         path = tmp_path / "run.bag"
-        with pytest.raises(ValueError, match="duration must be finite"):
+        with pytest.raises(ValueError, match="duration must be a finite number"):
             run_experiment(ExperimentSpec("static", duration_s, 1), path)
         assert not path.exists()
 

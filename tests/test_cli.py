@@ -492,6 +492,27 @@ class TestScenarioCli:
         assert out == "" and err.startswith("hmas: error: start of 'operator' must be 3 finite")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("field, edit", [
+        ("max_speed", lambda s: s["agents"][1].update(max_speed=True)),
+        ("script speed", lambda s: s["agents"][0].update(speed=True)),
+        ("standoff", lambda s: s["commands"][0].update(standoff=True)),
+        ("duration_s", lambda s: s.update(duration_s=True)),
+        ("duration_s", lambda s: s.update(duration_s="2")),
+        ("latitude", lambda s: s["base"].update(lat=True)),
+    ], ids=["max_speed", "speed", "standoff", "duration", "duration-string", "latitude"])
+    def test_a_value_that_is_not_a_number_exits_2_naming_its_field(self, tmp_path, capsys,
+                                                                   field, edit):
+        """``true`` is not a number: ``"max_speed": true`` used to run the agent
+        at 1 m/s, and ``"duration_s": "2"`` to run 2 s."""
+        scenario = json.loads(json.dumps(SCENARIO))
+        edit(scenario)
+        path = tmp_path / "not_a_number.json"
+        path.write_text(json.dumps(scenario))
+        assert run_cli("scenario", "run", path) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"hmas: error: {field} must be a finite number, got ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_integer_mount_reaches_the_sensor_frame(self, tmp_path):
         scenario = json.loads(json.dumps(SCENARIO))
         scenario["agents"][1]["sensors"][0]["mount"] = [0, 0, 1]

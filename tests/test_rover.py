@@ -197,7 +197,7 @@ class TestCorrectionLink:
     def test_non_finite_time_refused(self, now):
         """A non-finite time raises: no epoch is ever due at NaN, and every one at inf."""
         bus, link, (sub,) = rtk_feed(QosProfile(history_depth=8))
-        with pytest.raises(ValueError, match=f"must be finite, got {now}"):
+        with pytest.raises(ValueError, match=f"poll time must be a finite number, got {now}"):
             link.poll(now)
         assert take_corrections(bus, sub) == []
         assert link.poll(2.0) == 2
