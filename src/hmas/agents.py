@@ -23,6 +23,11 @@ holds: a correction moves the grade only at a fix stamp, so taking it at the
 next fix changes no bit.
 ``World(noiseless=True)`` gives every rover no bias and no noise, and
 ``run_scenario`` runs the control steps up to its duration (one step to 24 h).
+``noiseless`` (of a world, a rover or a scenario) passes ``quat._flag``, a
+Python bool. An ``AgentSpec`` refuses, when built, a sensor list that
+``spawn_agent`` could not build: each entry a ``SensorSpec`` whose name is a
+valid bus local name, the names distinct and none ``driver`` or ``base`` (the
+agent's own node and frame), so a refused spec leaves no node on the bus.
 """
 from __future__ import annotations
 
@@ -35,11 +40,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bus import Bus, QosProfile, QualifiedName
+from .bus import Bus, InvalidNameError, QosProfile, QualifiedName
 from .geo import (CORRECTION_QOS, CORRECTION_TOPIC, DEFAULT_FIX_RATE_HZ, FIX_PERIOD_S,
                   MAX_RUN_S, GeodeticCoord, Rover, encode_fix, decode_fix,
                   geodetic_to_enu, enu_to_geodetic, rtk_base, steps_within, take_corrections)
-from .quat import _finite_float, _finite_floats, _integer
+from .quat import _finite_float, _finite_floats, _flag, _integer
 from .tf import TransformTree, _transform
 from . import quat
 
@@ -104,6 +109,16 @@ class AgentSpec:
             if self.altitude_range is None or self.altitude_range[0] >= self.altitude_range[1]:
                 raise ValueError("aerial agents need altitude_range = (min, max), min < max")
         object.__setattr__(self, "sensors", tuple(self.sensors))
+        names = {s.name for s in self.sensors if isinstance(s, SensorSpec) and type(s.name) is str}
+        try:  # spawn_agent makes a bus node of each name
+            for name in names:
+                QualifiedName(self.name, name)
+        except InvalidNameError:
+            names = set()
+        # every sensor a SensorSpec of its own valid name, none the driver node or base frame
+        if len(names - {"driver", "base"}) != len(self.sensors):
+            raise ValueError(f"sensors must be SensorSpecs with distinct valid bus local names, "
+                             f"none 'driver' or 'base', got {self.sensors!r}")
 
 
 @dataclass(frozen=True)
@@ -175,7 +190,7 @@ class World:
         self.bounds_m = _finite_float(bounds_m, "bounds_m")
         if not self.bounds_m > 0.0:
             raise ValueError(f"bounds_m must be finite and above 0, got {bounds_m}")
-        self.noiseless = noiseless
+        self.noiseless = _flag(noiseless, "noiseless")
         self._seed_root = np.random.SeedSequence(_integer(seed, "seed", 0))
         self._seed_root.spawn(1)  # the old correction link's seed: rover seeds stay put
         self._link = rtk_base(self.bus)
@@ -436,8 +451,7 @@ class Scenario:
                              f"{MAX_RUN_S:g}] s (one control step to 24 h), "
                              f"got {self.duration_s}")
         object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
-        if not isinstance(self.noiseless, bool):
-            raise ValueError(f"noiseless must be true or false, got {self.noiseless!r}")
+        _flag(self.noiseless, "noiseless")
 
 
 def load_scenario(path) -> Scenario:

@@ -11,7 +11,7 @@ fully deterministic given their seed: same spec, same seed, byte-identical bag.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -27,7 +27,7 @@ from .geo import (CORRECTION_QOS, CORRECTION_TOPIC, DEFAULT_FIX_RATE_HZ, DISTURB
 # The per-fix scalar functions stay importable from this module, where the
 # span tracer in perfbench/ patches them.
 from .geo import decode_fix, encode_fix, enu_to_geodetic  # noqa: F401
-from .quat import _finite_float, _finite_floats, _integer
+from .quat import _finite_float, _flag, _integer
 
 DEFAULT_BASE = GeodeticCoord(48.70, 6.15, 220.0)
 DEFAULT_SIDE_M = 0.90
@@ -83,33 +83,6 @@ SQUARE_RUN_S = (LINE_DURATION_S + HOLD_S
 # -- specs and board truth ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RoverWindow:
-    """Disturbance pulse on one rover: displacement of ``magnitude_m`` meters
-    along ``direction_en`` (unit, board frame; None = outward diagonal)."""
-
-    rover_id: str
-    start_s: float
-    end_s: float
-    magnitude_m: float
-    direction_en: tuple[float, float] | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("start_s", "end_s", "magnitude_m"):
-            object.__setattr__(self, name, _finite_float(getattr(self, name), name))
-        object.__setattr__(self, "direction_en", None if self.direction_en is None
-                           else _finite_floats(self.direction_en, 2, "direction_en"))
-
-    def offset_en(self) -> tuple[float, float]:
-        if self.direction_en is None:
-            dx, dy = _CORNER_LOCAL[self.rover_id]
-            norm = math.hypot(dx, dy)
-            direction = (dx / norm, dy / norm)
-        else:
-            direction = self.direction_en
-        return self.magnitude_m * direction[0], self.magnitude_m * direction[1]
-
-
 EXPERIMENT_KINDS = ("static", "static_disturbed", "rotation", "translation_square")
 
 
@@ -121,7 +94,7 @@ class ExperimentSpec:
     side_m: float = DEFAULT_SIDE_M
     base: GeodeticCoord = DEFAULT_BASE
     noiseless: bool = False
-    disturbances: tuple[RoverWindow, ...] = ()
+    disturbances: tuple[tuple[str, DisturbanceWindow], ...] = ()  # (corner, window) pairs
 
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
@@ -134,14 +107,15 @@ class ExperimentSpec:
         if not self.side_m > 0.0:
             raise ValueError(f"board side must be finite and above 0, got {self.side_m}")
         object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
-        if not isinstance(self.noiseless, bool):
-            raise ValueError(f"noiseless must be true or false, got {self.noiseless!r}")
+        _flag(self.noiseless, "noiseless")
         if self.kind == "rotation" and self.duration_s < ROTATION_MIN_RUN_S:
             raise ValueError(f"a rotation run needs at least {ROTATION_MIN_RUN_S:g} s, "
                              f"got {self.duration_s:g} s")
-        for w in self.disturbances:
-            if w.rover_id not in CORNERS:
-                raise ValueError(f"disturbance names unknown rover {w.rover_id!r}")
+        for pair in self.disturbances:
+            if not (type(pair) is tuple and len(pair) == 2 and pair[0] in CORNERS
+                    and isinstance(w := pair[1], DisturbanceWindow)):
+                raise ValueError(f"disturbances must be (corner, DisturbanceWindow) pairs "
+                                 f"with a corner of {CORNERS}, got {pair!r}")
             if not 0.0 <= w.start_s <= w.end_s <= self.duration_s:
                 raise ValueError(f"disturbance window [{w.start_s}, {w.end_s}] "
                                  f"outside the {self.duration_s}s run")
@@ -163,10 +137,20 @@ def corner_displacement_for_peaks(side_m: float, corner: str,
     return (alpha * u1[0] + beta * u2[0], alpha * u1[1] + beta * u2[1])
 
 
-def _fit_windows(windows: Sequence[RoverWindow], duration_s: float) -> tuple[RoverWindow, ...]:
-    """The windows that start before the end of the run, ends clipped to it."""
-    return tuple(replace(w, end_s=min(w.end_s, duration_s))
-                 for w in windows if w.start_s < duration_s)
+def _fit_windows(rows: Iterable[tuple], duration_s: float
+                 ) -> tuple[tuple[str, DisturbanceWindow], ...]:
+    """(corner, window) pairs of the (corner, start, end, ENU offset) rows that
+    start before the end of the run, ends clipped to it."""
+    duration_s = _finite_float(duration_s, "duration")
+    return tuple((corner, DisturbanceWindow(start, min(end, duration_s), offset))
+                 for corner, start, end, offset in rows if start < duration_s)
+
+
+def _outward(corner: str, magnitude_m: float) -> tuple[float, float, float]:
+    """ENU offset of ``magnitude_m`` meters along ``corner``'s outward diagonal."""
+    dx, dy = _CORNER_LOCAL[corner]
+    norm = math.hypot(dx, dy)
+    return magnitude_m * (dx / norm), magnitude_m * (dy / norm), 0.0
 
 
 def static_spec(seed: int, duration_s: float = 300.0, noiseless: bool = False) -> ExperimentSpec:
@@ -178,10 +162,10 @@ def disturbed_spec(seed: int, duration_s: float = 300.0,
     """Board on the ground: three 10 cm corner twists plus two longer 12 cm
     hand-over-antenna windows (timings follow the narrated run). A shorter run
     keeps the windows that start before its end."""
+    twist, hand = _outward("top_right", 0.10), _outward("top_left", 0.12)
     windows = _fit_windows(
-        [RoverWindow("top_right", t0, t0 + 1.5, 0.10) for t0 in (140.0, 160.0, 230.0)]
-        + [RoverWindow("top_left", 170.0, 220.0, 0.12),
-           RoverWindow("top_left", 235.0, duration_s, 0.12)],
+        [("top_right", t0, t0 + 1.5, twist) for t0 in (140.0, 160.0, 230.0)]
+        + [("top_left", 170.0, 220.0, hand), ("top_left", 235.0, duration_s, hand)],
         duration_s)
     return ExperimentSpec("static_disturbed", duration_s, seed, noiseless=noiseless,
                           disturbances=windows)
@@ -192,8 +176,7 @@ def rotation_spec(seed: int, duration_s: float = 60.0, noiseless: bool = False) 
     receiver whose displacement is solved so the top and right sides peak at
     1.4 and 1.5 m. A run that ends before the obstruction starts has none."""
     dx, dy = corner_displacement_for_peaks(DEFAULT_SIDE_M, "top_right", (1.4, 1.5))
-    magnitude = math.hypot(dx, dy)
-    window = RoverWindow("top_right", 51.0, 54.0, magnitude, (dx / magnitude, dy / magnitude))
+    window = ("top_right", 51.0, 54.0, (dx, dy, 0.0))
     return ExperimentSpec("rotation", duration_s, seed, noiseless=noiseless,
                           disturbances=_fit_windows([window], duration_s))
 
@@ -287,9 +270,8 @@ def board_rovers(spec: ExperimentSpec) -> dict[str, Rover]:
 
     windows: dict[str, list[DisturbanceWindow]] = {c: [] for c in CORNERS}
     if not spec.noiseless:  # noiseless = every injected error source off
-        for w in spec.disturbances:
-            ox, oy = w.offset_en()
-            windows[w.rover_id].append(DisturbanceWindow(w.start_s, w.end_s, (ox, oy, 0.0)))
+        for corner, w in spec.disturbances:
+            windows[corner].append(w)
 
     return {corner: Rover(corner, ss, windows[corner], biases[corner], spec.noiseless)
             for corner, ss in zip(CORNERS, rover_ss)}
@@ -556,8 +538,8 @@ def side_windows(spec: ExperimentSpec) -> dict[str, list[tuple[float, float]]]:
     spec on both sides of its corner, extended by the rovers' decay tail
     (``DISTURBANCE_DECAY_S``)."""
     out: dict[str, list[tuple[float, float]]] = {}
-    for w in spec.disturbances:
-        for side, _ in _CORNER_SIDES[w.rover_id]:
+    for corner, w in spec.disturbances:
+        for side, _ in _CORNER_SIDES[corner]:
             out.setdefault(side, []).append((w.start_s, w.end_s + DISTURBANCE_DECAY_S))
     return out
 

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bus import Bus, PublisherHandle, QosProfile, QualifiedName, Reliability, SubscriptionHandle
-from .quat import Vec3, _finite_float, _finite_floats
+from .quat import Vec3, _finite_float, _finite_floats, _flag
 
 WGS84_A = 6378137.0
 WGS84_F = 1.0 / 298.257223563
@@ -461,6 +461,7 @@ class Rover:
                  disturbances: Sequence[DisturbanceWindow] = (),
                  bias_en: tuple[float, float] | None = None, noiseless: bool = False) -> None:
         self.rover_id = rover_id
+        noiseless = _flag(noiseless, "noiseless")
         self._rng = np.random.default_rng(seed)
         if bias_en is not None:
             bias_en = _finite_floats(bias_en, 2, "bias_en")

@@ -4,8 +4,9 @@ kernels on Python floats, (w, x, y, z) component order. No numpy here.
 A number is a real number that is not a bool (numpy's too) and is finite as a
 float. Every scalar that enters the package passes ``_finite_float`` and is
 kept as a float; its entry point checks only its range. A seed or a depth
-passes ``_integer``. Every per-point vector the package stores or returns is a
-float tuple, a ``Vec3`` or a ``Quat``, ``geo``'s ENU and ECEF points included.
+passes ``_integer``, and a true-or-false switch (``noiseless``) ``_flag``.
+Every per-point vector the package stores or returns is a float tuple, a
+``Vec3`` or a ``Quat``, ``geo``'s ENU and ECEF points included.
 Every vector that enters a spec, a transform or an agent passes
 ``_finite_floats``; ``geo`` checks only that an ECEF point is finite. Each
 quaternion operation is written once, on float sequences, and returns a float
@@ -44,6 +45,13 @@ def _integer(value, what: str, least: int, most: float = math.inf) -> int:
     if isinstance(value, Integral) and type(value) is not bool and least <= value <= most:
         return int(value)
     raise ValueError(f"{what} must be an integer in [{least}, {most}], got {value!r}")
+
+
+def _flag(value, what: str) -> bool:
+    """``value``, a Python bool, or else ``ValueError`` naming ``what``."""
+    if type(value) is bool:
+        return value
+    raise ValueError(f"{what} must be true or false, got {value!r}")
 
 
 def _finite_floats(value, n: int, what: str, error: type = ValueError) -> tuple[float, ...]:

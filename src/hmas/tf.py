@@ -9,8 +9,9 @@ compares and hashes by value and shares nothing with its caller; no numpy here.
 ``Transform(...)`` checks what it is given: a translation and a rotation that
 pass ``quat._finite_floats``, a stamp that passes ``quat._finite_float`` (kept
 as a float), and a unit rotation. Transforms of float tuples the package has
-just computed (a lookup's result, an agent's pose edges) are built by
-``_transform``, which skips those checks; ``TransformTree.set_transform`` still
+just computed (a lookup's result, ``compose``'s and ``invert``'s, an agent's
+pose edges) are built by ``_transform``, which skips those checks, so composing
+two valid transforms never raises; ``TransformTree.set_transform`` still
 rejects a non-finite stamp or translation, whichever way a transform was built.
 
 A lookup time, like a stamp or a horizon, is a number (``hmas.quat``) taken as
@@ -121,14 +122,14 @@ def compose(a: Transform, b: Transform) -> Transform:
     """a then b: result maps b.child coordinates into a.parent."""
     if a.child != b.parent:
         raise FrameMismatchError(f"cannot compose {a.parent}->{a.child} with {b.parent}->{b.child}")
-    return Transform(a.parent, b.child, a.apply(b.translation),
-                     quat.mul(a.rotation, b.rotation), max(a.stamp, b.stamp))
+    return _transform(a.parent, b.child, a.apply(b.translation),
+                      quat.mul(a.rotation, b.rotation), max(a.stamp, b.stamp))
 
 
 def invert(a: Transform) -> Transform:
     qc = quat.conjugate(a.rotation)
     x, y, z = quat.rotate(qc, a.translation)
-    return Transform(a.child, a.parent, (-x, -y, -z), qc, a.stamp)
+    return _transform(a.child, a.parent, (-x, -y, -z), qc, a.stamp)
 
 
 @dataclass

@@ -183,12 +183,12 @@ def test_criterion_6_disturbance_transients(tmp_path):
     assert report.within_20cm  # outside declared windows
 
     twist_magnitudes = []
-    for w in spec.disturbances:
-        affected = [side for side, _ in bench._CORNER_SIDES[w.rover_id]]
+    for corner, w in spec.disturbances:
+        affected = [side for side, _ in bench._CORNER_SIDES[corner]]
         aligned = [p for side in affected for p in report.sides[side].peaks
                    if w.start_s - 2.0 <= p.stamp <= w.end_s + 2.0 + 3.0]
-        assert aligned, f"no peak aligned with window {w}"
-        if w.rover_id == "top_right":  # the three corner twists
+        assert aligned, f"no peak aligned with window {w} on {corner}"
+        if corner == "top_right":  # the three corner twists
             twist_magnitudes.append(max(p.magnitude_m for p in aligned))
     assert len(twist_magnitudes) == 3
     for magnitude in twist_magnitudes:

@@ -185,6 +185,33 @@ class TestSpawn:
         assert world.bus.discover().nodes == {"/hmas/display", "/hmas/rtk_base"}
         world.spawn_agent(ground("spot"), (0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("sensors", [
+        ("gps",),
+        (SensorSpec("driver", "gnss"),),
+        (SensorSpec("base"),),
+        (SensorSpec("GPS", "gnss"),),
+        (SensorSpec("gps", "gnss"), SensorSpec("gps")),
+        (SensorSpec(None),),
+    ], ids=["string", "driver", "base", "invalid_name", "duplicate", "name_none"])
+    def test_a_sensor_list_spawn_cannot_build_is_refused_with_the_spec(self, sensors):
+        """A string sensor used to raise a bare AttributeError at spawn, and a
+        sensor named driver or base raised only after the spawn had created
+        ``/spot/driver``, so no ``spot`` could spawn in that world again."""
+        world = noiseless_world()
+        nodes = world.bus.discover().nodes
+        with pytest.raises(ValueError, match="sensors"):
+            world.spawn_agent(AgentSpec("spot", "ground", 1.5, sensors=sensors), (0, 0, 0))
+        assert world.bus.discover().nodes == nodes
+        world.spawn_agent(ground("spot"), (0.0, 0.0, 0.0))
+
+    def test_sensor_names_may_nest_under_the_agent(self):
+        spec = AgentSpec("spot", "ground", 1.5,
+                         sensors=[SensorSpec("gps", "gnss"), SensorSpec("cam/left"),
+                                  SensorSpec("driver/aux")])
+        world = noiseless_world()
+        world.spawn_agent(spec, (0.0, 0.0, 0.0))
+        assert {"/spot/cam/left", "/spot/driver/aux"} <= world.bus.discover().nodes
+        assert "spot/cam/left" in world.tree.frames()
 
     @pytest.mark.parametrize("start", [(1.0, 2.0), (1.0, 2.0, 0.0, 0.0), None, (True, 0, 0),
                                        (0.0, False, 0.0)],

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from hmas import bag, bench, geo
 from hmas.bench import (CORNERS, EXPERIMENT_KINDS, SIDES, DistanceSeries,
-                        ExperimentSpec, RoverWindow, corner_displacement_for_peaks,
+                        ExperimentSpec, corner_displacement_for_peaks,
                         disturbed_spec, emit_csv, fix_columns, load_bag_fixes, make_spec,
                         rotation_spec, run_experiment, side_distances,
                         side_windows, static_spec, summarize, translation_spec)
 from hmas.bus import Bus
-from hmas.geo import FixQuality, RtkFix
+from hmas.geo import DisturbanceWindow, FixQuality, RtkFix
 
 from fix_oracle import decoded_fixes, unanalysable_payloads, write_bag_with_bad_fix
 
@@ -57,10 +57,33 @@ class TestSpecs:
     def test_window_must_fit_run(self):
         with pytest.raises(ValueError):
             ExperimentSpec("static", 10.0, 1,
-                           disturbances=(RoverWindow("top_left", 5.0, 20.0, 0.1),))
+                           disturbances=(("top_left", DisturbanceWindow(5.0, 20.0, (0.1, 0, 0))),))
         with pytest.raises(ValueError):
             ExperimentSpec("static", 10.0, 1,
-                           disturbances=(RoverWindow("nobody", 1.0, 2.0, 0.1),))
+                           disturbances=(("nobody", DisturbanceWindow(1.0, 2.0, (0.1, 0, 0))),))
+
+    @pytest.mark.parametrize("entry", [
+        DisturbanceWindow(1.0, 2.0, (0.1, 0.0, 0.0)),
+        ("top_left",),
+        ("top_left", DisturbanceWindow(1.0, 2.0, (0.1, 0.0, 0.0)), "extra"),
+        ["top_left", DisturbanceWindow(1.0, 2.0, (0.1, 0.0, 0.0))],
+        ("top_left", (1.0, 2.0, (0.1, 0.0, 0.0))),
+        (DisturbanceWindow(1.0, 2.0, (0.1, 0.0, 0.0)), "top_left"),
+        ("nobody", DisturbanceWindow(1.0, 2.0, (0.1, 0.0, 0.0))),
+    ], ids=["bare_window", "corner_only", "triple", "list", "window_as_tuple", "swapped",
+            "unknown_corner"])
+    def test_a_disturbance_is_a_corner_and_window_pair(self, entry):
+        with pytest.raises(ValueError, match="disturbances must be"):
+            ExperimentSpec("static", 10.0, 1, disturbances=(entry,))
+
+    @pytest.mark.parametrize("builder", [disturbed_spec, rotation_spec])
+    @pytest.mark.parametrize("duration_s", [math.nan, math.inf, True, "300"])
+    def test_a_bad_duration_is_named_as_the_duration(self, builder, duration_s):
+        """A disturbed spec used to build its last window from the duration
+        before the spec checked it, and so named that window's ``end_s``."""
+        with pytest.raises(ValueError, match=f"^duration must be a finite number, got "
+                                             f"{re.escape(repr(duration_s))}$"):
+            builder(1, duration_s=duration_s)
 
     @pytest.mark.parametrize("side_m", [0.0, -1.0, math.nan, math.inf])
     def test_side_must_be_finite_and_positive(self, side_m):
@@ -100,16 +123,26 @@ class TestSpecs:
 
     def test_default_disturbed_windows_match_narrative(self):
         spec = disturbed_spec(seed=1)
-        twists = [w for w in spec.disturbances if w.rover_id == "top_right"]
+        twists = [w for corner, w in spec.disturbances if corner == "top_right"]
         assert [w.start_s for w in twists] == [140.0, 160.0, 230.0]
-        passes = [w for w in spec.disturbances if w.rover_id == "top_left"]
+        passes = [w for corner, w in spec.disturbances if corner == "top_left"]
         assert [(w.start_s, w.end_s) for w in passes] == [(170.0, 220.0), (235.0, 300.0)]
+        # 10 cm and 12 cm outward along each corner's diagonal, on the ground
+        diagonal = 0.5 / math.hypot(0.5, 0.5)
+        assert {w.offset_enu for w in twists} == {(0.10 * diagonal, 0.10 * diagonal, 0.0)}
+        assert {w.offset_enu for w in passes} == {(0.12 * -diagonal, 0.12 * diagonal, 0.0)}
+
+    def test_rotation_obstruction_is_the_solved_displacement(self):
+        dx, dy = corner_displacement_for_peaks(bench.DEFAULT_SIDE_M, "top_right", (1.4, 1.5))
+        ((corner, window),) = rotation_spec(seed=1).disturbances
+        assert corner == "top_right"
+        assert (window.start_s, window.end_s, window.offset_enu) == (51.0, 54.0, (dx, dy, 0.0))
 
     def test_side_windows_cover_adjacent_sides_with_decay(self):
         spec = rotation_spec(seed=1)
         windows = side_windows(spec)
         assert set(windows) == {"top", "right"}
-        (window,) = spec.disturbances
+        ((_, window),) = spec.disturbances
         expected = [(window.start_s, window.end_s + geo.DISTURBANCE_DECAY_S)]
         assert windows["top"] == windows["right"] == expected == [(51.0, 57.0)]
 
@@ -213,9 +246,10 @@ SHORT_SPECS = {
     "static": lambda seed, **kw: static_spec(seed, duration_s=20.0, **kw),
     "static_disturbed": lambda seed, **kw: ExperimentSpec(
         "static_disturbed", 20.0, seed,
-        disturbances=(RoverWindow("top_right", 3.0, 4.5, 0.10),
-                      RoverWindow("top_right", 4.0, 6.0, 0.05, (0.0, 1.0)),
-                      RoverWindow("top_left", 8.0, 20.0, 0.12)), **kw),
+        disturbances=(("top_right", DisturbanceWindow(3.0, 4.5, bench._outward("top_right", 0.10))),
+                      ("top_right", DisturbanceWindow(4.0, 6.0, (0.0, 0.05, 0.0))),
+                      ("top_left", DisturbanceWindow(8.0, 20.0, bench._outward("top_left", 0.12)))),
+        **kw),
     # the narrated timelines: the full rotation run and the full square run
     "rotation": rotation_spec,
     "translation_square": translation_spec,

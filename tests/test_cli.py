@@ -336,6 +336,15 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "_positive_float" not in err
 
+    @pytest.mark.parametrize("kind", ["disturbed", "rotation"])
+    def test_a_nan_duration_is_named_as_the_duration(self, tmp_path, capsys, kind):
+        """A disturbed run used to name ``end_s``, a field of a window it built
+        from the duration before the spec checked it."""
+        out = tmp_path / "out.bag"
+        assert run_cli("bench", "run", "--kind", kind, "--duration", "nan", "--out", out) == 2
+        assert capsys.readouterr().err == "hmas: error: duration must be a finite number, got nan\n"
+        assert not out.exists()
+
 
 class TestBagCli:
     def make_bag(self, tmp_path):
@@ -478,6 +487,18 @@ class TestScenarioCli:
         assert out == "" and err.startswith("hmas: error: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "reshape" not in err and "SeedSequence" not in err
+
+    def test_a_gnss_sensor_named_driver_exits_2_naming_sensors(self, tmp_path, capsys):
+        """The spec refuses it; spawning it used to fail on the agent's own
+        ``/spot/driver`` node."""
+        scenario = json.loads(json.dumps(SCENARIO))
+        scenario["agents"][1]["sensors"][0]["name"] = "driver"
+        path = tmp_path / "driver.json"
+        path.write_text(json.dumps(scenario))
+        assert run_cli("scenario", "run", path) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("hmas: error: sensors must be")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_a_bool_start_exits_2_naming_start(self, tmp_path, capsys):
         """The README's scenario, cut to 2 s, with ``"start": [true, 0, 0]``: a

@@ -19,7 +19,7 @@ from hmas import quat
 from hmas.agents import (CONTROL_DT_S, AgentSpec, FollowCommand, Scenario, ScenarioAgent,
                          World)
 from hmas.bag import BagError, BagWriter, read_bag, replay
-from hmas.bench import SIDES, DistanceSeries, ExperimentSpec, RoverWindow, summarize
+from hmas.bench import SIDES, DistanceSeries, ExperimentSpec, summarize
 from hmas.bus import Bus, QosProfile, SeededDropInjector, StampOrderError
 from hmas.geo import (FIX_PERIOD_S, MAX_RUN_S, DisturbanceWindow, GeodeticCoord, Rover,
                       rtk_base)
@@ -139,9 +139,6 @@ SCALAR_ENTRIES = {
     "convergence": ("convergence", ValueError,
                     lambda v: summarize(SERIES, 0.9, convergence_s=v).convergence_s,
                     lambda x: 0.0 <= x <= SERIES_END_S),
-    **{f"window_{name}": (name, ValueError, lambda v, name=name: getattr(
-        RoverWindow("top_left", **{"start_s": 1.0, "end_s": 2.0, "magnitude_m": 0.1, name: v}),
-        name), _any) for name in ("start_s", "end_s", "magnitude_m")},
 }
 
 # values that are not numbers and that an entry point keeps: a bag may hold an
@@ -280,6 +277,22 @@ def test_experiment_noiseless_must_be_true_or_false(noiseless):
         ExperimentSpec("static", 2.0, 1, noiseless=noiseless)
 
 
+@pytest.mark.parametrize("noiseless", ["no", 1, None, np.True_])
+def test_world_noiseless_must_be_true_or_false(noiseless):
+    """``World(base, noiseless="no").noiseless`` used to be ``"no"``."""
+    with pytest.raises(ValueError, match="noiseless must be true or false"):
+        World(BASE, noiseless=noiseless)
+    assert World(BASE, noiseless=True).noiseless is True
+
+
+@pytest.mark.parametrize("noiseless", ["no", 1, None, np.True_])
+def test_rover_noiseless_must_be_true_or_false(noiseless):
+    """``Rover("r", 0, noiseless="no")`` used to build a noiseless rover."""
+    with pytest.raises(ValueError, match="noiseless must be true or false"):
+        Rover("r", 0, noiseless=noiseless)
+    assert Rover("r", 0, noiseless=False).bias_en != (0.0, 0.0)
+
+
 @pytest.mark.parametrize("bias", [("1", 0.0), (math.nan, 0.0), (0.0, math.inf), (True, 0.0),
                                   (0.0, 0.0, 0.0), (0.1,), "ab", 0.1])
 def test_a_rover_bias_is_two_finite_numbers(bias):
@@ -302,23 +315,3 @@ def test_an_altitude_range_is_two_finite_numbers(altitude_range, category):
     spec = AgentSpec("anafi", category, 5.0, altitude_range=[1, np.float32(50.0)])
     assert spec.altitude_range == (1.0, 50.0)
     assert all(type(v) is float for v in spec.altitude_range)
-
-
-@pytest.mark.parametrize("window, field", [
-    (dict(magnitude_m=math.nan), "magnitude_m"),
-    (dict(start_s="1"), "start_s"),
-    (dict(end_s=True), "end_s"),
-    (dict(direction_en=("up", 0.0)), "direction_en"),
-    (dict(direction_en=(1.0, 0.0, 0.0)), "direction_en"),
-    (dict(direction_en=(math.inf, 0.0)), "direction_en"),
-], ids=["magnitude_nan", "start_str", "end_bool", "direction_str", "direction_3",
-        "direction_inf"])
-def test_a_rover_window_checks_its_numbers_when_built(window, field):
-    """A NaN magnitude used to fail only inside ``run_experiment``, and a
-    string direction there as a bare TypeError."""
-    fields = {"start_s": 1.0, "end_s": 2.0, "magnitude_m": 0.1, **window}
-    with pytest.raises(ValueError, match=field):
-        RoverWindow("top_left", **fields)
-    kept = RoverWindow("top_left", 1, np.float64(2.0), Fraction(1, 10), [0, np.int64(1)])
-    assert (kept.start_s, kept.end_s, kept.magnitude_m, kept.direction_en) == (
-        1.0, 2.0, 0.1, (0.0, 1.0))

@@ -143,6 +143,25 @@ class TestTransform:
             np.testing.assert_allclose(out.translation, np.zeros(3), atol=1e-9)
             np.testing.assert_allclose(np.abs(out.rotation), [1, 0, 0, 0], atol=1e-9)
 
+    def test_compose_and_invert_equal_a_lookup_of_their_chain(self, rng):
+        """Both rotations have norm 1 + 0.9e-9, inside ``QUAT_NORM_TOL``: compose
+        used to re-check its product, of norm about 1 + 1.8e-9, and raise, while
+        a lookup of the same two-edge chain returned it. Equal bit for bit, up to
+        ``canonicalize``, which a lookup applies."""
+        scale = 1.0 + 0.9e-9
+        for _ in range(500):
+            qa, qb = (scale * random_quat(rng) for _ in range(2))
+            a = Transform("world", "a", rng.uniform(-5, 5, 3), qa, 1.0)
+            b = Transform("a", "b", rng.uniform(-5, 5, 3), qb, 1.0)
+            tree = TransformTree()
+            tree.set_transform(a)
+            tree.set_transform(b)
+            for got, want in ((compose(a, b), tree.lookup("world", "b", 1.0)),
+                              (invert(a), tree.lookup("a", "world", 1.0))):
+                assert (got.parent, got.child, got.stamp) == (want.parent, want.child, want.stamp)
+                assert got.translation == want.translation
+                assert quat.canonicalize(got.rotation) == want.rotation
+
     def test_compose_frame_mismatch(self, rng):
         with pytest.raises(Exception, match="compose"):
             compose(random_transform(rng, "a", "b"), random_transform(rng, "c", "d"))
