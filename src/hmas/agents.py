@@ -27,7 +27,8 @@ next fix changes no bit.
 Python bool. An ``AgentSpec`` refuses, when built, a sensor list that
 ``spawn_agent`` could not build: each entry a ``SensorSpec`` whose name is a
 valid bus local name, the names distinct and none ``driver`` or ``base`` (the
-agent's own node and frame), so a refused spec leaves no node on the bus.
+agent's own node and frame), so a refused spec leaves no node on the bus;
+``spawn_agent`` refuses a node name the bus already holds before it creates any.
 """
 from __future__ import annotations
 
@@ -225,6 +226,10 @@ class World:
                 raise SpawnError(f"aerial start altitude {z} outside range [{lo}, {hi}]")
         else:
             position = x, y, 0.0  # flat terrain
+        taken = self.bus.discover().nodes  # the world's own, such as /hmas/rtk_base
+        for local in ("driver", *(sensor.name for sensor in spec.sensors)):
+            if (full := f"/{spec.name}/{local}") in taken:
+                raise SpawnError(f"node {full} already exists")
         agent = Agent(spec, position)
         self.bus.create_node(spec.name, "driver")
         for sensor in spec.sensors:

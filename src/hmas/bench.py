@@ -111,6 +111,11 @@ class ExperimentSpec:
         if self.kind == "rotation" and self.duration_s < ROTATION_MIN_RUN_S:
             raise ValueError(f"a rotation run needs at least {ROTATION_MIN_RUN_S:g} s, "
                              f"got {self.duration_s:g} s")
+        try:
+            object.__setattr__(self, "disturbances", tuple(self.disturbances))
+        except TypeError:
+            raise ValueError(f"disturbances must be an iterable of (corner, DisturbanceWindow) "
+                             f"pairs, got {self.disturbances!r}") from None
         for pair in self.disturbances:
             if not (type(pair) is tuple and len(pair) == 2 and pair[0] in CORNERS
                     and isinstance(w := pair[1], DisturbanceWindow)):

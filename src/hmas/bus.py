@@ -47,14 +47,14 @@ class StampOrderError(BusError):
     """Stamps from one publisher must be finite, non-negative and non-decreasing."""
 
 
-_SEGMENT_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+_SEGMENT_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 
 def _check_segments(text: str, what: str) -> None:
     if not text or text.startswith("/") or text.endswith("/"):
         raise InvalidNameError(f"invalid {what} {text!r}")
     for seg in text.split("/"):
-        if not _SEGMENT_RE.match(seg):
+        if not _SEGMENT_RE.fullmatch(seg):
             raise InvalidNameError(f"invalid {what} segment {seg!r} in {text!r}")
 
 

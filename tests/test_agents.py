@@ -192,7 +192,9 @@ class TestSpawn:
         (SensorSpec("GPS", "gnss"),),
         (SensorSpec("gps", "gnss"), SensorSpec("gps")),
         (SensorSpec(None),),
-    ], ids=["string", "driver", "base", "invalid_name", "duplicate", "name_none"])
+        (SensorSpec("gps\n", "gnss"),),
+    ], ids=["string", "driver", "base", "invalid_name", "duplicate", "name_none",
+            "trailing_newline"])
     def test_a_sensor_list_spawn_cannot_build_is_refused_with_the_spec(self, sensors):
         """A string sensor used to raise a bare AttributeError at spawn, and a
         sensor named driver or base raised only after the spawn had created
@@ -203,6 +205,20 @@ class TestSpawn:
             world.spawn_agent(AgentSpec("spot", "ground", 1.5, sensors=sensors), (0, 0, 0))
         assert world.bus.discover().nodes == nodes
         world.spawn_agent(ground("spot"), (0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("sensor", ["rtk_base", "display"])
+    def test_a_node_the_world_holds_is_refused_before_any_node(self, sensor):
+        """An agent named ``hmas`` whose sensor shares a name with one of the
+        world's own nodes used to leave ``/hmas/driver`` behind, so no valid
+        ``hmas`` agent could spawn after it."""
+        world = noiseless_world()
+        nodes = world.bus.discover().nodes
+        spec = AgentSpec("hmas", "ground", 1.5, sensors=(SensorSpec(sensor, "gnss"),))
+        with pytest.raises(SpawnError, match=f"node /hmas/{sensor} already exists"):
+            world.spawn_agent(spec, (0.0, 0.0, 0.0))
+        assert world.bus.discover().nodes == nodes
+        world.spawn_agent(AgentSpec("hmas", "ground", 1.5, sensors=GPS), (0.0, 0.0, 0.0))
+        assert world.bus.discover().nodes == nodes | {"/hmas/driver", "/hmas/gps"}
 
     def test_sensor_names_may_nest_under_the_agent(self):
         spec = AgentSpec("spot", "ground", 1.5,

@@ -76,6 +76,20 @@ class TestSpecs:
         with pytest.raises(ValueError, match="disturbances must be"):
             ExperimentSpec("static", 10.0, 1, disturbances=(entry,))
 
+    @pytest.mark.parametrize("disturbances", [None, 1.5, DisturbanceWindow(1.0, 2.0, (0.1, 0, 0))],
+                             ids=["none", "number", "bare_window"])
+    def test_disturbances_must_be_iterable(self, disturbances):
+        with pytest.raises(ValueError, match="disturbances must be"):
+            ExperimentSpec("static", 10.0, 1, disturbances=disturbances)
+
+    def test_a_list_of_pairs_is_kept_as_a_tuple(self):
+        pairs = [("top_left", DisturbanceWindow(1.0, 2.0, (0.1, 0.0, 0.0))),
+                 ("bottom_right", DisturbanceWindow(3.0, 4.0, (0.0, 0.1, 0.0)))]
+        from_list = ExperimentSpec("static", 10.0, 1, disturbances=pairs)
+        from_tuple = ExperimentSpec("static", 10.0, 1, disturbances=tuple(pairs))
+        assert from_list.disturbances == tuple(pairs)
+        assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+
     @pytest.mark.parametrize("builder", [disturbed_spec, rotation_spec])
     @pytest.mark.parametrize("duration_s", [math.nan, math.inf, True, "300"])
     def test_a_bad_duration_is_named_as_the_duration(self, builder, duration_s):

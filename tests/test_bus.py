@@ -34,6 +34,13 @@ class TestQualifiedName:
         with pytest.raises(InvalidNameError):
             QualifiedName(namespace, local)
 
+    def test_a_trailing_newline_is_not_a_name(self):
+        for namespace, local in (("spot", "gps\n"), ("spot\n", "gps")):
+            with pytest.raises(InvalidNameError):
+                QualifiedName(namespace, local)
+        with pytest.raises(InvalidNameError):
+            QualifiedName.parse("/spot/gps\n")
+
     def test_parse_requires_namespace_and_local(self):
         with pytest.raises(InvalidNameError):
             QualifiedName.parse("spot/x")

@@ -1,9 +1,11 @@
 """Geodetic/ECEF/ENU conversion tests against independent oracles."""
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmas import geo
@@ -313,7 +315,7 @@ def _sincos(base):
 
 
 def _ref_ecef_to_enu(p, base):
-    ox, oy, oz = geodetic_to_ecef(base)
+    ox, oy, oz = geodetic_to_ecef(dataclasses.replace(base))
     sp, cp, sl, cl = _sincos(base)
     dx, dy, dz = p[0] - ox, p[1] - oy, p[2] - oz
     return (-sl * dx + cl * dy + 0.0 * dz,
@@ -322,7 +324,7 @@ def _ref_ecef_to_enu(p, base):
 
 
 def _ref_enu_to_ecef(e, base):
-    ox, oy, oz = geodetic_to_ecef(base)
+    ox, oy, oz = geodetic_to_ecef(dataclasses.replace(base))
     sp, cp, sl, cl = _sincos(base)
     east, north, up = e
     return (ox + (-sl * east + -sp * cl * north + cp * cl * up),
@@ -345,7 +347,8 @@ enu_points = st.tuples(*[st.one_of(signed_zero, st.floats(-5e4, 5e4))] * 3)
 @given(st.lists(st.tuples(bases, enu_points), min_size=1, max_size=20))
 @settings(max_examples=60, deadline=None)
 def test_scalar_conversions_match_uncached_reference(cases):
-    """Each base's frame is computed afresh on every call; 0.0 and -0.0
+    """A base keeps its frame from its first conversion, and the kept frame
+    equals one computed afresh for an equal coordinate; 0.0 and -0.0
     latitudes and longitudes give their own (differently signed) bases."""
     for base, e in cases:
         ecef = geo.enu_to_ecef(e, base)
@@ -385,3 +388,114 @@ def test_rotation_kernels_match_their_formulas(cases):
     assert on_floats.tobytes() == want.tobytes()
     on_columns = np.broadcast_arrays(*_flat(_kernel_rotations(*np.array(cases).T)))
     assert np.array(on_columns).T.tobytes() == want.tobytes()
+
+
+# -- a run of equal rows converts once; a coordinate keeps its frame -----------
+
+
+geodetic_rows = st.tuples(st.one_of(signed_zero, st.floats(-89.0, 89.0)),
+                          st.one_of(signed_zero, st.floats(-180.0, 180.0, exclude_min=True)),
+                          st.one_of(signed_zero, st.floats(-400.0, 9000.0)))
+
+
+def _in_runs(values):
+    """Lists made of runs: each drawn value repeated 1-4 times in a row."""
+    return st.lists(st.tuples(values, st.integers(1, 4)), min_size=1, max_size=6).map(
+        lambda runs: [value for value, count in runs for _ in range(count)])
+
+
+def _hex_rows(rows):
+    return [[float.hex(v) for v in row] for row in rows]
+
+
+def _scalar_rows(coords):
+    return _hex_rows(dataclasses.astuple(c) for c in coords)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_in_runs(geodetic_rows))
+@example([(48.7, 6.15, 220.0)])                                       # a single row
+@example([(48.7, 6.15, 220.0)] * 5)                                   # all rows equal
+@example([(float(k), 6.15, 220.0) for k in range(6)])                 # no row repeated
+@example([(1.0, 2.0, 3.0)] * 3 + [(4.0, 5.0, 6.0)] + [(1.0, 2.0, 3.0)] * 2)  # a run at each end
+@example([(0.0, 0.0, 0.0), (0.0, -0.0, 0.0), (-0.0, -0.0, 0.0), (0.0, 0.0, 0.0)])  # ±0.0 only
+def test_ecef_to_geodetic_array_converts_runs_like_scalar(rows):
+    points = [geodetic_to_ecef(GeodeticCoord(*row)) for row in rows]
+    got = geo.ecef_to_geodetic_array(points)
+    assert _hex_rows(got.tolist()) == _scalar_rows(map(ecef_to_geodetic, points))
+
+
+def test_rows_that_differ_only_in_a_zero_sign_are_converted_apart():
+    points = [(6378137.0, 0.0, 0.0), (6378137.0, -0.0, 0.0), (6378137.0, -0.0, 0.0),
+              (6378137.0, 0.0, -0.0)]
+    got = geo.ecef_to_geodetic_array(points)
+    assert _hex_rows(got.tolist()) == _scalar_rows(map(ecef_to_geodetic, points))
+    assert [math.copysign(1.0, lon) for lon in got[:, 1]] == [1.0, -1.0, -1.0, 1.0]
+    assert math.copysign(1.0, got[3, 0]) == -1.0
+
+
+def _check_enu_rows(enu, base_rows):
+    """``enu_to_geodetic_array`` against the scalar conversion, row by row,
+    with one base per row and with the first row's base for every row."""
+    bases = [GeodeticCoord(*row) for row in base_rows]
+    got = geo.enu_to_geodetic_array(enu, np.array(base_rows))
+    assert _hex_rows(got.tolist()) == _scalar_rows(map(geo.enu_to_geodetic, enu, bases))
+    got = geo.enu_to_geodetic_array(enu, bases[0])
+    assert _hex_rows(got.tolist()) == _scalar_rows(geo.enu_to_geodetic(e, bases[0]) for e in enu)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_enu_to_geodetic_array_converts_runs_like_scalar(data):
+    """ENU rows and per-row bases each come in runs, and the runs need not
+    line up: a base may repeat where the ENU rows do not, and the reverse."""
+    enu = data.draw(_in_runs(enu_points))
+    n = len(enu)
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    base_rows = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        base_rows += [data.draw(geodetic_rows)] * (hi - lo)
+    _check_enu_rows(enu, base_rows)
+
+
+@pytest.mark.parametrize("enu,base_rows", [
+    ([(1.0, 2.0, 3.0), (1.5, 2.0, 3.0), (2.0, 2.0, 3.0)], [(48.7, 6.15, 220.0)] * 3),
+    ([(1.0, 2.0, 3.0)] * 3, [(48.7, 6.15, 220.0), (48.7, 6.15, 221.0), (-0.0, 6.15, 220.0)]),
+    ([(0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (0.0, -0.0, 0.0)], [(0.0, 0.0, 0.0)] * 3),
+], ids=["bases_repeat", "enu_repeats", "zero_signs"])
+def test_enu_runs_and_base_runs_need_not_line_up(enu, base_rows):
+    _check_enu_rows(enu, base_rows)
+
+
+def test_a_kept_frame_changes_no_conversion():
+    kept = GeodeticCoord(48.7, 6.15, 220.0)
+    frame = geo._frame(kept)
+    assert geo._frame(kept) is frame
+    points = [(1.0, -2.0, 3.0), (0.0, -0.0, 0.0), (-1e4, 2e4, -300.0)]
+    for e in points:
+        fresh = GeodeticCoord(48.7, 6.15, 220.0)
+        ecef = geo.enu_to_ecef(e, fresh)
+        assert _coord_bits(geo.enu_to_ecef(e, kept)) == _coord_bits(ecef)
+        assert (_coord_bits(geo.ecef_to_enu(ecef, kept))
+                == _coord_bits(geo.ecef_to_enu(ecef, GeodeticCoord(48.7, 6.15, 220.0))))
+        far = geo.enu_to_geodetic(e, GeodeticCoord(48.7, 6.15, 220.0))
+        assert geo.enu_to_geodetic(e, kept) == far
+        assert (_coord_bits(geo.geodetic_to_enu(far, kept))
+                == _coord_bits(geo.geodetic_to_enu(far, GeodeticCoord(48.7, 6.15, 220.0))))
+    assert _coord_bits(geodetic_to_ecef(kept)) == _coord_bits(geodetic_to_ecef(NANCY))
+
+
+def test_a_kept_frame_is_no_field():
+    kept, fresh = GeodeticCoord(48.7, 6.15, 220.0), GeodeticCoord(48.7, 6.15, 220.0)
+    geo._frame(kept)
+    assert kept == fresh and hash(kept) == hash(fresh) and repr(kept) == repr(fresh)
+    assert dataclasses.astuple(kept) == dataclasses.astuple(fresh) == (48.7, 6.15, 220.0)
+    assert pickle.dumps(kept) == pickle.dumps(fresh)
+    back = pickle.loads(pickle.dumps(kept))
+    assert back == kept and geo._frame(back) == geo._frame(fresh)
+    moved = dataclasses.replace(kept, alt=320.0)
+    assert moved == GeodeticCoord(48.7, 6.15, 320.0)
+    assert (_coord_bits(geodetic_to_ecef(moved))
+            == _coord_bits(geodetic_to_ecef(GeodeticCoord(48.7, 6.15, 320.0))))
+    assert geodetic_to_ecef(moved) != geodetic_to_ecef(kept)
